@@ -107,7 +107,7 @@ int main(int Argc, char **Argv) {
     ClusterOptions Opts;
     Opts.PageBudgetBytes = Budget;
     ClusterStats Stats;
-    CodeProfile Prof = analyzeClusterOrder(*SweepP, CuCap, Instr.Code, Opts,
+    CodeProfile Prof = analyzeClusterOrder(*SweepP, CuCap, Instr.code(), Opts,
                                            nullptr, nullptr, &Stats);
     Prof.Header.Fingerprint = Fp;
     uint64_t Faults =

@@ -39,7 +39,7 @@ int main(int argc, char **argv) {
   std::printf("  .text:     %8llu KiB (%zu compilation units + %llu KiB "
               "native tail)\n",
               (unsigned long long)(Img.Layout.TextSize / 1024),
-              Img.Code.CUs.size(),
+              Img.code().CUs.size(),
               (unsigned long long)(Img.Layout.NativeTailSize / 1024));
   std::printf("  .svm_heap: %8llu KiB (%zu stored objects, %zu elided by "
               "the PEA-style pass)\n\n",
@@ -51,7 +51,7 @@ int main(int argc, char **argv) {
               "signature):\n");
   for (size_t I = 0; I < 8 && I < Img.Layout.CuOrder.size(); ++I) {
     const CompilationUnit &CU =
-        Img.Code.CUs[size_t(Img.Layout.CuOrder[I])];
+        Img.code().CUs[size_t(Img.Layout.CuOrder[I])];
     std::printf("  +%06llu %5u B  %s (%zu inlined copies)\n",
                 (unsigned long long)
                     Img.Layout.CuOffsets[size_t(Img.Layout.CuOrder[I])],

@@ -555,7 +555,7 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
     return 1;
   std::printf("built image: %zu CUs, %zu snapshot objects, %llu KiB "
               "(.text %llu KiB + .svm_heap %llu KiB)\n",
-              Img.Code.CUs.size(), Img.Snapshot.numStored(),
+              Img.code().CUs.size(), Img.Snapshot.numStored(),
               (unsigned long long)(Img.imageBytes() / 1024),
               (unsigned long long)(Img.Layout.TextSize / 1024),
               (unsigned long long)(Img.Layout.HeapSize / 1024));

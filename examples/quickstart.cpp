@@ -54,7 +54,7 @@ int main() {
   Base.Seed = 1;
   NativeImage Baseline = buildNativeImage(P, Base);
   std::printf("baseline image: %zu CUs, %zu snapshot objects, %llu KiB\n",
-              Baseline.Code.CUs.size(), Baseline.Snapshot.numStored(),
+              Baseline.code().CUs.size(), Baseline.Snapshot.numStored(),
               (unsigned long long)(Baseline.imageBytes() / 1024));
 
   // 3. Profile: build an instrumented image, run it three times (cu /

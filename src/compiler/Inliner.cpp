@@ -161,6 +161,8 @@ void nimg::setCompileFaultHookForTest(std::function<bool(MethodId)> Hook) {
   compileFaultHook() = std::move(Hook);
 }
 
+bool nimg::compileFaultHookArmed() { return bool(compileFaultHook()); }
+
 CompiledProgram nimg::buildCompilationUnits(const Program &P,
                                             const ReachabilityResult &Reach,
                                             const InlinerConfig &Config,

@@ -112,6 +112,10 @@ CompiledProgram buildCompilationUnits(const Program &P,
 /// build is running; pass nullptr to clear.
 void setCompileFaultHookForTest(std::function<bool(MethodId Root)> Hook);
 
+/// Whether a compile-fault hook is installed. A build made while one is
+/// armed is neither served from nor stored in a program's build cache.
+bool compileFaultHookArmed();
+
 } // namespace nimg
 
 #endif // NIMG_COMPILER_INLINER_H

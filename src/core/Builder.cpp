@@ -5,9 +5,12 @@
 #include "src/image/ImageFile.h"
 #include "src/obs/Metrics.h"
 #include "src/obs/SpanTracer.h"
+#include "src/support/Murmur3.h"
 #include "src/support/SplitMix64.h"
 
 #include <algorithm>
+#include <list>
+#include <mutex>
 #include <unordered_set>
 
 using namespace nimg;
@@ -126,6 +129,120 @@ bool heapProfileUsable(const HeapProfile &HP, HeapStrategy Strategy,
   return true;
 }
 
+/// Bases kept per program: a sweep cycles through every variant at each
+/// of its build seeds (three in the paper's evaluation), and a sampled
+/// profile capture adds its own geometry. A smaller bound makes that
+/// cycle evict every base before its next use; each kept base costs one
+/// build heap of memory. Fixed, not a setting.
+constexpr size_t MaxCachedBases = 4;
+
+/// The per-program LRU of build bases (most recent first), kept in the
+/// program's derivedCache() slot. One process-wide mutex guards every
+/// program's list: lookups are a few comparisons, and the stages run
+/// outside the lock.
+using BaseCache =
+    std::list<std::pair<uint64_t, std::shared_ptr<const ImageBase>>>;
+std::mutex BaseCacheMu;
+
+BaseCache &baseCacheOf(const Program &P) {
+  std::shared_ptr<void> &Slot = P.derivedCache();
+  if (!Slot)
+    Slot = std::make_shared<BaseCache>();
+  return *static_cast<BaseCache *>(Slot.get());
+}
+
+/// Content key of a build base: everything reachability, compilation and
+/// build-time initialization read. The program fingerprint covers the
+/// classes, code and string table; the rest of the program those stages
+/// read (entry point, register counts, call-argument pools, method and
+/// class flags, resources) is hashed next to it.
+uint64_t baseKey(const Program &P, const BuildConfig &Cfg, uint64_t BuildFp) {
+  Murmur3Stream S;
+  S.appendU64(BuildFp);
+  S.appendU32(uint32_t(P.MainMethod));
+  for (size_t C = 0; C < P.numClasses(); ++C) {
+    const ClassDef &Def = P.classDef(ClassId(C));
+    S.appendU8(Def.IsAbstract ? 1 : 0);
+    S.appendU32(uint32_t(Def.Clinit));
+  }
+  for (size_t M = 0; M < P.numMethods(); ++M) {
+    const Method &Meth = P.method(MethodId(M));
+    S.appendU8(uint8_t((Meth.IsStatic ? 1 : 0) | (Meth.IsAbstract ? 2 : 0) |
+                       (Meth.IsClinit ? 4 : 0)));
+    S.appendU32(uint32_t(Meth.RetType));
+    S.appendU32(Meth.NumRegs);
+    S.appendU32(uint32_t(Meth.CallArgs.size()));
+    S.update(Meth.CallArgs.data(), Meth.CallArgs.size() * sizeof(uint16_t));
+  }
+  S.appendU32(uint32_t(P.Resources.size()));
+  for (const auto &[Name, Contents] : P.Resources) {
+    S.appendSizedString(Name);
+    S.appendSizedString(Contents);
+  }
+  S.appendU32(uint32_t(Cfg.Reach.SaturationThreshold));
+  S.appendU32(Cfg.Inliner.TrivialSize);
+  S.appendU32(Cfg.Inliner.SmallSize);
+  S.appendU32(Cfg.Inliner.MaxCuSize);
+  S.appendU32(uint32_t(Cfg.Inliner.MaxDepth));
+  S.appendU8(Cfg.Instrumented ? 1 : 0);
+  S.appendU64(Cfg.Seed);
+  return S.digest().Lo;
+}
+
+/// The strategy-independent stages of a build, served from \p P's build
+/// cache when an earlier build had the same base key. A build made while
+/// the compile-fault hook is armed never touches the cache, and a base
+/// whose compile tasks degraded is not stored. Instrumented builds skip
+/// the cache too: their images exist to be traced, traced runs never
+/// replay, so such a base would win back only its own build stages while
+/// evicting one whose runs replay.
+std::shared_ptr<const ImageBase> obtainBase(Program &P, const BuildConfig &Cfg,
+                                            uint64_t BuildFp) {
+  bool Cacheable = !Cfg.Instrumented && !compileFaultHookArmed();
+  uint64_t Key = 0;
+  if (Cacheable) {
+    NIMG_SPAN("build", "base_lookup");
+    Key = baseKey(P, Cfg, BuildFp);
+    std::lock_guard<std::mutex> G(BaseCacheMu);
+    BaseCache &Cache = baseCacheOf(P);
+    for (auto It = Cache.begin(); It != Cache.end(); ++It)
+      if (It->first == Key) {
+        Cache.splice(Cache.begin(), Cache, It);
+        NIMG_COUNTER_ADD("nimg.build.base_hits", 1);
+        return Cache.front().second;
+      }
+  }
+  NIMG_COUNTER_ADD("nimg.build.base_misses", 1);
+
+  auto Base = std::make_shared<ImageBase>();
+  // 1. Points-to-style reachability (Sec. 2).
+  {
+    NIMG_SPAN("build", "reachability");
+    Base->Reach = analyzeReachability(P, Cfg.Reach);
+  }
+  // 2. Compilation: size-driven inlining into CUs. Instrumentation
+  //    inflates sizes, diverging the CU set from the optimized build's.
+  {
+    NIMG_SPAN("build", "compile");
+    Base->Code =
+        buildCompilationUnits(P, Base->Reach, Cfg.Inliner, Cfg.Instrumented);
+  }
+  // 3. Build-time initialization (permuted by the seed).
+  {
+    NIMG_SPAN("build", "heap_init");
+    Base->Built = initializeBuildHeap(P, Base->Reach, Cfg.Seed);
+  }
+  Base->Cached = Cacheable && Base->Code.CompileFaults.empty();
+  if (Base->Cached) {
+    std::lock_guard<std::mutex> G(BaseCacheMu);
+    BaseCache &Cache = baseCacheOf(P);
+    Cache.emplace_front(Key, Base);
+    if (Cache.size() > MaxCachedBases)
+      Cache.pop_back();
+  }
+  return Base;
+}
+
 } // namespace
 
 NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
@@ -230,23 +347,15 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
         1);
   }
 
-  // 1. Points-to-style reachability (Sec. 2).
-  {
-    NIMG_SPAN("build", "reachability");
-    Img.Reach = analyzeReachability(P, Cfg.Reach);
-  }
-
-  // 2. Compilation: size-driven inlining into CUs. Instrumentation
-  //    inflates sizes, diverging the CU set from the optimized build's.
-  {
-    NIMG_SPAN("build", "compile");
-    Img.Code =
-        buildCompilationUnits(P, Img.Reach, Cfg.Inliner, Cfg.Instrumented);
-  }
+  // 1-3. Reachability, compilation and build-time initialization: the
+  //      strategy-independent base, shared by every layout of this seed.
+  Img.Base = obtainBase(P, Cfg, BuildFp);
+  const CompiledProgram &Code = Img.code();
+  Img.Built = Img.Base->Built;
   // A compile task that threw degraded its unit to a root-only CU; the
   // build carries on with the degraded unit rather than failing, and the
   // fault is recorded on the image like a rejected profile would be.
-  for (const auto &[Root, What] : Img.Code.CompileFaults) {
+  for (const auto &[Root, What] : Code.CompileFaults) {
     addDiag(Img.ProfileDiag, ProfileError::WorkerFault,
             "compile task for " + P.method(Root).Sig +
                 " failed; unit degraded to root only: " + What);
@@ -259,7 +368,7 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
   if (SplitRequested) {
     NIMG_SPAN("build", "split");
     Img.Split =
-        splitCompiledProgram(P, Img.Code, BlockProf, Cfg.SplitOpts, EdgeProf);
+        splitCompiledProgram(P, Code, BlockProf, Cfg.SplitOpts, EdgeProf);
     for (const ProfileIssue &I : Img.Split.Issues) {
       Img.ProfileDiag.Issues.push_back(I);
       NIMG_COUNTER_ADD_DYN(std::string("nimg.build.profile_rejected.") +
@@ -269,7 +378,7 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
     // A wholesale degrade (no profile, bad coverage) means nothing was
     // actually applied even when the header vetted clean.
     if (Img.Split.SplitCus == 0 &&
-        Img.Split.DegradedCus == uint32_t(Img.Code.CUs.size()))
+        Img.Split.DegradedCus == uint32_t(Code.CUs.size()))
       Img.ProfileDiag.BlockProfileApplied = false;
     // "Applied" for the edge profile means at least one hot fragment was
     // actually reordered; usable-but-inert counts report as provided only.
@@ -277,19 +386,15 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
       Img.ProfileDiag.EdgeProfileApplied = Img.Split.ExtTsp.Applied;
   }
 
-  // 3. Code ordering (Sec. 4) — determines .text placement and, through
+  // 4. Code ordering (Sec. 4) — determines .text placement and, through
   //    it, the default object traversal order.
   std::vector<int32_t> CuOrder;
   if (Cfg.CodeOrder != CodeStrategy::None && CodeProf) {
     NIMG_SPAN("build", "code_order");
-    CuOrder = orderCusWithProfile(P, Img.Code, *CodeProf, Cfg.CodeOrder);
+    CuOrder = orderCusWithProfile(P, Code, *CodeProf, Cfg.CodeOrder);
   }
 
-  // 4. Build-time initialization (permuted) and heap snapshotting.
-  {
-    NIMG_SPAN("build", "heap_init");
-    Img.Built = initializeBuildHeap(P, Img.Reach, Cfg.Seed);
-  }
+  // 5. Heap snapshotting, over the base's (read-only) build heap.
   if (Img.Built.Failed) {
     NIMG_COUNTER_ADD("nimg.build.failed", 1);
     return Img;
@@ -298,18 +403,18 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
   SnapshotConfig SnapCfg;
   SnapCfg.EnablePea = Cfg.EnablePea;
   SnapCfg.PeaRate = Cfg.PeaRate;
-  uint64_t InlineFp = Img.Code.InlineFingerprint;
+  uint64_t InlineFp = Code.InlineFingerprint;
   if (Img.Split.active())
     InlineFp = mix64(InlineFp, Img.Split.DecisionFingerprint);
   SnapCfg.PeaFingerprint = mix64(InlineFp, Cfg.Seed);
   SnapCfg.CuOrder = CuOrder;
   {
     NIMG_SPAN("build", "snapshot");
-    Img.Snapshot = buildSnapshot(P, *Img.Built.BuildHeap, Img.Built, Img.Code,
-                                 Img.Reach, SnapCfg);
+    Img.Snapshot = buildSnapshot(P, *Img.Built.BuildHeap, Img.Built, Code,
+                                 Img.reach(), SnapCfg);
   }
 
-  // 5. Identifier assignment (Sec. 5): the profiling build stores these in
+  // 6. Identifier assignment (Sec. 5): the profiling build stores these in
   //    the image; the optimizing build uses them only for matching.
   {
     NIMG_SPAN("build", "id_table");
@@ -317,7 +422,7 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
                              Cfg.StructuralMaxDepth);
   }
 
-  // 6. Heap ordering (Sec. 5): match the profile's ids against this
+  // 7. Heap ordering (Sec. 5): match the profile's ids against this
   //    build's snapshot and hoist matched objects to the front.
   std::vector<int32_t> ObjOrder;
   if (Cfg.UseHeapOrder && HeapProf) {
@@ -327,12 +432,11 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
                                        *HeapProf);
   }
 
-  // 7. Image layout.
+  // 8. Image layout.
   {
     NIMG_SPAN("build", "layout");
-    Img.Layout =
-        computeImageLayout(P, Img.Code, Img.Snapshot, CuOrder, ObjOrder,
-                           Cfg.Image, &Img.Split);
+    Img.Layout = computeImageLayout(P, Code, Img.Snapshot, CuOrder, ObjOrder,
+                                    Cfg.Image, &Img.Split);
   }
   // A huge-page budget the hot .text prefix cannot fill degrades typed:
   // the clamp already happened in the layout, this records why.
@@ -493,7 +597,7 @@ CollectedProfiles nimg::collectProfiles(Program &P,
       COpts.PageBudgetBytes = Cfg.ClusterPageBudget;
       COpts.HugePages = Cfg.Image.HugePages;
       Out.Cluster =
-          analyzeClusterOrder(P, CuCap, Img.Code, COpts, nullptr,
+          analyzeClusterOrder(P, CuCap, Img.code(), COpts, nullptr,
                               &Out.ClusterIssues, &Out.ClusterLayoutStats);
       Out.Cluster.Header.Fingerprint = Fp;
       Out.Cluster.Header.Generation = Gen;

@@ -23,8 +23,9 @@ BuildHeapResult nimg::initializeBuildHeap(Program &P,
                                           const ReachabilityResult &Reach,
                                           uint64_t Seed) {
   BuildHeapResult R;
-  R.BuildHeap = std::make_unique<Heap>(P);
-  Heap &H = *R.BuildHeap;
+  auto Owned = std::make_shared<Heap>(P);
+  R.BuildHeap = Owned;
+  Heap &H = *Owned;
 
   InterpConfig Cfg;
   Cfg.RunClinits = true;
@@ -99,6 +100,30 @@ BuildHeapResult nimg::initializeBuildHeap(Program &P,
 
   R.Statics = I.statics();
   R.InitOrder = I.initializationOrder();
+
+  // Drop what no root reaches — mostly intermediate strings of initializer
+  // computations. Nothing can reach them at run time and the snapshot
+  // never includes them, so the build heap (which every image of a build
+  // base shares, and which is serialized whole) holds only live cells.
+  std::vector<CellIdx> Roots;
+  for (const std::vector<Value> &Row : R.Statics)
+    for (const Value &V : Row)
+      if (V.isRef())
+        Roots.push_back(V.asRef());
+  for (CellIdx C : R.ClassMetaCells)
+    Roots.push_back(C);
+  for (const auto &[Name, C] : R.ResourceCells)
+    Roots.push_back(C);
+  std::vector<CellIdx> NewIdx = H.collectGarbage(Roots);
+  for (std::vector<Value> &Row : R.Statics)
+    for (Value &V : Row)
+      if (V.isRef())
+        V.Ref = NewIdx[size_t(V.Ref)];
+  for (CellIdx &C : R.ClassMetaCells)
+    if (C != -1)
+      C = NewIdx[size_t(C)];
+  for (auto &[Name, C] : R.ResourceCells)
+    C = NewIdx[size_t(C)];
   R.BuildOutput = I.output();
   return R;
 }

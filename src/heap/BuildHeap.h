@@ -38,7 +38,9 @@ ClassId ensureClassMetaClass(Program &P);
 
 /// The result of running build-time initialization.
 struct BuildHeapResult {
-  std::unique_ptr<Heap> BuildHeap;
+  /// Immutable once initialization returns, so every image of one build
+  /// base shares it (each run executes on its own copy).
+  std::shared_ptr<const Heap> BuildHeap;
   /// Static-field values after initialization (indexed like
   /// Interpreter::statics()).
   std::vector<std::vector<Value>> Statics;
@@ -57,7 +59,8 @@ struct BuildHeapResult {
 
 /// Runs all reachable static initializers in a \p Seed-permuted order
 /// (lazy dependency triggering preserved), creates class-metadata objects
-/// and resource cells, and returns the populated heap.
+/// and resource cells, and returns the populated heap — without the cells
+/// no static, metadata object, resource or interned string reaches.
 BuildHeapResult initializeBuildHeap(Program &P,
                                     const ReachabilityResult &Reach,
                                     uint64_t Seed);

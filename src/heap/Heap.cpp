@@ -59,6 +59,49 @@ CellIdx Heap::internString(const std::string &S) {
   return C;
 }
 
+std::vector<CellIdx> Heap::collectGarbage(const std::vector<CellIdx> &Roots) {
+  std::vector<bool> Live(Cells.size(), false);
+  std::vector<CellIdx> Work;
+  auto Mark = [&](CellIdx C) {
+    if (C >= 0 && !Live[size_t(C)]) {
+      Live[size_t(C)] = true;
+      Work.push_back(C);
+    }
+  };
+  for (CellIdx R : Roots)
+    Mark(R);
+  for (const auto &[S, C] : InternTable)
+    Mark(C);
+  while (!Work.empty()) {
+    CellIdx C = Work.back();
+    Work.pop_back();
+    for (const Value &V : Cells[size_t(C)].Slots)
+      if (V.isRef())
+        Mark(V.Ref);
+  }
+
+  std::vector<CellIdx> NewIdx(Cells.size(), -1);
+  CellIdx Next = 0;
+  for (size_t C = 0; C < Cells.size(); ++C)
+    if (Live[C])
+      NewIdx[C] = Next++;
+  std::vector<HeapCell> Kept;
+  Kept.reserve(size_t(Next));
+  for (size_t C = 0; C < Cells.size(); ++C) {
+    if (!Live[C])
+      continue;
+    HeapCell &Cell = Cells[C];
+    for (Value &V : Cell.Slots)
+      if (V.isRef())
+        V.Ref = NewIdx[size_t(V.Ref)];
+    Kept.push_back(std::move(Cell));
+  }
+  Cells = std::move(Kept);
+  for (auto &[S, C] : InternTable)
+    C = NewIdx[size_t(C)];
+  return NewIdx;
+}
+
 bool Heap::isInterned(CellIdx C) const {
   const HeapCell &Cell = cell(C);
   if (Cell.Kind != CellKind::String)

@@ -132,6 +132,12 @@ public:
   /// Returns the interned cell for \p S, allocating it on first use.
   /// Interned strings become InternedString heap roots (Sec. 5.3).
   CellIdx internString(const std::string &S);
+  /// Returns the interned cell for \p S, or -1 when \p S was never
+  /// interned. The read-only lookup for code that must not grow the heap.
+  CellIdx internedCell(const std::string &S) const {
+    auto It = InternTable.find(S);
+    return It == InternTable.end() ? -1 : It->second;
+  }
   /// Returns true if \p C is an interned string cell.
   bool isInterned(CellIdx C) const;
   /// Registers an existing string cell as the interned instance for its
@@ -141,6 +147,12 @@ public:
     assert(cell(C).Kind == CellKind::String && "interning a non-string");
     InternTable.emplace(cell(C).Str, C);
   }
+
+  /// Drops every cell that neither \p Roots nor the intern table reaches
+  /// and renumbers the survivors densely, in their original order. Returns
+  /// the old-to-new index map (-1 for dropped cells) so the caller can
+  /// remap references held outside the heap.
+  std::vector<CellIdx> collectGarbage(const std::vector<CellIdx> &Roots);
 
   HeapCell &cell(CellIdx C) {
     assert(C >= 0 && size_t(C) < Cells.size() && "invalid cell index");

@@ -45,7 +45,7 @@ namespace {
 
 class SnapshotBuilder {
 public:
-  SnapshotBuilder(const Program &P, Heap &H, const BuildHeapResult &Built,
+  SnapshotBuilder(const Program &P, const Heap &H, const BuildHeapResult &Built,
                   const CompiledProgram &CP, const ReachabilityResult &Reach,
                   const SnapshotConfig &Config)
       : P(P), H(H), Built(Built), CP(CP), Reach(Reach), Config(Config) {
@@ -53,6 +53,7 @@ public:
   }
 
   HeapSnapshot run() {
+    Snap.EntryOfCell.assign(H.numCells(), -1);
     enumerateCodeConstantRoots();
     enumerateStaticFieldRoots();
     enumerateClassMetadataRoots();
@@ -76,8 +77,10 @@ private:
         for (const BasicBlock &BB : Meth.Blocks) {
           for (const Instr &In : BB.Instrs) {
             if (In.Op == Opcode::ConstString) {
-              CellIdx Cell = H.internString(P.string(In.Aux));
-              addRoot(Cell, {InclusionReasonKind::InternedString, ""});
+              CellIdx Cell = H.internedCell(P.string(In.Aux));
+              assert(Cell != -1 && "string literal missing from the build heap");
+              if (Cell != -1)
+                addRoot(Cell, {InclusionReasonKind::InternedString, ""});
             } else if (In.Op == Opcode::NewObject) {
               // Allocation embeds a constant pointer to the class metadata.
               CellIdx Meta = Built.ClassMetaCells[size_t(In.Aux)];
@@ -127,7 +130,7 @@ private:
   // --- Traversal ----------------------------------------------------------------
 
   void addRoot(CellIdx Cell, InclusionReason Reason) {
-    if (Snap.EntryOfCell.count(Cell))
+    if (Snap.EntryOfCell[size_t(Cell)] != -1)
       return; // First inclusion reason wins.
     int32_t Entry = addEntry(Cell, /*IsRoot=*/true, std::move(Reason), -1, -1);
     traverseFrom(Entry);
@@ -145,7 +148,7 @@ private:
     E.Elided = shouldElide(Cell);
     int32_t Idx = int32_t(Snap.Entries.size());
     Snap.Entries.push_back(std::move(E));
-    Snap.EntryOfCell.emplace(Cell, Idx);
+    Snap.EntryOfCell[size_t(Cell)] = Idx;
     return Idx;
   }
 
@@ -163,7 +166,7 @@ private:
         if (!V.isRef())
           continue;
         CellIdx Child = V.asRef();
-        if (Snap.EntryOfCell.count(Child))
+        if (Snap.EntryOfCell[size_t(Child)] != -1)
           continue;
         // Elided objects are rematerialized at run time, but whatever they
         // reference must still live in the image (real PEA keeps the
@@ -206,7 +209,7 @@ private:
   }
 
   const Program &P;
-  Heap &H;
+  const Heap &H;
   const BuildHeapResult &Built;
   const CompiledProgram &CP;
   const ReachabilityResult &Reach;
@@ -217,7 +220,7 @@ private:
 
 } // namespace
 
-HeapSnapshot nimg::buildSnapshot(const Program &P, Heap &H,
+HeapSnapshot nimg::buildSnapshot(const Program &P, const Heap &H,
                                  const BuildHeapResult &Built,
                                  const CompiledProgram &CP,
                                  const ReachabilityResult &Reach,

@@ -30,7 +30,6 @@
 #include "src/heap/Heap.h"
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace nimg {
@@ -72,12 +71,15 @@ struct SnapshotEntry {
 struct HeapSnapshot {
   /// Entries in traversal (default placement) order.
   std::vector<SnapshotEntry> Entries;
-  /// Cell -> entry index.
-  std::unordered_map<CellIdx, int32_t> EntryOfCell;
+  /// Cell -> entry index, dense over the build heap's cells (-1: the cell
+  /// is not in the snapshot). Cells beyond the table (allocated at run
+  /// time) are never in it.
+  std::vector<int32_t> EntryOfCell;
 
   int32_t entryOf(CellIdx Cell) const {
-    auto It = EntryOfCell.find(Cell);
-    return It == EntryOfCell.end() ? -1 : It->second;
+    return Cell >= 0 && size_t(Cell) < EntryOfCell.size()
+               ? EntryOfCell[size_t(Cell)]
+               : -1;
   }
   size_t numStored() const;
   uint64_t storedBytes() const;
@@ -102,7 +104,11 @@ struct SnapshotConfig {
 /// (2) static reference fields of reachable classes, (3) class metadata,
 /// (4) resources. Objects reachable from earlier CUs therefore precede
 /// objects of later CUs, matching the paper's default object order.
-HeapSnapshot buildSnapshot(const Program &P, Heap &H,
+///
+/// The heap is only read: every string literal of the compiled code must
+/// already be interned (initializeBuildHeap interns those of all reachable
+/// methods), so snapshots of different layouts can share one build heap.
+HeapSnapshot buildSnapshot(const Program &P, const Heap &H,
                            const BuildHeapResult &Built,
                            const CompiledProgram &CP,
                            const ReachabilityResult &Reach,

@@ -7,6 +7,8 @@
 #include "src/support/ByteBuffer.h"
 #include "src/support/Murmur3.h"
 
+#include <cstring>
+
 using namespace nimg;
 
 // Format versions, newest written. V2 appends the per-region page-size
@@ -15,8 +17,18 @@ using namespace nimg;
 static constexpr uint32_t kMagicV1 = 0x314D494Eu; // "NIM1"
 static constexpr uint32_t kMagicV2 = 0x324D494Eu; // "NIM2"
 
+/// Stores the low \p Bytes bytes of \p V little-endian at \p Out;
+/// returns the byte after them.
+static uint8_t *putLE(uint8_t *Out, uint64_t V, int Bytes) {
+  for (int I = 0; I < Bytes; ++I)
+    *Out++ = uint8_t(V >> (8 * I));
+  return Out;
+}
+
 uint64_t nimg::programFingerprint(const Program &P) {
-  ByteBuffer B;
+  // Hashed as encoded: the digest equals murmurHash3 over the same bytes
+  // collected in a ByteBuffer, without materializing ~1 MB per call.
+  Murmur3Stream B;
   for (size_t C = 0; C < P.numClasses(); ++C) {
     const ClassDef &Def = P.classDef(ClassId(C));
     B.appendSizedString(Def.Name);
@@ -37,20 +49,26 @@ uint64_t nimg::programFingerprint(const Program &P) {
     for (const BasicBlock &BB : Meth.Blocks) {
       B.appendU32(uint32_t(BB.Instrs.size()));
       for (const Instr &In : BB.Instrs) {
-        B.appendU8(uint8_t(In.Op));
-        B.appendU32(uint32_t(In.Dst) | (uint32_t(In.A) << 16));
-        B.appendU32(uint32_t(In.B) | (uint32_t(In.C) << 16));
-        B.appendI64(In.IImm);
-        B.appendF64(In.FImm);
-        B.appendU32(uint32_t(In.Aux));
-        B.appendU32(uint32_t(In.Aux2));
-        B.appendU32(uint32_t(In.Target));
+        // One 37-byte record per instruction, fed to the hash in one call.
+        uint8_t Enc[37];
+        uint8_t *E = Enc;
+        uint64_t FBits;
+        std::memcpy(&FBits, &In.FImm, sizeof(FBits));
+        *E++ = uint8_t(In.Op);
+        E = putLE(E, uint32_t(In.Dst) | (uint32_t(In.A) << 16), 4);
+        E = putLE(E, uint32_t(In.B) | (uint32_t(In.C) << 16), 4);
+        E = putLE(E, uint64_t(In.IImm), 8);
+        E = putLE(E, FBits, 8);
+        E = putLE(E, uint32_t(In.Aux), 4);
+        E = putLE(E, uint32_t(In.Aux2), 4);
+        putLE(E, uint32_t(In.Target), 4);
+        B.update(Enc, sizeof(Enc));
       }
     }
   }
   for (size_t S = 0; S < P.numStrings(); ++S)
     B.appendSizedString(P.string(StrId(S)));
-  return murmurHash3(B.bytes());
+  return B.digest().Lo;
 }
 
 namespace {
@@ -198,17 +216,19 @@ std::vector<uint8_t> nimg::serializeImage(const Program &P,
   B.appendU64(Img.Seed);
 
   // Reachability.
-  putBools(B, Img.Reach.ReachableMethods);
-  putBools(B, Img.Reach.InstantiatedClasses);
-  putBools(B, Img.Reach.ReachableClasses);
-  putBools(B, Img.Reach.SaturatedSelectors);
+  const ReachabilityResult &Reach = Img.reach();
+  putBools(B, Reach.ReachableMethods);
+  putBools(B, Reach.InstantiatedClasses);
+  putBools(B, Reach.ReachableClasses);
+  putBools(B, Reach.SaturatedSelectors);
 
   // Compiled program.
-  B.appendU8(Img.Code.Instrumented ? 1 : 0);
-  B.appendU64(Img.Code.InlineFingerprint);
-  putI32s(B, Img.Code.CuOfMethod);
-  B.appendU32(uint32_t(Img.Code.CUs.size()));
-  for (const CompilationUnit &CU : Img.Code.CUs) {
+  const CompiledProgram &Code = Img.code();
+  B.appendU8(Code.Instrumented ? 1 : 0);
+  B.appendU64(Code.InlineFingerprint);
+  putI32s(B, Code.CuOfMethod);
+  B.appendU32(uint32_t(Code.CUs.size()));
+  for (const CompilationUnit &CU : Code.CUs) {
     B.appendU32(uint32_t(CU.Root));
     B.appendU32(CU.CodeSize);
     B.appendU32(uint32_t(CU.Copies.size()));
@@ -362,16 +382,19 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
   Out.Instrumented = C.u8() != 0;
   Out.Seed = C.u64();
 
-  Out.Reach.ReachableMethods = C.bools();
-  Out.Reach.InstantiatedClasses = C.bools();
-  Out.Reach.ReachableClasses = C.bools();
-  Out.Reach.SaturatedSelectors = C.bools();
+  // A loaded image gets a private base: it never joins the program's build
+  // cache, so its runs always interpret.
+  auto Base = std::make_shared<ImageBase>();
+  Base->Reach.ReachableMethods = C.bools();
+  Base->Reach.InstantiatedClasses = C.bools();
+  Base->Reach.ReachableClasses = C.bools();
+  Base->Reach.SaturatedSelectors = C.bools();
 
-  Out.Code.Instrumented = C.u8() != 0;
-  Out.Code.InlineFingerprint = C.u64();
-  Out.Code.CuOfMethod = C.i32s();
+  CompiledProgram &Code = Base->Code;
+  Code.Instrumented = C.u8() != 0;
+  Code.InlineFingerprint = C.u64();
+  Code.CuOfMethod = C.i32s();
   uint32_t NumCus = C.u32();
-  Out.Code.CUs.clear();
   for (uint32_t I = 0; I < NumCus && C.ok(); ++I) {
     CompilationUnit CU;
     CU.Root = MethodId(C.u32());
@@ -390,11 +413,13 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
             int32_t(K));
       CU.Copies.push_back(Copy);
     }
-    Out.Code.CUs.push_back(std::move(CU));
+    Code.CUs.push_back(std::move(CU));
   }
 
-  Out.Built.BuildHeap = std::make_unique<Heap>(P);
-  Heap &H = *Out.Built.BuildHeap;
+  BuildHeapResult &Built = Base->Built;
+  auto OwnedHeap = std::make_shared<Heap>(P);
+  Built.BuildHeap = OwnedHeap;
+  Heap &H = *OwnedHeap;
   uint32_t NumCells = C.u32();
   for (uint32_t I = 0; I < NumCells && C.ok(); ++I) {
     CellKind Kind = CellKind(C.u8());
@@ -409,7 +434,7 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
     // Recreate the cell at the same index: the serialized graph encodes
     // sharing via cell indices, so no dedup may happen here. Interned
     // strings re-register in the intern table afterwards.
-    CellIdx Cell;
+    CellIdx Cell = -1;
     switch (Kind) {
     case CellKind::Object:
       if (Class < 0 || size_t(Class) >= P.numClasses()) {
@@ -431,6 +456,9 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
       if (Interned)
         H.registerInterned(Cell);
       break;
+    default:
+      C.fail("corrupt cell kind");
+      return false;
     }
     if (H.cell(Cell).Slots.size() != Slots.size()) {
       C.fail("cell slot count mismatch");
@@ -440,25 +468,26 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
   }
 
   uint32_t NumStaticRows = C.u32();
-  Out.Built.Statics.clear();
   for (uint32_t I = 0; I < NumStaticRows && C.ok(); ++I) {
     uint32_t N = C.u32();
     std::vector<Value> Row;
     for (uint32_t K = 0; K < N && C.ok(); ++K)
       Row.push_back(C.value());
-    Out.Built.Statics.push_back(std::move(Row));
+    Built.Statics.push_back(std::move(Row));
   }
-  Out.Built.InitOrder = C.i32s();
-  Out.Built.ClassMetaCells = C.i32s();
+  Built.InitOrder = C.i32s();
+  Built.ClassMetaCells = C.i32s();
   uint32_t NumResources = C.u32();
   for (uint32_t I = 0; I < NumResources && C.ok(); ++I) {
     std::string Name = C.str();
-    Out.Built.ResourceCells.emplace(Name, CellIdx(C.u32()));
+    Built.ResourceCells.emplace(Name, CellIdx(C.u32()));
   }
+  Out.Built = Built;
+  Out.Base = std::move(Base);
 
   uint32_t NumEntries = C.u32();
   Out.Snapshot.Entries.clear();
-  Out.Snapshot.EntryOfCell.clear();
+  Out.Snapshot.EntryOfCell.assign(H.numCells(), -1);
   for (uint32_t I = 0; I < NumEntries && C.ok(); ++I) {
     SnapshotEntry E;
     E.Cell = CellIdx(C.u32());
@@ -470,7 +499,13 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
     E.Reason.Detail = C.str();
     E.ParentEntry = int32_t(C.u32());
     E.ParentSlot = int32_t(C.u32());
-    Out.Snapshot.EntryOfCell.emplace(E.Cell, int32_t(I));
+    if (E.Cell < 0 || size_t(E.Cell) >= H.numCells()) {
+      C.fail("snapshot entry names a cell outside the heap");
+      return false;
+    }
+    int32_t &Slot = Out.Snapshot.EntryOfCell[size_t(E.Cell)];
+    if (Slot == -1)
+      Slot = int32_t(I);
     Out.Snapshot.Entries.push_back(std::move(E));
   }
 
@@ -562,13 +597,13 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
 
   if (!C.ok())
     return false;
-  if (Out.Layout.CuOffsets.size() != Out.Code.CUs.size() ||
+  if (Out.Layout.CuOffsets.size() != Out.code().CUs.size() ||
       Out.Ids.IncrementalIds.size() != Out.Snapshot.Entries.size() ||
       Out.Layout.HugeRegionSize > Out.Layout.TextSize ||
       Out.Layout.HugePages > Out.Layout.HugePagesRequested ||
       (Out.Split.active() &&
-       (Out.Split.PerCu.size() != Out.Code.CUs.size() ||
-        Out.Layout.CuColdOffsets.size() != Out.Code.CUs.size()))) {
+       (Out.Split.PerCu.size() != Out.code().CUs.size() ||
+        Out.Layout.CuColdOffsets.size() != Out.code().CUs.size()))) {
     Error = "inconsistent image file";
     return false;
   }

@@ -28,18 +28,62 @@
 #include "src/ordering/IdStrategies.h"
 #include "src/profiling/ProfileDiagnostics.h"
 
+#include <memory>
+#include <mutex>
+
 namespace nimg {
+
+struct AccessLog;
+
+/// The strategy-independent stages of a build: reachability, the compiled
+/// CUs and the initialized build heap. None of them reads an ordering
+/// strategy, a profile or a layout knob, so every image of one base key
+/// (program content, seed, analysis and inliner configuration,
+/// instrumentation) shares one immutable base. A base memoized in the
+/// program's build cache also keeps the layout-independent access logs of
+/// the runs made on its images, from which later runs of any image of the
+/// base are replayed instead of interpreted.
+struct ImageBase {
+  ReachabilityResult Reach;
+  CompiledProgram Code;
+  BuildHeapResult Built;
+  /// True for bases served from and stored in the program's build cache.
+  /// Deserialized images and builds made under an armed compile-fault hook
+  /// (or with degraded compile tasks) get a private base with this false;
+  /// their runs always interpret and never record.
+  bool Cached = false;
+
+  /// The recorded log for execution key \p Key, or null.
+  std::shared_ptr<const AccessLog> findLog(uint64_t Key) const;
+  /// Keeps \p Log for \p Key; the oldest log goes once MaxLogs are kept.
+  void storeLog(uint64_t Key, std::shared_ptr<const AccessLog> Log) const;
+  size_t numLogs() const;
+
+  /// Execution keys kept per base (run modes of one program: a split and
+  /// an unsplit layout, or a second quantum/fuel setting). Fixed, not a
+  /// setting.
+  static constexpr size_t MaxLogs = 4;
+
+private:
+  mutable std::mutex LogMu;
+  mutable std::vector<std::pair<uint64_t, std::shared_ptr<const AccessLog>>>
+      Logs;
+};
 
 struct NativeImage {
   Program *P = nullptr; ///< Not owned.
-  ReachabilityResult Reach;
-  CompiledProgram Code;
+  /// Reachability, CUs and build heap, shared with every image built from
+  /// the same base key (see ImageBase).
+  std::shared_ptr<const ImageBase> Base;
+  /// This image's handle on the base's build-time initialization: the
+  /// heap is the base's own (shared, immutable); the statics, metadata
+  /// cells and resource table are copies.
+  BuildHeapResult Built;
   /// Hot/cold splitting decisions (--split hotcold); Mode == None and an
   /// empty PerCu for unsplit builds. Serialized with the image — a
   /// deserialized split image must still know its fragment geometry to
   /// run.
   SplitResult Split;
-  BuildHeapResult Built;
   HeapSnapshot Snapshot;
   ImageLayout Layout;
   /// Identity tables of this build's snapshot (all three strategies).
@@ -55,6 +99,9 @@ struct NativeImage {
   NativeImage &operator=(NativeImage &&) = default;
   NativeImage(const NativeImage &) = delete;
   NativeImage &operator=(const NativeImage &) = delete;
+
+  const ReachabilityResult &reach() const { return Base->Reach; }
+  const CompiledProgram &code() const { return Base->Code; }
 
   uint64_t imageBytes() const { return Layout.TextSize + Layout.HeapSize; }
 };

@@ -19,6 +19,7 @@
 #include "src/ir/Instr.h"
 
 #include <cassert>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -231,6 +232,14 @@ public:
   /// heap snapshot with inclusion reason "Resource".
   std::vector<std::pair<std::string, std::string>> Resources;
 
+  /// Opaque slot for state that later pipeline layers derive from this
+  /// program (core/ memoizes its strategy-independent build stages here),
+  /// so the derived state lives and dies with the program. ir/ never reads
+  /// it. Whoever fills it keys its entries on the program's content, so an
+  /// edit after a build turns a cached entry into a miss, never a stale
+  /// hit.
+  std::shared_ptr<void> &derivedCache() const { return DerivedCache; }
+
 private:
   std::string selectorKey(const std::string &Name,
                           const std::vector<TypeId> &ParamTypes,
@@ -253,6 +262,7 @@ private:
   // Dispatch[C] maps SelectorId -> MethodId for class C (built lazily).
   mutable std::vector<std::unordered_map<SelectorId, MethodId>> DispatchCache;
   mutable std::vector<bool> DispatchBuilt;
+  mutable std::shared_ptr<void> DerivedCache;
 
   TypeId internType(TypeInfo Info);
   void buildDispatch(ClassId C) const;

@@ -30,7 +30,7 @@ std::string obs::pageMapString(const std::vector<PageState> &Pages) {
 
 void StartupReport::setImage(const NativeImage &Img) {
   HasImage = true;
-  NumCus = Img.Code.CUs.size();
+  NumCus = Img.code().CUs.size();
   SnapshotObjects = Img.Snapshot.Entries.size();
   TextSize = Img.Layout.TextSize;
   HeapSize = Img.Layout.HeapSize;

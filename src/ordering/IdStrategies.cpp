@@ -243,12 +243,14 @@ uint64_t nimg::heapPathHashOf(const Program &P, const Heap &H,
          "invalid snapshot entry");
   const SnapshotEntry &E = Snap.Entries[size_t(EntryIdx)];
 
-  ByteBuffer Bytes;
+  // The path is hashed piece by piece as it is walked; the digest equals
+  // hashing the concatenated pieces.
+  Murmur3Stream Bytes;
   // Interned-string roots hash their contents: the heap path would be the
   // same for all interned strings (Alg. 3, lines 4-5).
   if (E.IsRoot && E.Reason.Kind == InclusionReasonKind::InternedString) {
     Bytes.appendString(H.cell(E.Cell).Str);
-    return murmurHash3(Bytes.bytes());
+    return Bytes.digest().Lo;
   }
 
   int32_t Cur = EntryIdx;
@@ -268,12 +270,15 @@ uint64_t nimg::heapPathHashOf(const Program &P, const Heap &H,
       // Field descriptor: owner.name:type.
       const std::vector<Field> &Layout = P.layout(ParentCell.Class);
       const Field &F = Layout[size_t(CurE.ParentSlot)];
-      Bytes.appendString(P.classDef(F.Owner).Name + "." + F.Name + ":" +
-                         P.typeName(F.Type));
+      Bytes.appendString(P.classDef(F.Owner).Name);
+      Bytes.appendString(".");
+      Bytes.appendString(F.Name);
+      Bytes.appendString(":");
+      Bytes.appendString(P.typeName(F.Type));
     }
     Cur = CurE.ParentEntry;
   }
-  return murmurHash3(Bytes.bytes());
+  return Bytes.digest().Lo;
 }
 
 IdTable nimg::computeIdTable(const Program &P, const Heap &H,

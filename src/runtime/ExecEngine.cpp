@@ -43,17 +43,179 @@ struct ProbeCosts {
   }
 };
 
+/// Maps the run's layout-independent items onto this image's byte ranges
+/// and touches them: a CU copy entered, a cold block reached, a build-heap
+/// cell accessed, a static slot, a native stub. Interpretation and replay
+/// both go through here, so a replayed item touches exactly the bytes the
+/// interpreter would have.
+class ImageToucher {
+public:
+  ImageToucher(const NativeImage &Img, PagingSim &Paging)
+      : Img(Img), Paging(Paging),
+        SplitActive(Img.Split.active() && !Img.Layout.CuColdOffsets.empty()),
+        Touched(Img.Snapshot.Entries.size(), false) {}
+
+  /// Entering inline copy \p Copy of CU \p Cu.
+  void enterCopy(int32_t Cu, int32_t Copy) {
+    const CuSplit *S = SplitActive ? &Img.Split.PerCu[size_t(Cu)] : nullptr;
+    if (S && S->Split) {
+      // Split CU: entering a copy touches only its hot fragment; cold
+      // blocks fault individually from the cold tail if ever reached.
+      const CopySplit &CS = S->Copies[size_t(Copy)];
+      Paging.touch(ImageSection::Text,
+                   Img.Layout.CuOffsets[size_t(Cu)] + CS.HotOffset, CS.HotSize);
+      if (!CS.Blocks.empty() && CS.Blocks[0].Cold)
+        Paging.touch(ImageSection::Text,
+                     Img.Layout.CuColdOffsets[size_t(Cu)] +
+                         CS.Blocks[0].Offset,
+                     CS.Blocks[0].Size);
+      return;
+    }
+    const InlineCopy &C = Img.code().CUs[size_t(Cu)].Copies[size_t(Copy)];
+    Paging.touch(ImageSection::Text,
+                 Img.Layout.CuOffsets[size_t(Cu)] + C.CodeOffset, C.CodeSize);
+  }
+
+  /// Whether control entering \p Block of the copy lands in the cold tail.
+  bool coldBlock(int32_t Cu, int32_t Copy, BlockId Block) const {
+    if (!SplitActive || !Img.Split.PerCu[size_t(Cu)].Split)
+      return false;
+    const CopySplit &CS = Img.Split.PerCu[size_t(Cu)].Copies[size_t(Copy)];
+    return size_t(Block) < CS.Blocks.size() && CS.Blocks[size_t(Block)].Cold;
+  }
+
+  /// Reaching cold block \p Block (coldBlock() must hold).
+  void enterColdBlock(int32_t Cu, int32_t Copy, BlockId Block) {
+    const BlockPlace &BP = Img.Split.PerCu[size_t(Cu)]
+                               .Copies[size_t(Copy)]
+                               .Blocks[size_t(Block)];
+    Paging.touch(ImageSection::Text,
+                 Img.Layout.CuColdOffsets[size_t(Cu)] + BP.Offset, BP.Size);
+  }
+
+  /// Accessing heap cell \p Cell; returns its snapshot entry when the
+  /// image stores it (the access touched .svm_heap), else -1.
+  int32_t accessCell(CellIdx Cell) {
+    int32_t Entry = Img.Snapshot.entryOf(Cell);
+    if (Entry < 0 ||
+        Img.Layout.ObjectOffsets[size_t(Entry)] == ImageLayout::NotStored)
+      return -1;
+    Paging.touch(ImageSection::HeapSec, Img.Layout.ObjectOffsets[size_t(Entry)],
+                 Img.Snapshot.Entries[size_t(Entry)].SizeBytes);
+    if (!Touched[size_t(Entry)]) {
+      Touched[size_t(Entry)] = true;
+      ++NumTouched;
+    }
+    return Entry;
+  }
+
+  void accessStatic(ClassId C, int32_t StaticIdx) {
+    Paging.touch(ImageSection::HeapSec,
+                 Img.Layout.staticSlotOffset(C, StaticIdx), 8);
+  }
+
+  void callNative(int32_t N) {
+    // Native code lives in the statically-linked tail of .text; each native
+    // entry point touches its (deterministic) stub.
+    uint64_t Stub = mix64(0x7a11, uint64_t(N)) %
+                    (Img.Layout.NativeTailSize > 512
+                         ? Img.Layout.NativeTailSize - 512
+                         : 1);
+    Paging.touch(ImageSection::Text, Img.Layout.NativeTailOffset + Stub, 256);
+  }
+
+  /// Distinct stored snapshot objects touched so far.
+  size_t storedObjectsTouched() const { return NumTouched; }
+
+private:
+  const NativeImage &Img;
+  PagingSim &Paging;
+  bool SplitActive;
+  std::vector<bool> Touched; ///< Per snapshot entry.
+  size_t NumTouched = 0;
+};
+
+/// Records the first touch of every item into an AccessLog while the
+/// interpreter runs. A later touch of an item is dropped: one run never
+/// evicts, so it finds every page of the item resident and changes
+/// nothing. Cells are logged whether or not this image stores them —
+/// another layout of the same base may. Runtime-allocated cells (beyond
+/// the build heap) are stored by no image and never logged.
+class AccessRecorder {
+public:
+  AccessRecorder(const NativeImage &Img, const uint64_t &Clock)
+      : Clock(Clock), CellSeen(Img.Built.BuildHeap->numCells(), false) {
+    const std::vector<CompilationUnit> &CUs = Img.code().CUs;
+    CopyBase.reserve(CUs.size() + 1);
+    CopyBase.push_back(0);
+    for (const CompilationUnit &CU : CUs)
+      CopyBase.push_back(CopyBase.back() + uint32_t(CU.Copies.size()));
+    CopySeen.assign(CopyBase.back(), false);
+    const Program &P = *Img.P;
+    StaticBase.reserve(P.numClasses() + 1);
+    StaticBase.push_back(0);
+    for (size_t C = 0; C < P.numClasses(); ++C)
+      StaticBase.push_back(StaticBase.back() +
+                           uint32_t(P.classDef(ClassId(C)).StaticFields.size()));
+    StaticSeen.assign(StaticBase.back(), false);
+  }
+
+  void enterCopy(int32_t Cu, int32_t Copy) {
+    if (firstTime(CopySeen, CopyBase[size_t(Cu)] + uint32_t(Copy)))
+      add(AccessLog::Kind::CopyEntry, Cu, Copy);
+  }
+  void enterColdBlock(int32_t Cu, int32_t Copy, BlockId Block) {
+    uint64_t Key = (uint64_t(CopyBase[size_t(Cu)] + uint32_t(Copy)) << 32) |
+                   uint32_t(Block);
+    if (ColdSeen.insert(Key).second)
+      add(AccessLog::Kind::ColdBlock, Cu, Copy, Block);
+  }
+  void accessCell(CellIdx Cell) {
+    if (size_t(Cell) < CellSeen.size() && firstTime(CellSeen, size_t(Cell)))
+      add(AccessLog::Kind::Cell, Cell);
+  }
+  void accessStatic(ClassId C, int32_t StaticIdx) {
+    if (firstTime(StaticSeen, StaticBase[size_t(C)] + size_t(StaticIdx)))
+      add(AccessLog::Kind::Static, C, StaticIdx);
+  }
+  void callNative(int32_t N) {
+    if (size_t(N) >= NativeSeen.size())
+      NativeSeen.resize(size_t(N) + 1, false);
+    if (firstTime(NativeSeen, size_t(N)))
+      add(AccessLog::Kind::Native, N);
+  }
+  void respond(uint64_t Instructions) {
+    Log.Events.push_back({Instructions, 0, 0, 0, AccessLog::Kind::Respond});
+  }
+
+  AccessLog &log() { return Log; }
+
+private:
+  static bool firstTime(std::vector<bool> &Seen, size_t I) {
+    if (Seen[I])
+      return false;
+    Seen[I] = true;
+    return true;
+  }
+  void add(AccessLog::Kind K, int32_t A, int32_t B = 0, int32_t C = 0) {
+    Log.Events.push_back({Clock, A, B, C, K});
+  }
+
+  const uint64_t &Clock;
+  AccessLog Log;
+  std::vector<uint32_t> CopyBase, StaticBase;
+  std::vector<bool> CopySeen, CellSeen, StaticSeen, NativeSeen;
+  std::unordered_set<uint64_t> ColdSeen;
+};
+
 /// Combined paging + tracing hooks driven by the interpreter.
 class EngineHooks : public RuntimeHooks {
 public:
-  EngineHooks(const NativeImage &Img, PagingSim &Paging, TraceWriter *Trace,
-              PathGraphCache *Paths, TraceMode Mode)
-      : Img(Img), Paging(Paging), Trace(Trace), Paths(Paths), Mode(Mode),
-        Costs(ProbeCosts::forMode(Mode)),
-        SplitActive(Img.Split.active() &&
-                    !Img.Layout.CuColdOffsets.empty()) {}
-
-  size_t storedObjectsTouched() const { return TouchedEntries.size(); }
+  EngineHooks(const NativeImage &Img, ImageToucher &Touch,
+              AccessRecorder *Rec, TraceWriter *Trace, PathGraphCache *Paths,
+              TraceMode Mode)
+      : Img(Img), Touch(Touch), Rec(Rec), Trace(Trace), Paths(Paths),
+        Mode(Mode), Costs(ProbeCosts::forMode(Mode)) {}
 
   uint64_t samplesTaken() const { return Samples; }
   uint64_t sampleEventsSkipped() const { return SkippedEvents; }
@@ -98,27 +260,9 @@ public:
   void onMethodEnter(uint32_t Tid, const ExecContext &Ctx, MethodId M,
                      bool NewCu) override {
     if (Ctx.Cu >= 0) {
-      const CompilationUnit &CU = Img.Code.CUs[size_t(Ctx.Cu)];
-      const InlineCopy &Copy = CU.Copies[size_t(Ctx.Copy)];
-      const CuSplit *S =
-          SplitActive ? &Img.Split.PerCu[size_t(Ctx.Cu)] : nullptr;
-      if (S && S->Split) {
-        // Split CU: entering a copy touches only its hot fragment; cold
-        // blocks fault individually from the cold tail if ever reached.
-        const CopySplit &CS = S->Copies[size_t(Ctx.Copy)];
-        Paging.touch(ImageSection::Text,
-                     Img.Layout.CuOffsets[size_t(Ctx.Cu)] + CS.HotOffset,
-                     CS.HotSize);
-        if (!CS.Blocks.empty() && CS.Blocks[0].Cold)
-          Paging.touch(ImageSection::Text,
-                       Img.Layout.CuColdOffsets[size_t(Ctx.Cu)] +
-                           CS.Blocks[0].Offset,
-                       CS.Blocks[0].Size);
-      } else {
-        Paging.touch(ImageSection::Text,
-                     Img.Layout.CuOffsets[size_t(Ctx.Cu)] + Copy.CodeOffset,
-                     Copy.CodeSize);
-      }
+      if (Rec)
+        Rec->enterCopy(Ctx.Cu, Ctx.Copy);
+      Touch.enterCopy(Ctx.Cu, Ctx.Copy);
     }
     if (!Trace)
       return;
@@ -128,7 +272,7 @@ public:
       // thread is executing so a sample tick can attribute itself, and
       // counts the transitions instrumentation would have recorded.
       ensureSampleStack(Tid);
-      MethodId Root = Ctx.Cu >= 0 ? Img.Code.CUs[size_t(Ctx.Cu)].Root : M;
+      MethodId Root = Ctx.Cu >= 0 ? Img.code().CUs[size_t(Ctx.Cu)].Root : M;
       SampleStacks[Tid].push_back({M, Root});
       if (NewCu && Ctx.Cu >= 0 && EnteredRoots.insert(Root).second)
         PendingNewRoots.push_back({M, Root});
@@ -138,7 +282,7 @@ public:
     if (Mode == TraceMode::CuOrder) {
       if (NewCu && Ctx.Cu >= 0) {
         Trace->append(Tid,
-                      tracerec::makeCuEnter(Img.Code.CUs[size_t(Ctx.Cu)].Root));
+                      tracerec::makeCuEnter(Img.code().CUs[size_t(Ctx.Cu)].Root));
         Trace->addProbeCost(Costs.CuEnter);
       }
       return;
@@ -180,16 +324,10 @@ public:
 
   void onBlockEdge(uint32_t Tid, const ExecContext &Ctx, MethodId M,
                    BlockId From, BlockId To) override {
-    if (SplitActive && Ctx.Cu >= 0) {
-      const CuSplit &S = Img.Split.PerCu[size_t(Ctx.Cu)];
-      if (S.Split) {
-        const CopySplit &CS = S.Copies[size_t(Ctx.Copy)];
-        if (size_t(To) < CS.Blocks.size() && CS.Blocks[size_t(To)].Cold)
-          Paging.touch(ImageSection::Text,
-                       Img.Layout.CuColdOffsets[size_t(Ctx.Cu)] +
-                           CS.Blocks[size_t(To)].Offset,
-                       CS.Blocks[size_t(To)].Size);
-      }
+    if (Ctx.Cu >= 0 && Touch.coldBlock(Ctx.Cu, Ctx.Copy, To)) {
+      if (Rec)
+        Rec->enterColdBlock(Ctx.Cu, Ctx.Copy, To);
+      Touch.enterColdBlock(Ctx.Cu, Ctx.Copy, To);
     }
     if (!Trace || Mode == TraceMode::CuOrder || Mode == TraceMode::Sampled)
       return;
@@ -212,20 +350,17 @@ public:
     (void)M;
     (void)SiteId;
     for (uint16_t I = 0; I < Count; ++I) {
-      int32_t Entry = Cells[I] < 0 ? -1 : Img.Snapshot.entryOf(Cells[I]);
-      uint64_t Off = Entry < 0 ? ImageLayout::NotStored
-                               : Img.Layout.ObjectOffsets[size_t(Entry)];
-      if (Off != ImageLayout::NotStored) {
-        Paging.touch(ImageSection::HeapSec, Off,
-                     Img.Snapshot.Entries[size_t(Entry)].SizeBytes);
-        TouchedEntries.insert(Entry);
+      int32_t Entry = -1;
+      if (Cells[I] >= 0) {
+        if (Rec)
+          Rec->accessCell(Cells[I]);
+        Entry = Touch.accessCell(Cells[I]);
       }
       if (Trace && Mode == TraceMode::HeapOrder) {
         ensureStack(Tid);
         if (Stacks[Tid].empty())
           continue; // No open frame to attach the operand to; drop it.
-        uint64_t Operand =
-            Off != ImageLayout::NotStored ? uint64_t(Entry) + 1 : 0;
+        uint64_t Operand = Entry >= 0 ? uint64_t(Entry) + 1 : 0;
         Stacks[Tid].back().Operands.push_back(Operand);
         Trace->addProbeCost(Costs.Operand);
       }
@@ -234,19 +369,16 @@ public:
 
   void onStaticAccess(uint32_t Tid, ClassId C, int32_t StaticIdx) override {
     (void)Tid;
-    Paging.touch(ImageSection::HeapSec, Img.Layout.staticSlotOffset(C, StaticIdx),
-                 8);
+    if (Rec)
+      Rec->accessStatic(C, StaticIdx);
+    Touch.accessStatic(C, StaticIdx);
   }
 
   void onNativeCall(uint32_t Tid, NativeId N) override {
     (void)Tid;
-    // Native code lives in the statically-linked tail of .text; each native
-    // entry point touches its (deterministic) stub.
-    uint64_t Stub = mix64(0x7a11, uint64_t(N)) %
-                    (Img.Layout.NativeTailSize > 512
-                         ? Img.Layout.NativeTailSize - 512
-                         : 1);
-    Paging.touch(ImageSection::Text, Img.Layout.NativeTailOffset + Stub, 256);
+    if (Rec)
+      Rec->callNative(int32_t(N));
+    Touch.callNative(int32_t(N));
   }
 
 private:
@@ -299,14 +431,13 @@ private:
   }
 
   const NativeImage &Img;
-  PagingSim &Paging;
+  ImageToucher &Touch;
+  AccessRecorder *Rec;
   TraceWriter *Trace;
   PathGraphCache *Paths;
   TraceMode Mode;
   ProbeCosts Costs;
-  bool SplitActive;
   std::vector<std::vector<FrameState>> Stacks;
-  std::unordered_set<int32_t> TouchedEntries;
   // Sampled-mode shadow state (simulator-side only; costs nothing in the
   // time model — a real sampler walks the interrupted stack instead).
   std::vector<std::vector<SampledFrame>> SampleStacks;
@@ -320,52 +451,79 @@ private:
   uint64_t SkippedEvents = 0;
 };
 
-} // namespace
+/// Execution key of a run: everything besides the base that the
+/// interpretation depends on. Paging, cost model and cache temperature
+/// only act on the touches, so they stay out.
+uint64_t executionKey(const NativeImage &Img, const RunConfig &Cfg) {
+  uint64_t K = mix64(Cfg.StopAtFirstResponse ? 1 : 2, Cfg.ThreadQuantum);
+  K = mix64(K, Cfg.MaxInstructions);
+  return mix64(K, Img.Split.active() ? Img.Split.DecisionFingerprint : 0);
+}
 
-RunStats nimg::runImage(const NativeImage &Img, const RunConfig &Cfg,
-                        TraceCapture *TraceOut) {
-  assert(Img.P && "image without a program");
+/// The run-time state shared by interpretation and replay: the image's
+/// page cache, the touch mapping, and the fault baseline a warm cache
+/// leaves behind.
+struct RunPaging {
+  PagingConfig Config;
+  PagingSim Sim;
+  ImageToucher Touch;
+  uint64_t WarmText, WarmHeap, WarmCold, WarmHuge;
+
+  RunPaging(const NativeImage &Img, const RunConfig &Cfg, RunStats &Stats,
+            const uint64_t *TouchClock)
+      : Config(pagingFor(Img, Cfg)),
+        Sim(Img.Layout.TextSize, Img.Layout.HeapSize, Config),
+        Touch(Img, Sim) {
+    if (Cfg.RecordTouches)
+      Sim.recordTouches(&Stats.Touches, TouchClock);
+    if (Img.Split.active() && Img.Layout.ColdTailSize > 0)
+      Sim.setTextColdRegion(Img.Layout.ColdTailOffset, Img.Layout.ColdTailSize);
+    if (!Cfg.ColdCache) {
+      // Warm cache: pre-fault everything so no majors are charged.
+      Sim.touch(ImageSection::Text, 0, Img.Layout.TextSize);
+      Sim.touch(ImageSection::HeapSec, 0, Img.Layout.HeapSize);
+    }
+    WarmText = Sim.faults(ImageSection::Text);
+    WarmHeap = Sim.faults(ImageSection::HeapSec);
+    WarmCold = Sim.counters().TextColdFaults;
+    WarmHuge = Sim.counters().TextHugeFaults;
+  }
+
+  /// The image's --huge-pages budget configures the front-of-.text huge
+  /// region; a caller-supplied HugeTextPages (FleetSim reruns) wins.
+  static PagingConfig pagingFor(const NativeImage &Img, const RunConfig &Cfg) {
+    PagingConfig PCfg = Cfg.Paging;
+    if (PCfg.HugeTextPages == 0)
+      PCfg.HugeTextPages = Img.Layout.HugePages;
+    return PCfg;
+  }
+
+  /// Startup time after \p Instructions and \p ProbeUnits, charging the
+  /// faults taken so far.
+  double timeNs(const RunConfig &Cfg, uint64_t Instructions,
+                uint64_t ProbeUnits) const {
+    uint64_t Faults = Sim.totalFaults() - WarmText - WarmHeap;
+    uint64_t Huge = Sim.counters().TextHugeFaults - WarmHuge;
+    return Cfg.Cost.startupNs(Instructions, ProbeUnits, Faults - Huge, Huge,
+                              Config.HugePageSize);
+  }
+};
+
+/// Interprets \p Img (the only path that executes instructions), recording
+/// an access log into \p Rec when it is non-null.
+void interpret(const NativeImage &Img, const RunConfig &Cfg, RunPaging &Pg,
+               uint64_t &TouchClock, AccessRecorder *Rec, RunStats &Stats,
+               TraceCapture *TraceOut) {
   Program &P = *Img.P;
-  RunStats Stats;
-
-  NIMG_SPAN_NAMED(RunSpan, "pipeline", "runImage");
-  NIMG_SPAN_ARG(RunSpan, "cold_cache", Cfg.ColdCache ? "true" : "false");
-  NIMG_SPAN_ARG(RunSpan, "traced", Cfg.Trace ? "true" : "false");
-  NIMG_COUNTER_ADD("nimg.run.count", 1);
-
   // The run executes on a private copy of the image heap and statics: the
   // mapped image is copy-on-write per process.
   Heap RunHeap(*Img.Built.BuildHeap);
 
-  // The image's --huge-pages budget configures the front-of-.text huge
-  // region; a caller-supplied HugeTextPages (FleetSim reruns) wins.
-  PagingConfig PCfg = Cfg.Paging;
-  if (PCfg.HugeTextPages == 0)
-    PCfg.HugeTextPages = Img.Layout.HugePages;
-  PagingSim Paging(Img.Layout.TextSize, Img.Layout.HeapSize, PCfg);
-  // Fleet reference trace: the clock cell is refreshed once per scheduling
-  // quantum below, so recorded touch clocks carry quantum granularity.
-  uint64_t TouchClock = 0;
-  if (Cfg.RecordTouches)
-    Paging.recordTouches(&Stats.Touches, &TouchClock);
-  if (Img.Split.active() && Img.Layout.ColdTailSize > 0)
-    Paging.setTextColdRegion(Img.Layout.ColdTailOffset,
-                             Img.Layout.ColdTailSize);
-  if (!Cfg.ColdCache) {
-    // Warm cache: pre-fault everything so no majors are charged.
-    Paging.touch(ImageSection::Text, 0, Img.Layout.TextSize);
-    Paging.touch(ImageSection::HeapSec, 0, Img.Layout.HeapSize);
-  }
-  uint64_t WarmFaultsText = Paging.faults(ImageSection::Text);
-  uint64_t WarmFaultsHeap = Paging.faults(ImageSection::HeapSec);
-  uint64_t WarmFaultsCold = Paging.counters().TextColdFaults;
-  uint64_t WarmFaultsHuge = Paging.counters().TextHugeFaults;
-
   TraceWriter Writer(Cfg.Trace ? *Cfg.Trace : TraceOptions{});
   PathGraphCache Paths(P);
-  EngineHooks Hooks(Img, Paging, Cfg.Trace ? &Writer : nullptr, &Paths,
+  EngineHooks Hooks(Img, Pg.Touch, Rec, Cfg.Trace ? &Writer : nullptr, &Paths,
                     Cfg.Trace ? Cfg.Trace->Mode : TraceMode::CuOrder);
-  CuCodeModel Code(Img.Code);
+  CuCodeModel Code(Img.code());
 
   InterpConfig ICfg;
   ICfg.RunClinits = false;
@@ -387,11 +545,10 @@ RunStats nimg::runImage(const NativeImage &Img, const RunConfig &Cfg,
     if (Stats.Responded)
       return;
     Stats.Responded = true;
-    uint64_t Faults = Paging.totalFaults() - WarmFaultsText - WarmFaultsHeap;
-    uint64_t Huge = Paging.counters().TextHugeFaults - WarmFaultsHuge;
+    if (Rec)
+      Rec->respond(I.instructionsExecuted());
     Stats.TimeToFirstResponseNs =
-        Cfg.Cost.startupNs(I.instructionsExecuted(), Writer.probeUnits(),
-                           Faults - Huge, Huge, PCfg.HugePageSize);
+        Pg.timeNs(Cfg, I.instructionsExecuted(), Writer.probeUnits());
     if (Cfg.StopAtFirstResponse)
       Killed = true; // SIGKILL: stop scheduling, lose unflushed buffers.
   };
@@ -456,35 +613,120 @@ RunStats nimg::runImage(const NativeImage &Img, const RunConfig &Cfg,
       *TraceOut = Writer.take();
   }
 
-  Stats.TextFaults = Paging.faults(ImageSection::Text) - WarmFaultsText;
-  Stats.HeapFaults = Paging.faults(ImageSection::HeapSec) - WarmFaultsHeap;
-  Stats.TextColdFaults = Paging.counters().TextColdFaults - WarmFaultsCold;
-  Stats.TextHugeFaults = Paging.counters().TextHugeFaults - WarmFaultsHuge;
   Stats.Instructions = I.instructionsExecuted();
   Stats.ProbeUnits = Writer.probeUnits();
-  Stats.PrefetchedPages = Paging.prefetchedPages();
   Stats.Output = I.output();
-  Stats.StoredObjectsTouched = Hooks.storedObjectsTouched();
-  Stats.StoredObjectsTotal = Img.Snapshot.numStored();
-  Stats.TextPages = Paging.pageStates(ImageSection::Text);
-  Stats.HeapPages = Paging.pageStates(ImageSection::HeapSec);
   if (Sampling) {
     Stats.SamplesTaken = Hooks.samplesTaken();
     Stats.SampleEventsSkipped = Hooks.sampleEventsSkipped();
     Stats.SampleCoveragePermille = Hooks.sampleCoveragePermille();
     Stats.SamplePeriod = SamplePeriod;
   }
+  if (Rec) {
+    AccessLog &Log = Rec->log();
+    Log.Instructions = Stats.Instructions;
+    Log.Output = Stats.Output;
+    Log.Trapped = Stats.Trapped;
+    Log.TrapMessage = Stats.TrapMessage;
+    Log.FuelExhausted = Stats.FuelExhausted;
+  }
+}
+
+/// Replays \p Log through \p Pg: the logged first touches, in order and
+/// at their clocks, drive the image's page cache exactly as the
+/// interpretation would have.
+void replay(const AccessLog &Log, const RunConfig &Cfg, RunPaging &Pg,
+            uint64_t &TouchClock, RunStats &Stats) {
+  for (const AccessLog::Event &E : Log.Events) {
+    TouchClock = E.Clock;
+    switch (E.K) {
+    case AccessLog::Kind::CopyEntry:
+      Pg.Touch.enterCopy(E.A, E.B);
+      break;
+    case AccessLog::Kind::ColdBlock:
+      Pg.Touch.enterColdBlock(E.A, E.B, E.C);
+      break;
+    case AccessLog::Kind::Cell:
+      Pg.Touch.accessCell(E.A);
+      break;
+    case AccessLog::Kind::Static:
+      Pg.Touch.accessStatic(E.A, E.B);
+      break;
+    case AccessLog::Kind::Native:
+      Pg.Touch.callNative(E.A);
+      break;
+    case AccessLog::Kind::Respond:
+      Stats.Responded = true;
+      Stats.TimeToFirstResponseNs = Pg.timeNs(Cfg, E.Clock, 0);
+      break;
+    }
+  }
+  Stats.Instructions = Log.Instructions;
+  Stats.Output = Log.Output;
+  Stats.Trapped = Log.Trapped;
+  Stats.TrapMessage = Log.TrapMessage;
+  Stats.FuelExhausted = Log.FuelExhausted;
+}
+
+} // namespace
+
+RunStats nimg::runImage(const NativeImage &Img, const RunConfig &Cfg,
+                        TraceCapture *TraceOut) {
+  assert(Img.P && "image without a program");
+  RunStats Stats;
+
+  NIMG_SPAN_NAMED(RunSpan, "pipeline", "runImage");
+  NIMG_SPAN_ARG(RunSpan, "cold_cache", Cfg.ColdCache ? "true" : "false");
+  NIMG_SPAN_ARG(RunSpan, "traced", Cfg.Trace ? "true" : "false");
+  NIMG_COUNTER_ADD("nimg.run.count", 1);
+
+  // Record once, replay layouts: an untraced run of an image whose base
+  // is cached interprets once per execution key and leaves an access log
+  // on the base; every later such run of any image of that base replays
+  // it. Traced (and sampled) runs need the interpreter's probes, and
+  // loaded images have no cached base: both always interpret.
+  const ImageBase *Base =
+      !Cfg.Trace && Img.Base && Img.Base->Cached ? Img.Base.get() : nullptr;
+  uint64_t Key = Base ? executionKey(Img, Cfg) : 0;
+  std::shared_ptr<const AccessLog> Log = Base ? Base->findLog(Key) : nullptr;
+
+  // Fleet reference trace: the clock cell is refreshed once per scheduling
+  // quantum, so recorded touch clocks carry quantum granularity.
+  uint64_t TouchClock = 0;
+  RunPaging Pg(Img, Cfg, Stats, &TouchClock);
+  if (Log) {
+    NIMG_COUNTER_ADD("nimg.run.replays", 1);
+    replay(*Log, Cfg, Pg, TouchClock, Stats);
+  } else if (Base) {
+    AccessRecorder Rec(Img, TouchClock);
+    interpret(Img, Cfg, Pg, TouchClock, &Rec, Stats, TraceOut);
+    NIMG_COUNTER_ADD("nimg.run.recorded", 1);
+    Base->storeLog(Key, std::make_shared<AccessLog>(std::move(Rec.log())));
+  } else {
+    interpret(Img, Cfg, Pg, TouchClock, nullptr, Stats, TraceOut);
+  }
+
+  PagingSim &Paging = Pg.Sim;
+  Stats.TextFaults = Paging.faults(ImageSection::Text) - Pg.WarmText;
+  Stats.HeapFaults = Paging.faults(ImageSection::HeapSec) - Pg.WarmHeap;
+  Stats.TextColdFaults = Paging.counters().TextColdFaults - Pg.WarmCold;
+  Stats.TextHugeFaults = Paging.counters().TextHugeFaults - Pg.WarmHuge;
+  Stats.PrefetchedPages = Paging.prefetchedPages();
+  Stats.StoredObjectsTouched = Pg.Touch.storedObjectsTouched();
+  Stats.StoredObjectsTotal = Img.Snapshot.numStored();
+  Stats.TextPages = Paging.pageStates(ImageSection::Text);
+  Stats.HeapPages = Paging.pageStates(ImageSection::HeapSec);
   Stats.TimeNs = Cfg.Cost.startupNs(
       Stats.Instructions, Stats.ProbeUnits,
       Stats.totalFaults() - Stats.TextHugeFaults, Stats.TextHugeFaults,
-      PCfg.HugePageSize);
+      Pg.Config.HugePageSize);
 
   if (Img.Split.active()) {
     NIMG_COUNTER_ADD("nimg.split.faults.cold", Stats.TextColdFaults);
     NIMG_COUNTER_ADD("nimg.split.faults.hot",
                      Stats.TextFaults - Stats.TextColdFaults);
   }
-  if (Sampling) {
+  if (Stats.SamplePeriod) {
     NIMG_COUNTER_ADD("nimg.sample.runs", 1);
     NIMG_COUNTER_ADD("nimg.sample.taken", Stats.SamplesTaken);
     NIMG_COUNTER_ADD("nimg.sample.skipped_events", Stats.SampleEventsSkipped);

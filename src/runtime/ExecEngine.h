@@ -116,8 +116,44 @@ struct RunStats {
   uint64_t totalFaults() const { return TextFaults + HeapFaults; }
 };
 
+/// What one interpretation did, in terms every layout of the same base
+/// shares: the first touch of each item — a CU inline copy entered, a cold
+/// block reached (split images), a build-heap cell, a static slot, a
+/// native stub — stamped with the scheduling-quantum clock, the response
+/// marker, and the run's outcome. Replaying it through a fresh page cache
+/// with another image's offsets reproduces that image's RunStats exactly:
+/// a run never evicts, so only first touches can fault or prefetch.
+struct AccessLog {
+  enum class Kind : uint8_t {
+    CopyEntry, ///< A = CU index, B = inline copy.
+    ColdBlock, ///< A = CU index, B = inline copy, C = block.
+    Cell,      ///< A = build-heap cell.
+    Static,    ///< A = class, B = static slot.
+    Native,    ///< A = native id.
+    Respond,   ///< First response; Clock = instructions executed so far.
+  };
+  struct Event {
+    uint64_t Clock;
+    int32_t A, B, C;
+    Kind K;
+  };
+  std::vector<Event> Events;
+  uint64_t Instructions = 0;
+  std::string Output;
+  bool Trapped = false;
+  bool FuelExhausted = false;
+  std::string TrapMessage;
+};
+
 /// Runs \p Img to completion (or first response). When \p Cfg.Trace is
 /// set, \p TraceOut receives the captured per-thread traces.
+///
+/// An untraced run of an image whose base sits in the program's build
+/// cache interprets once per execution key (StopAtFirstResponse,
+/// ThreadQuantum, MaxInstructions, split decisions) and keeps an
+/// AccessLog on the base; later such runs of any image of that base
+/// replay the log instead of interpreting. Traced and sampled runs and
+/// runs of loaded images always interpret and never record.
 RunStats runImage(const NativeImage &Img, const RunConfig &Cfg,
                   TraceCapture *TraceOut = nullptr);
 

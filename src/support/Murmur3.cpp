@@ -30,39 +30,37 @@ static inline uint64_t getBlock64(const uint8_t *P, size_t I) {
   return V;
 }
 
-Murmur3Digest nimg::murmurHash3x64_128(const void *Data, size_t Len,
-                                       uint64_t Seed) {
-  const uint8_t *Bytes = static_cast<const uint8_t *>(Data);
-  const size_t NumBlocks = Len / 16;
+namespace {
 
-  uint64_t H1 = Seed;
-  uint64_t H2 = Seed;
+constexpr uint64_t C1 = 0x87c37b91114253d5ULL;
+constexpr uint64_t C2 = 0x4cf5ad432745937fULL;
 
-  const uint64_t C1 = 0x87c37b91114253d5ULL;
-  const uint64_t C2 = 0x4cf5ad432745937fULL;
+/// Mixes one full 16-byte block into the running state.
+inline void mixBlock(uint64_t &H1, uint64_t &H2, const uint8_t *Block) {
+  uint64_t K1 = getBlock64(Block, 0);
+  uint64_t K2 = getBlock64(Block, 1);
 
-  for (size_t I = 0; I < NumBlocks; ++I) {
-    uint64_t K1 = getBlock64(Bytes, I * 2 + 0);
-    uint64_t K2 = getBlock64(Bytes, I * 2 + 1);
+  K1 *= C1;
+  K1 = rotl64(K1, 31);
+  K1 *= C2;
+  H1 ^= K1;
+  H1 = rotl64(H1, 27);
+  H1 += H2;
+  H1 = H1 * 5 + 0x52dce729;
 
-    K1 *= C1;
-    K1 = rotl64(K1, 31);
-    K1 *= C2;
-    H1 ^= K1;
-    H1 = rotl64(H1, 27);
-    H1 += H2;
-    H1 = H1 * 5 + 0x52dce729;
+  K2 *= C2;
+  K2 = rotl64(K2, 33);
+  K2 *= C1;
+  H2 ^= K2;
+  H2 = rotl64(H2, 31);
+  H2 += H1;
+  H2 = H2 * 5 + 0x38495ab5;
+}
 
-    K2 *= C2;
-    K2 = rotl64(K2, 33);
-    K2 *= C1;
-    H2 ^= K2;
-    H2 = rotl64(H2, 31);
-    H2 += H1;
-    H2 = H2 * 5 + 0x38495ab5;
-  }
-
-  const uint8_t *Tail = Bytes + NumBlocks * 16;
+/// Mixes the final partial block (\p Len & 15 bytes at \p Tail) and
+/// finalizes a digest over \p Len bytes in total.
+Murmur3Digest finish(uint64_t H1, uint64_t H2, const uint8_t *Tail,
+                     size_t Len) {
   uint64_t K1 = 0;
   uint64_t K2 = 0;
 
@@ -134,4 +132,38 @@ Murmur3Digest nimg::murmurHash3x64_128(const void *Data, size_t Len,
   H2 += H1;
 
   return {H1, H2};
+}
+
+} // namespace
+
+Murmur3Digest nimg::murmurHash3x64_128(const void *Data, size_t Len,
+                                       uint64_t Seed) {
+  const uint8_t *Bytes = static_cast<const uint8_t *>(Data);
+  const size_t NumBlocks = Len / 16;
+
+  uint64_t H1 = Seed;
+  uint64_t H2 = Seed;
+  for (size_t I = 0; I < NumBlocks; ++I)
+    mixBlock(H1, H2, Bytes + I * 16);
+  return finish(H1, H2, Bytes + NumBlocks * 16, Len);
+}
+
+void Murmur3Stream::updateBlocks(const uint8_t *Bytes, size_t Len) {
+  Total += Len;
+  if (Pending > 0) {
+    size_t Fill = 16 - Pending;
+    std::memcpy(Buf + Pending, Bytes, Fill);
+    mixBlock(H1, H2, Buf);
+    Bytes += Fill;
+    Len -= Fill;
+    Pending = 0;
+  }
+  for (; Len >= 16; Bytes += 16, Len -= 16)
+    mixBlock(H1, H2, Bytes);
+  std::memcpy(Buf, Bytes, Len);
+  Pending = Len;
+}
+
+Murmur3Digest Murmur3Stream::digest() const {
+  return finish(H1, H2, Buf, Total);
 }

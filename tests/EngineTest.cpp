@@ -36,11 +36,11 @@ TEST(CodeModel, InlinedCallStaysInCallerCu) {
             "class Main { static int main() { return T.caller(); } }");
   MethodId Caller = F.P.findMethodBySig("T.caller()");
   MethodId Tiny = F.P.findMethodBySig("T.tiny()");
-  const CompilationUnit &CU = F.Img.Code.cuOf(Caller);
+  const CompilationUnit &CU = F.Img.code().cuOf(Caller);
   ASSERT_GE(CU.Copies.size(), 2u) << "tiny() was not inlined";
 
-  CuCodeModel Model(F.Img.Code);
-  ExecContext CallerCtx{F.Img.Code.CuOfMethod[size_t(Caller)], 0};
+  CuCodeModel Model(F.Img.code());
+  ExecContext CallerCtx{F.Img.code().CuOfMethod[size_t(Caller)], 0};
   // Find the call site of tiny() in caller().
   const Method &M = F.P.method(Caller);
   uint32_t Site = 0;
@@ -54,7 +54,7 @@ TEST(CodeModel, InlinedCallStaysInCallerCu) {
   EXPECT_GT(Inlined.Copy, 0);
   // A mismatching target (guarded devirtualization miss) dispatches out.
   ExecContext Missed = Model.enterContext(CallerCtx, Site, Caller);
-  EXPECT_EQ(Missed.Cu, F.Img.Code.CuOfMethod[size_t(Caller)]);
+  EXPECT_EQ(Missed.Cu, F.Img.code().CuOfMethod[size_t(Caller)]);
   EXPECT_EQ(Missed.Copy, 0);
 }
 

@@ -245,7 +245,7 @@ TEST(FaultInjection, ClusterAnalysisSurvivesTraceFaults) {
       std::vector<ProfileIssue> Issues;
       ClusterStats Stats;
       CodeProfile Prof =
-          analyzeClusterOrder(C.P, Cap, C.InstrImg.Code, ClusterOptions(),
+          analyzeClusterOrder(C.P, Cap, C.InstrImg.code(), ClusterOptions(),
                               nullptr, &Issues, &Stats);
       std::vector<std::string> A = CuProf.Sigs, B = Prof.Sigs;
       std::sort(A.begin(), A.end());
@@ -610,7 +610,7 @@ TEST(FaultInjection, SplitBuildsSurviveTraceFaults) {
         // Under-covered counts degrade wholesale: no CU splits and the
         // reason is recorded on the image's diagnostics.
         EXPECT_EQ(Img.Split.SplitCus, 0u);
-        EXPECT_EQ(Img.Split.DegradedCus, uint32_t(Img.Code.CUs.size()));
+        EXPECT_EQ(Img.Split.DegradedCus, uint32_t(Img.code().CUs.size()));
         EXPECT_FALSE(Img.ProfileDiag.BlockProfileApplied);
         bool SawSlug = false;
         for (const ProfileIssue &I : Img.ProfileDiag.Issues)
@@ -621,7 +621,7 @@ TEST(FaultInjection, SplitBuildsSurviveTraceFaults) {
       for (size_t Cu = 0; Cu < Img.Split.PerCu.size(); ++Cu) {
         const CuSplit &S = Img.Split.PerCu[Cu];
         EXPECT_EQ(uint64_t(S.HotSize) + S.ColdSize,
-                  uint64_t(Img.Code.CUs[Cu].CodeSize) + S.StubBytes);
+                  uint64_t(Img.code().CUs[Cu].CodeSize) + S.StubBytes);
       }
 
       if (Seed % 4 == 0) {
@@ -678,7 +678,7 @@ TEST(FaultInjection, ExtTspBuildsSurviveTraceFaults) {
       for (size_t Cu = 0; Cu < Img.Split.PerCu.size(); ++Cu) {
         const CuSplit &S = Img.Split.PerCu[Cu];
         EXPECT_EQ(uint64_t(S.HotSize) + S.ColdSize,
-                  uint64_t(Img.Code.CUs[Cu].CodeSize) + S.StubBytes);
+                  uint64_t(Img.code().CUs[Cu].CodeSize) + S.StubBytes);
       }
 
       RunStats S = runImage(Img, RunConfig());
@@ -715,11 +715,11 @@ TEST(FaultInjection, WorkerFaultDegradesBuildDeterministically) {
 
   NativeImage Img = BuildFaulted(4);
   ASSERT_FALSE(Img.Built.Failed) << Img.Built.FailureMessage;
-  ASSERT_EQ(Img.Code.CompileFaults.size(), 1u);
-  EXPECT_EQ(Img.Code.CompileFaults[0].first, Victim);
+  ASSERT_EQ(Img.code().CompileFaults.size(), 1u);
+  EXPECT_EQ(Img.code().CompileFaults[0].first, Victim);
   // The degraded unit holds only its root: every inlining decision of the
   // faulted task was discarded.
-  EXPECT_EQ(Img.Code.cuOf(Victim).Copies.size(), 1u);
+  EXPECT_EQ(Img.code().cuOf(Victim).Copies.size(), 1u);
 
   bool SawWorkerFault = false;
   for (const ProfileIssue &I : Img.ProfileDiag.Issues)
@@ -746,7 +746,7 @@ TEST(FaultInjection, WorkerFaultDegradesBuildDeterministically) {
   BuildConfig CleanCfg;
   CleanCfg.Seed = 2;
   NativeImage Clean = buildNativeImage(C.P, CleanCfg);
-  EXPECT_TRUE(Clean.Code.CompileFaults.empty());
+  EXPECT_TRUE(Clean.code().CompileFaults.empty());
 }
 
 //===----------------------------------------------------------------------===//

@@ -3,6 +3,8 @@
 #include "src/core/Builder.h"
 #include "src/lang/Compile.h"
 #include "src/ordering/IdStrategies.h"
+#include "src/support/ByteBuffer.h"
+#include "src/support/Murmur3.h"
 
 #include <gtest/gtest.h>
 
@@ -48,7 +50,47 @@ struct SnapFixture {
   }
 };
 
+/// Alg. 3 as the concatenation it hashes: the path pieces appended to one
+/// buffer, hashed once. heapPathHashOf() streams the same pieces.
+uint64_t concatenatedHeapPathHash(const Program &P, const Heap &H,
+                                  const HeapSnapshot &Snap, int32_t Entry) {
+  const SnapshotEntry &E = Snap.Entries[size_t(Entry)];
+  ByteBuffer Bytes;
+  if (E.IsRoot && E.Reason.Kind == InclusionReasonKind::InternedString) {
+    Bytes.appendString(H.cell(E.Cell).Str);
+    return murmurHash3(Bytes.bytes());
+  }
+  for (int32_t Cur = Entry;;) {
+    const SnapshotEntry &CurE = Snap.Entries[size_t(Cur)];
+    Bytes.appendString(H.cellTypeName(CurE.Cell));
+    if (CurE.IsRoot) {
+      Bytes.appendString(CurE.Reason.str());
+      break;
+    }
+    const HeapCell &Parent = H.cell(Snap.Entries[size_t(CurE.ParentEntry)].Cell);
+    if (Parent.Kind == CellKind::Array) {
+      Bytes.appendU32(uint32_t(CurE.ParentSlot));
+    } else {
+      const Field &F = P.layout(Parent.Class)[size_t(CurE.ParentSlot)];
+      Bytes.appendString(P.classDef(F.Owner).Name + "." + F.Name + ":" +
+                         P.typeName(F.Type));
+    }
+    Cur = CurE.ParentEntry;
+  }
+  return murmurHash3(Bytes.bytes());
+}
+
 } // namespace
+
+TEST(HeapPath, StreamedHashEqualsConcatenatedHash) {
+  SnapFixture F;
+  const Heap &H = *F.Img.Built.BuildHeap;
+  ASSERT_FALSE(F.Img.Snapshot.Entries.empty());
+  for (size_t I = 0; I < F.Img.Snapshot.Entries.size(); ++I)
+    EXPECT_EQ(heapPathHashOf(F.P, H, F.Img.Snapshot, int32_t(I)),
+              concatenatedHeapPathHash(F.P, H, F.Img.Snapshot, int32_t(I)))
+        << "entry " << I;
+}
 
 TEST(IncrementalId, HighBitsAreTheTypeLowBitsCount) {
   SnapFixture F;
@@ -80,7 +122,8 @@ TEST(IncrementalId, UniquePerSnapshot) {
 
 TEST(StructuralHash, DeterministicAndContentSensitive) {
   SnapFixture F;
-  Heap &H = *F.Img.Built.BuildHeap;
+  // A private copy: the image's build heap is shared and immutable.
+  Heap H = *F.Img.Built.BuildHeap;
   // Find the chain head (a Node whose next is a Node).
   ClassId NodeC = F.P.findClass("Node");
   CellIdx Head = -1;
@@ -102,7 +145,8 @@ TEST(StructuralHash, DeterministicAndContentSensitive) {
 
 TEST(StructuralHash, DepthGatesNeighbourSensitivity) {
   SnapFixture F;
-  Heap &H = *F.Img.Built.BuildHeap;
+  // A private copy: the image's build heap is shared and immutable.
+  Heap H = *F.Img.Built.BuildHeap;
   ClassId NodeC = F.P.findClass("Node");
   CellIdx Head = -1;
   for (const SnapshotEntry &E : F.Img.Snapshot.Entries) {
@@ -125,7 +169,7 @@ TEST(StructuralHash, StringsHashTheirContents) {
   SnapFixture A(1), B(2); // different build seeds
   // Find "registry" in both snapshots: same content => same hash.
   auto FindString = [](SnapFixture &F, const std::string &S) -> uint64_t {
-    Heap &H = *F.Img.Built.BuildHeap;
+    const Heap &H = *F.Img.Built.BuildHeap;
     for (size_t I = 0; I < F.Img.Snapshot.Entries.size(); ++I) {
       const HeapCell &C = H.cell(F.Img.Snapshot.Entries[I].Cell);
       if (C.Kind == CellKind::String && C.Str == S)
@@ -164,7 +208,7 @@ TEST(HeapPath, InternedStringRootsHashContents) {
   // Two interned strings with different contents must differ even though
   // their "path" (the intern table) is the same — Alg. 3 lines 4-5.
   SnapFixture F;
-  Heap &H = *F.Img.Built.BuildHeap;
+  const Heap &H = *F.Img.Built.BuildHeap;
   std::vector<uint64_t> StringRootHashes;
   for (size_t I = 0; I < F.Img.Snapshot.Entries.size(); ++I) {
     const SnapshotEntry &E = F.Img.Snapshot.Entries[I];

@@ -4,6 +4,8 @@
 #include "src/image/ImageFile.h"
 #include "src/lang/Compile.h"
 #include "src/runtime/ExecEngine.h"
+#include "src/support/ByteBuffer.h"
+#include "src/support/Murmur3.h"
 
 #include <gtest/gtest.h>
 
@@ -76,6 +78,49 @@ TEST(ImageFile, FingerprintIsStableAndSensitive) {
   EXPECT_NE(programFingerprint(F.P), programFingerprint(Other));
 }
 
+TEST(ImageFile, FingerprintMatchesTheBufferedEncoding) {
+  // Image and profile headers carry the fingerprint, so hashing the
+  // encoding as it is produced must give exactly the digest of the whole
+  // encoding collected first.
+  Fixture F;
+  const Program &P = F.P;
+  ByteBuffer B;
+  for (size_t C = 0; C < P.numClasses(); ++C) {
+    const ClassDef &Def = P.classDef(ClassId(C));
+    B.appendSizedString(Def.Name);
+    B.appendU32(uint32_t(Def.Super + 1));
+    for (const Field &Fd : Def.InstanceFields) {
+      B.appendSizedString(Fd.Name);
+      B.appendSizedString(P.typeName(Fd.Type));
+    }
+    for (const Field &Fd : Def.StaticFields) {
+      B.appendSizedString(Fd.Name);
+      B.appendSizedString(P.typeName(Fd.Type));
+    }
+  }
+  for (size_t M = 0; M < P.numMethods(); ++M) {
+    const Method &Meth = P.method(MethodId(M));
+    B.appendSizedString(Meth.Sig);
+    B.appendU32(uint32_t(Meth.Blocks.size()));
+    for (const BasicBlock &BB : Meth.Blocks) {
+      B.appendU32(uint32_t(BB.Instrs.size()));
+      for (const Instr &In : BB.Instrs) {
+        B.appendU8(uint8_t(In.Op));
+        B.appendU32(uint32_t(In.Dst) | (uint32_t(In.A) << 16));
+        B.appendU32(uint32_t(In.B) | (uint32_t(In.C) << 16));
+        B.appendI64(In.IImm);
+        B.appendF64(In.FImm);
+        B.appendU32(uint32_t(In.Aux));
+        B.appendU32(uint32_t(In.Aux2));
+        B.appendU32(uint32_t(In.Target));
+      }
+    }
+  }
+  for (size_t S = 0; S < P.numStrings(); ++S)
+    B.appendSizedString(P.string(StrId(S)));
+  EXPECT_EQ(programFingerprint(P), murmurHash3(B.bytes()));
+}
+
 TEST(ImageFile, RoundTripPreservesEverything) {
   Fixture F;
   std::vector<uint8_t> Bytes = serializeImage(F.P, F.Img);
@@ -86,8 +131,8 @@ TEST(ImageFile, RoundTripPreservesEverything) {
   ASSERT_TRUE(deserializeImage(F.P, Bytes, Loaded, Error)) << Error;
 
   EXPECT_EQ(Loaded.Seed, F.Img.Seed);
-  EXPECT_EQ(Loaded.Code.CUs.size(), F.Img.Code.CUs.size());
-  EXPECT_EQ(Loaded.Code.InlineFingerprint, F.Img.Code.InlineFingerprint);
+  EXPECT_EQ(Loaded.code().CUs.size(), F.Img.code().CUs.size());
+  EXPECT_EQ(Loaded.code().InlineFingerprint, F.Img.code().InlineFingerprint);
   EXPECT_EQ(Loaded.Snapshot.Entries.size(), F.Img.Snapshot.Entries.size());
   EXPECT_EQ(Loaded.Ids.HeapPathHashes, F.Img.Ids.HeapPathHashes);
   EXPECT_EQ(Loaded.Layout.TextSize, F.Img.Layout.TextSize);
@@ -271,4 +316,29 @@ TEST(ImageFile, RejectsGarbageAndTruncation) {
   Bytes.resize(Bytes.size() / 2); // truncate
   NativeImage Loaded2;
   EXPECT_FALSE(deserializeImage(F.P, Bytes, Loaded2, Error));
+}
+
+TEST(ImageFile, RejectsCorruptCellKind) {
+  Fixture F;
+  std::vector<uint8_t> Bytes = serializeImage(F.P, F.Img);
+  // Walk the header, reachability and compiled-program sections to the
+  // first heap cell's kind byte.
+  size_t At = 4 + 8 + 1 + 8;
+  const ReachabilityResult &R = F.Img.reach();
+  for (const std::vector<bool> *V :
+       {&R.ReachableMethods, &R.InstantiatedClasses, &R.ReachableClasses,
+        &R.SaturatedSelectors})
+    At += 4 + V->size();
+  const CompiledProgram &Code = F.Img.code();
+  At += 1 + 8 + 4 + 4 * Code.CuOfMethod.size() + 4;
+  for (const CompilationUnit &CU : Code.CUs)
+    At += 12 + 20 * CU.Copies.size();
+  At += 4; // cell count
+  ASSERT_LT(At, Bytes.size());
+  ASSERT_LE(Bytes[At], uint8_t(CellKind::String)) << "not at a cell kind";
+  Bytes[At] = 7;
+  NativeImage Loaded;
+  std::string Error;
+  EXPECT_FALSE(deserializeImage(F.P, Bytes, Loaded, Error));
+  EXPECT_EQ(Error, "corrupt cell kind");
 }

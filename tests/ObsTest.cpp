@@ -378,7 +378,7 @@ TEST(StartupReport, FaultCountsMatchTheRunExactly) {
   }
   EXPECT_EQ(Hashes, S.TextFaults);
 
-  EXPECT_EQ(uint64_t(numAt(V, "image.num_cus")), Img.Code.CUs.size());
+  EXPECT_EQ(uint64_t(numAt(V, "image.num_cus")), Img.code().CUs.size());
   EXPECT_EQ(uint64_t(numAt(V, "image.text_size")), Img.Layout.TextSize);
   EXPECT_EQ(V.at("profile_diag.degraded")->B, false);
   EXPECT_EQ(V.get("schema")->Str, "nimg-startup-report");
@@ -405,7 +405,7 @@ TEST(StartupReport, CsvRoundTripCarriesTheSameCounts) {
                      "\n"),
             std::string::npos);
   EXPECT_NE(Csv.find("image,num_cus," +
-                     std::to_string(Img.Code.CUs.size()) + "\n"),
+                     std::to_string(Img.code().CUs.size()) + "\n"),
             std::string::npos);
 }
 

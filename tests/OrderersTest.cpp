@@ -133,7 +133,8 @@ struct HeapFixture {
       E.Cell = Cell;
       E.SizeBytes = 16;
       E.IsRoot = true;
-      Snap.EntryOfCell.emplace(Cell, int32_t(Snap.Entries.size()));
+      Snap.EntryOfCell.resize(size_t(Cell) + 1, -1);
+      Snap.EntryOfCell[size_t(Cell)] = int32_t(Snap.Entries.size());
       Snap.Entries.push_back(E);
     }
     Ids.IncrementalIds.assign(PathIds.size(), 0);

@@ -263,7 +263,7 @@ PipelineArtifacts runPipeline(int Jobs) {
   Art.IncIds = Img.Ids.IncrementalIds;
   Art.StructIds = Img.Ids.StructuralHashes;
   Art.PathIds = Img.Ids.HeapPathHashes;
-  Art.InlineFingerprint = Img.Code.InlineFingerprint;
+  Art.InlineFingerprint = Img.code().InlineFingerprint;
   Art.ImageBytes = serializeImage(P, Img);
   Art.BlocksCsv = Prof.Blocks.toCsv();
 
@@ -428,6 +428,40 @@ TEST(ParallelPipelineTest, HugePageBuildsAreWorkerCountInvariant) {
     auto J = BuildHuge(Jobs);
     EXPECT_EQ(One.first, J.first) << "jobs=" << Jobs;
     EXPECT_EQ(One.second, J.second) << "jobs=" << Jobs;
+  }
+  setJobs(0);
+}
+
+TEST(ParallelPipelineTest, WarmCacheBuildsMatchColdBuildsAtAnyJobs) {
+  // runPipeline() compiles a fresh program, so its builds miss the build
+  // cache. Rebuilding on a program whose cache was filled at jobs 1 must
+  // give the same bytes at every worker count, and a run of the warm image
+  // (a replay of the jobs-1 run) the same stats.
+  setJobs(1);
+  Program P;
+  std::vector<std::string> Errors;
+  ASSERT_TRUE(compileSources({kSpawnWorkload}, P, Errors));
+  BuildConfig ProfCfg;
+  ProfCfg.Seed = 1001;
+  CollectedProfiles Prof = collectProfiles(P, ProfCfg, RunConfig());
+  BuildConfig Opt;
+  Opt.Seed = 7;
+  Opt.CodeOrder = CodeStrategy::CuOrder;
+  Opt.CodeProf = &Prof.Cu;
+  Opt.UseHeapOrder = true;
+  Opt.HeapOrder = HeapStrategy::HeapPath;
+  Opt.HeapProf = &Prof.HeapPath;
+  NativeImage First = buildNativeImage(P, Opt);
+  RunStats FirstRun = runImage(First, RunConfig());
+  for (int Jobs : {1, 2, 5, 8}) {
+    std::vector<uint8_t> Cold = runPipeline(Jobs).ImageBytes;
+    setJobs(Jobs);
+    NativeImage Warm = buildNativeImage(P, Opt);
+    EXPECT_EQ(Warm.Base, First.Base) << "jobs=" << Jobs;
+    EXPECT_EQ(serializeImage(P, Warm), Cold) << "jobs=" << Jobs;
+    RunStats WarmRun = runImage(Warm, RunConfig());
+    EXPECT_EQ(WarmRun.TimeNs, FirstRun.TimeNs) << "jobs=" << Jobs;
+    EXPECT_EQ(WarmRun.Output, FirstRun.Output) << "jobs=" << Jobs;
   }
   setJobs(0);
 }

@@ -213,9 +213,9 @@ TEST(Image, LayoutCoversEverythingOnce) {
   NativeImage Img = buildNativeImage(E.P, Cfg);
   // Every CU placed exactly once, no overlaps.
   std::vector<std::pair<uint64_t, uint64_t>> Ranges;
-  for (size_t Cu = 0; Cu < Img.Code.CUs.size(); ++Cu)
+  for (size_t Cu = 0; Cu < Img.code().CUs.size(); ++Cu)
     Ranges.emplace_back(Img.Layout.CuOffsets[Cu],
-                        Img.Layout.CuOffsets[Cu] + Img.Code.CUs[Cu].CodeSize);
+                        Img.Layout.CuOffsets[Cu] + Img.code().CUs[Cu].CodeSize);
   std::sort(Ranges.begin(), Ranges.end());
   for (size_t I = 1; I < Ranges.size(); ++I)
     EXPECT_LE(Ranges[I - 1].second, Ranges[I].first);

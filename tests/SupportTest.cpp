@@ -51,6 +51,52 @@ TEST(Murmur3, DigestHiLoIndependent) {
   EXPECT_NE(D.Lo, D.Hi);
 }
 
+TEST(Murmur3Stream, RandomSplitsMatchOneShotDigest) {
+  // Property: however the input is cut into update() calls, the streamed
+  // digest equals the one-shot digest. Lengths cover every tail length
+  // 0..15 several times over, with and without a seed.
+  SplitMix64 Rng(0x5eed);
+  for (size_t Len = 0; Len < 96; ++Len) {
+    std::vector<uint8_t> Data(Len);
+    for (uint8_t &B : Data)
+      B = uint8_t(Rng.next());
+    for (uint64_t Seed : {uint64_t(0), uint64_t(0x717e5)}) {
+      Murmur3Digest Want = murmurHash3x64_128(Data.data(), Len, Seed);
+      for (int Trial = 0; Trial < 8; ++Trial) {
+        Murmur3Stream S(Seed);
+        size_t At = 0;
+        while (At < Len) {
+          size_t Piece = size_t(Rng.nextBelow(Len - At + 1));
+          S.update(Data.data() + At, Piece);
+          At += Piece;
+        }
+        Murmur3Digest Got = S.digest();
+        EXPECT_EQ(Got, Want) << "len " << Len << " trial " << Trial;
+      }
+    }
+  }
+}
+
+TEST(Murmur3Stream, AppendHelpersEncodeLikeByteBuffer) {
+  ByteBuffer B;
+  Murmur3Stream S;
+  B.appendU8(7);
+  S.appendU8(7);
+  B.appendU32(0xdeadbeef);
+  S.appendU32(0xdeadbeef);
+  B.appendI64(-3);
+  S.appendI64(-3);
+  B.appendF64(2.5);
+  S.appendF64(2.5);
+  B.appendString("raw");
+  S.appendString("raw");
+  B.appendSizedString("a longer sized string crossing a block");
+  S.appendSizedString("a longer sized string crossing a block");
+  EXPECT_EQ(S.digest().Lo, murmurHash3(B.bytes()));
+  // digest() does not consume the stream.
+  EXPECT_EQ(S.digest(), S.digest());
+}
+
 // --- ByteBuffer ---------------------------------------------------------------
 
 TEST(ByteBuffer, AppendsLittleEndian) {
