@@ -3,10 +3,10 @@
 // Part of the nimage project, a reproduction of "Improving Native-Image
 // Startup Performance" (CGO 2025).
 //
-// Thread scaling of the three parallelized build stages (DESIGN.md § 10):
-// per-CU compilation, heap-identity assignment, and trace post-processing.
-// Runs each stage bundle at --jobs 1/2/4/8 over one AWFY macro benchmark
-// and one microservice workload, and reports two speedup curves:
+// Thread scaling of the two parallelized build stages (DESIGN.md § 10):
+// per-CU compilation and heap-identity assignment. Runs the stage bundle
+// at --jobs 1/2/4/8 over one AWFY macro benchmark and one microservice
+// workload, and reports two speedup curves:
 //
 //  - wall: measured wall clock. Only meaningful on a multi-core host; in a
 //    single-CPU container all worker counts serialize onto one core.
@@ -16,7 +16,7 @@
 //    the one the acceptance check reads.
 //
 // Determinism is asserted as a side effect: every jobs level must produce
-// the same profiles and identity tables as jobs=1.
+// the same compiled program and identity tables as jobs=1.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +24,6 @@
 #include "src/compiler/Inliner.h"
 #include "src/core/Builder.h"
 #include "src/ordering/IdStrategies.h"
-#include "src/profiling/Analyses.h"
 #include "src/support/ThreadPool.h"
 #include "src/workloads/Workloads.h"
 
@@ -56,8 +55,6 @@ struct Fixture {
   std::unique_ptr<Program> P;
   ReachabilityResult Reach;
   NativeImage InstrImg;
-  TraceCapture Caps[3]; ///< Indexed by TraceMode.
-  std::unique_ptr<PathGraphCache> Paths;
 
   explicit Fixture(const BenchmarkSpec &Spec) : Name(Spec.Name) {
     std::vector<std::string> Errors;
@@ -79,18 +76,6 @@ struct Fixture {
       P.reset();
       return;
     }
-    for (TraceMode Mode : {TraceMode::CuOrder, TraceMode::MethodOrder,
-                           TraceMode::HeapOrder}) {
-      TraceOptions TOpts;
-      TOpts.Mode = Mode;
-      TOpts.Dump = DumpMode::MemoryMapped;
-      RunConfig RC;
-      RC.Trace = &TOpts;
-      if (Spec.Microservice)
-        RC.StopAtFirstResponse = true;
-      runImage(InstrImg, RC, &Caps[size_t(Mode)]);
-    }
-    Paths = std::make_unique<PathGraphCache>(*P);
   }
 };
 
@@ -99,12 +84,9 @@ struct StageOutputs {
   uint64_t InlineFingerprint = 0;
   size_t NumCus = 0;
   std::vector<uint64_t> StructIds;
-  std::string CuCsv, MethodCsv;
-  std::vector<int32_t> HeapOrder;
 };
 
-/// Runs the three parallel stage bundles once: CU formation, identity
-/// assignment, trace post-processing (all three modes).
+/// Runs the parallel stage bundle once: CU formation, identity assignment.
 StageOutputs runStages(Fixture &F) {
   StageOutputs Out;
   InlinerConfig ICfg;
@@ -116,27 +98,16 @@ StageOutputs runStages(Fixture &F) {
   IdTable T = computeIdTable(*F.P, *F.InstrImg.Built.BuildHeap,
                              F.InstrImg.Snapshot);
   Out.StructIds = std::move(T.StructuralHashes);
-
-  Out.CuCsv =
-      analyzeCuOrder(*F.P, F.Caps[size_t(TraceMode::CuOrder)]).toCsv();
-  Out.MethodCsv =
-      analyzeMethodOrder(*F.P, F.Caps[size_t(TraceMode::MethodOrder)],
-                         *F.Paths)
-          .toCsv();
-  Out.HeapOrder = analyzeHeapAccessOrder(
-      *F.P, F.Caps[size_t(TraceMode::HeapOrder)], *F.Paths);
   return Out;
 }
 
 bool sameOutputs(const StageOutputs &A, const StageOutputs &B) {
   return A.InlineFingerprint == B.InlineFingerprint && A.NumCus == B.NumCus &&
-         A.StructIds == B.StructIds && A.CuCsv == B.CuCsv &&
-         A.MethodCsv == B.MethodCsv && A.HeapOrder == B.HeapOrder;
+         A.StructIds == B.StructIds;
 }
 
 /// Chunk CPU times of one parallelFor invocation (one Batch sequence).
 struct BatchTimes {
-  std::string Stage;
   std::vector<uint64_t> ChunkNs; ///< Indexed by chunk.
 };
 
@@ -169,20 +140,12 @@ struct StageScaling {
   }
 };
 
-/// The build-side stages, the ones whose fan-out width is the work-item
-/// count. Trace post-processing fans out per trace *thread*, so its
-/// scaling is capped by the traced workload's thread count (1 for the
-/// single-threaded AWFY benchmarks) — it is reported separately.
-bool isBuildStage(const std::string &Stage) {
-  return Stage == "compile" || Stage == "id_table";
-}
-
 struct Measurement {
   uint64_t WallNs = 0;
   uint64_t ParallelCpuNs = 0; ///< Sum of all chunk CPU times.
   uint64_t SerialNs = 0;      ///< max(0, wall - parallel CPU).
   uint64_t ModeledWallNs = 0; ///< serial + sum of per-batch makespans.
-  StageScaling Build, Trace;
+  StageScaling Build;
   StageOutputs Outputs;
 };
 
@@ -190,11 +153,10 @@ Measurement measure(Fixture &F, int Jobs) {
   setJobs(Jobs);
   std::mutex Mu;
   std::map<uint64_t, BatchTimes> Batches;
-  setChunkTimingHook([&](const char *Stage, uint64_t Batch, size_t Chunk,
-                         uint64_t CpuNs) {
+  setChunkTimingHook([&](const char * /*Stage*/, uint64_t Batch,
+                         size_t Chunk, uint64_t CpuNs) {
     std::lock_guard<std::mutex> G(Mu);
     BatchTimes &B = Batches[Batch];
-    B.Stage = Stage;
     if (B.ChunkNs.size() <= Chunk)
       B.ChunkNs.resize(Chunk + 1, 0);
     B.ChunkNs[Chunk] = CpuNs;
@@ -215,9 +177,8 @@ Measurement measure(Fixture &F, int Jobs) {
     uint64_t Mk = makespan(B, Jobs);
     M.ParallelCpuNs += Cpu;
     MakespanSum += Mk;
-    StageScaling &S = isBuildStage(B.Stage) ? M.Build : M.Trace;
-    S.CpuNs += Cpu;
-    S.MakespanNs += Mk;
+    M.Build.CpuNs += Cpu;
+    M.Build.MakespanNs += Mk;
   }
   M.SerialNs = M.WallNs > M.ParallelCpuNs ? M.WallNs - M.ParallelCpuNs : 0;
   M.ModeledWallNs = M.SerialNs + MakespanSum;
@@ -231,7 +192,6 @@ struct CurvePoint {
   double SpeedupWall;
   double SpeedupModeled;
   double SpeedupBuildStages; ///< Modeled, compile + id_table only.
-  double SpeedupTraceStages; ///< Modeled, trace post-processing only.
 };
 
 } // namespace
@@ -261,8 +221,6 @@ int main(int Argc, char **Argv) {
     Fixture F(Spec);
     if (!F.P)
       return 1;
-    // Warm the shared path-graph cache so every jobs level sees the same
-    // (cached) path graphs and timings compare stage work, not cache fill.
     setJobs(1);
     StageOutputs Reference = runStages(F);
 
@@ -294,36 +252,30 @@ int main(int Argc, char **Argv) {
                                     double(Best.ModeledWallNs)
                               : 1.0;
       Pt.SpeedupBuildStages = Best.Build.speedup();
-      Pt.SpeedupTraceStages = Best.Trace.speedup();
       R.Curve.push_back(Pt);
     }
     Results.push_back(std::move(R));
   }
   setJobs(0);
 
-  std::printf("Parallel build-stage scaling — cu compile + id table + trace "
-              "post-processing\n");
+  std::printf("Parallel build-stage scaling — cu compile + id table\n");
   std::printf("host cpus: %d (wall speedup is flat on a single-core host; "
               "modeled is the scaling curve)\n\n",
               hardwareJobs());
   for (const WorkloadResult &R : Results) {
     std::printf("%s  (deterministic across jobs: %s)\n", R.Name.c_str(),
                 R.Deterministic ? "yes" : "NO");
-    std::printf("  %5s %12s %12s %9s %9s %9s %9s\n", "jobs", "wall ms",
-                "modeled ms", "wall x", "model x", "build x", "trace x");
+    std::printf("  %5s %12s %12s %9s %9s %9s\n", "jobs", "wall ms",
+                "modeled ms", "wall x", "model x", "build x");
     for (const CurvePoint &Pt : R.Curve)
-      std::printf("  %5d %12.2f %12.2f %8.2fx %8.2fx %8.2fx %8.2fx\n",
-                  Pt.Jobs, double(Pt.WallNs) / 1e6,
-                  double(Pt.ModeledWallNs) / 1e6, Pt.SpeedupWall,
-                  Pt.SpeedupModeled, Pt.SpeedupBuildStages,
-                  Pt.SpeedupTraceStages);
+      std::printf("  %5d %12.2f %12.2f %8.2fx %8.2fx %8.2fx\n", Pt.Jobs,
+                  double(Pt.WallNs) / 1e6, double(Pt.ModeledWallNs) / 1e6,
+                  Pt.SpeedupWall, Pt.SpeedupModeled, Pt.SpeedupBuildStages);
     std::printf("\n");
   }
 
   // The acceptance gate: the parallelized build stages must hit >= 2x
-  // modeled speedup at 4 workers on every workload. Trace post-processing
-  // scales with the traced workload's thread count and is reported, not
-  // gated (the AWFY benchmarks are single-threaded).
+  // modeled speedup at 4 workers on every workload.
   bool AllDeterministic = true;
   double MinJobs4Build = 1e30;
   for (const WorkloadResult &R : Results) {
@@ -361,7 +313,6 @@ int main(int Argc, char **Argv) {
             W.member("speedup_wall", Pt.SpeedupWall);
             W.member("speedup_modeled", Pt.SpeedupModeled);
             W.member("speedup_modeled_build_stages", Pt.SpeedupBuildStages);
-            W.member("speedup_modeled_trace_stages", Pt.SpeedupTraceStages);
             W.endObject();
           }
           W.endArray();

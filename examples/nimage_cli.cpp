@@ -177,8 +177,8 @@ int usage() {
                "classic meaning:\n"
                "  read {cu,method,cluster,...}.csv from it.\n"
                "pipeline (any command):\n"
-               "  --jobs N           worker threads for the parallel build/"
-               "post-processing stages\n"
+               "  --jobs N           worker threads for the parallel build "
+               "stages\n"
                "                     (default: NIMG_JOBS env, then hardware "
                "concurrency; output is\n"
                "                     byte-identical for any N)\n"

@@ -547,21 +547,19 @@ CollectedProfiles nimg::collectProfiles(Program &P,
     // a sparse sampling is still a sparse sampling.
     uint32_t Estimate = Out.CuRun.SampleCoveragePermille;
     {
-      NIMG_SPAN("profile", "post.sample_cu");
-      Out.Cu = analyzeSampledCuOrder(P, SampCap, &Out.CuSalvage);
-      Out.Cu.Header.Fingerprint = Fp;
-      Out.Cu.Header.Generation = Gen;
-      Out.Cu.Header.CoveragePermille =
-          std::min(Out.Cu.Header.CoveragePermille, Estimate);
+      NIMG_SPAN("profile", "post.sampled");
+      uint64_t Period = SampCap.Options.SamplePeriod;
+      CodeOrderAnalysis CuA(P, CodeOrderAnalysis::Source::SampleRoot, Period);
+      CodeOrderAnalysis MethodA(P, CodeOrderAnalysis::Source::SampleMethod,
+                                Period);
+      replayTrace(P, SampCap, Paths, {&CuA, &MethodA}, &Out.CuSalvage);
+      Out.MethodSalvage = Out.CuSalvage;
+      Out.Cu = CuA.finish(Out.CuSalvage);
+      Out.Method = MethodA.finish(Out.MethodSalvage);
     }
-    {
-      NIMG_SPAN("profile", "post.sample_method");
-      Out.Method = analyzeSampledMethodOrder(P, SampCap, &Out.MethodSalvage);
-      Out.Method.Header.Fingerprint = Fp;
-      Out.Method.Header.Generation = Gen;
-      Out.Method.Header.CoveragePermille =
-          std::min(Out.Method.Header.CoveragePermille, Estimate);
-    }
+    for (CodeProfile *Prof : {&Out.Cu, &Out.Method})
+      Prof->Header.CoveragePermille =
+          std::min(Prof->Header.CoveragePermille, Estimate);
     // Samples carry no CU transitions or path records, so the cluster
     // profile degrades to the sampled cu order and splitting evidence is
     // typed-unavailable — both documented degradations, not failures.
@@ -571,11 +569,7 @@ CollectedProfiles nimg::collectProfiles(Program &P,
          "sampled capture carries no CU transitions; cluster ordering "
          "degrades to the sampled cu order"});
     Out.Blocks.LoadError = ProfileError::InsufficientBlockProfile;
-    Out.Blocks.Header.Fingerprint = Fp;
-    Out.Blocks.Header.Generation = Gen;
     Out.Edges.LoadError = ProfileError::InsufficientEdgeProfile;
-    Out.Edges.Header.Fingerprint = Fp;
-    Out.Edges.Header.Generation = Gen;
   } else {
     TraceCapture CuCap;
     {
@@ -583,24 +577,19 @@ CollectedProfiles nimg::collectProfiles(Program &P,
       CuCap = RunWith(Img, TraceMode::CuOrder, Out.CuRun);
     }
     {
+      // One replay feeds the cu profile and the CU transition graph the
+      // cluster profile is solved from: no extra instrumented run.
       NIMG_SPAN("profile", "post.cu");
-      Out.Cu = analyzeCuOrder(P, CuCap, &Out.CuSalvage);
-      Out.Cu.Header.Fingerprint = Fp;
-      Out.Cu.Header.Generation = Gen;
-    }
-    {
-      // The cluster profile reuses the cu-mode capture: CU transitions are
-      // already in it, so clustering costs one more post-processing pass,
-      // not another instrumented run.
-      NIMG_SPAN("profile", "post.cluster");
+      CodeOrderAnalysis CuA(P, CodeOrderAnalysis::Source::CuEnter);
+      CallGraphAnalysis GraphA;
+      replayTrace(P, CuCap, Paths, {&CuA, &GraphA}, &Out.CuSalvage);
+      Out.Cu = CuA.finish(Out.CuSalvage);
       ClusterOptions COpts;
       COpts.PageBudgetBytes = Cfg.ClusterPageBudget;
       COpts.HugePages = Cfg.Image.HugePages;
       Out.Cluster =
-          analyzeClusterOrder(P, CuCap, Img.code(), COpts, nullptr,
+          analyzeClusterOrder(P, GraphA.finish(), Img.code(), COpts,
                               &Out.ClusterIssues, &Out.ClusterLayoutStats);
-      Out.Cluster.Header.Fingerprint = Fp;
-      Out.Cluster.Header.Generation = Gen;
     }
 
     TraceCapture MethodCap;
@@ -609,29 +598,19 @@ CollectedProfiles nimg::collectProfiles(Program &P,
       MethodCap = RunWith(Img, TraceMode::MethodOrder, Out.MethodRun);
     }
     {
+      // One replay of the method-order capture feeds the method profile,
+      // the block counts (splitting evidence) and the edge counts
+      // (reordering evidence): every path record names its blocks.
       NIMG_SPAN("profile", "post.method");
-      Out.Method = analyzeMethodOrder(P, MethodCap, Paths, &Out.MethodSalvage);
-      Out.Method.Header.Fingerprint = Fp;
-      Out.Method.Header.Generation = Gen;
-    }
-    {
-      // Block counts reuse the method-order capture: every path record
-      // already names the blocks it visits, so splitting evidence costs one
-      // more post-processing pass, not another instrumented run.
-      NIMG_SPAN("profile", "post.blocks");
-      Out.Blocks = analyzeBlockCounts(P, MethodCap, Paths, nullptr);
-      Out.Blocks.Header.Fingerprint = Fp;
-      Out.Blocks.Header.Generation = Gen;
+      CodeOrderAnalysis MethodA(P, CodeOrderAnalysis::Source::MethodEnter);
+      BlockCountAnalysis BlockA(P);
+      EdgeCountAnalysis EdgeA(P);
+      replayTrace(P, MethodCap, Paths, {&MethodA, &BlockA, &EdgeA},
+                  &Out.MethodSalvage);
+      Out.Method = MethodA.finish(Out.MethodSalvage);
+      Out.Blocks = BlockA.finish(Out.MethodSalvage);
+      Out.Edges = EdgeA.finish(Out.MethodSalvage);
       Out.Blocks.Header.CoveragePermille = Out.Blocks.CoveragePermille;
-    }
-    {
-      // Edge counts reuse the same capture again: consecutive blocks of a
-      // path record are CFG edges, so the reordering evidence also costs
-      // one more post-processing pass, not another instrumented run.
-      NIMG_SPAN("profile", "post.edges");
-      Out.Edges = analyzeEdgeCounts(P, MethodCap, Paths, nullptr);
-      Out.Edges.Header.Fingerprint = Fp;
-      Out.Edges.Header.Generation = Gen;
       Out.Edges.Header.CoveragePermille = Out.Edges.CoveragePermille;
     }
   }
@@ -651,12 +630,13 @@ CollectedProfiles nimg::collectProfiles(Program &P,
         heapProfileFor(AccessOrder, Img.Ids, HeapStrategy::StructuralHash);
     Out.HeapPath =
         heapProfileFor(AccessOrder, Img.Ids, HeapStrategy::HeapPath);
-    Out.IncrementalId.Header.Fingerprint = Fp;
-    Out.StructuralHash.Header.Fingerprint = Fp;
-    Out.HeapPath.Header.Fingerprint = Fp;
-    Out.IncrementalId.Header.Generation = Gen;
-    Out.StructuralHash.Header.Generation = Gen;
-    Out.HeapPath.Header.Generation = Gen;
+  }
+  for (ProfileHeader *H :
+       {&Out.Cu.Header, &Out.Method.Header, &Out.Cluster.Header,
+        &Out.Blocks.Header, &Out.Edges.Header, &Out.IncrementalId.Header,
+        &Out.StructuralHash.Header, &Out.HeapPath.Header}) {
+    H->Fingerprint = Fp;
+    H->Generation = Gen;
   }
   return Out;
 }

@@ -188,10 +188,9 @@ std::vector<MethodId> nimg::clusterLayout(const CuTransitionGraph &G,
 }
 
 CodeProfile nimg::analyzeClusterOrder(const Program &P,
-                                      const TraceCapture &Capture,
+                                      const CuTransitionGraph &G,
                                       const CompiledProgram &CP,
                                       const ClusterOptions &Opts,
-                                      SalvageStats *Stats,
                                       std::vector<ProfileIssue> *Issues,
                                       ClusterStats *LayoutStats) {
   NIMG_COUNTER_ADD("nimg.order.cluster.runs", 1);
@@ -199,8 +198,6 @@ CodeProfile nimg::analyzeClusterOrder(const Program &P,
   // Cluster ordering consumes the same CuOrder-mode trace as cu ordering
   // and is ingested by the builder under the same cu-mode header.
   Out.Header.Mode = TraceMode::CuOrder;
-
-  CuTransitionGraph G = analyzeCuTransitions(P, Capture, Stats);
 
   std::vector<MethodId> Order;
   ClusterStats LStats;
@@ -234,4 +231,15 @@ CodeProfile nimg::analyzeClusterOrder(const Program &P,
   if (LayoutStats)
     *LayoutStats = LStats;
   return Out;
+}
+
+CodeProfile nimg::analyzeClusterOrder(const Program &P,
+                                      const TraceCapture &Capture,
+                                      const CompiledProgram &CP,
+                                      const ClusterOptions &Opts,
+                                      SalvageStats *Stats,
+                                      std::vector<ProfileIssue> *Issues,
+                                      ClusterStats *LayoutStats) {
+  return analyzeClusterOrder(P, analyzeCuTransitions(P, Capture, Stats), CP,
+                             Opts, Issues, LayoutStats);
 }

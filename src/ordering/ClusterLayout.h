@@ -88,12 +88,19 @@ std::vector<MethodId> clusterLayout(const CuTransitionGraph &G,
                                     const ClusterOptions &Opts,
                                     ClusterStats *Stats = nullptr);
 
+/// Clusters the transition graph \p G and emits the ordering as a cu-mode
+/// CodeProfile. An empty graph degrades to first-seen (cu) ordering,
+/// appending a ProfileError::EmptyTransitionGraph issue to \p Issues.
+/// \p LayoutStats reports the greedy pass (optional).
+CodeProfile analyzeClusterOrder(const Program &P, const CuTransitionGraph &G,
+                                const CompiledProgram &CP,
+                                const ClusterOptions &Opts = {},
+                                std::vector<ProfileIssue> *Issues = nullptr,
+                                ClusterStats *LayoutStats = nullptr);
+
 /// End-to-end cluster analysis: extracts the transition graph from a
-/// CuOrder-mode \p Capture, clusters it, and emits the ordering as a
-/// cu-mode CodeProfile. An empty/malformed graph degrades to first-seen
-/// (cu) ordering, appending a ProfileError::EmptyTransitionGraph issue to
-/// \p Issues. \p Stats reports trace salvage, \p LayoutStats the greedy
-/// pass (both optional).
+/// CuOrder-mode \p Capture (analyzeCuTransitions) and clusters it as
+/// above. \p Stats reports trace salvage (optional).
 CodeProfile analyzeClusterOrder(const Program &P, const TraceCapture &Capture,
                                 const CompiledProgram &CP,
                                 const ClusterOptions &Opts = {},

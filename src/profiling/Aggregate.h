@@ -19,8 +19,7 @@
 ///
 /// so the build never fails on profile input. The whole fold runs in
 /// fixed member order, making the merged profile a pure function of the
-/// member list — byte-identical at any --jobs, same discipline as the
-/// parallel analyses.
+/// member list — byte-identical at any --jobs, like the trace analyses.
 ///
 //===----------------------------------------------------------------------===//
 

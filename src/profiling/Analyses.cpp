@@ -5,14 +5,12 @@
 #include "src/obs/Metrics.h"
 #include "src/support/Crc32.h"
 #include "src/support/Csv.h"
-#include "src/support/ThreadPool.h"
 
 #include <algorithm>
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <unordered_map>
-#include <unordered_set>
+#include <type_traits>
 
 using namespace nimg;
 
@@ -150,9 +148,11 @@ std::string headerRowCsv(const ProfileHeader &H, uint32_t Crc) {
 /// Validates the header row (Doc.Rows[0]) if present. Returns the index of
 /// the first payload row; on a fatal problem R.Fatal is set. A file whose
 /// first cell does not start with '#' is a legacy headerless profile:
-/// accepted without checksum or fingerprint protection.
+/// accepted without checksum or fingerprint protection. Only code profiles
+/// (\p MaySample) can come from a sampled capture; on any other kind a
+/// sampled header is corruption, never a licence to skip the CRC.
 size_t readProfileHeader(const std::string &Text, const CsvDocument &Doc,
-                         ProfileReadReport &R) {
+                         bool MaySample, ProfileReadReport &R) {
   R.Header.Version = 0;
   if (Doc.Rows.empty())
     return 0;
@@ -213,6 +213,11 @@ size_t readProfileHeader(const std::string &Text, const CsvDocument &Doc,
         addIssue(R, R.Fatal, 1, "bad capture cells");
         return 1;
       }
+      if (R.Header.Capture == CaptureKind::Sampled && !MaySample) {
+        R.Fatal = ProfileError::BadHeader;
+        addIssue(R, R.Fatal, 1, "sampled capture header on a non-code profile");
+        return 1;
+      }
     }
   }
   R.Header.Version = Version;
@@ -243,9 +248,9 @@ bool isBlankRow(const std::vector<std::string> &Row) {
   return Row.empty() || (Row.size() == 1 && Row[0].empty());
 }
 
-/// Surfaces one profile-load outcome ("code"/"heap") through the registry,
-/// including a per-rejection-kind counter (dynamic names; ingestion is not
-/// a hot path).
+/// Surfaces one profile-load outcome ("code"/"heap"/"block"/"edge")
+/// through the registry, including a per-rejection-kind counter (dynamic
+/// names; ingestion is not a hot path).
 void meterProfileLoad(const char *Kind, const ProfileReadReport &R) {
   std::string Base = std::string("nimg.profile.load.") + Kind;
   NIMG_COUNTER_ADD_DYN(Base + ".attempts", 1);
@@ -259,6 +264,68 @@ void meterProfileLoad(const char *Kind, const ProfileReadReport &R) {
     NIMG_COUNTER_ADD_DYN(Base + ".rows_kept", R.RowsKept);
   if (R.RowsSkipped)
     NIMG_COUNTER_ADD_DYN(Base + ".rows_skipped", R.RowsSkipped);
+}
+
+/// The row loop of every fromCsv: validates the header into \p P (an empty
+/// profile of the kind), hands each non-blank payload row to \p ParseRow
+/// (which appends it to the profile and returns true, or sets a detail and
+/// returns false to skip it as malformed), accounts the rows, and meters
+/// the load as \p Kind. Only a code profile may be a sampled capture, so
+/// only its CRC-mismatched payload is cut at the first malformed row.
+template <typename Profile, typename RowFn>
+Profile readProfileRows(const std::string &Text, const char *Kind,
+                        ProfileReadReport *Report, Profile P,
+                        RowFn ParseRow) {
+  ProfileReadReport Local;
+  ProfileReadReport &R = Report ? *Report : Local;
+  R = ProfileReadReport{};
+  CsvDocument Doc = parseCsv(Text);
+  size_t I = readProfileHeader(Text, Doc,
+                               std::is_same_v<Profile, CodeProfile>, R);
+  P.Header = R.Header;
+  P.LoadError = R.Fatal;
+  for (; R.usable() && I < Doc.Rows.size(); ++I) {
+    const std::vector<std::string> &Row = Doc.Rows[I];
+    if (isBlankRow(Row))
+      continue;
+    std::string Why;
+    if (ParseRow(P, Row, Why)) {
+      ++R.RowsKept;
+      continue;
+    }
+    addIssue(R, ProfileError::MalformedCell, I + 1, std::move(Why));
+    if (R.PrefixSalvaged) {
+      R.RowsSkipped += Doc.Rows.size() - I; // The cut point.
+      break;
+    }
+    ++R.RowsSkipped;
+  }
+  // A CRC-mismatched sampled file that salvaged clean to its last row
+  // still lost *something* (the CRC said so): account at least one row so
+  // the aggregator classifies the member as salvaged, not accepted.
+  if (R.PrefixSalvaged && R.RowsSkipped == 0)
+    R.RowsSkipped = 1;
+  meterProfileLoad(Kind, R);
+  return P;
+}
+
+/// First payload cell of the coverage row of block and edge profiles. '@'
+/// cannot start a method signature, so the row is unambiguous.
+constexpr const char *CoverageRowTag = "@coverage";
+
+bool parseCoverageRow(const std::vector<std::string> &Row, uint32_t &Out,
+                      std::string &Why) {
+  uint32_t Permille = 0;
+  if (Row.size() < 2 || !parseDecU32(Row[1], Permille) || Permille > 1000) {
+    Why = "bad coverage row";
+    return false;
+  }
+  Out = Permille;
+  return true;
+}
+
+bool validSig(const std::string &Sig) {
+  return !Sig.empty() && Sig.size() <= MaxSigBytes;
 }
 
 } // namespace
@@ -279,56 +346,31 @@ std::string CodeProfile::toCsv() const {
 
 CodeProfile CodeProfile::fromCsv(const std::string &Text,
                                  ProfileReadReport *Report) {
-  ProfileReadReport Local;
-  ProfileReadReport &R = Report ? *Report : Local;
-  R = ProfileReadReport{};
-  CodeProfile P;
-  CsvDocument Doc = parseCsv(Text);
-  size_t Start = readProfileHeader(Text, Doc, R);
-  P.Header = R.Header;
-  if (!R.usable()) {
-    P.LoadError = R.Fatal;
-    meterProfileLoad("code", R);
-    return P;
-  }
-  P.Sigs.reserve(Doc.Rows.size() - Start);
   bool AnyCount = false;
-  for (size_t I = Start; I < Doc.Rows.size(); ++I) {
-    const std::vector<std::string> &Row = Doc.Rows[I];
-    if (isBlankRow(Row))
-      continue;
-    if (Row[0].empty() || Row[0].size() > MaxSigBytes) {
-      R.RowsSkipped += R.PrefixSalvaged ? Doc.Rows.size() - I : 1;
-      addIssue(R, ProfileError::MalformedCell, I + 1, "bad signature cell");
-      if (R.PrefixSalvaged)
-        break; // Prefix salvage: the first bad row marks the cut point.
-      continue;
-    }
-    // Optional second cell: per-sig event count (v2 cu profiles). A row
-    // without one contributes the neutral count 1.
-    uint64_t Count = 1;
-    if (Row.size() >= 2 && !Row[1].empty()) {
-      if (!parseDecU64(Row[1], Count)) {
-        R.RowsSkipped += R.PrefixSalvaged ? Doc.Rows.size() - I : 1;
-        addIssue(R, ProfileError::MalformedCell, I + 1, "bad count cell");
-        if (R.PrefixSalvaged)
-          break;
-        continue;
-      }
-      AnyCount = true;
-    }
-    P.Sigs.push_back(Row[0]);
-    P.Counts.push_back(Count);
-    ++R.RowsKept;
-  }
-  // A CRC-mismatched sampled file that salvaged clean to its last row
-  // still lost *something* (the CRC said so): account at least one row so
-  // the aggregator classifies the member as salvaged, not accepted.
-  if (R.PrefixSalvaged && R.RowsSkipped == 0)
-    R.RowsSkipped = 1;
+  CodeProfile P = readProfileRows(
+      Text, "code", Report, CodeProfile{},
+      [&](CodeProfile &Out, const std::vector<std::string> &Row,
+          std::string &Why) {
+        if (!validSig(Row[0])) {
+          Why = "bad signature cell";
+          return false;
+        }
+        // Optional second cell: per-sig event count (v2 cu profiles). A
+        // row without one contributes the neutral count 1.
+        uint64_t Count = 1;
+        if (Row.size() >= 2 && !Row[1].empty()) {
+          if (!parseDecU64(Row[1], Count)) {
+            Why = "bad count cell";
+            return false;
+          }
+          AnyCount = true;
+        }
+        Out.Sigs.push_back(Row[0]);
+        Out.Counts.push_back(Count);
+        return true;
+      });
   if (!AnyCount)
     P.Counts.clear(); // No count evidence: keep the legacy shape.
-  meterProfileLoad("code", R);
   return P;
 }
 
@@ -346,49 +388,102 @@ std::string HeapProfile::toCsv() const {
 
 HeapProfile HeapProfile::fromCsv(const std::string &Text,
                                  ProfileReadReport *Report) {
-  ProfileReadReport Local;
-  ProfileReadReport &R = Report ? *Report : Local;
-  R = ProfileReadReport{};
-  HeapProfile P;
-  CsvDocument Doc = parseCsv(Text);
-  size_t Start = readProfileHeader(Text, Doc, R);
-  P.Header = R.Header;
-  if (!R.usable()) {
-    P.LoadError = R.Fatal;
-    meterProfileLoad("heap", R);
-    return P;
-  }
-  P.Ids.reserve(Doc.Rows.size() - Start);
-  for (size_t I = Start; I < Doc.Rows.size(); ++I) {
-    const std::vector<std::string> &Row = Doc.Rows[I];
-    if (isBlankRow(Row))
-      continue;
-    uint64_t Id = 0;
-    if (!parseHexU64(Row[0], Id)) {
-      ++R.RowsSkipped;
-      addIssue(R, ProfileError::MalformedCell, I + 1,
-               Row[0].substr(0, 32));
-      continue;
-    }
-    P.Ids.push_back(Id);
-    ++R.RowsKept;
-  }
-  meterProfileLoad("heap", R);
-  return P;
+  return readProfileRows(
+      Text, "heap", Report, HeapProfile{},
+      [](HeapProfile &Out, const std::vector<std::string> &Row,
+         std::string &Why) {
+        uint64_t Id = 0;
+        if (!parseHexU64(Row[0], Id)) {
+          Why = Row[0].substr(0, 32);
+          return false;
+        }
+        Out.Ids.push_back(Id);
+        return true;
+      });
+}
+
+std::string BlockProfile::toCsv() const {
+  CsvDocument Doc;
+  Doc.Rows.reserve(Rows.size() + 1);
+  Doc.Rows.push_back({CoverageRowTag, std::to_string(CoveragePermille)});
+  for (const Row &R : Rows)
+    Doc.Rows.push_back(
+        {R.Sig, std::to_string(R.Block), std::to_string(R.Count)});
+  std::string Body = writeCsv(Doc);
+  return headerRowCsv(Header, crc32(Body)) + Body;
+}
+
+BlockProfile BlockProfile::fromCsv(const std::string &Text,
+                                   ProfileReadReport *Report) {
+  BlockProfile Empty;
+  Empty.CoveragePermille = 0; // Only an explicit coverage row vouches.
+  return readProfileRows(
+      Text, "block", Report, std::move(Empty),
+      [](BlockProfile &Out, const std::vector<std::string> &Row,
+         std::string &Why) {
+        if (Row[0] == CoverageRowTag)
+          return parseCoverageRow(Row, Out.CoveragePermille, Why);
+        BlockProfile::Row Parsed;
+        if (Row.size() < 3 || !validSig(Row[0]) ||
+            !parseDecU32(Row[1], Parsed.Block) ||
+            !parseDecU64(Row[2], Parsed.Count)) {
+          Why = "bad block-count row";
+          return false;
+        }
+        Parsed.Sig = Row[0];
+        Out.Rows.push_back(std::move(Parsed));
+        return true;
+      });
+}
+
+std::string EdgeProfile::toCsv() const {
+  CsvDocument Doc;
+  Doc.Rows.reserve(Rows.size() + 1);
+  Doc.Rows.push_back({CoverageRowTag, std::to_string(CoveragePermille)});
+  for (const Row &R : Rows)
+    Doc.Rows.push_back({R.Sig, std::to_string(R.From), std::to_string(R.To),
+                        std::to_string(R.Count)});
+  std::string Body = writeCsv(Doc);
+  return headerRowCsv(Header, crc32(Body)) + Body;
+}
+
+EdgeProfile EdgeProfile::fromCsv(const std::string &Text,
+                                 ProfileReadReport *Report) {
+  EdgeProfile Empty;
+  Empty.CoveragePermille = 0; // Only an explicit coverage row vouches.
+  return readProfileRows(
+      Text, "edge", Report, std::move(Empty),
+      [](EdgeProfile &Out, const std::vector<std::string> &Row,
+         std::string &Why) {
+        if (Row[0] == CoverageRowTag)
+          return parseCoverageRow(Row, Out.CoveragePermille, Why);
+        EdgeProfile::Row Parsed;
+        if (Row.size() < 4 || !validSig(Row[0]) ||
+            !parseDecU32(Row[1], Parsed.From) ||
+            !parseDecU32(Row[2], Parsed.To) ||
+            !parseDecU64(Row[3], Parsed.Count)) {
+          Why = "bad edge-count row";
+          return false;
+        }
+        Parsed.Sig = Row[0];
+        Out.Rows.push_back(std::move(Parsed));
+        return true;
+      });
 }
 
 //===----------------------------------------------------------------------===//
-// Replay and analyses.
+// Replay.
 //===----------------------------------------------------------------------===//
 
-void nimg::replayThreadPrefix(const Program &P, TraceMode Mode,
-                              const std::vector<uint64_t> &Words, size_t End,
-                              LocalPathCache &Paths,
-                              const std::vector<OrderingAnalysis *> &Analyses) {
+namespace {
+
+/// Dispatches the salvaged prefix (\p End words) of one thread's trace to
+/// \p Analyses in execution order.
+void replayThread(const Program &P, TraceMode Mode,
+                  const std::vector<uint64_t> &Words, size_t End,
+                  LocalPathCache &Paths, PathEvents &Events,
+                  const std::vector<OrderingAnalysis *> &Analyses) {
   bool HasOperands = Mode == TraceMode::HeapOrder;
-  // One per-call scratch: decodeInto() reuses its vectors across records,
-  // so the loop does not reallocate Blocks/Sites for every trace word.
-  PathEvents Events;
   size_t I = 0;
   while (I < End) {
     uint64_t W = Words[I++];
@@ -431,6 +526,28 @@ void nimg::replayThreadPrefix(const Program &P, TraceMode Mode,
   }
 }
 
+/// Salvage coverage in permille, or \p Empty when nothing was scanned.
+uint32_t coveragePermille(const SalvageStats &S, uint32_t Empty) {
+  return S.WordsScanned ? uint32_t(S.WordsKept * 1000 / S.WordsScanned)
+                        : Empty;
+}
+
+/// Shared body of the one-sink wrappers: replays \p Capture into \p Sink
+/// when it is in \p Mode and returns (and copies to \p Out) the salvage
+/// stats.
+SalvageStats replayInto(const Program &P, const TraceCapture &Capture,
+                        TraceMode Mode, PathGraphCache &Paths,
+                        OrderingAnalysis &Sink, SalvageStats *Out) {
+  SalvageStats Stats;
+  if (captureInMode(Capture, Mode, Stats))
+    replayTrace(P, Capture, Paths, {&Sink}, &Stats);
+  if (Out)
+    *Out = Stats;
+  return Stats;
+}
+
+} // namespace
+
 void nimg::replayTrace(const Program &P, const TraceCapture &Capture,
                        PathGraphCache &Paths,
                        const std::vector<OrderingAnalysis *> &Analyses,
@@ -446,446 +563,63 @@ void nimg::replayTrace(const Program &P, const TraceCapture &Capture,
   SalvageStats Stats;
   std::vector<size_t> Prefix = scanCapture(P, Capture, Paths, Stats);
   LocalPathCache Local(Paths);
-  for (size_t T = 0; T < Capture.Threads.size(); ++T)
-    replayThreadPrefix(P, Capture.Options.Mode, Capture.Threads[T].Words,
-                       Prefix[T], Local, Analyses);
+  // One scratch for the whole replay: decodeInto() reuses its vectors, so
+  // records do not reallocate Blocks/Sites.
+  PathEvents Events;
+  for (size_t T = 0; T < Capture.Threads.size(); ++T) {
+    for (OrderingAnalysis *A : Analyses)
+      A->onThreadBegin();
+    replayThread(P, Capture.Options.Mode, Capture.Threads[T].Words, Prefix[T],
+                 Local, Events, Analyses);
+  }
   if (StatsOut)
     *StatsOut = Stats;
 }
 
-namespace {
+//===----------------------------------------------------------------------===//
+// Sinks.
+//===----------------------------------------------------------------------===//
 
-/// First-seen id collector, generic over the three event kinds. One lives
-/// per (worker, thread-trace) in the parallel analyses; the per-thread
-/// orders are then merged front-to-back in thread creation order, which
-/// reproduces the sequential "threads concatenated" first-seen order
-/// exactly — so profiles are byte-identical for any worker count.
-template <typename Id> class FirstSeen {
-public:
-  void note(Id V) {
-    if (Seen.insert(V).second)
-      Order.push_back(V);
-  }
-  std::vector<Id> Order;
-
-private:
-  std::unordered_set<Id> Seen;
-};
-
-class CuFirstSeen : public OrderingAnalysis {
-public:
-  void onCuEnter(MethodId Root) override {
+void CodeOrderAnalysis::onCuEnter(MethodId Root) {
+  if (S == Source::CuEnter)
     Ids.note(Root);
-    ++Counts[Root];
-  }
-  FirstSeen<MethodId> Ids;
-  /// cu_enter events per root within one thread; merged by summation, so
-  /// the totals are independent of the worker count.
-  std::unordered_map<MethodId, uint64_t> Counts;
-};
+}
 
-class MethodFirstSeen : public OrderingAnalysis {
-public:
-  void onMethodEnter(MethodId M) override { Ids.note(M); }
-  FirstSeen<MethodId> Ids;
-};
-
-/// Sampled-capture collectors: order by earliest sample, count hits. The
-/// CU-granularity form keys on the sample's CU root, the method form on
-/// the sampled method itself.
-class SampleCuFirstSeen : public OrderingAnalysis {
-public:
-  void onSample(MethodId M, MethodId Root) override {
-    (void)M;
-    Ids.note(Root);
-    ++Counts[Root];
-  }
-  FirstSeen<MethodId> Ids;
-  std::unordered_map<MethodId, uint64_t> Counts;
-};
-
-class SampleMethodFirstSeen : public OrderingAnalysis {
-public:
-  void onSample(MethodId M, MethodId Root) override {
-    (void)Root;
+void CodeOrderAnalysis::onMethodEnter(MethodId M) {
+  if (S == Source::MethodEnter)
     Ids.note(M);
-    ++Counts[M];
-  }
-  FirstSeen<MethodId> Ids;
-  std::unordered_map<MethodId, uint64_t> Counts;
-};
-
-class EntryFirstSeen : public OrderingAnalysis {
-public:
-  void onObjectAccess(int32_t Entry) override { Ids.note(Entry); }
-  FirstSeen<int32_t> Ids;
-};
-
-/// Runs \p Analysis over every thread of \p Capture in parallel (one task
-/// per thread trace) and merges the per-thread first-seen orders in thread
-/// order. \p Analysis must be one of the FirstSeen visitors above.
-template <typename Analysis, typename Id>
-std::vector<Id> analyzeFirstSeen(const Program &P, const TraceCapture &Capture,
-                                 PathGraphCache &Paths, const char *Stage,
-                                 SalvageStats *StatsOut) {
-  if (captureEncoded(Capture)) {
-    size_t Cut = 0;
-    TraceCapture Decoded = decodeCapture(Capture, &Cut);
-    std::vector<Id> Out =
-        analyzeFirstSeen<Analysis, Id>(P, Decoded, Paths, Stage, StatsOut);
-    if (StatsOut)
-      StatsOut->IncompleteTailRecords += Cut;
-    return Out;
-  }
-  SalvageStats Stats;
-  std::vector<size_t> Prefix = scanCapture(P, Capture, Paths, Stats);
-
-  std::vector<std::vector<Id>> PerThread = parallelMap(
-      Capture.Threads.size(), 1, Stage, [&](size_t T) {
-        Analysis A;
-        LocalPathCache Local(Paths);
-        replayThreadPrefix(P, Capture.Options.Mode, Capture.Threads[T].Words,
-                           Prefix[T], Local, {&A});
-        return std::move(A.Ids.Order);
-      });
-
-  // Ordered merge: earlier threads win ties, exactly as if the threads had
-  // been replayed back to back sequentially.
-  size_t Total = 0;
-  for (const std::vector<Id> &O : PerThread)
-    Total += O.size();
-  std::vector<Id> Merged;
-  Merged.reserve(Total);
-  std::unordered_set<Id> Seen;
-  Seen.reserve(Total);
-  for (const std::vector<Id> &O : PerThread)
-    for (Id V : O)
-      if (Seen.insert(V).second)
-        Merged.push_back(V);
-
-  if (StatsOut)
-    *StatsOut = Stats;
-  return Merged;
 }
 
-std::vector<std::string> sigsOf(const Program &P,
-                                const std::vector<MethodId> &Ids) {
-  std::vector<std::string> Sigs;
-  Sigs.reserve(Ids.size());
-  for (MethodId M : Ids)
-    Sigs.push_back(P.method(M).Sig);
-  return Sigs;
+void CodeOrderAnalysis::onSample(MethodId M, MethodId Root) {
+  if (S == Source::SampleRoot)
+    Ids.note(Root);
+  else if (S == Source::SampleMethod)
+    Ids.note(M);
 }
 
-void reportModeMismatch(SalvageStats *Stats) {
-  NIMG_COUNTER_ADD("nimg.salvage.mode_mismatch", 1);
-  if (!Stats) {
-    return;
-  }
-  *Stats = SalvageStats{};
-  Stats->ModeMismatch = true;
-}
-
-/// Salvage coverage in permille; an unscanned (empty) capture counts as
-/// full coverage — there was nothing to lose.
-uint32_t salvageCoveragePermille(const SalvageStats &S) {
-  if (!S.WordsScanned)
-    return 1000;
-  return uint32_t(S.WordsKept * 1000 / S.WordsScanned);
-}
-
-} // namespace
-
-CodeProfile nimg::analyzeCuOrder(const Program &P, const TraceCapture &Capture,
-                                 SalvageStats *Stats) {
+CodeProfile CodeOrderAnalysis::finish(const SalvageStats &Stats) const {
   CodeProfile Out;
-  Out.Header.Mode = TraceMode::CuOrder;
-  if (Capture.Options.Mode != TraceMode::CuOrder) {
-    reportModeMismatch(Stats);
-    return Out;
+  Out.Header.Mode = S == Source::CuEnter || S == Source::SampleRoot
+                        ? TraceMode::CuOrder
+                        : TraceMode::MethodOrder;
+  if (S == Source::SampleRoot || S == Source::SampleMethod) {
+    Out.Header.Capture = CaptureKind::Sampled;
+    Out.Header.SamplePeriod = SamplePeriod;
   }
-  if (captureEncoded(Capture)) {
-    size_t Cut = 0;
-    TraceCapture Decoded = decodeCapture(Capture, &Cut);
-    Out = analyzeCuOrder(P, Decoded, Stats);
-    if (Stats)
-      Stats->IncompleteTailRecords += Cut;
-    return Out;
-  }
-  PathGraphCache Paths(P); // Unused for cu records but required by replay.
-  SalvageStats Local;
-  std::vector<size_t> Prefix = scanCapture(P, Capture, Paths, Local);
-
-  std::vector<std::pair<std::vector<MethodId>,
-                        std::unordered_map<MethodId, uint64_t>>>
-      PerThread = parallelMap(Capture.Threads.size(), 1, "replay_cu",
-                              [&](size_t T) {
-                                CuFirstSeen A;
-                                LocalPathCache LocalPaths(Paths);
-                                replayThreadPrefix(P, Capture.Options.Mode,
-                                                   Capture.Threads[T].Words,
-                                                   Prefix[T], LocalPaths, {&A});
-                                return std::make_pair(std::move(A.Ids.Order),
-                                                      std::move(A.Counts));
-                              });
-
-  // Ordered merge (earlier threads win ties) plus count summation — both
-  // deterministic functions of the capture, independent of --jobs.
-  std::vector<MethodId> Order;
-  std::unordered_set<MethodId> Seen;
-  std::unordered_map<MethodId, uint64_t> Totals;
-  for (const auto &[ThreadOrder, ThreadCounts] : PerThread) {
-    for (MethodId M : ThreadOrder)
-      if (Seen.insert(M).second)
-        Order.push_back(M);
-    for (const auto &[M, N] : ThreadCounts)
-      Totals[M] += N;
-  }
-  Out.Sigs = sigsOf(P, Order);
-  Out.Counts.reserve(Order.size());
-  for (MethodId M : Order)
-    Out.Counts.push_back(Totals[M]);
-  Out.Header.CoveragePermille = salvageCoveragePermille(Local);
-  if (Stats)
-    *Stats = Local;
+  Out.Header.CoveragePermille = coveragePermille(Stats, 1000);
+  Out.Sigs.reserve(Ids.Order.size());
+  for (MethodId M : Ids.Order)
+    Out.Sigs.push_back(P.method(M).Sig);
+  if (S != Source::MethodEnter)
+    Out.Counts = Ids.Hits;
   return Out;
 }
 
-CodeProfile nimg::analyzeMethodOrder(const Program &P,
-                                     const TraceCapture &Capture,
-                                     PathGraphCache &Paths,
-                                     SalvageStats *Stats) {
-  CodeProfile Out;
-  Out.Header.Mode = TraceMode::MethodOrder;
-  if (Capture.Options.Mode != TraceMode::MethodOrder) {
-    reportModeMismatch(Stats);
-    return Out;
-  }
-  SalvageStats Local;
-  Out.Sigs = sigsOf(P, analyzeFirstSeen<MethodFirstSeen, MethodId>(
-                           P, Capture, Paths, "replay_method", &Local));
-  Out.Header.CoveragePermille = salvageCoveragePermille(Local);
-  if (Stats)
-    *Stats = Local;
-  return Out;
-}
-
-namespace {
-
-/// Shared body of the two sampled rank reconstructions: per-thread
-/// first-sample orders merged in thread-creation order (earliest sample
-/// wins), hit counts merged by summation — a deterministic function of
-/// the capture, independent of --jobs, exactly like analyzeCuOrder.
-template <typename Visitor>
-CodeProfile analyzeSampledWith(const Program &P, const TraceCapture &Capture,
-                               TraceMode OutMode, const char *Stage,
-                               SalvageStats *Stats) {
-  CodeProfile Out;
-  Out.Header.Mode = OutMode;
-  Out.Header.Capture = CaptureKind::Sampled;
-  Out.Header.SamplePeriod = Capture.Options.SamplePeriod;
-  if (Capture.Options.Mode != TraceMode::Sampled) {
-    reportModeMismatch(Stats);
-    return Out;
-  }
-  if (captureEncoded(Capture)) {
-    size_t Cut = 0;
-    TraceCapture Decoded = decodeCapture(Capture, &Cut);
-    Out = analyzeSampledWith<Visitor>(P, Decoded, OutMode, Stage, Stats);
-    if (Stats)
-      Stats->IncompleteTailRecords += Cut;
-    return Out;
-  }
-  PathGraphCache Paths(P); // Unused for sample records; required by scan.
-  SalvageStats Local;
-  std::vector<size_t> Prefix = scanCapture(P, Capture, Paths, Local);
-
-  std::vector<std::pair<std::vector<MethodId>,
-                        std::unordered_map<MethodId, uint64_t>>>
-      PerThread = parallelMap(Capture.Threads.size(), 1, Stage,
-                              [&](size_t T) {
-                                Visitor A;
-                                LocalPathCache LocalPaths(Paths);
-                                replayThreadPrefix(P, Capture.Options.Mode,
-                                                   Capture.Threads[T].Words,
-                                                   Prefix[T], LocalPaths, {&A});
-                                return std::make_pair(std::move(A.Ids.Order),
-                                                      std::move(A.Counts));
-                              });
-
-  std::vector<MethodId> Order;
-  std::unordered_set<MethodId> Seen;
-  std::unordered_map<MethodId, uint64_t> Totals;
-  for (const auto &[ThreadOrder, ThreadCounts] : PerThread) {
-    for (MethodId M : ThreadOrder)
-      if (Seen.insert(M).second)
-        Order.push_back(M);
-    for (const auto &[M, N] : ThreadCounts)
-      Totals[M] += N;
-  }
-  Out.Sigs = sigsOf(P, Order);
-  Out.Counts.reserve(Order.size());
-  for (MethodId M : Order)
-    Out.Counts.push_back(Totals[M]);
-  Out.Header.CoveragePermille = salvageCoveragePermille(Local);
-  if (Stats)
-    *Stats = Local;
-  return Out;
-}
-
-} // namespace
-
-CodeProfile nimg::analyzeSampledCuOrder(const Program &P,
-                                        const TraceCapture &Capture,
-                                        SalvageStats *Stats) {
-  return analyzeSampledWith<SampleCuFirstSeen>(P, Capture, TraceMode::CuOrder,
-                                               "replay_sample_cu", Stats);
-}
-
-CodeProfile nimg::analyzeSampledMethodOrder(const Program &P,
-                                            const TraceCapture &Capture,
-                                            SalvageStats *Stats) {
-  return analyzeSampledWith<SampleMethodFirstSeen>(
-      P, Capture, TraceMode::MethodOrder, "replay_sample_method", Stats);
-}
-
-std::vector<int32_t> nimg::analyzeHeapAccessOrder(const Program &P,
-                                                  const TraceCapture &Capture,
-                                                  PathGraphCache &Paths,
-                                                  SalvageStats *Stats) {
-  if (Capture.Options.Mode != TraceMode::HeapOrder) {
-    reportModeMismatch(Stats);
-    return {};
-  }
-  return analyzeFirstSeen<EntryFirstSeen, int32_t>(P, Capture, Paths,
-                                                   "replay_heap", Stats);
-}
-
-//===----------------------------------------------------------------------===//
-// Block execution counts (hot/cold splitting evidence).
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// First payload cell of the coverage row. '@' cannot start a method
-/// signature, so the row is unambiguous in the payload.
-constexpr const char *CoverageRowTag = "@coverage";
-
-class BlockCountAnalysis : public OrderingAnalysis {
-public:
-  void onBlockVisit(MethodId M, BlockId B) override {
-    ++Counts[(uint64_t(uint32_t(M)) << 32) | uint32_t(B)];
-  }
-  std::unordered_map<uint64_t, uint64_t> Counts;
-};
-
-} // namespace
-
-std::string BlockProfile::toCsv() const {
-  CsvDocument Doc;
-  Doc.Rows.reserve(Rows.size() + 1);
-  Doc.Rows.push_back({CoverageRowTag, std::to_string(CoveragePermille)});
-  for (const Row &R : Rows)
-    Doc.Rows.push_back(
-        {R.Sig, std::to_string(R.Block), std::to_string(R.Count)});
-  std::string Body = writeCsv(Doc);
-  return headerRowCsv(Header, crc32(Body)) + Body;
-}
-
-BlockProfile BlockProfile::fromCsv(const std::string &Text,
-                                   ProfileReadReport *Report) {
-  ProfileReadReport Local;
-  ProfileReadReport &R = Report ? *Report : Local;
-  R = ProfileReadReport{};
-  BlockProfile P;
-  P.CoveragePermille = 0; // Only an explicit coverage row vouches for one.
-  CsvDocument Doc = parseCsv(Text);
-  size_t Start = readProfileHeader(Text, Doc, R);
-  P.Header = R.Header;
-  if (!R.usable()) {
-    P.LoadError = R.Fatal;
-    meterProfileLoad("block", R);
-    return P;
-  }
-  P.Rows.reserve(Doc.Rows.size() - Start);
-  for (size_t I = Start; I < Doc.Rows.size(); ++I) {
-    const std::vector<std::string> &Row = Doc.Rows[I];
-    if (isBlankRow(Row))
-      continue;
-    if (Row[0] == CoverageRowTag) {
-      uint32_t Permille = 0;
-      if (Row.size() < 2 || !parseDecU32(Row[1], Permille) ||
-          Permille > 1000) {
-        ++R.RowsSkipped;
-        addIssue(R, ProfileError::MalformedCell, I + 1, "bad coverage row");
-        continue;
-      }
-      P.CoveragePermille = Permille;
-      ++R.RowsKept;
-      continue;
-    }
-    BlockProfile::Row Parsed;
-    if (Row.size() < 3 || Row[0].empty() || Row[0].size() > MaxSigBytes ||
-        !parseDecU32(Row[1], Parsed.Block) ||
-        !parseDecU64(Row[2], Parsed.Count)) {
-      ++R.RowsSkipped;
-      addIssue(R, ProfileError::MalformedCell, I + 1, "bad block-count row");
-      continue;
-    }
-    Parsed.Sig = Row[0];
-    P.Rows.push_back(std::move(Parsed));
-    ++R.RowsKept;
-  }
-  meterProfileLoad("block", R);
-  return P;
-}
-
-BlockProfile nimg::analyzeBlockCounts(const Program &P,
-                                      const TraceCapture &Capture,
-                                      PathGraphCache &Paths,
-                                      SalvageStats *StatsOut) {
+BlockProfile BlockCountAnalysis::finish(const SalvageStats &Stats) const {
   BlockProfile Out;
   Out.Header.Mode = TraceMode::MethodOrder;
-  if (Capture.Options.Mode != TraceMode::MethodOrder) {
-    reportModeMismatch(StatsOut);
-    Out.CoveragePermille = 0;
-    return Out;
-  }
-  if (captureEncoded(Capture)) {
-    size_t Cut = 0;
-    TraceCapture Decoded = decodeCapture(Capture, &Cut);
-    Out = analyzeBlockCounts(P, Decoded, Paths, StatsOut);
-    if (StatsOut)
-      StatsOut->IncompleteTailRecords += Cut;
-    return Out;
-  }
-
-  SalvageStats Stats;
-  std::vector<size_t> Prefix = scanCapture(P, Capture, Paths, Stats);
-  std::vector<std::unordered_map<uint64_t, uint64_t>> PerThread = parallelMap(
-      Capture.Threads.size(), 1, "replay_blocks", [&](size_t T) {
-        BlockCountAnalysis A;
-        A.Counts.reserve(Prefix[T] < 4096 ? Prefix[T] : 4096);
-        LocalPathCache Local(Paths);
-        replayThreadPrefix(P, Capture.Options.Mode, Capture.Threads[T].Words,
-                           Prefix[T], Local, {&A});
-        return std::move(A.Counts);
-      });
-
-  // Counts merge by summation — order-insensitive, so the merged map is
-  // identical for any worker count; the sorted rows below fix the output
-  // byte order.
-  std::unordered_map<uint64_t, uint64_t> Merged;
-  size_t Hint = 0;
-  for (const auto &M : PerThread)
-    Hint += M.size();
-  Merged.reserve(Hint);
-  for (const auto &M : PerThread)
-    for (const auto &[Key, N] : M)
-      Merged[Key] += N;
-
-  Out.Rows.reserve(Merged.size());
-  for (const auto &[Key, N] : Merged) {
+  Out.Rows.reserve(Counts.size());
+  for (const auto &[Key, N] : Counts) {
     BlockProfile::Row R;
     R.Sig = P.method(MethodId(int32_t(Key >> 32))).Sig;
     R.Block = uint32_t(Key & 0xffffffffu);
@@ -898,189 +632,54 @@ BlockProfile nimg::analyzeBlockCounts(const Program &P,
                 return A.Sig < B.Sig;
               return A.Block < B.Block;
             });
-
-  Out.CoveragePermille =
-      Stats.WordsScanned
-          ? uint32_t(Stats.WordsKept * 1000 / Stats.WordsScanned)
-          : 0;
+  Out.CoveragePermille = coveragePermille(Stats, 0);
   NIMG_COUNTER_ADD("nimg.split.block_rows", Out.Rows.size());
-  if (StatsOut)
-    *StatsOut = Stats;
   return Out;
 }
 
-//===----------------------------------------------------------------------===//
-// CFG-edge execution counts (ext-TSP block-reordering evidence).
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Per-thread CFG-edge counter. Consecutive block pairs within one path
-/// record are true CFG edges by construction. The edges a record cut
-/// severs — loop back edges and frame-pushing call sites — are recovered
-/// by stitching: the last block of a method's previous record joins the
-/// first block of its next non-entry record, but only when the static CFG
-/// confirms the adjacency (a call cut resumes inside the same block, which
-/// the consecutive-duplicate collapse already handles; interleaved
-/// recursive invocations fail the successor check and contribute nothing).
-class EdgeCountAnalysis : public OrderingAnalysis {
-public:
-  explicit EdgeCountAnalysis(const Program &P) : P(P) {}
-
-  void onPathRecord(MethodId M, const std::vector<BlockId> &Blocks,
-                    bool MethodEntry) override {
-    for (size_t I = 0; I + 1 < Blocks.size(); ++I)
-      note(M, Blocks[I], Blocks[I + 1]);
-    auto [It, Fresh] = LastBlock.try_emplace(M, Blocks.back());
-    if (!Fresh) {
-      if (!MethodEntry && isStaticEdge(M, It->second, Blocks.front()))
-        note(M, It->second, Blocks.front());
-      It->second = Blocks.back();
-    }
+void EdgeCountAnalysis::onPathRecord(MethodId M,
+                                     const std::vector<BlockId> &Blocks,
+                                     bool MethodEntry) {
+  for (size_t I = 0; I + 1 < Blocks.size(); ++I)
+    note(M, Blocks[I], Blocks[I + 1]);
+  auto [It, Fresh] = LastBlock.try_emplace(M, Blocks.back());
+  if (!Fresh) {
+    if (!MethodEntry && isStaticEdge(M, It->second, Blocks.front()))
+      note(M, It->second, Blocks.front());
+    It->second = Blocks.back();
   }
-
-  /// Key: (method << 40) | (from << 20) | to. Blocks per method are far
-  /// below 2^20 (the path-id field itself is 20 bits) and method ids far
-  /// below 2^24; out-of-range values are skipped defensively.
-  std::unordered_map<uint64_t, uint64_t> Counts;
-
-private:
-  void note(MethodId M, BlockId From, BlockId To) {
-    if (uint32_t(M) >= (1u << 24) || uint32_t(From) >= (1u << 20) ||
-        uint32_t(To) >= (1u << 20))
-      return;
-    ++Counts[(uint64_t(uint32_t(M)) << 40) | (uint64_t(uint32_t(From)) << 20) |
-             uint32_t(To)];
-  }
-
-  bool isStaticEdge(MethodId M, BlockId From, BlockId To) const {
-    const Method &Meth = P.method(M);
-    if (size_t(From) >= Meth.Blocks.size() ||
-        Meth.Blocks[size_t(From)].Instrs.empty())
-      return false;
-    const Instr &Term = Meth.Blocks[size_t(From)].Instrs.back();
-    switch (Term.Op) {
-    case Opcode::Br:
-      return Term.Target == To || BlockId(Term.Aux2) == To;
-    case Opcode::Jmp:
-      return Term.Target == To;
-    default:
-      return false;
-    }
-  }
-
-  const Program &P;
-  /// Last path-record tail block seen per method within this thread.
-  std::unordered_map<MethodId, BlockId> LastBlock;
-};
-
-} // namespace
-
-std::string EdgeProfile::toCsv() const {
-  CsvDocument Doc;
-  Doc.Rows.reserve(Rows.size() + 1);
-  Doc.Rows.push_back({CoverageRowTag, std::to_string(CoveragePermille)});
-  for (const Row &R : Rows)
-    Doc.Rows.push_back({R.Sig, std::to_string(R.From), std::to_string(R.To),
-                        std::to_string(R.Count)});
-  std::string Body = writeCsv(Doc);
-  return headerRowCsv(Header, crc32(Body)) + Body;
 }
 
-EdgeProfile EdgeProfile::fromCsv(const std::string &Text,
-                                 ProfileReadReport *Report) {
-  ProfileReadReport Local;
-  ProfileReadReport &R = Report ? *Report : Local;
-  R = ProfileReadReport{};
-  EdgeProfile P;
-  P.CoveragePermille = 0; // Only an explicit coverage row vouches for one.
-  CsvDocument Doc = parseCsv(Text);
-  size_t Start = readProfileHeader(Text, Doc, R);
-  P.Header = R.Header;
-  if (!R.usable()) {
-    P.LoadError = R.Fatal;
-    meterProfileLoad("edge", R);
-    return P;
-  }
-  P.Rows.reserve(Doc.Rows.size() - Start);
-  for (size_t I = Start; I < Doc.Rows.size(); ++I) {
-    const std::vector<std::string> &Row = Doc.Rows[I];
-    if (isBlankRow(Row))
-      continue;
-    if (Row[0] == CoverageRowTag) {
-      uint32_t Permille = 0;
-      if (Row.size() < 2 || !parseDecU32(Row[1], Permille) ||
-          Permille > 1000) {
-        ++R.RowsSkipped;
-        addIssue(R, ProfileError::MalformedCell, I + 1, "bad coverage row");
-        continue;
-      }
-      P.CoveragePermille = Permille;
-      ++R.RowsKept;
-      continue;
-    }
-    EdgeProfile::Row Parsed;
-    if (Row.size() < 4 || Row[0].empty() || Row[0].size() > MaxSigBytes ||
-        !parseDecU32(Row[1], Parsed.From) || !parseDecU32(Row[2], Parsed.To) ||
-        !parseDecU64(Row[3], Parsed.Count)) {
-      ++R.RowsSkipped;
-      addIssue(R, ProfileError::MalformedCell, I + 1, "bad edge-count row");
-      continue;
-    }
-    Parsed.Sig = Row[0];
-    P.Rows.push_back(std::move(Parsed));
-    ++R.RowsKept;
-  }
-  meterProfileLoad("edge", R);
-  return P;
+void EdgeCountAnalysis::note(MethodId M, BlockId From, BlockId To) {
+  if (uint32_t(M) >= (1u << 24) || uint32_t(From) >= (1u << 20) ||
+      uint32_t(To) >= (1u << 20))
+    return;
+  ++Counts[(uint64_t(uint32_t(M)) << 40) | (uint64_t(uint32_t(From)) << 20) |
+           uint32_t(To)];
 }
 
-EdgeProfile nimg::analyzeEdgeCounts(const Program &P,
-                                    const TraceCapture &Capture,
-                                    PathGraphCache &Paths,
-                                    SalvageStats *StatsOut) {
+bool EdgeCountAnalysis::isStaticEdge(MethodId M, BlockId From,
+                                     BlockId To) const {
+  const Method &Meth = P.method(M);
+  if (size_t(From) >= Meth.Blocks.size() ||
+      Meth.Blocks[size_t(From)].Instrs.empty())
+    return false;
+  const Instr &Term = Meth.Blocks[size_t(From)].Instrs.back();
+  switch (Term.Op) {
+  case Opcode::Br:
+    return Term.Target == To || BlockId(Term.Aux2) == To;
+  case Opcode::Jmp:
+    return Term.Target == To;
+  default:
+    return false;
+  }
+}
+
+EdgeProfile EdgeCountAnalysis::finish(const SalvageStats &Stats) const {
   EdgeProfile Out;
   Out.Header.Mode = TraceMode::MethodOrder;
-  if (Capture.Options.Mode != TraceMode::MethodOrder) {
-    reportModeMismatch(StatsOut);
-    Out.CoveragePermille = 0;
-    return Out;
-  }
-  if (captureEncoded(Capture)) {
-    size_t Cut = 0;
-    TraceCapture Decoded = decodeCapture(Capture, &Cut);
-    Out = analyzeEdgeCounts(P, Decoded, Paths, StatsOut);
-    if (StatsOut)
-      StatsOut->IncompleteTailRecords += Cut;
-    return Out;
-  }
-
-  SalvageStats Stats;
-  std::vector<size_t> Prefix = scanCapture(P, Capture, Paths, Stats);
-  std::vector<std::unordered_map<uint64_t, uint64_t>> PerThread = parallelMap(
-      Capture.Threads.size(), 1, "replay_edges", [&](size_t T) {
-        EdgeCountAnalysis A(P);
-        A.Counts.reserve(Prefix[T] < 4096 ? Prefix[T] : 4096);
-        LocalPathCache Local(Paths);
-        replayThreadPrefix(P, Capture.Options.Mode, Capture.Threads[T].Words,
-                           Prefix[T], Local, {&A});
-        return std::move(A.Counts);
-      });
-
-  // Counts merge by summation — order-insensitive, so the merged map is
-  // identical for any worker count; the sorted rows below fix the output
-  // byte order.
-  std::unordered_map<uint64_t, uint64_t> Merged;
-  size_t Hint = 0;
-  for (const auto &M : PerThread)
-    Hint += M.size();
-  Merged.reserve(Hint);
-  for (const auto &M : PerThread)
-    for (const auto &[Key, N] : M)
-      Merged[Key] += N;
-
-  Out.Rows.reserve(Merged.size());
-  for (const auto &[Key, N] : Merged) {
+  Out.Rows.reserve(Counts.size());
+  for (const auto &[Key, N] : Counts) {
     EdgeProfile::Row R;
     R.Sig = P.method(MethodId(int32_t(Key >> 40))).Sig;
     R.From = uint32_t((Key >> 20) & 0xfffffu);
@@ -1096,15 +695,77 @@ EdgeProfile nimg::analyzeEdgeCounts(const Program &P,
                 return A.From < B.From;
               return A.To < B.To;
             });
-
-  Out.CoveragePermille =
-      Stats.WordsScanned
-          ? uint32_t(Stats.WordsKept * 1000 / Stats.WordsScanned)
-          : 0;
+  Out.CoveragePermille = coveragePermille(Stats, 0);
   NIMG_COUNTER_ADD("nimg.layout.exttsp.edge_rows", Out.Rows.size());
-  if (StatsOut)
-    *StatsOut = Stats;
   return Out;
+}
+
+//===----------------------------------------------------------------------===//
+// One-sink wrappers.
+//===----------------------------------------------------------------------===//
+
+CodeProfile nimg::analyzeCuOrder(const Program &P, const TraceCapture &Capture,
+                                 SalvageStats *Stats) {
+  PathGraphCache Paths(P); // Unused for cu records but required by replay.
+  CodeOrderAnalysis A(P, CodeOrderAnalysis::Source::CuEnter);
+  return A.finish(
+      replayInto(P, Capture, TraceMode::CuOrder, Paths, A, Stats));
+}
+
+CodeProfile nimg::analyzeMethodOrder(const Program &P,
+                                     const TraceCapture &Capture,
+                                     PathGraphCache &Paths,
+                                     SalvageStats *Stats) {
+  CodeOrderAnalysis A(P, CodeOrderAnalysis::Source::MethodEnter);
+  return A.finish(
+      replayInto(P, Capture, TraceMode::MethodOrder, Paths, A, Stats));
+}
+
+CodeProfile nimg::analyzeSampledCuOrder(const Program &P,
+                                        const TraceCapture &Capture,
+                                        SalvageStats *Stats) {
+  PathGraphCache Paths(P); // Unused for sample records; required by replay.
+  CodeOrderAnalysis A(P, CodeOrderAnalysis::Source::SampleRoot,
+                      Capture.Options.SamplePeriod);
+  return A.finish(
+      replayInto(P, Capture, TraceMode::Sampled, Paths, A, Stats));
+}
+
+CodeProfile nimg::analyzeSampledMethodOrder(const Program &P,
+                                            const TraceCapture &Capture,
+                                            SalvageStats *Stats) {
+  PathGraphCache Paths(P); // Unused for sample records; required by replay.
+  CodeOrderAnalysis A(P, CodeOrderAnalysis::Source::SampleMethod,
+                      Capture.Options.SamplePeriod);
+  return A.finish(
+      replayInto(P, Capture, TraceMode::Sampled, Paths, A, Stats));
+}
+
+std::vector<int32_t> nimg::analyzeHeapAccessOrder(const Program &P,
+                                                  const TraceCapture &Capture,
+                                                  PathGraphCache &Paths,
+                                                  SalvageStats *Stats) {
+  HeapAccessAnalysis A;
+  replayInto(P, Capture, TraceMode::HeapOrder, Paths, A, Stats);
+  return A.finish();
+}
+
+BlockProfile nimg::analyzeBlockCounts(const Program &P,
+                                      const TraceCapture &Capture,
+                                      PathGraphCache &Paths,
+                                      SalvageStats *Stats) {
+  BlockCountAnalysis A(P);
+  return A.finish(
+      replayInto(P, Capture, TraceMode::MethodOrder, Paths, A, Stats));
+}
+
+EdgeProfile nimg::analyzeEdgeCounts(const Program &P,
+                                    const TraceCapture &Capture,
+                                    PathGraphCache &Paths,
+                                    SalvageStats *Stats) {
+  EdgeCountAnalysis A(P);
+  return A.finish(
+      replayInto(P, Capture, TraceMode::MethodOrder, Paths, A, Stats));
 }
 
 HeapProfile nimg::heapProfileFor(const std::vector<int32_t> &EntryOrder,

@@ -29,6 +29,7 @@
 #include "src/profiling/TraceSalvage.h"
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace nimg {
@@ -73,10 +74,76 @@ struct HeapProfile {
                              ProfileReadReport *Report = nullptr);
 };
 
+/// Per-basic-block execution counts derived by replaying a MethodOrder
+/// path capture — the evidence the hot/cold CU splitter consumes. Counts
+/// are keyed by (method signature, block index) so they apply to every
+/// inline copy of a method. CoveragePermille records how much of the raw
+/// trace survived salvage when the counts were derived; the splitter
+/// degrades to unsplit below its threshold (the counts of a heavily
+/// truncated trace under-report executed blocks, and a block wrongly
+/// believed cold would fault on the cold tail every startup).
+struct BlockProfile {
+  ProfileHeader Header;
+  ProfileError LoadError = ProfileError::None;
+  /// WordsKept * 1000 / WordsScanned of the deriving salvage scan; 1000
+  /// for a clean trace, 0 when nothing was scanned.
+  uint32_t CoveragePermille = 1000;
+
+  struct Row {
+    std::string Sig;
+    uint32_t Block = 0;
+    uint64_t Count = 0;
+  };
+  /// Sorted by Sig then Block.
+  std::vector<Row> Rows;
+
+  bool usable() const { return LoadError == ProfileError::None; }
+
+  std::string toCsv() const;
+  static BlockProfile fromCsv(const std::string &Text,
+                              ProfileReadReport *Report = nullptr);
+};
+
+/// Per-CFG-edge execution counts derived by replaying a MethodOrder path
+/// capture — the evidence the ext-TSP block reorderer consumes. Edges are
+/// keyed by (method signature, source block, target block), so counts
+/// apply to every inline copy of a method, exactly like BlockProfile.
+/// Consecutive block pairs within one path record are true CFG edges; the
+/// edges a record cut severs (loop back edges, frame-pushing call sites)
+/// are re-stitched across records of the same method when the static CFG
+/// confirms the adjacency. CoveragePermille mirrors BlockProfile: the
+/// reorderer degrades to block index order below its threshold.
+struct EdgeProfile {
+  ProfileHeader Header;
+  ProfileError LoadError = ProfileError::None;
+  /// WordsKept * 1000 / WordsScanned of the deriving salvage scan; 1000
+  /// for a clean trace, 0 when nothing was scanned.
+  uint32_t CoveragePermille = 1000;
+
+  struct Row {
+    std::string Sig;
+    uint32_t From = 0;
+    uint32_t To = 0;
+    uint64_t Count = 0;
+  };
+  /// Sorted by Sig, then From, then To.
+  std::vector<Row> Rows;
+
+  bool usable() const { return LoadError == ProfileError::None; }
+
+  std::string toCsv() const;
+  static EdgeProfile fromCsv(const std::string &Text,
+                             ProfileReadReport *Report = nullptr);
+};
+
 /// An event sink in the visitor style of Sec. 6.2.
 class OrderingAnalysis {
 public:
   virtual ~OrderingAnalysis() = default;
+  /// Called before each traced thread's events. Sinks that relate
+  /// consecutive events (transition edges, edge stitching) reset that
+  /// state here: temporal adjacency exists only within one thread.
+  virtual void onThreadBegin() {}
   virtual void onCuEnter(MethodId Root) { (void)Root; }
   virtual void onMethodEnter(MethodId M) { (void)M; }
   /// One periodic sample from a Sampled-mode capture: the method that was
@@ -108,29 +175,129 @@ public:
   virtual void onObjectAccess(int32_t SnapshotEntry) { (void)SnapshotEntry; }
 };
 
-/// Replays a capture: salvages each thread's longest valid prefix, decodes
-/// path records via \p Paths, and dispatches events to \p Analyses in
-/// execution order. \p Stats (optional) reports what salvage dropped.
+/// The one replay loop: decodes an encoded capture, salvages each
+/// thread's longest valid prefix in one scan, decodes path records via
+/// \p Paths, and dispatches events to every sink in \p Analyses in
+/// execution order — threads replayed serially in creation order
+/// (Sec. 7.1), each preceded by onThreadBegin(). \p Stats (optional)
+/// reports what salvage dropped. The trace mode is not checked; see
+/// captureInMode().
 void replayTrace(const Program &P, const TraceCapture &Capture,
                  PathGraphCache &Paths,
                  const std::vector<OrderingAnalysis *> &Analyses,
                  SalvageStats *Stats = nullptr);
 
-/// Replays the already-salvaged prefix (\p End words) of one thread's
-/// trace, dispatching events to \p Analyses in that thread's execution
-/// order. The building block of the parallel analyses: the sequential
-/// semantics ("threads concatenated in creation order") equal per-thread
-/// replays merged in thread order. Callers obtain \p End from
-/// scanCapture().
-void replayThreadPrefix(const Program &P, TraceMode Mode,
-                        const std::vector<uint64_t> &Words, size_t End,
-                        LocalPathCache &Paths,
-                        const std::vector<OrderingAnalysis *> &Analyses);
+/// Ids in first-seen order with per-id event counts.
+template <typename Id> class FirstSeenOrder {
+public:
+  void note(Id V) {
+    auto [It, Fresh] = Index.try_emplace(V, Order.size());
+    if (Fresh) {
+      Order.push_back(V);
+      Hits.push_back(0);
+    }
+    ++Hits[It->second];
+  }
+  std::vector<Id> Order;
+  std::vector<uint64_t> Hits; ///< Parallel to Order.
 
-/// The cu-ordering profile (Sec. 4.1) from a CuOrder-mode capture. A
-/// capture in the wrong mode yields an empty profile (and sets
-/// Stats->ModeMismatch) instead of asserting — trace files are external
-/// input.
+private:
+  std::unordered_map<Id, size_t> Index;
+};
+
+/// Sink for the code-ordering profiles: methods ranked by the first
+/// occurrence of one event kind.
+class CodeOrderAnalysis : public OrderingAnalysis {
+public:
+  enum class Source : uint8_t {
+    CuEnter,      ///< CU roots by first entry (Sec. 4.1), with entry counts.
+    MethodEnter,  ///< Methods by first entry (Sec. 4.2), no counts.
+    SampleRoot,   ///< CU roots by earliest sample, with hit counts.
+    SampleMethod, ///< Sampled methods by earliest sample, with hit counts.
+  };
+  /// \p SamplePeriod stamps the header of the two sampled sources.
+  CodeOrderAnalysis(const Program &P, Source S, uint64_t SamplePeriod = 0)
+      : P(P), S(S), SamplePeriod(SamplePeriod) {}
+
+  void onCuEnter(MethodId Root) override;
+  void onMethodEnter(MethodId M) override;
+  void onSample(MethodId M, MethodId Root) override;
+
+  /// The profile, with header coverage from the replay's \p Stats. Sampled
+  /// sources are stamped Capture=Sampled with the cu or method mode, so
+  /// they flow through the instrumented ingestion paths unchanged.
+  CodeProfile finish(const SalvageStats &Stats) const;
+
+private:
+  const Program &P;
+  Source S;
+  uint64_t SamplePeriod;
+  FirstSeenOrder<MethodId> Ids;
+};
+
+/// Sink for the heap ordering: snapshot entries by first access.
+class HeapAccessAnalysis : public OrderingAnalysis {
+public:
+  void onObjectAccess(int32_t Entry) override { Entries.note(Entry); }
+  std::vector<int32_t> finish() const { return Entries.Order; }
+
+private:
+  FirstSeenOrder<int32_t> Entries;
+};
+
+/// Sink for per-block execution counts, keyed by (method, block).
+class BlockCountAnalysis : public OrderingAnalysis {
+public:
+  explicit BlockCountAnalysis(const Program &P) : P(P) {}
+  void onBlockVisit(MethodId M, BlockId B) override {
+    ++Counts[(uint64_t(uint32_t(M)) << 32) | uint32_t(B)];
+  }
+  /// The profile; CoveragePermille comes from \p Stats (0 when nothing was
+  /// scanned).
+  BlockProfile finish(const SalvageStats &Stats) const;
+
+private:
+  const Program &P;
+  std::unordered_map<uint64_t, uint64_t> Counts;
+};
+
+/// Sink for per-CFG-edge execution counts. Consecutive block pairs within
+/// one path record are true CFG edges by construction. The edges a record
+/// cut severs — loop back edges and frame-pushing call sites — are
+/// recovered by stitching: the last block of a method's previous record
+/// joins the first block of its next non-entry record, but only when the
+/// static CFG confirms the adjacency (a call cut resumes inside the same
+/// block, which the consecutive-duplicate collapse already handles;
+/// interleaved recursive invocations fail the successor check and
+/// contribute nothing). Stitching never crosses a thread boundary.
+class EdgeCountAnalysis : public OrderingAnalysis {
+public:
+  explicit EdgeCountAnalysis(const Program &P) : P(P) {}
+  void onThreadBegin() override { LastBlock.clear(); }
+  void onPathRecord(MethodId M, const std::vector<BlockId> &Blocks,
+                    bool MethodEntry) override;
+  /// The profile; CoveragePermille comes from \p Stats (0 when nothing was
+  /// scanned).
+  EdgeProfile finish(const SalvageStats &Stats) const;
+
+private:
+  void note(MethodId M, BlockId From, BlockId To);
+  bool isStaticEdge(MethodId M, BlockId From, BlockId To) const;
+
+  const Program &P;
+  /// Key: (method << 40) | (from << 20) | to. Blocks per method are far
+  /// below 2^20 (the path-id field itself is 20 bits) and method ids far
+  /// below 2^24; out-of-range values are skipped defensively.
+  std::unordered_map<uint64_t, uint64_t> Counts;
+  /// Last path-record tail block seen per method within this thread.
+  std::unordered_map<MethodId, BlockId> LastBlock;
+};
+
+// One-sink wrappers over replayTrace(). A capture in the wrong mode yields
+// an empty result (and sets Stats->ModeMismatch) instead of asserting —
+// trace files are external input.
+
+/// The cu-ordering profile (Sec. 4.1) from a CuOrder-mode capture.
 CodeProfile analyzeCuOrder(const Program &P, const TraceCapture &Capture,
                            SalvageStats *Stats = nullptr);
 
@@ -140,16 +307,13 @@ CodeProfile analyzeMethodOrder(const Program &P, const TraceCapture &Capture,
                                SalvageStats *Stats = nullptr);
 
 /// Rank reconstruction from a Sampled-mode capture at CU granularity: CU
-/// roots ordered by their earliest sample (per-thread streams merged in
-/// creation order), counts = sample hits per root. The emitted profile is
-/// stamped Mode=cu with Capture=Sampled and the capture's period, so it
-/// flows through the cu/cluster ingestion paths unchanged.
+/// roots ordered by their earliest sample, counts = sample hits per root,
+/// stamped Mode=cu with Capture=Sampled and the capture's period.
 CodeProfile analyzeSampledCuOrder(const Program &P, const TraceCapture &Capture,
                                   SalvageStats *Stats = nullptr);
 
 /// Same reconstruction at method granularity (Mode=method, for
-/// `--code method` builds): methods ordered by earliest sample, counts =
-/// sample hits per method.
+/// `--code method` builds).
 CodeProfile analyzeSampledMethodOrder(const Program &P,
                                       const TraceCapture &Capture,
                                       SalvageStats *Stats = nullptr);
@@ -165,83 +329,13 @@ std::vector<int32_t> analyzeHeapAccessOrder(const Program &P,
 HeapProfile heapProfileFor(const std::vector<int32_t> &EntryOrder,
                            const IdTable &Ids, HeapStrategy Strategy);
 
-/// Per-basic-block execution counts derived by replaying a MethodOrder
-/// path capture — the evidence the hot/cold CU splitter consumes. Counts
-/// are keyed by (method signature, block index) so they apply to every
-/// inline copy of a method. CoveragePermille records how much of the raw
-/// trace survived salvage when the counts were derived; the splitter
-/// degrades to unsplit below its threshold (the counts of a heavily
-/// truncated trace under-report executed blocks, and a block wrongly
-/// believed cold would fault on the cold tail every startup).
-struct BlockProfile {
-  ProfileHeader Header;
-  ProfileError LoadError = ProfileError::None;
-  /// WordsKept * 1000 / WordsScanned of the deriving salvage scan; 1000
-  /// for a clean trace, 0 when nothing was scanned.
-  uint32_t CoveragePermille = 1000;
-
-  struct Row {
-    std::string Sig;
-    uint32_t Block = 0;
-    uint64_t Count = 0;
-  };
-  /// Sorted by Sig then Block — a deterministic function of the merged
-  /// profile, independent of --jobs.
-  std::vector<Row> Rows;
-
-  bool usable() const { return LoadError == ProfileError::None; }
-
-  std::string toCsv() const;
-  static BlockProfile fromCsv(const std::string &Text,
-                              ProfileReadReport *Report = nullptr);
-};
-
-/// Derives per-block execution counts from a MethodOrder-mode capture.
-/// Per-thread counts merge by summation, so the result is byte-identical
-/// for any worker count. A capture in the wrong mode yields an empty
-/// profile (and sets Stats->ModeMismatch).
+/// Per-block execution counts from a MethodOrder-mode capture.
 BlockProfile analyzeBlockCounts(const Program &P, const TraceCapture &Capture,
                                 PathGraphCache &Paths,
                                 SalvageStats *Stats = nullptr);
 
-/// Per-CFG-edge execution counts derived by replaying a MethodOrder path
-/// capture — the evidence the ext-TSP block reorderer consumes. Edges are
-/// keyed by (method signature, source block, target block), so counts
-/// apply to every inline copy of a method, exactly like BlockProfile.
-/// Consecutive block pairs within one path record are true CFG edges; the
-/// edges a record cut severs (loop back edges, frame-pushing call sites)
-/// are re-stitched across records of the same method when the static CFG
-/// confirms the adjacency. CoveragePermille mirrors BlockProfile: the
-/// reorderer degrades to block index order below its threshold.
-struct EdgeProfile {
-  ProfileHeader Header;
-  ProfileError LoadError = ProfileError::None;
-  /// WordsKept * 1000 / WordsScanned of the deriving salvage scan; 1000
-  /// for a clean trace, 0 when nothing was scanned.
-  uint32_t CoveragePermille = 1000;
-
-  struct Row {
-    std::string Sig;
-    uint32_t From = 0;
-    uint32_t To = 0;
-    uint64_t Count = 0;
-  };
-  /// Sorted by Sig, then From, then To — a deterministic function of the
-  /// merged profile, independent of --jobs.
-  std::vector<Row> Rows;
-
-  bool usable() const { return LoadError == ProfileError::None; }
-
-  std::string toCsv() const;
-  static EdgeProfile fromCsv(const std::string &Text,
-                             ProfileReadReport *Report = nullptr);
-};
-
-/// Derives per-CFG-edge execution counts from a MethodOrder-mode capture
-/// (the same capture analyzeBlockCounts replays; no extra instrumented
-/// run). Per-thread counts merge by summation, so the result is
-/// byte-identical for any worker count. A capture in the wrong mode
-/// yields an empty profile (and sets Stats->ModeMismatch).
+/// Per-CFG-edge execution counts from a MethodOrder-mode capture (the same
+/// capture analyzeBlockCounts replays; no extra instrumented run).
 EdgeProfile analyzeEdgeCounts(const Program &P, const TraceCapture &Capture,
                               PathGraphCache &Paths,
                               SalvageStats *Stats = nullptr);

@@ -3,87 +3,24 @@
 #include "src/profiling/CallGraph.h"
 
 #include "src/obs/Metrics.h"
-#include "src/support/ThreadPool.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 using namespace nimg;
 
 void CallGraphAnalysis::onCuEnter(MethodId Root) {
-  if (Seen.insert(Root).second)
-    FirstSeen.push_back(Root);
+  Nodes.note(Root);
   // Self-transitions (a CU re-entered directly after itself) carry no
   // layout signal — the unit already shares its own pages — and would
   // otherwise dominate the weights on loop-heavy workloads.
   if (Prev != -1 && Prev != Root)
-    ++Weights[edgeKey(Prev, Root)];
+    ++Weights[(uint64_t(uint32_t(Prev)) << 32) | uint64_t(uint32_t(Root))];
   Prev = Root;
 }
 
-CuTransitionGraph nimg::analyzeCuTransitions(const Program &P,
-                                             const TraceCapture &Capture,
-                                             SalvageStats *StatsOut) {
+CuTransitionGraph CallGraphAnalysis::finish() const {
   CuTransitionGraph G;
-  if (Capture.Options.Mode != TraceMode::CuOrder) {
-    NIMG_COUNTER_ADD("nimg.salvage.mode_mismatch", 1);
-    if (StatsOut) {
-      *StatsOut = SalvageStats{};
-      StatsOut->ModeMismatch = true;
-    }
-    return G;
-  }
-
-  if (captureEncoded(Capture)) {
-    size_t Cut = 0;
-    TraceCapture Decoded = decodeCapture(Capture, &Cut);
-    G = analyzeCuTransitions(P, Decoded, StatsOut);
-    if (StatsOut)
-      StatsOut->IncompleteTailRecords += Cut;
-    return G;
-  }
-
-  SalvageStats Stats;
-  PathGraphCache Paths(P); // Unused for cu records but required by replay.
-  std::vector<size_t> Prefix = scanCapture(P, Capture, Paths, Stats);
-
-  // One task per traced thread; edges never cross a thread boundary (a
-  // temporal adjacency only exists within one thread's execution), so the
-  // per-thread graphs are independent.
-  std::vector<CallGraphAnalysis> PerThread(Capture.Threads.size());
-  parallelMap(Capture.Threads.size(), 1, "replay_cluster", [&](size_t T) {
-    LocalPathCache Local(Paths);
-    // The valid prefix length bounds both distinct CUs and distinct edges;
-    // pre-sizing from it removes the incremental rehash churn the --jobs 8
-    // profile shows on these per-thread maps.
-    PerThread[T].reserveHint(Prefix[T]);
-    replayThreadPrefix(P, Capture.Options.Mode, Capture.Threads[T].Words,
-                       Prefix[T], Local, {&PerThread[T]});
-    return 0;
-  });
-
-  // Thread-order merge: first-seen orders concatenate with a global seen
-  // set (earlier threads win ties, exactly as a sequential replay of the
-  // concatenated threads would), and edge weights sum — both independent
-  // of which worker ran which thread, so the graph is byte-identical for
-  // any --jobs value.
-  size_t NodeHint = 0, EdgeHint = 0;
-  for (const CallGraphAnalysis &A : PerThread) {
-    NodeHint += A.FirstSeen.size();
-    EdgeHint += A.Weights.size();
-  }
-  std::unordered_set<MethodId> Seen;
-  Seen.reserve(NodeHint);
-  std::unordered_map<uint64_t, uint64_t> Weights;
-  Weights.reserve(EdgeHint);
-  for (const CallGraphAnalysis &A : PerThread) {
-    for (MethodId M : A.FirstSeen)
-      if (Seen.insert(M).second)
-        G.FirstSeen.push_back(M);
-    for (const auto &[Key, W] : A.Weights)
-      Weights[Key] += W;
-  }
-
+  G.FirstSeen = Nodes.Order;
   G.Edges.reserve(Weights.size());
   for (const auto &[Key, W] : Weights) {
     CuTransitionGraph::Edge E;
@@ -101,10 +38,20 @@ CuTransitionGraph nimg::analyzeCuTransitions(const Program &P,
                 return A.From < B.From;
               return A.To < B.To;
             });
-
   NIMG_COUNTER_ADD("nimg.order.cluster.graph_nodes", G.FirstSeen.size());
   NIMG_COUNTER_ADD("nimg.order.cluster.graph_edges", G.Edges.size());
+  return G;
+}
+
+CuTransitionGraph nimg::analyzeCuTransitions(const Program &P,
+                                             const TraceCapture &Capture,
+                                             SalvageStats *StatsOut) {
+  CallGraphAnalysis A;
+  SalvageStats Stats;
+  PathGraphCache Paths(P); // Unused for cu records but required by replay.
+  if (captureInMode(Capture, TraceMode::CuOrder, Stats))
+    replayTrace(P, Capture, Paths, {&A}, &Stats);
   if (StatsOut)
     *StatsOut = Stats;
-  return G;
+  return A.finish();
 }

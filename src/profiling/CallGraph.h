@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace nimg {
@@ -49,43 +48,28 @@ struct CuTransitionGraph {
   bool empty() const { return Edges.empty(); }
 };
 
-/// Visitor accumulating first-seen order and temporal-adjacency edge
-/// weights from CU-entry events of a single thread. One instance per
-/// traced thread; per-thread results merge deterministically in thread
-/// creation order (weights sum, first-seen orders concatenate-dedup), so
-/// the graph is byte-identical for any worker count.
+/// Sink accumulating first-seen order and temporal-adjacency edge weights
+/// from CU-entry events. Adjacency never spans two threads: the previous
+/// CU resets at every thread boundary.
 class CallGraphAnalysis : public OrderingAnalysis {
 public:
+  void onThreadBegin() override { Prev = -1; }
   void onCuEnter(MethodId Root) override;
-
-  /// Pre-sizes the node/edge maps for a thread expected to replay
-  /// \p TraceWords CU records (capped — long loopy traces revisit the same
-  /// few CUs, so sizing for every word would only waste memory).
-  void reserveHint(size_t TraceWords) {
-    size_t Hint = TraceWords < 4096 ? TraceWords : 4096;
-    Seen.reserve(Hint);
-    Weights.reserve(Hint);
-  }
-
-  std::vector<MethodId> FirstSeen;
-  /// (From << 32 | To) -> weight. Key packing is valid because MethodId is
-  /// a non-negative int32 for every decoded CU record.
-  std::unordered_map<uint64_t, uint64_t> Weights;
-
-  static uint64_t edgeKey(MethodId From, MethodId To) {
-    return (uint64_t(uint32_t(From)) << 32) | uint64_t(uint32_t(To));
-  }
+  /// The graph, edges sorted by (From, To).
+  CuTransitionGraph finish() const;
 
 private:
   MethodId Prev = -1;
-  std::unordered_set<MethodId> Seen;
+  FirstSeenOrder<MethodId> Nodes;
+  /// (From << 32 | To) -> weight. Key packing is valid because MethodId is
+  /// a non-negative int32 for every decoded CU record.
+  std::unordered_map<uint64_t, uint64_t> Weights;
 };
 
-/// Builds the CU transition graph from a CuOrder-mode capture, salvaging
-/// each thread's longest valid prefix first. A capture in the wrong mode
-/// yields an empty graph (and sets Stats->ModeMismatch) instead of
-/// asserting — trace files are external input. Runs on the shared pool
-/// (one task per traced thread) with a thread-order merge.
+/// Builds the CU transition graph from a CuOrder-mode capture through
+/// replayTrace(). A capture in the wrong mode yields an empty graph (and
+/// sets Stats->ModeMismatch) instead of asserting — trace files are
+/// external input.
 CuTransitionGraph analyzeCuTransitions(const Program &P,
                                        const TraceCapture &Capture,
                                        SalvageStats *Stats = nullptr);

@@ -88,7 +88,7 @@ public:
 
   /// Scratch-reusing variant of decode(): clears and refills \p Events in
   /// place, so a replay loop decoding one record per trace word keeps one
-  /// PathEvents per worker instead of reallocating its vectors per record.
+  /// PathEvents instead of reallocating its vectors per record.
   void decodeInto(uint64_t PathId, PathEvents &Events) const;
 
 private:
@@ -125,8 +125,7 @@ private:
 };
 
 /// Lazily built, shared per-program cache of path graphs. of() is
-/// thread-safe — parallel trace post-processing shares one cache across
-/// workers — and the returned reference stays valid for the cache's
+/// thread-safe, and the returned reference stays valid for the cache's
 /// lifetime (graphs are heap-allocated; the map only moves pointers).
 class PathGraphCache {
 public:
@@ -146,9 +145,9 @@ private:
   std::unordered_map<MethodId, std::unique_ptr<PathGraph>> Cache;
 };
 
-/// Per-worker lock-free front of a shared PathGraphCache: repeat lookups
-/// of the same method (the common case while replaying one thread's trace)
-/// hit the local pointer map and never touch the shared mutex.
+/// Lock-free front of a shared PathGraphCache: repeat lookups of the same
+/// method (the common case while scanning or replaying a trace) hit the
+/// local pointer map and never touch the shared mutex.
 class LocalPathCache {
 public:
   explicit LocalPathCache(PathGraphCache &Shared) : Shared(Shared) {}

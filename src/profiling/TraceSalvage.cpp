@@ -3,7 +3,6 @@
 #include "src/profiling/TraceSalvage.h"
 
 #include "src/obs/Metrics.h"
-#include "src/support/ThreadPool.h"
 
 using namespace nimg;
 
@@ -72,28 +71,37 @@ size_t scanThread(const Program &P, TraceMode Mode,
 
 } // namespace
 
-size_t nimg::scanThreadWords(const Program &P, TraceMode Mode,
-                             const std::vector<uint64_t> &Words,
-                             PathGraphCache &Paths, SalvageStats &Stats,
-                             const SalvageOptions &Opts) {
+std::vector<size_t> nimg::scanCapture(const Program &P, const TraceCapture &C,
+                                      PathGraphCache &Paths,
+                                      SalvageStats &Stats,
+                                      const SalvageOptions &Opts) {
   LocalPathCache Local(Paths);
-  bool IncompleteTail = false;
-  size_t Valid = scanThread(P, Mode, Words, Local, Opts, IncompleteTail);
-  Stats.WordsScanned += Words.size();
-  Stats.WordsKept += Valid;
-  Stats.WordsDropped += Words.size() - Valid;
-  if (IncompleteTail)
-    ++Stats.IncompleteTailRecords;
-  if (Valid < Words.size()) {
-    if (Valid == 0)
-      ++Stats.ThreadsDropped;
-    else
-      ++Stats.ThreadsTruncated;
+  std::vector<size_t> Prefix(C.Threads.size(), 0);
+  SalvageStats Delta;
+  for (size_t T = 0; T < C.Threads.size(); ++T) {
+    const std::vector<uint64_t> &Words = C.Threads[T].Words;
+    bool IncompleteTail = false;
+    size_t Valid =
+        scanThread(P, C.Options.Mode, Words, Local, Opts, IncompleteTail);
+    Prefix[T] = Valid;
+    Delta.WordsScanned += Words.size();
+    Delta.WordsKept += Valid;
+    Delta.WordsDropped += Words.size() - Valid;
+    if (IncompleteTail)
+      ++Delta.IncompleteTailRecords;
+    if (Valid < Words.size()) {
+      if (Valid == 0)
+        ++Delta.ThreadsDropped;
+      else
+        ++Delta.ThreadsTruncated;
+    }
   }
-  return Valid;
-}
-
-void nimg::meterSalvageScan(const SalvageStats &Delta) {
+  Stats.WordsScanned += Delta.WordsScanned;
+  Stats.WordsKept += Delta.WordsKept;
+  Stats.WordsDropped += Delta.WordsDropped;
+  Stats.ThreadsTruncated += Delta.ThreadsTruncated;
+  Stats.ThreadsDropped += Delta.ThreadsDropped;
+  Stats.IncompleteTailRecords += Delta.IncompleteTailRecords;
   NIMG_COUNTER_ADD("nimg.salvage.scans", 1);
   NIMG_COUNTER_ADD("nimg.salvage.words_scanned", Delta.WordsScanned);
   NIMG_COUNTER_ADD("nimg.salvage.words_kept", Delta.WordsKept);
@@ -102,49 +110,17 @@ void nimg::meterSalvageScan(const SalvageStats &Delta) {
   NIMG_COUNTER_ADD("nimg.salvage.threads_dropped", Delta.ThreadsDropped);
   NIMG_COUNTER_ADD("nimg.salvage.incomplete_tail_records",
                    Delta.IncompleteTailRecords);
-#ifdef NIMG_OBS_DISABLED
-  (void)Delta;
-#endif
+  return Prefix;
 }
 
-std::vector<size_t> nimg::scanCapture(const Program &P, const TraceCapture &C,
-                                      PathGraphCache &Paths,
-                                      SalvageStats &Stats,
-                                      const SalvageOptions &Opts) {
-  // Each thread's scan is independent; scan them in parallel and merge
-  // stats in thread order (the merged totals are order-insensitive sums,
-  // so this is deterministic by construction).
-  struct ThreadScan {
-    size_t Valid = 0;
-    SalvageStats Stats;
-  };
-  std::vector<ThreadScan> Scans =
-      parallelMap(C.Threads.size(), 1, "salvage_scan", [&](size_t T) {
-        ThreadScan S;
-        S.Valid = scanThreadWords(P, C.Options.Mode, C.Threads[T].Words,
-                                  Paths, S.Stats, Opts);
-        return S;
-      });
-
-  std::vector<size_t> Prefix(C.Threads.size(), 0);
-  SalvageStats Delta;
-  for (size_t T = 0; T < Scans.size(); ++T) {
-    Prefix[T] = Scans[T].Valid;
-    Delta.WordsScanned += Scans[T].Stats.WordsScanned;
-    Delta.WordsKept += Scans[T].Stats.WordsKept;
-    Delta.WordsDropped += Scans[T].Stats.WordsDropped;
-    Delta.ThreadsTruncated += Scans[T].Stats.ThreadsTruncated;
-    Delta.ThreadsDropped += Scans[T].Stats.ThreadsDropped;
-    Delta.IncompleteTailRecords += Scans[T].Stats.IncompleteTailRecords;
-  }
-  Stats.WordsScanned += Delta.WordsScanned;
-  Stats.WordsKept += Delta.WordsKept;
-  Stats.WordsDropped += Delta.WordsDropped;
-  Stats.ThreadsTruncated += Delta.ThreadsTruncated;
-  Stats.ThreadsDropped += Delta.ThreadsDropped;
-  Stats.IncompleteTailRecords += Delta.IncompleteTailRecords;
-  meterSalvageScan(Delta);
-  return Prefix;
+bool nimg::captureInMode(const TraceCapture &C, TraceMode Mode,
+                         SalvageStats &Stats) {
+  if (C.Options.Mode == Mode)
+    return true;
+  NIMG_COUNTER_ADD("nimg.salvage.mode_mismatch", 1);
+  Stats = SalvageStats{};
+  Stats.ModeMismatch = true;
+  return false;
 }
 
 bool nimg::captureEncoded(const TraceCapture &C) {

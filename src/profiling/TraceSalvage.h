@@ -49,33 +49,24 @@ struct SalvageStats {
   size_t ThreadsDropped = 0;   ///< Nonempty thread with no valid prefix.
   size_t IncompleteTailRecords = 0; ///< Records cut mid-operands at a
                                     ///< thread's end (kept).
-  /// Set by the analyze* entry points when the capture's trace mode does
-  /// not match the requested analysis (the whole capture is ignored).
+  /// Set by captureInMode() when the capture's trace mode does not match
+  /// the requested analysis (the whole capture is ignored).
   bool ModeMismatch = false;
 
   bool clean() const { return WordsDropped == 0 && !ModeMismatch; }
 };
 
-/// Validates one thread's trace words. Returns the valid prefix length in
-/// words and accumulates this thread's contribution into \p Stats (which
-/// is not metered — callers batching several threads meter the merged
-/// delta once via meterSalvageScan()). Safe to call concurrently on
-/// distinct threads' words sharing \p Paths.
-size_t scanThreadWords(const Program &P, TraceMode Mode,
-                       const std::vector<uint64_t> &Words,
-                       PathGraphCache &Paths, SalvageStats &Stats,
-                       const SalvageOptions &Opts = {});
-
-/// Pushes one scan's accumulated stats \p Delta into the nimg.salvage.*
-/// counters (scanCapture does this internally).
-void meterSalvageScan(const SalvageStats &Delta);
-
 /// Validates \p C without copying it. Returns the valid prefix length (in
-/// words) of each thread and accumulates \p Stats. Threads are scanned in
-/// parallel on the shared pool and their stats merged in thread order.
+/// words) of each thread, accumulates \p Stats, and meters the scan into
+/// the nimg.salvage.* counters.
 std::vector<size_t> scanCapture(const Program &P, const TraceCapture &C,
                                 PathGraphCache &Paths, SalvageStats &Stats,
                                 const SalvageOptions &Opts = {});
+
+/// True when \p C is in \p Mode. Otherwise the analysis must ignore the
+/// capture: counts nimg.salvage.mode_mismatch and resets \p Stats to a
+/// ModeMismatch report.
+bool captureInMode(const TraceCapture &C, TraceMode Mode, SalvageStats &Stats);
 
 /// Returns a cleaned copy of \p C with every thread truncated to its valid
 /// prefix. Re-scanning the result is always clean. Accepts both trace
