@@ -3,10 +3,9 @@
 // Part of the nimage project, a reproduction of "Improving Native-Image
 // Startup Performance" (CGO 2025).
 //
-// Thread scaling of the two parallelized build stages (DESIGN.md § 10):
-// per-CU compilation and heap-identity assignment. Runs the stage bundle
-// at --jobs 1/2/4/8 over one AWFY macro benchmark and one microservice
-// workload, and reports two speedup curves:
+// Thread scaling of the parallelized build stage (DESIGN.md § 10): per-CU
+// compilation. Runs it at --jobs 1/2/4/8 over one AWFY macro benchmark and
+// one microservice workload, and reports two speedup curves:
 //
 //  - wall: measured wall clock. Only meaningful on a multi-core host; in a
 //    single-CPU container all worker counts serialize onto one core.
@@ -16,14 +15,13 @@
 //    the one the acceptance check reads.
 //
 // Determinism is asserted as a side effect: every jobs level must produce
-// the same compiled program and identity tables as jobs=1.
+// the same compiled program as jobs=1.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
 #include "src/compiler/Inliner.h"
 #include "src/core/Builder.h"
-#include "src/ordering/IdStrategies.h"
 #include "src/support/ThreadPool.h"
 #include "src/workloads/Workloads.h"
 
@@ -49,12 +47,11 @@ uint64_t monotonicNs() {
 }
 
 /// One workload's fixed inputs: everything the timed region consumes is
-/// prepared once so the measurement covers only the parallelized stages.
+/// prepared once so the measurement covers only the parallelized stage.
 struct Fixture {
   std::string Name;
   std::unique_ptr<Program> P;
   ReachabilityResult Reach;
-  NativeImage InstrImg;
 
   explicit Fixture(const BenchmarkSpec &Spec) : Name(Spec.Name) {
     std::vector<std::string> Errors;
@@ -66,16 +63,6 @@ struct Fixture {
     }
     ensureClassMetaClass(*P);
     Reach = analyzeReachability(*P);
-    BuildConfig ICfg;
-    ICfg.Seed = 1001;
-    ICfg.Instrumented = true;
-    InstrImg = buildNativeImage(*P, ICfg);
-    if (InstrImg.Built.Failed) {
-      std::fprintf(stderr, "error: instrumented build failed: %s\n",
-                   InstrImg.Built.FailureMessage.c_str());
-      P.reset();
-      return;
-    }
   }
 };
 
@@ -83,10 +70,9 @@ struct Fixture {
 struct StageOutputs {
   uint64_t InlineFingerprint = 0;
   size_t NumCus = 0;
-  std::vector<uint64_t> StructIds;
 };
 
-/// Runs the parallel stage bundle once: CU formation, identity assignment.
+/// Runs the parallel stage once: CU formation.
 StageOutputs runStages(Fixture &F) {
   StageOutputs Out;
   InlinerConfig ICfg;
@@ -94,16 +80,11 @@ StageOutputs runStages(Fixture &F) {
       buildCompilationUnits(*F.P, F.Reach, ICfg, /*Instrumented=*/false);
   Out.InlineFingerprint = Code.InlineFingerprint;
   Out.NumCus = Code.CUs.size();
-
-  IdTable T = computeIdTable(*F.P, *F.InstrImg.Built.BuildHeap,
-                             F.InstrImg.Snapshot);
-  Out.StructIds = std::move(T.StructuralHashes);
   return Out;
 }
 
 bool sameOutputs(const StageOutputs &A, const StageOutputs &B) {
-  return A.InlineFingerprint == B.InlineFingerprint && A.NumCus == B.NumCus &&
-         A.StructIds == B.StructIds;
+  return A.InlineFingerprint == B.InlineFingerprint && A.NumCus == B.NumCus;
 }
 
 /// Chunk CPU times of one parallelFor invocation (one Batch sequence).
@@ -191,7 +172,7 @@ struct CurvePoint {
   uint64_t ModeledWallNs;
   double SpeedupWall;
   double SpeedupModeled;
-  double SpeedupBuildStages; ///< Modeled, compile + id_table only.
+  double SpeedupBuildStages; ///< Modeled, compile only.
 };
 
 } // namespace
@@ -258,7 +239,7 @@ int main(int Argc, char **Argv) {
   }
   setJobs(0);
 
-  std::printf("Parallel build-stage scaling — cu compile + id table\n");
+  std::printf("Parallel build-stage scaling — cu compile only\n");
   std::printf("host cpus: %d (wall speedup is flat on a single-core host; "
               "modeled is the scaling curve)\n\n",
               hardwareJobs());
@@ -274,7 +255,7 @@ int main(int Argc, char **Argv) {
     std::printf("\n");
   }
 
-  // The acceptance gate: the parallelized build stages must hit >= 2x
+  // The acceptance gate: the parallelized build stage must hit >= 2x
   // modeled speedup at 4 workers on every workload.
   bool AllDeterministic = true;
   double MinJobs4Build = 1e30;

@@ -415,11 +415,12 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
   }
 
   // 6. Identifier assignment (Sec. 5): the profiling build stores these in
-  //    the image; the optimizing build uses them only for matching.
+  //    the image; the optimizing build uses them only for matching. Root
+  //    structural hashes are computed once per base.
   {
     NIMG_SPAN("build", "id_table");
     Img.Ids = computeIdTable(P, *Img.Built.BuildHeap, Img.Snapshot,
-                             Cfg.StructuralMaxDepth);
+                             Cfg.StructuralMaxDepth, &Img.Base->StructuralIds);
   }
 
   // 7. Heap ordering (Sec. 5): match the profile's ids against this

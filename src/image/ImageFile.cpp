@@ -599,6 +599,8 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
     return false;
   if (Out.Layout.CuOffsets.size() != Out.code().CUs.size() ||
       Out.Ids.IncrementalIds.size() != Out.Snapshot.Entries.size() ||
+      Out.Ids.StructuralHashes.size() != Out.Snapshot.Entries.size() ||
+      Out.Ids.HeapPathHashes.size() != Out.Snapshot.Entries.size() ||
       Out.Layout.HugeRegionSize > Out.Layout.TextSize ||
       Out.Layout.HugePages > Out.Layout.HugePagesRequested ||
       (Out.Split.active() &&

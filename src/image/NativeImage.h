@@ -42,7 +42,8 @@ struct AccessLog;
 /// instrumentation) shares one immutable base. A base memoized in the
 /// program's build cache also keeps the layout-independent access logs of
 /// the runs made on its images, from which later runs of any image of the
-/// base are replayed instead of interpreted.
+/// base are replayed instead of interpreted. Every base keeps the root
+/// structural hashes its builds computed, which no layout changes.
 struct ImageBase {
   ReachabilityResult Reach;
   CompiledProgram Code;
@@ -52,6 +53,9 @@ struct ImageBase {
   /// (or with degraded compile tasks) get a private base with this false;
   /// their runs always interpret and never record.
   bool Cached = false;
+  /// Root structural hashes of the build heap's cells, filled by the
+  /// identity stage of the builds made on this base.
+  mutable StructuralHashMemo StructuralIds;
 
   /// The recorded log for execution key \p Key, or null.
   std::shared_ptr<const AccessLog> findLog(uint64_t Key) const;

@@ -2,12 +2,10 @@
 
 #include "src/ordering/IdStrategies.h"
 
+#include "src/obs/Metrics.h"
 #include "src/support/ByteBuffer.h"
 #include "src/support/Murmur3.h"
-#include "src/support/ThreadPool.h"
 
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 
 using namespace nimg;
@@ -70,66 +68,12 @@ private:
   uint64_t StringId = Unset;
 };
 
-/// Sharded memo of sub-object encodings keyed by (cell, depth). Shared by
-/// the parallel structural-hash pass: many entries reach the same hot
-/// sub-objects (interned strings, shared config objects) at the same
-/// depth, and the encoding is a pure function of the immutable build heap,
-/// so reusing a memoized encoding cannot change any hash — outputs stay
-/// byte-identical with or without hits, at any worker count.
-class StructuralMemo {
-public:
-  const std::vector<uint8_t> *lookup(CellIdx Cell, int Depth) const {
-    const Shard &S = shard(Cell, Depth);
-    std::lock_guard<std::mutex> G(S.Mu);
-    auto It = S.Map.find(key(Cell, Depth));
-    return It == S.Map.end() ? nullptr : It->second.get();
-  }
-
-  /// Inserts a copy of \p Bytes; the first insert for a key wins (races
-  /// between workers encoding the same sub-object are benign because every
-  /// encoding of a key is identical). Oversized encodings are not kept.
-  void insert(CellIdx Cell, int Depth, const std::vector<uint8_t> &Bytes) {
-    if (Bytes.size() > MaxEntryBytes)
-      return;
-    Shard &S = shard(Cell, Depth);
-    std::lock_guard<std::mutex> G(S.Mu);
-    S.Map.try_emplace(key(Cell, Depth),
-                      std::make_unique<std::vector<uint8_t>>(Bytes));
-  }
-
-  /// Memoize only depths the 3-bit key field can carry (MaxDepth beyond 7
-  /// is never used in practice; deeper calls just encode uncached).
-  static bool memoizable(int Depth) { return Depth >= 1 && Depth < 8; }
-
-private:
-  static constexpr size_t NumShards = 32;
-  static constexpr size_t MaxEntryBytes = 1 << 16;
-
-  struct Shard {
-    mutable std::mutex Mu;
-    std::unordered_map<uint64_t, std::unique_ptr<std::vector<uint8_t>>> Map;
-  };
-
-  static uint64_t key(CellIdx Cell, int Depth) {
-    return (uint64_t(uint32_t(Cell)) << 3) | uint64_t(Depth);
-  }
-  Shard &shard(CellIdx Cell, int Depth) {
-    return Shards[(size_t(uint32_t(Cell)) ^ size_t(Depth)) % NumShards];
-  }
-  const Shard &shard(CellIdx Cell, int Depth) const {
-    return Shards[(size_t(uint32_t(Cell)) ^ size_t(Depth)) % NumShards];
-  }
-
-  Shard Shards[NumShards];
-};
-
 /// Implements Alg. 2's encodeToBytes over heap cells. A "field entity" is
 /// a (declared type, runtime value) pair.
 class StructuralEncoder {
 public:
-  StructuralEncoder(const Program &P, const Heap &H, int MaxDepth,
-                    StructuralMemo *Memo = nullptr)
-      : P(P), H(H), MaxDepth(MaxDepth), Memo(Memo) {}
+  StructuralEncoder(const Program &P, const Heap &H, int MaxDepth)
+      : P(P), H(H), MaxDepth(MaxDepth) {}
 
   void encodeValue(ByteBuffer &Out, const Value &V, int Depth) {
     if (V.isNull()) {
@@ -159,24 +103,6 @@ public:
   }
 
   void encodeCell(ByteBuffer &Out, CellIdx Cell, int Depth) {
-    // Sub-objects (never the depth-0 root: its encoding is the whole hash
-    // input and is used exactly once) go through the shared memo.
-    if (Memo && StructuralMemo::memoizable(Depth)) {
-      if (const std::vector<uint8_t> *Hit = Memo->lookup(Cell, Depth)) {
-        Out.appendBytes(*Hit);
-        return;
-      }
-      ByteBuffer Sub;
-      encodeCellUncached(Sub, Cell, Depth);
-      Memo->insert(Cell, Depth, Sub.bytes());
-      Out.appendBytes(Sub.bytes());
-      return;
-    }
-    encodeCellUncached(Out, Cell, Depth);
-  }
-
-private:
-  void encodeCellUncached(ByteBuffer &Out, CellIdx Cell, int Depth) {
     const HeapCell &C = H.cell(Cell);
     Out.appendString(H.cellTypeName(Cell));
     bool ShouldRecurse = Depth < MaxDepth;
@@ -215,6 +141,7 @@ private:
     }
   }
 
+private:
   bool isPrimitiveOrString(const Value &V) const {
     if (V.Kind == ValueKind::Int || V.Kind == ValueKind::Double ||
         V.Kind == ValueKind::Bool)
@@ -225,7 +152,6 @@ private:
   const Program &P;
   const Heap &H;
   int MaxDepth;
-  StructuralMemo *Memo;
 };
 
 } // namespace
@@ -282,7 +208,8 @@ uint64_t nimg::heapPathHashOf(const Program &P, const Heap &H,
 }
 
 IdTable nimg::computeIdTable(const Program &P, const Heap &H,
-                             const HeapSnapshot &Snap, int MaxDepth) {
+                             const HeapSnapshot &Snap, int MaxDepth,
+                             StructuralHashMemo *Memo) {
   IdTable T;
   size_t N = Snap.Entries.size();
   T.IncrementalIds.assign(N, 0);
@@ -303,24 +230,39 @@ IdTable nimg::computeIdTable(const Program &P, const Heap &H,
     T.IncrementalIds[I] = (uint64_t(TypeId) << 32) | Count;
   }
 
-  // Alg. 2/3: each entry's hashes are pure functions of the immutable
-  // (P, H, Snap), so disjoint batches run on the shared pool; every chunk
-  // writes only its own slots of the two tables (ordered merge by index).
-  StructuralMemo Memo;
-  sharedPool().parallelFor(N, 32, "id_table",
-                           [&](size_t Begin, size_t End, size_t) {
-                             StructuralEncoder Enc(P, H, MaxDepth, &Memo);
-                             for (size_t I = Begin; I < End; ++I) {
-                               const SnapshotEntry &E = Snap.Entries[I];
-                               if (E.Elided)
-                                 continue;
-                               ByteBuffer Bytes;
-                               Enc.encodeCell(Bytes, E.Cell, 0);
-                               T.StructuralHashes[I] =
-                                   murmurHash3(Bytes.bytes());
-                               T.HeapPathHashes[I] =
-                                   heapPathHashOf(P, H, Snap, int32_t(I));
-                             }
-                           });
+  // Alg. 2: a root hash depends only on (H, cell, MaxDepth), so builds
+  // sharing H take it from the memo; only cells no earlier build of this
+  // depth stored are encoded. Alg. 3 depends on the snapshot's first paths,
+  // which move with the code order, so heap paths are hashed per build.
+  std::unique_lock<std::mutex> Lock;
+  if (Memo) {
+    Lock = std::unique_lock<std::mutex>(Memo->Mu);
+    if (Memo->MaxDepth != MaxDepth || Memo->Known.size() != H.numCells()) {
+      Memo->MaxDepth = MaxDepth;
+      Memo->Hashes.assign(H.numCells(), 0);
+      Memo->Known.assign(H.numCells(), 0);
+    }
+  }
+  uint64_t Computed = 0, Reused = 0;
+  for (size_t I = 0; I < N; ++I) {
+    const SnapshotEntry &E = Snap.Entries[I];
+    if (E.Elided)
+      continue;
+    size_t Cell = size_t(E.Cell);
+    if (Memo && Memo->Known[Cell]) {
+      T.StructuralHashes[I] = Memo->Hashes[Cell];
+      ++Reused;
+    } else {
+      T.StructuralHashes[I] = structuralHashOf(P, H, E.Cell, MaxDepth);
+      ++Computed;
+      if (Memo) {
+        Memo->Hashes[Cell] = T.StructuralHashes[I];
+        Memo->Known[Cell] = 1;
+      }
+    }
+    T.HeapPathHashes[I] = heapPathHashOf(P, H, Snap, int32_t(I));
+  }
+  NIMG_COUNTER_ADD("nimg.ids.structural_computed", Computed);
+  NIMG_COUNTER_ADD("nimg.ids.structural_reused", Reused);
   return T;
 }

@@ -29,6 +29,7 @@
 #include "src/heap/Snapshot.h"
 
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 namespace nimg {
@@ -69,12 +70,27 @@ uint64_t structuralHashOf(const Program &P, const Heap &H, CellIdx Cell,
 uint64_t heapPathHashOf(const Program &P, const Heap &H,
                         const HeapSnapshot &Snap, int32_t EntryIdx);
 
+/// Root structural hashes of one build heap's cells, kept across the builds
+/// that share the heap (ImageBase::StructuralIds). Alg. 2's hash is a pure
+/// function of (heap, cell, MaxDepth), so a kept hash equals a fresh one.
+/// computeIdTable fills it lazily and holds Mu for the whole fill; a fill
+/// at another MaxDepth starts it over.
+struct StructuralHashMemo {
+  std::mutex Mu;
+  int MaxDepth = 0;
+  std::vector<uint64_t> Hashes; ///< Indexed by cell.
+  std::vector<uint8_t> Known;   ///< Hashes[Cell] is filled.
+};
+
 /// Computes all three identity tables for a snapshot. Incremental ids are
 /// assigned in entry (traversal) order, matching Alg. 1's "object
-/// encounter order when traversing the heap object graph".
+/// encounter order when traversing the heap object graph". Root structural
+/// hashes come from, and go to, \p Memo when given; it must only ever be
+/// used with \p H.
 IdTable computeIdTable(const Program &P, const Heap &H,
                        const HeapSnapshot &Snap,
-                       int MaxDepth = DefaultStructuralMaxDepth);
+                       int MaxDepth = DefaultStructuralMaxDepth,
+                       StructuralHashMemo *Memo = nullptr);
 
 } // namespace nimg
 

@@ -82,25 +82,32 @@ std::vector<int32_t> nimg::orderObjectsWithProfile(const HeapSnapshot &Snap,
   assert(Table.size() == Snap.Entries.size() &&
          "identity table does not match the snapshot");
 
-  // Id -> stored entries bearing it, in default order.
-  std::unordered_map<uint64_t, std::vector<int32_t>> ByIdRev;
+  // Id -> the earliest unmatched stored entry bearing it; Next[E] is the
+  // following stored entry with E's id (-1 after the last). Built in
+  // reverse so each chain runs in default order; a match pops its head.
+  std::unordered_map<uint64_t, int32_t> Head;
+  Head.reserve(Snap.Entries.size());
+  std::vector<int32_t> Next(Snap.Entries.size(), -1);
   for (size_t I = Snap.Entries.size(); I > 0; --I) {
     size_t Idx = I - 1;
-    if (!Snap.Entries[Idx].Elided)
-      ByIdRev[Table[Idx]].push_back(int32_t(Idx));
+    if (Snap.Entries[Idx].Elided)
+      continue;
+    auto [It, Inserted] = Head.try_emplace(Table[Idx], int32_t(Idx));
+    if (!Inserted) {
+      Next[Idx] = It->second;
+      It->second = int32_t(Idx);
+    }
   }
-  // Reversed push order means vector backs hold the earliest entries; pop
-  // from the back to consume in default order.
 
   std::vector<int32_t> Hot;
   std::vector<bool> Placed(Snap.Entries.size(), false);
   size_t Matched = 0;
   for (uint64_t Id : Profile.Ids) {
-    auto It = ByIdRev.find(Id);
-    if (It == ByIdRev.end() || It->second.empty())
+    auto It = Head.find(Id);
+    if (It == Head.end() || It->second < 0)
       continue;
-    int32_t Entry = It->second.back();
-    It->second.pop_back();
+    int32_t Entry = It->second;
+    It->second = Next[size_t(Entry)];
     Hot.push_back(Entry);
     Placed[size_t(Entry)] = true;
     ++Matched;

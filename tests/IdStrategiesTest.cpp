@@ -2,9 +2,11 @@
 
 #include "src/core/Builder.h"
 #include "src/lang/Compile.h"
+#include "src/obs/Metrics.h"
 #include "src/ordering/IdStrategies.h"
 #include "src/support/ByteBuffer.h"
 #include "src/support/Murmur3.h"
+#include "src/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -247,3 +249,133 @@ TEST(IdTable, ElidedEntriesGetZeroIds) {
   }
   EXPECT_GT(Elided, 0u) << "PEA elided nothing at rate 2";
 }
+
+//===----------------------------------------------------------------------===//
+// The base's structural-hash memo: memoized tables equal fresh ones.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct PaperVariant {
+  const char *Name;
+  CodeStrategy Code;
+  bool UseHeap;
+  HeapStrategy Heap;
+};
+
+/// The paper's variants (Figs. 2-5). Code orders move the snapshot's
+/// traversal order, so each build asks the memo for entries in a new order.
+const PaperVariant PaperVariants[] = {
+    {"baseline", CodeStrategy::None, false, HeapStrategy::HeapPath},
+    {"cu", CodeStrategy::CuOrder, false, HeapStrategy::HeapPath},
+    {"method", CodeStrategy::MethodOrder, false, HeapStrategy::HeapPath},
+    {"incremental id", CodeStrategy::None, true, HeapStrategy::IncrementalId},
+    {"structural hash", CodeStrategy::None, true,
+     HeapStrategy::StructuralHash},
+    {"heap path", CodeStrategy::None, true, HeapStrategy::HeapPath},
+    {"cu+heap path", CodeStrategy::CuOrder, true, HeapStrategy::HeapPath},
+};
+
+BuildConfig variantConfig(const PaperVariant &V, uint64_t Seed,
+                          const CollectedProfiles &Prof) {
+  BuildConfig C;
+  C.Seed = Seed;
+  C.CodeOrder = V.Code;
+  if (V.Code == CodeStrategy::CuOrder)
+    C.CodeProf = &Prof.Cu;
+  else if (V.Code == CodeStrategy::MethodOrder)
+    C.CodeProf = &Prof.Method;
+  C.UseHeapOrder = V.UseHeap;
+  if (V.UseHeap) {
+    C.HeapOrder = V.Heap;
+    C.HeapProf = &Prof.forStrategy(V.Heap);
+  }
+  return C;
+}
+
+void expectFreshTable(const Program &P, const NativeImage &Img, int MaxDepth,
+                      const std::string &Ctx) {
+  IdTable Fresh = computeIdTable(P, *Img.Built.BuildHeap, Img.Snapshot,
+                                 MaxDepth, /*Memo=*/nullptr);
+  EXPECT_EQ(Img.Ids.IncrementalIds, Fresh.IncrementalIds) << Ctx;
+  EXPECT_EQ(Img.Ids.StructuralHashes, Fresh.StructuralHashes) << Ctx;
+  EXPECT_EQ(Img.Ids.HeapPathHashes, Fresh.HeapPathHashes) << Ctx;
+}
+
+class StructuralHashMemoOracle
+    : public testing::TestWithParam<std::string> {};
+
+std::vector<std::string> memoOraclePrograms() {
+  std::vector<std::string> Out = awfyBenchmarkNames();
+  for (const std::string &M : microserviceNames())
+    Out.push_back(M);
+  return Out;
+}
+
+} // namespace
+
+TEST_P(StructuralHashMemoOracle, WarmBuildsMatchFreshTables) {
+  bool Micro = false;
+  for (const std::string &M : microserviceNames())
+    Micro |= M == GetParam();
+  BenchmarkSpec Spec = Micro ? microserviceBenchmark(GetParam())
+                             : awfyBenchmark(GetParam());
+  std::vector<std::string> Errors;
+  std::unique_ptr<Program> P = compileBenchmark(Spec, Errors);
+  ASSERT_TRUE(P) << (Errors.empty() ? "" : Errors.front());
+  BuildConfig Instr;
+  Instr.Seed = 1001;
+  RunConfig RC;
+  RC.StopAtFirstResponse = Spec.Microservice;
+  CollectedProfiles Prof = collectProfiles(*P, Instr, RC);
+
+  // Every build after the first of a seed reads the memo its predecessors
+  // filled; each must equal a table computed from scratch.
+  for (uint64_t Seed : {7u, 11u})
+    for (const PaperVariant &V : PaperVariants) {
+      NativeImage Img = buildNativeImage(*P, variantConfig(V, Seed, Prof));
+      ASSERT_FALSE(Img.Built.Failed) << Img.Built.FailureMessage;
+      ASSERT_TRUE(Img.Base->Cached);
+      expectFreshTable(*P, Img, DefaultStructuralMaxDepth,
+                       std::string(V.Name) + " seed " + std::to_string(Seed));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Programs, StructuralHashMemoOracle,
+                         testing::ValuesIn(memoOraclePrograms()),
+                         [](const testing::TestParamInfo<std::string> &I) {
+                           return I.param;
+                         });
+
+TEST(StructuralHashMemo, DepthChangesRefillTheMemo) {
+  SnapFixture F; // Warms the base at the default depth.
+  for (int Depth : {1, 2, 3, 2}) {
+    BuildConfig Cfg;
+    Cfg.Seed = 5;
+    Cfg.EnablePea = false;
+    Cfg.StructuralMaxDepth = Depth;
+    NativeImage Img = buildNativeImage(F.P, Cfg);
+    EXPECT_EQ(Img.Base, F.Img.Base);
+    expectFreshTable(F.P, Img, Depth, "depth " + std::to_string(Depth));
+  }
+}
+
+#ifndef NIMG_OBS_DISABLED
+TEST(StructuralHashMemo, SecondBuildOfABaseComputesNoRootHash) {
+  auto Count = [](const char *Name) {
+    return obs::MetricsRegistry::global().counter(Name).value();
+  };
+  SnapFixture F;
+  uint64_t Computed0 = Count("nimg.ids.structural_computed");
+  uint64_t Reused0 = Count("nimg.ids.structural_reused");
+  BuildConfig Cfg;
+  Cfg.Seed = 5;
+  Cfg.EnablePea = false;
+  NativeImage Again = buildNativeImage(F.P, Cfg);
+  EXPECT_EQ(Again.Base, F.Img.Base);
+  EXPECT_EQ(Count("nimg.ids.structural_computed"), Computed0);
+  EXPECT_EQ(Count("nimg.ids.structural_reused") - Reused0,
+            Again.Snapshot.numStored());
+  EXPECT_EQ(Again.Ids.StructuralHashes, F.Img.Ids.StructuralHashes);
+}
+#endif

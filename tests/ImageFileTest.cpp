@@ -342,3 +342,21 @@ TEST(ImageFile, RejectsCorruptCellKind) {
   EXPECT_FALSE(deserializeImage(F.P, Bytes, Loaded, Error));
   EXPECT_EQ(Error, "corrupt cell kind");
 }
+
+TEST(ImageFile, RejectsIdTablesOfTheWrongLength) {
+  // Every identity table has one id per snapshot entry; a shorter one would
+  // be indexed past its end by the heap orderer and image_explorer.
+  for (bool Structural : {true, false}) {
+    Fixture F;
+    std::vector<uint64_t> &Table = Structural ? F.Img.Ids.StructuralHashes
+                                              : F.Img.Ids.HeapPathHashes;
+    ASSERT_GT(Table.size(), 3u);
+    Table.resize(Structural ? Table.size() - 1 : 3);
+    NativeImage Loaded;
+    std::string Error;
+    EXPECT_FALSE(deserializeImage(F.P, serializeImage(F.P, F.Img), Loaded,
+                                  Error))
+        << (Structural ? "structural" : "heap path");
+    EXPECT_EQ(Error, "inconsistent image file");
+  }
+}

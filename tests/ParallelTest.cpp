@@ -19,6 +19,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 using namespace nimg;
 
@@ -483,6 +484,67 @@ TEST(ParallelPipelineTest, IntermediateJobCountsMatchToo) {
     EXPECT_EQ(One.MergedImageBytes, J.MergedImageBytes) << "jobs=" << Jobs;
   }
   setJobs(0);
+}
+
+TEST(ParallelPipelineTest, ConcurrentBuildsOfOneBaseShareItsHashMemo) {
+  // Four threads build different layouts of one cached base at once; the
+  // first to take the base's structural-hash memo refills it (it was left
+  // at another depth), the others read it. Every image must equal the
+  // same layout built alone on a fresh program.
+  Program P;
+  std::vector<std::string> Errors;
+  ASSERT_TRUE(compileSources({kSpawnWorkload}, P, Errors));
+  BuildConfig ProfCfg;
+  ProfCfg.Seed = 1001;
+  CollectedProfiles Prof = collectProfiles(P, ProfCfg, RunConfig());
+
+  std::vector<BuildConfig> Cfgs(4);
+  for (BuildConfig &C : Cfgs)
+    C.Seed = 7;
+  Cfgs[1].CodeOrder = CodeStrategy::CuOrder;
+  Cfgs[1].CodeProf = &Prof.Cu;
+  Cfgs[2].UseHeapOrder = true;
+  Cfgs[2].HeapOrder = HeapStrategy::StructuralHash;
+  Cfgs[2].HeapProf = &Prof.StructuralHash;
+  Cfgs[3] = Cfgs[1];
+  Cfgs[3].UseHeapOrder = true;
+  Cfgs[3].HeapOrder = HeapStrategy::HeapPath;
+  Cfgs[3].HeapProf = &Prof.HeapPath;
+
+  std::vector<IdTable> RefIds;
+  std::vector<std::vector<uint8_t>> RefBytes;
+  for (const BuildConfig &C : Cfgs) {
+    Program Fresh;
+    ASSERT_TRUE(compileSources({kSpawnWorkload}, Fresh, Errors));
+    NativeImage Img = buildNativeImage(Fresh, C);
+    ASSERT_FALSE(Img.Built.Failed) << Img.Built.FailureMessage;
+    RefIds.push_back(Img.Ids);
+    RefBytes.push_back(serializeImage(Fresh, Img));
+  }
+
+  BuildConfig Warm = Cfgs[0];
+  Warm.StructuralMaxDepth = 3;
+  std::shared_ptr<const ImageBase> Base = buildNativeImage(P, Warm).Base;
+  ASSERT_TRUE(Base->Cached);
+
+  std::vector<NativeImage> Imgs(Cfgs.size());
+  std::vector<std::thread> Threads;
+  for (size_t I = 0; I < Cfgs.size(); ++I)
+    Threads.emplace_back(
+        [&, I] { Imgs[I] = buildNativeImage(P, Cfgs[I]); });
+  for (std::thread &T : Threads)
+    T.join();
+
+  for (size_t I = 0; I < Cfgs.size(); ++I) {
+    EXPECT_EQ(Imgs[I].Base, Base) << "variant " << I;
+    EXPECT_EQ(Imgs[I].Ids.IncrementalIds, RefIds[I].IncrementalIds)
+        << "variant " << I;
+    EXPECT_EQ(Imgs[I].Ids.StructuralHashes, RefIds[I].StructuralHashes)
+        << "variant " << I;
+    EXPECT_EQ(Imgs[I].Ids.HeapPathHashes, RefIds[I].HeapPathHashes)
+        << "variant " << I;
+    EXPECT_EQ(serializeImage(P, Imgs[I]), RefBytes[I]) << "variant " << I;
+  }
 }
 
 } // namespace
