@@ -15,6 +15,7 @@
 #include "BenchJson.h"
 #include "BenchUtil.h"
 #include "src/core/Builder.h"
+#include "src/profiling/PathGraph.h"
 
 using namespace nimg;
 using namespace nimg::benchutil;
@@ -53,6 +54,9 @@ std::vector<EncodingCost> measureEncodingCosts(Program &P,
   if (BaseImg.Built.Failed)
     return Out;
   double BaseNs = runImage(BaseImg, Run).TimeNs;
+
+  // Every instrumented (mode x encoding) capture comes from one run of the
+  // instrumented image; the sampler runs alone, once per encoding.
   const struct {
     TraceMode Mode;
     const char *Name;
@@ -60,20 +64,40 @@ std::vector<EncodingCost> measureEncodingCosts(Program &P,
                {TraceMode::MethodOrder, "method"},
                {TraceMode::HeapOrder, "heap"},
                {TraceMode::Sampled, "sampled"}};
+  const TraceEncoding Encodings[] = {TraceEncoding::Raw,
+                                     TraceEncoding::VarintDelta};
+  std::vector<TraceOptions> Instrumented;
+  for (const auto &M : Modes)
+    for (TraceEncoding Enc : Encodings)
+      if (M.Mode != TraceMode::Sampled) {
+        TraceOptions TOpts;
+        TOpts.Mode = M.Mode;
+        TOpts.Encoding = Enc;
+        Instrumented.push_back(TOpts);
+      }
+  PathGraphCache Paths(P);
+  std::vector<TraceCapture> Captures;
+  std::vector<RunStats> Stats =
+      runImageTraced(Img, Run, Instrumented, Captures, Paths);
+  for (const auto &M : Modes)
+    for (TraceEncoding Enc : Encodings)
+      if (M.Mode == TraceMode::Sampled) {
+        TraceOptions TOpts;
+        TOpts.Mode = M.Mode;
+        TOpts.Encoding = Enc;
+        RunConfig RC = Run;
+        RC.Trace = &TOpts;
+        Captures.emplace_back();
+        Stats.push_back(runImage(BaseImg, RC, &Captures.back()));
+      }
+
+  // Captures and Stats now hold every (mode x encoding) in Modes order.
+  size_t At = 0;
   for (const auto &M : Modes) {
     EncodingCost C;
     C.Mode = M.Name;
-    const NativeImage &RunImg =
-        M.Mode == TraceMode::Sampled ? BaseImg : Img;
-    for (TraceEncoding Enc :
-         {TraceEncoding::Raw, TraceEncoding::VarintDelta}) {
-      TraceOptions TOpts;
-      TOpts.Mode = M.Mode;
-      TOpts.Encoding = Enc;
-      RunConfig RC = Run;
-      RC.Trace = &TOpts;
-      TraceCapture Capture;
-      RunStats Stats = runImage(RunImg, RC, &Capture);
+    for (TraceEncoding Enc : Encodings) {
+      const TraceCapture &Capture = Captures[At];
       double PerEvent =
           Capture.totalWords() == 0
               ? 0.0
@@ -81,7 +105,8 @@ std::vector<EncodingCost> measureEncodingCosts(Program &P,
       (Enc == TraceEncoding::Raw ? C.RawBytesPerEvent
                                  : C.VarintBytesPerEvent) = PerEvent;
       if (Enc == TraceEncoding::Raw && BaseNs > 0)
-        C.Overhead = Stats.TimeNs / BaseNs - 1.0;
+        C.Overhead = Stats[At].TimeNs / BaseNs - 1.0;
+      ++At;
     }
     Out.push_back(C);
   }

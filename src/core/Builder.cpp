@@ -501,8 +501,7 @@ CollectedProfiles nimg::collectProfiles(Program &P,
 
   PathGraphCache Paths(P);
 
-  auto RunWith = [&](const NativeImage &RunImg, TraceMode Mode,
-                     RunStats &StatsOut) {
+  auto OptionsFor = [&](TraceMode Mode) {
     TraceOptions TOpts;
     TOpts.Mode = Mode;
     // Workloads killed before clean exit need the memory-mapped dump mode
@@ -515,32 +514,58 @@ CollectedProfiles nimg::collectProfiles(Program &P,
     TOpts.Encoding = TraceEncoding::VarintDelta;
     TOpts.SamplePeriod = InstrumentedCfg.SamplePeriod;
     TOpts.SamplePhase = InstrumentedCfg.SamplePhase;
+    return TOpts;
+  };
+  // An empty capture usually means the run died before any buffer flushed
+  // (mode-1 SIGKILL); its mode is retried once, alone, with the
+  // memory-mapped dump mode, which persists every word.
+  auto RetryIfEmpty = [&](const NativeImage &RunImg, TraceOptions TOpts,
+                          TraceCapture &Capture, RunStats &StatsOut) {
+    if (Capture.totalWords() != 0)
+      return;
+    TOpts.Dump = DumpMode::MemoryMapped;
     RunConfig RC = RunCfg;
     RC.Trace = &TOpts;
-    TraceCapture Capture;
     StatsOut = runImage(RunImg, RC, &Capture);
-    if (Capture.totalWords() == 0) {
-      // An empty capture usually means the run died before any buffer
-      // flushed (mode-1 SIGKILL); retry once with the memory-mapped dump
-      // mode, which persists every word.
-      TOpts.Dump = DumpMode::MemoryMapped;
-      StatsOut = runImage(RunImg, RC, &Capture);
-      ++Out.RetriedRuns;
-      NIMG_COUNTER_ADD("nimg.profile.collect.retried_runs", 1);
+    ++Out.RetriedRuns;
+    NIMG_COUNTER_ADD("nimg.profile.collect.retried_runs", 1);
+  };
+  // One interpretation of the instrumented image feeds every instrumented
+  // capture: scheduling counts instructions, not probe cost, so each
+  // tracer sees the interleaving a run of its mode alone would have.
+  auto RunInstrumented = [&](const std::vector<TraceMode> &Modes,
+                             const std::vector<RunStats *> &StatsOut) {
+    std::vector<TraceOptions> Opts;
+    for (TraceMode Mode : Modes)
+      Opts.push_back(OptionsFor(Mode));
+    std::vector<TraceCapture> Caps;
+    std::vector<RunStats> Stats;
+    {
+      NIMG_SPAN("profile", "trace.instrumented");
+      Stats = runImageTraced(Img, RunCfg, Opts, Caps, Paths);
     }
-    return Capture;
+    for (size_t I = 0; I < Modes.size(); ++I) {
+      *StatsOut[I] = std::move(Stats[I]);
+      RetryIfEmpty(Img, Opts[I], Caps[I], *StatsOut[I]);
+    }
+    return Caps;
   };
 
   uint64_t Fp = programFingerprint(P);
   uint64_t Gen = InstrumentedCfg.ProfileGeneration;
 
+  TraceCapture HeapCap;
   if (SampledCode) {
     // One Sampled-mode run feeds both code granularities: every sample
     // word carries the executing method and its CU root.
     TraceCapture SampCap;
     {
       NIMG_SPAN("profile", "trace.sampled");
-      SampCap = RunWith(SampImg, TraceMode::Sampled, Out.CuRun);
+      TraceOptions TOpts = OptionsFor(TraceMode::Sampled);
+      RunConfig RC = RunCfg;
+      RC.Trace = &TOpts;
+      Out.CuRun = runImage(SampImg, RC, &SampCap);
+      RetryIfEmpty(SampImg, TOpts, SampCap, Out.CuRun);
     }
     Out.MethodRun = Out.CuRun;
     // Effective coverage = salvage coverage capped by the run's own
@@ -571,12 +596,16 @@ CollectedProfiles nimg::collectProfiles(Program &P,
          "degrades to the sampled cu order"});
     Out.Blocks.LoadError = ProfileError::InsufficientBlockProfile;
     Out.Edges.LoadError = ProfileError::InsufficientEdgeProfile;
+    // The sampler runs alone (its ticks clamp scheduling quanta), so the
+    // instrumented heap capture takes a run of its own.
+    HeapCap = std::move(
+        RunInstrumented({TraceMode::HeapOrder}, {&Out.HeapRun})[0]);
   } else {
-    TraceCapture CuCap;
-    {
-      NIMG_SPAN("profile", "trace.cu");
-      CuCap = RunWith(Img, TraceMode::CuOrder, Out.CuRun);
-    }
+    std::vector<TraceCapture> Caps = RunInstrumented(
+        {TraceMode::CuOrder, TraceMode::MethodOrder, TraceMode::HeapOrder},
+        {&Out.CuRun, &Out.MethodRun, &Out.HeapRun});
+    const TraceCapture &CuCap = Caps[0], &MethodCap = Caps[1];
+    HeapCap = std::move(Caps[2]);
     {
       // One replay feeds the cu profile and the CU transition graph the
       // cluster profile is solved from: no extra instrumented run.
@@ -591,12 +620,6 @@ CollectedProfiles nimg::collectProfiles(Program &P,
       Out.Cluster =
           analyzeClusterOrder(P, GraphA.finish(), Img.code(), COpts,
                               &Out.ClusterIssues, &Out.ClusterLayoutStats);
-    }
-
-    TraceCapture MethodCap;
-    {
-      NIMG_SPAN("profile", "trace.method");
-      MethodCap = RunWith(Img, TraceMode::MethodOrder, Out.MethodRun);
     }
     {
       // One replay of the method-order capture feeds the method profile,
@@ -616,11 +639,6 @@ CollectedProfiles nimg::collectProfiles(Program &P,
     }
   }
 
-  TraceCapture HeapCap;
-  {
-    NIMG_SPAN("profile", "trace.heap");
-    HeapCap = RunWith(Img, TraceMode::HeapOrder, Out.HeapRun);
-  }
   {
     NIMG_SPAN("profile", "post.heap");
     std::vector<int32_t> AccessOrder =
@@ -667,7 +685,9 @@ nimg::collectProfileSet(Program &P, const BuildConfig &InstrumentedCfg,
   assert(!Img.Built.Failed && "instrumented build failed");
   uint64_t Fp = programFingerprint(P);
 
+  // Members are named first; each accepted one gets a capture slot.
   std::unordered_set<std::string> Seen;
+  std::vector<size_t> Captured;
   for (size_t I = 0; I < InstanceNames.size(); ++I) {
     MemberProfile M;
     M.Name = InstanceNames[I];
@@ -682,9 +702,14 @@ nimg::collectProfileSet(Program &P, const BuildConfig &InstrumentedCfg,
       NIMG_COUNTER_ADD("nimg.profile.collect.duplicate_member", 1);
       if (IssuesOut)
         IssuesOut->push_back(M.Read.Issues.back());
-      Out.push_back(std::move(M));
-      continue;
+    } else {
+      Captured.push_back(I);
     }
+    Out.push_back(std::move(M));
+  }
+
+  std::vector<TraceOptions> Opts;
+  for (size_t I : Captured) {
     TraceOptions TOpts;
     TOpts.Mode = SampledCode ? TraceMode::Sampled : TraceMode::CuOrder;
     TOpts.Dump = RunCfg.StopAtFirstResponse ? DumpMode::MemoryMapped
@@ -698,28 +723,43 @@ nimg::collectProfileSet(Program &P, const BuildConfig &InstrumentedCfg,
           InstrumentedCfg.SamplePhase +
           I * std::max<uint64_t>(1, TOpts.SamplePeriod) / InstanceNames.size();
     }
-    RunConfig RC = RunCfg;
-    RC.Trace = &TOpts;
-    TraceCapture Capture;
-    SalvageStats Salvage;
-    RunStats Run;
-    {
-      NIMG_SPAN("profile", SampledCode ? "trace.sampled" : "trace.cu");
-      Run = runImage(Img, RC, &Capture);
+    Opts.push_back(TOpts);
+  }
+
+  // Instrumented members differ only in their names: one interpretation
+  // with a cu tracer per member captures them all. Sampled members each
+  // run alone at their own phase.
+  std::vector<TraceCapture> Caps(Opts.size());
+  std::vector<RunStats> Runs(Opts.size());
+  if (SampledCode) {
+    for (size_t K = 0; K < Opts.size(); ++K) {
+      NIMG_SPAN("profile", "trace.sampled");
+      RunConfig RC = RunCfg;
+      RC.Trace = &Opts[K];
+      Runs[K] = runImage(Img, RC, &Caps[K]);
     }
+  } else if (!Opts.empty()) {
+    NIMG_SPAN("profile", "trace.instrumented");
+    PathGraphCache Paths(P);
+    Runs = runImageTraced(Img, RunCfg, Opts, Caps, Paths);
+  }
+
+  for (size_t K = 0; K < Captured.size(); ++K) {
+    size_t I = Captured[K];
+    MemberProfile &M = Out[I];
+    SalvageStats Salvage;
     if (SampledCode) {
-      M.Profile = analyzeSampledCuOrder(P, Capture, &Salvage);
+      M.Profile = analyzeSampledCuOrder(P, Caps[K], &Salvage);
       M.Profile.Header.CoveragePermille = std::min(
-          M.Profile.Header.CoveragePermille, Run.SampleCoveragePermille);
+          M.Profile.Header.CoveragePermille, Runs[K].SampleCoveragePermille);
     } else {
-      M.Profile = analyzeCuOrder(P, Capture, &Salvage);
+      M.Profile = analyzeCuOrder(P, Caps[K], &Salvage);
     }
     M.Profile.Header.Fingerprint = Fp;
     M.Profile.Header.Generation = InstrumentedCfg.ProfileGeneration + I;
     M.Read.HeaderPresent = true;
     M.Read.Header = M.Profile.Header;
     M.Read.RowsKept = M.Profile.Sigs.size();
-    Out.push_back(std::move(M));
   }
   return Out;
 }

@@ -165,16 +165,19 @@ struct CollectedProfiles {
   }
 };
 
-/// Builds an instrumented image from \p InstrumentedCfg and runs it three
-/// times (cu / method / heap tracing), post-processing each trace into its
-/// ordering profile. \p RunCfg controls workload execution (microservices
+/// Builds an instrumented image from \p InstrumentedCfg and runs it once
+/// with the cu, method and heap tracers attached (runImageTraced; a
+/// sampled capture runs the sampler and the heap tracer separately),
+/// post-processing each trace into its ordering profile. A mode whose
+/// capture comes back empty is rerun alone in the memory-mapped dump mode. \p RunCfg controls workload execution (microservices
 /// set StopAtFirstResponse and use the memory-mapped dump mode, Sec. 6.1).
 CollectedProfiles collectProfiles(Program &P, const BuildConfig &InstrumentedCfg,
                                   const RunConfig &RunCfg);
 
 /// Captures one cu-order member profile per named instance from a single
 /// instrumented build — the fleet-side producer of the aggregation
-/// pipeline. Generations are stamped monotonically from
+/// pipeline. Instrumented members share one run (one cu tracer each);
+/// sampled members run one by one at staggered phases. Generations are stamped monotonically from
 /// InstrumentedCfg.ProfileGeneration. A duplicate instance name within
 /// the set is rejected with a typed DuplicateMember member (no run is
 /// spent on it) instead of silently overwriting the earlier capture;

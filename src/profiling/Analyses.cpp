@@ -481,7 +481,7 @@ namespace {
 /// \p Analyses in execution order.
 void replayThread(const Program &P, TraceMode Mode,
                   const std::vector<uint64_t> &Words, size_t End,
-                  LocalPathCache &Paths, PathEvents &Events,
+                  PathGraphCache &Paths, PathEvents &Events,
                   const std::vector<OrderingAnalysis *> &Analyses) {
   bool HasOperands = Mode == TraceMode::HeapOrder;
   size_t I = 0;
@@ -562,7 +562,6 @@ void nimg::replayTrace(const Program &P, const TraceCapture &Capture,
   }
   SalvageStats Stats;
   std::vector<size_t> Prefix = scanCapture(P, Capture, Paths, Stats);
-  LocalPathCache Local(Paths);
   // One scratch for the whole replay: decodeInto() reuses its vectors, so
   // records do not reallocate Blocks/Sites.
   PathEvents Events;
@@ -570,7 +569,7 @@ void nimg::replayTrace(const Program &P, const TraceCapture &Capture,
     for (OrderingAnalysis *A : Analyses)
       A->onThreadBegin();
     replayThread(P, Capture.Options.Mode, Capture.Threads[T].Words, Prefix[T],
-                 Local, Events, Analyses);
+                 Paths, Events, Analyses);
   }
   if (StatsOut)
     *StatsOut = Stats;

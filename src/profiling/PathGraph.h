@@ -33,7 +33,6 @@
 #include "src/ir/Program.h"
 
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -124,46 +123,29 @@ private:
   friend class PathGraphBuilder;
 };
 
-/// Lazily built, shared per-program cache of path graphs. of() is
-/// thread-safe, and the returned reference stays valid for the cache's
-/// lifetime (graphs are heap-allocated; the map only moves pointers).
+/// Lazily built per-program cache of path graphs: one slot per MethodId,
+/// sized on first use (a cache may be made before its program is
+/// compiled) and grown when the program gains methods. The returned
+/// reference stays valid for the cache's lifetime. Not thread-safe: every
+/// user — one traced run, one capture's replay — owns its cache or shares
+/// it on one thread.
 class PathGraphCache {
 public:
   explicit PathGraphCache(const Program &P) : P(P) {}
 
+  /// Throws std::out_of_range for a method id the program does not have.
   const PathGraph &of(MethodId M) {
-    std::lock_guard<std::mutex> G(Mu);
-    auto It = Cache.find(M);
-    if (It == Cache.end())
-      It = Cache.emplace(M, PathGraph::build(P, M)).first;
-    return *It->second;
+    if (size_t(M) >= Slots.size() && size_t(M) < P.numMethods())
+      Slots.resize(P.numMethods());
+    std::unique_ptr<PathGraph> &Slot = Slots.at(size_t(M));
+    if (!Slot)
+      Slot = PathGraph::build(P, M);
+    return *Slot;
   }
 
 private:
   const Program &P;
-  std::mutex Mu;
-  std::unordered_map<MethodId, std::unique_ptr<PathGraph>> Cache;
-};
-
-/// Lock-free front of a shared PathGraphCache: repeat lookups of the same
-/// method (the common case while scanning or replaying a trace) hit the
-/// local pointer map and never touch the shared mutex.
-class LocalPathCache {
-public:
-  explicit LocalPathCache(PathGraphCache &Shared) : Shared(Shared) {}
-
-  const PathGraph &of(MethodId M) {
-    auto It = Local.find(M);
-    if (It != Local.end())
-      return *It->second;
-    const PathGraph &G = Shared.of(M);
-    Local.emplace(M, &G);
-    return G;
-  }
-
-private:
-  PathGraphCache &Shared;
-  std::unordered_map<MethodId, const PathGraph *> Local;
+  std::vector<std::unique_ptr<PathGraph>> Slots;
 };
 
 } // namespace nimg

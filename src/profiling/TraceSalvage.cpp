@@ -11,7 +11,7 @@ namespace {
 /// Longest valid prefix (in words) of one thread's trace. Sets
 /// \p IncompleteTail when the thread ends inside a record's operand run.
 size_t scanThread(const Program &P, TraceMode Mode,
-                  const std::vector<uint64_t> &Words, LocalPathCache &Paths,
+                  const std::vector<uint64_t> &Words, PathGraphCache &Paths,
                   const SalvageOptions &Opts, bool &IncompleteTail) {
   size_t I = 0;
   while (I < Words.size()) {
@@ -75,14 +75,13 @@ std::vector<size_t> nimg::scanCapture(const Program &P, const TraceCapture &C,
                                       PathGraphCache &Paths,
                                       SalvageStats &Stats,
                                       const SalvageOptions &Opts) {
-  LocalPathCache Local(Paths);
   std::vector<size_t> Prefix(C.Threads.size(), 0);
   SalvageStats Delta;
   for (size_t T = 0; T < C.Threads.size(); ++T) {
     const std::vector<uint64_t> &Words = C.Threads[T].Words;
     bool IncompleteTail = false;
     size_t Valid =
-        scanThread(P, C.Options.Mode, Words, Local, Opts, IncompleteTail);
+        scanThread(P, C.Options.Mode, Words, Paths, Opts, IncompleteTail);
     Prefix[T] = Valid;
     Delta.WordsScanned += Words.size();
     Delta.WordsKept += Valid;

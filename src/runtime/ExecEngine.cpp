@@ -7,6 +7,8 @@
 #include "src/profiling/PathGraph.h"
 #include "src/support/SplitMix64.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <unordered_set>
 
 using namespace nimg;
@@ -208,15 +210,23 @@ private:
   std::unordered_set<uint64_t> ColdSeen;
 };
 
-/// Combined paging + tracing hooks driven by the interpreter.
-class EngineHooks : public RuntimeHooks {
+/// One trace mode's probes: its own writer, probe costs and per-thread
+/// path/operand (or sampler) stacks. Nothing here feeds back into the
+/// interpretation, so a tracer sharing a run with others writes exactly the
+/// capture and charges exactly the probe units of a run tracing only its
+/// mode.
+class ModeTracer {
 public:
-  EngineHooks(const NativeImage &Img, ImageToucher &Touch,
-              AccessRecorder *Rec, TraceWriter *Trace, PathGraphCache *Paths,
-              TraceMode Mode)
-      : Img(Img), Touch(Touch), Rec(Rec), Trace(Trace), Paths(Paths),
-        Mode(Mode), Costs(ProbeCosts::forMode(Mode)) {}
+  ModeTracer(const NativeImage &Img, const TraceOptions &Options,
+             PathGraphCache &Paths)
+      : Writer(Options), Img(Img), Paths(Paths), Options(Options),
+        Mode(Options.Mode), Costs(ProbeCosts::forMode(Options.Mode)) {}
 
+  TraceWriter Writer;
+  /// Modeled time at the first response, charging this tracer's probes.
+  double FirstResponseNs = 0;
+
+  const TraceOptions &options() const { return Options; }
   uint64_t samplesTaken() const { return Samples; }
   uint64_t sampleEventsSkipped() const { return SkippedEvents; }
 
@@ -232,8 +242,6 @@ public:
   /// right now. A thread with no open frame (between methods, or already
   /// finished) yields no record — real samplers drop such ticks too.
   void takeSample(uint32_t Tid) {
-    if (!Trace)
-      return;
     // Drain the novelty buffer first: CU roots first entered since the
     // previous tick, in entry order — the model analog of an LBR-style
     // hardware buffer read out at the sampling interrupt. This is what
@@ -241,37 +249,23 @@ public:
     // lifetime fits between two ticks: the entries cost nothing when they
     // happen (the production binary carries no probes); the records are
     // paid for here, once per *distinct* root, bounded by the CU count.
-    for (const SampledFrame &F : PendingNewRoots) {
-      Trace->append(Tid, tracerec::makeSample(F.M, F.Root));
-      Trace->addProbeCost(Costs.SampleRecord);
-      SampledRoots.insert(F.Root);
-      ++Samples;
-    }
+    for (const SampledFrame &F : PendingNewRoots)
+      sample(Tid, F);
     PendingNewRoots.clear();
     if (Tid >= SampleStacks.size() || SampleStacks[Tid].empty())
       return;
-    const SampledFrame &F = SampleStacks[Tid].back();
-    Trace->append(Tid, tracerec::makeSample(F.M, F.Root));
-    Trace->addProbeCost(Costs.SampleRecord);
-    SampledRoots.insert(F.Root);
-    ++Samples;
+    sample(Tid, SampleStacks[Tid].back());
   }
 
-  void onMethodEnter(uint32_t Tid, const ExecContext &Ctx, MethodId M,
-                     bool NewCu) override {
-    if (Ctx.Cu >= 0) {
-      if (Rec)
-        Rec->enterCopy(Ctx.Cu, Ctx.Copy);
-      Touch.enterCopy(Ctx.Cu, Ctx.Copy);
-    }
-    if (!Trace)
-      return;
+  void methodEnter(uint32_t Tid, const ExecContext &Ctx, MethodId M,
+                   bool NewCu) {
     ensureStack(Tid);
     if (Mode == TraceMode::Sampled) {
       // No record and no probe cost: the sampler only shadows what the
       // thread is executing so a sample tick can attribute itself, and
       // counts the transitions instrumentation would have recorded.
-      ensureSampleStack(Tid);
+      if (Tid >= SampleStacks.size())
+        SampleStacks.resize(Tid + 1);
       MethodId Root = Ctx.Cu >= 0 ? Img.code().CUs[size_t(Ctx.Cu)].Root : M;
       SampleStacks[Tid].push_back({M, Root});
       if (NewCu && Ctx.Cu >= 0 && EnteredRoots.insert(Root).second)
@@ -281,37 +275,37 @@ public:
     }
     if (Mode == TraceMode::CuOrder) {
       if (NewCu && Ctx.Cu >= 0) {
-        Trace->append(Tid,
+        Writer.append(Tid,
                       tracerec::makeCuEnter(Img.code().CUs[size_t(Ctx.Cu)].Root));
-        Trace->addProbeCost(Costs.CuEnter);
+        Writer.addProbeCost(Costs.CuEnter);
       }
       return;
     }
-    const PathGraph &G = Paths->of(M);
+    const PathGraph &G = Paths.of(M);
     Stacks[Tid].push_back({&G, M, G.entryValue(), {}});
-    Trace->addProbeCost(Costs.EnterExit);
+    Writer.addProbeCost(Costs.EnterExit);
   }
 
-  void onMethodExit(uint32_t Tid, MethodId M, BlockId Block) override {
-    if (Trace && Mode == TraceMode::Sampled) {
+  void methodExit(uint32_t Tid, MethodId M, BlockId Block) {
+    if (Mode == TraceMode::Sampled) {
       if (Tid < SampleStacks.size() && !SampleStacks[Tid].empty() &&
           SampleStacks[Tid].back().M == M)
         SampleStacks[Tid].pop_back();
       ++SkippedEvents;
       return;
     }
-    if (!Trace || Mode == TraceMode::CuOrder)
+    if (!tracesPaths())
       return;
     FrameState *F = frameFor(Tid, M);
     if (!F)
       return; // Desynced trace stack: drop the event, not the process.
     emitPath(Tid, *F, F->PathVal + F->Graph->retEmitAdd(Block));
     Stacks[Tid].pop_back();
-    Trace->addProbeCost(Costs.EnterExit);
+    Writer.addProbeCost(Costs.EnterExit);
   }
 
-  void onCallSite(uint32_t Tid, MethodId Caller, uint32_t SiteId) override {
-    if (!Trace || Mode == TraceMode::CuOrder || Mode == TraceMode::Sampled)
+  void callSite(uint32_t Tid, MethodId Caller, uint32_t SiteId) {
+    if (!tracesPaths())
       return;
     FrameState *F = frameFor(Tid, Caller);
     if (!F)
@@ -322,63 +316,33 @@ public:
     F->PathVal = A.Reset;
   }
 
-  void onBlockEdge(uint32_t Tid, const ExecContext &Ctx, MethodId M,
-                   BlockId From, BlockId To) override {
-    if (Ctx.Cu >= 0 && Touch.coldBlock(Ctx.Cu, Ctx.Copy, To)) {
-      if (Rec)
-        Rec->enterColdBlock(Ctx.Cu, Ctx.Copy, To);
-      Touch.enterColdBlock(Ctx.Cu, Ctx.Copy, To);
-    }
-    if (!Trace || Mode == TraceMode::CuOrder || Mode == TraceMode::Sampled)
+  void blockEdge(uint32_t Tid, MethodId M, BlockId From, BlockId To) {
+    if (!tracesPaths())
       return;
-    FrameState *F2 = frameFor(Tid, M);
-    if (!F2)
+    FrameState *F = frameFor(Tid, M);
+    if (!F)
       return;
-    FrameState &F = *F2;
-    const PathEdgeAction &A = F.Graph->branchAction(From, To);
+    const PathEdgeAction &A = F->Graph->branchAction(From, To);
     if (A.Cut) {
-      emitPath(Tid, F, F.PathVal + A.EmitAdd);
-      F.PathVal = A.Reset;
+      emitPath(Tid, *F, F->PathVal + A.EmitAdd);
+      F->PathVal = A.Reset;
     } else {
-      F.PathVal += A.Add;
+      F->PathVal += A.Add;
     }
-    Trace->addProbeCost(Costs.EdgeUpdate);
+    Writer.addProbeCost(Costs.EdgeUpdate);
   }
 
-  void onAccessSite(uint32_t Tid, MethodId M, uint32_t SiteId,
-                    const CellIdx *Cells, uint16_t Count) override {
-    (void)M;
-    (void)SiteId;
-    for (uint16_t I = 0; I < Count; ++I) {
-      int32_t Entry = -1;
-      if (Cells[I] >= 0) {
-        if (Rec)
-          Rec->accessCell(Cells[I]);
-        Entry = Touch.accessCell(Cells[I]);
-      }
-      if (Trace && Mode == TraceMode::HeapOrder) {
-        ensureStack(Tid);
-        if (Stacks[Tid].empty())
-          continue; // No open frame to attach the operand to; drop it.
-        uint64_t Operand = Entry >= 0 ? uint64_t(Entry) + 1 : 0;
-        Stacks[Tid].back().Operands.push_back(Operand);
-        Trace->addProbeCost(Costs.Operand);
-      }
-    }
-  }
-
-  void onStaticAccess(uint32_t Tid, ClassId C, int32_t StaticIdx) override {
-    (void)Tid;
-    if (Rec)
-      Rec->accessStatic(C, StaticIdx);
-    Touch.accessStatic(C, StaticIdx);
-  }
-
-  void onNativeCall(uint32_t Tid, NativeId N) override {
-    (void)Tid;
-    if (Rec)
-      Rec->callNative(int32_t(N));
-    Touch.callNative(int32_t(N));
+  /// One accessed value: snapshot entry \p Entry, or -1 when it is not a
+  /// stored image-heap object.
+  void access(uint32_t Tid, int32_t Entry) {
+    if (Mode != TraceMode::HeapOrder)
+      return;
+    ensureStack(Tid);
+    if (Stacks[Tid].empty())
+      return; // No open frame to attach the operand to; drop it.
+    Stacks[Tid].back().Operands.push_back(Entry >= 0 ? uint64_t(Entry) + 1
+                                                     : 0);
+    Writer.addProbeCost(Costs.Operand);
   }
 
 private:
@@ -396,14 +360,20 @@ private:
     MethodId Root;
   };
 
+  bool tracesPaths() const {
+    return Mode == TraceMode::MethodOrder || Mode == TraceMode::HeapOrder;
+  }
+
   void ensureStack(uint32_t Tid) {
     if (Tid >= Stacks.size())
       Stacks.resize(Tid + 1);
   }
 
-  void ensureSampleStack(uint32_t Tid) {
-    if (Tid >= SampleStacks.size())
-      SampleStacks.resize(Tid + 1);
+  void sample(uint32_t Tid, const SampledFrame &F) {
+    Writer.append(Tid, tracerec::makeSample(F.M, F.Root));
+    Writer.addProbeCost(Costs.SampleRecord);
+    SampledRoots.insert(F.Root);
+    ++Samples;
   }
 
   /// The top frame of \p Tid if it belongs to \p M, else nullptr. Hook
@@ -423,18 +393,16 @@ private:
     // below method-tracing overhead).
     if (Mode == TraceMode::HeapOrder && F.Operands.empty())
       return;
-    Trace->append(Tid, tracerec::makePath(F.M, PathId));
-    Trace->addProbeCost(Costs.EmitRecord);
+    Writer.append(Tid, tracerec::makePath(F.M, PathId));
+    Writer.addProbeCost(Costs.EmitRecord);
     for (uint64_t Op : F.Operands)
-      Trace->append(Tid, Op);
+      Writer.append(Tid, Op);
     F.Operands.clear();
   }
 
   const NativeImage &Img;
-  ImageToucher &Touch;
-  AccessRecorder *Rec;
-  TraceWriter *Trace;
-  PathGraphCache *Paths;
+  PathGraphCache &Paths;
+  TraceOptions Options;
   TraceMode Mode;
   ProbeCosts Costs;
   std::vector<std::vector<FrameState>> Stacks;
@@ -449,6 +417,82 @@ private:
   std::vector<SampledFrame> PendingNewRoots;
   uint64_t Samples = 0;
   uint64_t SkippedEvents = 0;
+};
+
+/// The interpreter's hooks: the run-wide work (page touches, the access
+/// log) once per event, then every attached tracer.
+class EngineHooks : public RuntimeHooks {
+public:
+  EngineHooks(ImageToucher &Touch, AccessRecorder *Rec,
+              std::vector<ModeTracer> &Tracers)
+      : Touch(Touch), Rec(Rec), Tracers(Tracers) {}
+
+  void onMethodEnter(uint32_t Tid, const ExecContext &Ctx, MethodId M,
+                     bool NewCu) override {
+    if (Ctx.Cu >= 0) {
+      if (Rec)
+        Rec->enterCopy(Ctx.Cu, Ctx.Copy);
+      Touch.enterCopy(Ctx.Cu, Ctx.Copy);
+    }
+    for (ModeTracer &T : Tracers)
+      T.methodEnter(Tid, Ctx, M, NewCu);
+  }
+
+  void onMethodExit(uint32_t Tid, MethodId M, BlockId Block) override {
+    for (ModeTracer &T : Tracers)
+      T.methodExit(Tid, M, Block);
+  }
+
+  void onCallSite(uint32_t Tid, MethodId Caller, uint32_t SiteId) override {
+    for (ModeTracer &T : Tracers)
+      T.callSite(Tid, Caller, SiteId);
+  }
+
+  void onBlockEdge(uint32_t Tid, const ExecContext &Ctx, MethodId M,
+                   BlockId From, BlockId To) override {
+    if (Ctx.Cu >= 0 && Touch.coldBlock(Ctx.Cu, Ctx.Copy, To)) {
+      if (Rec)
+        Rec->enterColdBlock(Ctx.Cu, Ctx.Copy, To);
+      Touch.enterColdBlock(Ctx.Cu, Ctx.Copy, To);
+    }
+    for (ModeTracer &T : Tracers)
+      T.blockEdge(Tid, M, From, To);
+  }
+
+  void onAccessSite(uint32_t Tid, MethodId M, uint32_t SiteId,
+                    const CellIdx *Cells, uint16_t Count) override {
+    (void)M;
+    (void)SiteId;
+    for (uint16_t I = 0; I < Count; ++I) {
+      int32_t Entry = -1;
+      if (Cells[I] >= 0) {
+        if (Rec)
+          Rec->accessCell(Cells[I]);
+        Entry = Touch.accessCell(Cells[I]);
+      }
+      for (ModeTracer &T : Tracers)
+        T.access(Tid, Entry);
+    }
+  }
+
+  void onStaticAccess(uint32_t Tid, ClassId C, int32_t StaticIdx) override {
+    (void)Tid;
+    if (Rec)
+      Rec->accessStatic(C, StaticIdx);
+    Touch.accessStatic(C, StaticIdx);
+  }
+
+  void onNativeCall(uint32_t Tid, NativeId N) override {
+    (void)Tid;
+    if (Rec)
+      Rec->callNative(int32_t(N));
+    Touch.callNative(int32_t(N));
+  }
+
+private:
+  ImageToucher &Touch;
+  AccessRecorder *Rec;
+  std::vector<ModeTracer> &Tracers;
 };
 
 /// Execution key of a run: everything besides the base that the
@@ -509,20 +553,19 @@ struct RunPaging {
   }
 };
 
-/// Interprets \p Img (the only path that executes instructions), recording
-/// an access log into \p Rec when it is non-null.
+/// Interprets \p Img (the only path that executes instructions) with
+/// \p Tracers attached, recording an access log into \p Rec when it is
+/// non-null. \p Stats receives what the tracers share; each tracer keeps
+/// its probe units and first-response time.
 void interpret(const NativeImage &Img, const RunConfig &Cfg, RunPaging &Pg,
-               uint64_t &TouchClock, AccessRecorder *Rec, RunStats &Stats,
-               TraceCapture *TraceOut) {
+               uint64_t &TouchClock, AccessRecorder *Rec,
+               std::vector<ModeTracer> &Tracers, RunStats &Stats) {
   Program &P = *Img.P;
   // The run executes on a private copy of the image heap and statics: the
   // mapped image is copy-on-write per process.
   Heap RunHeap(*Img.Built.BuildHeap);
 
-  TraceWriter Writer(Cfg.Trace ? *Cfg.Trace : TraceOptions{});
-  PathGraphCache Paths(P);
-  EngineHooks Hooks(Img, Pg.Touch, Rec, Cfg.Trace ? &Writer : nullptr, &Paths,
-                    Cfg.Trace ? Cfg.Trace->Mode : TraceMode::CuOrder);
+  EngineHooks Hooks(Pg.Touch, Rec, Tracers);
   CuCodeModel Code(Img.code());
 
   InterpConfig ICfg;
@@ -547,8 +590,10 @@ void interpret(const NativeImage &Img, const RunConfig &Cfg, RunPaging &Pg,
     Stats.Responded = true;
     if (Rec)
       Rec->respond(I.instructionsExecuted());
-    Stats.TimeToFirstResponseNs =
-        Pg.timeNs(Cfg, I.instructionsExecuted(), Writer.probeUnits());
+    Stats.TimeToFirstResponseNs = Pg.timeNs(Cfg, I.instructionsExecuted(), 0);
+    for (ModeTracer &T : Tracers)
+      T.FirstResponseNs = Pg.timeNs(Cfg, I.instructionsExecuted(),
+                                    T.Writer.probeUnits());
     if (Cfg.StopAtFirstResponse)
       Killed = true; // SIGKILL: stop scheduling, lose unflushed buffers.
   };
@@ -557,13 +602,19 @@ void interpret(const NativeImage &Img, const RunConfig &Cfg, RunPaging &Pg,
   // quanta are clamped so no step crosses a sample boundary, and the tick
   // is attributed to the thread that was running when the clock hit it —
   // the same answer at any worker count, since the interpreter itself is
-  // sequential and deterministic.
-  bool Sampling = Cfg.Trace && Cfg.Trace->Mode == TraceMode::Sampled;
+  // sequential and deterministic. A sampler always runs alone (the clamp
+  // changes the interleaving).
+  ModeTracer *Sampler = nullptr;
+  for (ModeTracer &T : Tracers)
+    if (T.options().Mode == TraceMode::Sampled)
+      Sampler = &T;
+  assert((!Sampler || Tracers.size() == 1) && "a sampler runs alone");
   uint64_t SamplePeriod = 0, NextSampleAt = 0;
-  if (Sampling) {
-    SamplePeriod = Cfg.Trace->SamplePeriod ? Cfg.Trace->SamplePeriod
-                                           : TraceOptions::DefaultSamplePeriod;
-    NextSampleAt = Cfg.Trace->SamplePhase + SamplePeriod;
+  if (Sampler) {
+    const TraceOptions &TO = Sampler->options();
+    SamplePeriod =
+        TO.SamplePeriod ? TO.SamplePeriod : TraceOptions::DefaultSamplePeriod;
+    NextSampleAt = TO.SamplePhase + SamplePeriod;
   }
 
   // Root thread runs main. Deterministic round-robin scheduling.
@@ -577,15 +628,15 @@ void interpret(const NativeImage &Img, const RunConfig &Cfg, RunPaging &Pg,
         continue;
       TouchClock = I.instructionsExecuted();
       uint64_t Quantum = Cfg.ThreadQuantum;
-      if (Sampling) {
+      if (Sampler) {
         uint64_t Clock = I.instructionsExecuted();
         if (NextSampleAt > Clock && NextSampleAt - Clock < Quantum)
           Quantum = NextSampleAt - Clock;
       }
       uint64_t Ran = I.step(Tid, Quantum);
-      if (Sampling && Ran > 0) {
+      if (Sampler && Ran > 0) {
         while (I.instructionsExecuted() >= NextSampleAt) {
-          Hooks.takeSample(Tid);
+          Sampler->takeSample(Tid);
           NextSampleAt += SamplePeriod;
         }
       }
@@ -604,22 +655,19 @@ void interpret(const NativeImage &Img, const RunConfig &Cfg, RunPaging &Pg,
     }
   }
 
-  if (Cfg.Trace) {
+  for (ModeTracer &T : Tracers) {
     if (Killed)
-      Writer.killAll();
+      T.Writer.killAll();
     else
-      Writer.flushAll();
-    if (TraceOut)
-      *TraceOut = Writer.take();
+      T.Writer.flushAll();
   }
 
   Stats.Instructions = I.instructionsExecuted();
-  Stats.ProbeUnits = Writer.probeUnits();
   Stats.Output = I.output();
-  if (Sampling) {
-    Stats.SamplesTaken = Hooks.samplesTaken();
-    Stats.SampleEventsSkipped = Hooks.sampleEventsSkipped();
-    Stats.SampleCoveragePermille = Hooks.sampleCoveragePermille();
+  if (Sampler) {
+    Stats.SamplesTaken = Sampler->samplesTaken();
+    Stats.SampleEventsSkipped = Sampler->sampleEventsSkipped();
+    Stats.SampleCoveragePermille = Sampler->sampleCoveragePermille();
     Stats.SamplePeriod = SamplePeriod;
   }
   if (Rec) {
@@ -668,45 +716,19 @@ void replay(const AccessLog &Log, const RunConfig &Cfg, RunPaging &Pg,
   Stats.FuelExhausted = Log.FuelExhausted;
 }
 
-} // namespace
+/// Modeled startup time of \p S: its instructions, probe units and faults.
+double modeledNs(const RunConfig &Cfg, const RunPaging &Pg,
+                 const RunStats &S) {
+  return Cfg.Cost.startupNs(S.Instructions, S.ProbeUnits,
+                            S.totalFaults() - S.TextHugeFaults,
+                            S.TextHugeFaults, Pg.Config.HugePageSize);
+}
 
-RunStats nimg::runImage(const NativeImage &Img, const RunConfig &Cfg,
-                        TraceCapture *TraceOut) {
-  assert(Img.P && "image without a program");
-  RunStats Stats;
-
-  NIMG_SPAN_NAMED(RunSpan, "pipeline", "runImage");
-  NIMG_SPAN_ARG(RunSpan, "cold_cache", Cfg.ColdCache ? "true" : "false");
-  NIMG_SPAN_ARG(RunSpan, "traced", Cfg.Trace ? "true" : "false");
-  NIMG_COUNTER_ADD("nimg.run.count", 1);
-
-  // Record once, replay layouts: an untraced run of an image whose base
-  // is cached interprets once per execution key and leaves an access log
-  // on the base; every later such run of any image of that base replays
-  // it. Traced (and sampled) runs need the interpreter's probes, and
-  // loaded images have no cached base: both always interpret.
-  const ImageBase *Base =
-      !Cfg.Trace && Img.Base && Img.Base->Cached ? Img.Base.get() : nullptr;
-  uint64_t Key = Base ? executionKey(Img, Cfg) : 0;
-  std::shared_ptr<const AccessLog> Log = Base ? Base->findLog(Key) : nullptr;
-
-  // Fleet reference trace: the clock cell is refreshed once per scheduling
-  // quantum, so recorded touch clocks carry quantum granularity.
-  uint64_t TouchClock = 0;
-  RunPaging Pg(Img, Cfg, Stats, &TouchClock);
-  if (Log) {
-    NIMG_COUNTER_ADD("nimg.run.replays", 1);
-    replay(*Log, Cfg, Pg, TouchClock, Stats);
-  } else if (Base) {
-    AccessRecorder Rec(Img, TouchClock);
-    interpret(Img, Cfg, Pg, TouchClock, &Rec, Stats, TraceOut);
-    NIMG_COUNTER_ADD("nimg.run.recorded", 1);
-    Base->storeLog(Key, std::make_shared<AccessLog>(std::move(Rec.log())));
-  } else {
-    interpret(Img, Cfg, Pg, TouchClock, nullptr, Stats, TraceOut);
-  }
-
-  PagingSim &Paging = Pg.Sim;
+/// Fills the fault, page-map and time fields of \p Stats from the run's
+/// page cache; the modeled time charges \p Stats.ProbeUnits.
+void finishStats(const NativeImage &Img, const RunConfig &Cfg,
+                 const RunPaging &Pg, RunStats &Stats) {
+  const PagingSim &Paging = Pg.Sim;
   Stats.TextFaults = Paging.faults(ImageSection::Text) - Pg.WarmText;
   Stats.HeapFaults = Paging.faults(ImageSection::HeapSec) - Pg.WarmHeap;
   Stats.TextColdFaults = Paging.counters().TextColdFaults - Pg.WarmCold;
@@ -716,11 +738,12 @@ RunStats nimg::runImage(const NativeImage &Img, const RunConfig &Cfg,
   Stats.StoredObjectsTotal = Img.Snapshot.numStored();
   Stats.TextPages = Paging.pageStates(ImageSection::Text);
   Stats.HeapPages = Paging.pageStates(ImageSection::HeapSec);
-  Stats.TimeNs = Cfg.Cost.startupNs(
-      Stats.Instructions, Stats.ProbeUnits,
-      Stats.totalFaults() - Stats.TextHugeFaults, Stats.TextHugeFaults,
-      Pg.Config.HugePageSize);
+  Stats.TimeNs = modeledNs(Cfg, Pg, Stats);
+}
 
+/// Per-interpretation (or per-replay) metrics.
+void recordRunMetrics(const NativeImage &Img, const RunStats &Stats) {
+  NIMG_COUNTER_ADD("nimg.run.count", 1);
   if (Img.Split.active()) {
     NIMG_COUNTER_ADD("nimg.split.faults.cold", Stats.TextColdFaults);
     NIMG_COUNTER_ADD("nimg.split.faults.hot",
@@ -735,13 +758,115 @@ RunStats nimg::runImage(const NativeImage &Img, const RunConfig &Cfg,
   }
   NIMG_HIST_RECORD("nimg.run.faults.total", Stats.totalFaults());
   NIMG_HIST_RECORD("nimg.run.instructions", Stats.Instructions);
-  if (Stats.ProbeUnits)
-    NIMG_HIST_RECORD("nimg.run.probe_units", Stats.ProbeUnits);
   if (Stats.Trapped)
     NIMG_COUNTER_ADD("nimg.run.trapped", 1);
   if (Stats.FuelExhausted)
     NIMG_COUNTER_ADD("nimg.run.fuel_exhausted", 1);
   if (Stats.Responded)
     NIMG_COUNTER_ADD("nimg.run.responded", 1);
+}
+
+/// One interpretation of \p Img with a tracer per entry of \p Modes; one
+/// RunStats and one capture per mode.
+std::vector<RunStats> traceModes(const NativeImage &Img, const RunConfig &Cfg,
+                                 const std::vector<TraceOptions> &Modes,
+                                 std::vector<TraceCapture> &Captures,
+                                 PathGraphCache &Paths) {
+  NIMG_SPAN_NAMED(RunSpan, "pipeline", "runImage");
+  NIMG_SPAN_ARG(RunSpan, "cold_cache", Cfg.ColdCache ? "true" : "false");
+  NIMG_SPAN_ARG(RunSpan, "traced", "true");
+  NIMG_SPAN_ARG(RunSpan, "modes", std::to_string(Modes.size()));
+
+  RunStats Shared;
+  uint64_t TouchClock = 0;
+  RunPaging Pg(Img, Cfg, Shared, &TouchClock);
+  std::vector<ModeTracer> Tracers;
+  Tracers.reserve(Modes.size());
+  for (const TraceOptions &TO : Modes)
+    Tracers.emplace_back(Img, TO, Paths);
+  interpret(Img, Cfg, Pg, TouchClock, nullptr, Tracers, Shared);
+  finishStats(Img, Cfg, Pg, Shared);
+  recordRunMetrics(Img, Shared);
+
+  std::vector<RunStats> Out(Modes.size(), Shared);
+  Captures.clear();
+  Captures.reserve(Modes.size());
+  for (size_t I = 0; I < Modes.size(); ++I) {
+    RunStats &S = Out[I];
+    S.ProbeUnits = Tracers[I].Writer.probeUnits();
+    if (S.Responded)
+      S.TimeToFirstResponseNs = Tracers[I].FirstResponseNs;
+    S.TimeNs = modeledNs(Cfg, Pg, S);
+    if (S.ProbeUnits)
+      NIMG_HIST_RECORD("nimg.run.probe_units", S.ProbeUnits);
+    Captures.push_back(Tracers[I].Writer.take());
+  }
+  return Out;
+}
+
+} // namespace
+
+RunStats nimg::runImage(const NativeImage &Img, const RunConfig &Cfg,
+                        TraceCapture *TraceOut) {
+  assert(Img.P && "image without a program");
+  if (Cfg.Trace) {
+    PathGraphCache Paths(*Img.P);
+    std::vector<TraceCapture> Captures;
+    RunStats Stats =
+        std::move(traceModes(Img, Cfg, {*Cfg.Trace}, Captures, Paths)[0]);
+    if (TraceOut)
+      *TraceOut = std::move(Captures[0]);
+    return Stats;
+  }
+
+  NIMG_SPAN_NAMED(RunSpan, "pipeline", "runImage");
+  NIMG_SPAN_ARG(RunSpan, "cold_cache", Cfg.ColdCache ? "true" : "false");
+  NIMG_SPAN_ARG(RunSpan, "traced", "false");
+  RunStats Stats;
+
+  // Record once, replay layouts: an untraced run of an image whose base
+  // is cached interprets once per execution key and leaves an access log
+  // on the base; every later such run of any image of that base replays
+  // it. Loaded images have no cached base: they always interpret.
+  const ImageBase *Base =
+      Img.Base && Img.Base->Cached ? Img.Base.get() : nullptr;
+  uint64_t Key = Base ? executionKey(Img, Cfg) : 0;
+  std::shared_ptr<const AccessLog> Log = Base ? Base->findLog(Key) : nullptr;
+
+  // Fleet reference trace: the clock cell is refreshed once per scheduling
+  // quantum, so recorded touch clocks carry quantum granularity.
+  uint64_t TouchClock = 0;
+  RunPaging Pg(Img, Cfg, Stats, &TouchClock);
+  std::vector<ModeTracer> NoTracers;
+  if (Log) {
+    NIMG_COUNTER_ADD("nimg.run.replays", 1);
+    replay(*Log, Cfg, Pg, TouchClock, Stats);
+  } else if (Base) {
+    AccessRecorder Rec(Img, TouchClock);
+    interpret(Img, Cfg, Pg, TouchClock, &Rec, NoTracers, Stats);
+    NIMG_COUNTER_ADD("nimg.run.recorded", 1);
+    Base->storeLog(Key, std::make_shared<AccessLog>(std::move(Rec.log())));
+  } else {
+    interpret(Img, Cfg, Pg, TouchClock, nullptr, NoTracers, Stats);
+  }
+  finishStats(Img, Cfg, Pg, Stats);
+  recordRunMetrics(Img, Stats);
   return Stats;
+}
+
+std::vector<RunStats>
+nimg::runImageTraced(const NativeImage &Img, const RunConfig &Cfg,
+                     const std::vector<TraceOptions> &Modes,
+                     std::vector<TraceCapture> &Captures,
+                     PathGraphCache &Paths) {
+  assert(Img.P && "image without a program");
+  for (const TraceOptions &TO : Modes)
+    if (TO.Mode == TraceMode::Sampled) {
+      // The sampler clamps scheduling quanta to its ticks, which changes
+      // the interleaving every other tracer would observe.
+      std::fprintf(stderr, "runImageTraced: TraceMode::Sampled must run "
+                           "alone (use runImage)\n");
+      std::abort();
+    }
+  return traceModes(Img, Cfg, Modes, Captures, Paths);
 }

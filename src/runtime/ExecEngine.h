@@ -28,8 +28,11 @@
 #include "src/runtime/Paging.h"
 
 #include <string>
+#include <vector>
 
 namespace nimg {
+
+class PathGraphCache;
 
 /// Maps invocations onto compilation units and inline copies; implements
 /// guarded devirtualization semantics (an inlined virtual callee is used
@@ -156,6 +159,21 @@ struct AccessLog {
 /// runs of loaded images always interpret and never record.
 RunStats runImage(const NativeImage &Img, const RunConfig &Cfg,
                   TraceCapture *TraceOut = nullptr);
+
+/// Runs \p Img once with one tracer per entry of \p Modes attached
+/// (\p Cfg.Trace is ignored). Scheduling counts instructions, not probe
+/// cost, so every mode observes the same interleaving: capture I and
+/// RunStats I equal those of runImage() tracing \p Modes[I] alone — faults,
+/// page maps, output and instructions are shared; probe units, TimeNs and
+/// TimeToFirstResponseNs are each tracer's own. Path graphs come from
+/// \p Paths. TraceMode::Sampled is rejected (the process aborts): its
+/// sampler clamps scheduling quanta and so changes the interleaving; run
+/// it alone through runImage().
+std::vector<RunStats> runImageTraced(const NativeImage &Img,
+                                     const RunConfig &Cfg,
+                                     const std::vector<TraceOptions> &Modes,
+                                     std::vector<TraceCapture> &Captures,
+                                     PathGraphCache &Paths);
 
 } // namespace nimg
 

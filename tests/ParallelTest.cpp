@@ -547,4 +547,38 @@ TEST(ParallelPipelineTest, ConcurrentBuildsOfOneBaseShareItsHashMemo) {
   }
 }
 
+TEST(ParallelPipelineTest, ConcurrentProfileCollectionsOwnTheirPathCaches) {
+  // The path-graph cache has no lock: each collectProfiles makes its own
+  // and uses it on one thread. Four collections on four threads at once
+  // must match a serial one byte for byte (under -DNIMG_SANITIZE=thread
+  // a shared cache would show up as a race).
+  std::vector<std::string> Errors;
+  BuildConfig Cfg;
+  Cfg.Seed = 1001;
+  auto Csvs = [](const CollectedProfiles &C) {
+    return C.Cu.toCsv() + C.Method.toCsv() + C.Cluster.toCsv() +
+           C.Blocks.toCsv() + C.Edges.toCsv() + C.HeapPath.toCsv();
+  };
+  Program Ref;
+  ASSERT_TRUE(compileSources({kSpawnWorkload}, Ref, Errors));
+  CollectedProfiles RefProf = collectProfiles(Ref, Cfg, RunConfig());
+  ASSERT_FALSE(RefProf.Method.Sigs.empty());
+  ASSERT_FALSE(RefProf.HeapPath.Ids.empty());
+  std::string Expected = Csvs(RefProf);
+
+  std::vector<Program> Programs(4);
+  for (Program &P : Programs)
+    ASSERT_TRUE(compileSources({kSpawnWorkload}, P, Errors));
+  std::vector<std::string> Got(Programs.size());
+  std::vector<std::thread> Threads;
+  for (size_t I = 0; I < Programs.size(); ++I)
+    Threads.emplace_back([&, I] {
+      Got[I] = Csvs(collectProfiles(Programs[I], Cfg, RunConfig()));
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (size_t I = 0; I < Got.size(); ++I)
+    EXPECT_EQ(Got[I], Expected) << "thread " << I;
+}
+
 } // namespace

@@ -1,5 +1,10 @@
 //===- ProfilingTest.cpp - Serial trace replay and profile ingestion tests ===//
 //
+// The capture contract: one runImageTraced() interpretation with several
+// tracers attached yields, per mode, exactly the capture and RunStats of a
+// run tracing that mode alone, and collectProfiles() interprets the
+// instrumented image once.
+//
 // The post-processing contract: replayTrace() is the one replay loop,
 // each capture is salvaged and replayed once with every sink attached,
 // threads are replayed serially in creation order without any sink
@@ -16,6 +21,7 @@
 #include "src/profiling/CallGraph.h"
 #include "src/support/Crc32.h"
 #include "src/workloads/Workloads.h"
+#include "tests/ExpectSameRun.h"
 
 #include <gtest/gtest.h>
 
@@ -460,6 +466,166 @@ INSTANTIATE_TEST_SUITE_P(
     Workloads, CollectGolden, ::testing::ValuesIn(workloadNames()),
     [](const ::testing::TestParamInfo<std::string> &I) { return I.param; });
 
+//===----------------------------------------------------------------------===//
+// runImageTraced: one interpretation, one tracer per mode.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+TraceOptions traceOptions(TraceMode Mode, DumpMode Dump, TraceEncoding Enc) {
+  TraceOptions TO;
+  TO.Mode = Mode;
+  TO.Dump = Dump;
+  TO.Encoding = Enc;
+  return TO;
+}
+
+NativeImage instrumentedImage(Program &P, uint64_t Seed) {
+  BuildConfig Cfg;
+  Cfg.Seed = Seed;
+  Cfg.Instrumented = true;
+  NativeImage Img = buildNativeImage(P, Cfg);
+  EXPECT_FALSE(Img.Built.Failed) << Img.Built.FailureMessage;
+  return Img;
+}
+
+void expectSameCapture(const TraceCapture &A, const TraceCapture &B) {
+  EXPECT_EQ(A.Options.Mode, B.Options.Mode);
+  EXPECT_EQ(A.Options.Dump, B.Options.Dump);
+  EXPECT_EQ(A.Options.Encoding, B.Options.Encoding);
+  ASSERT_EQ(A.Threads.size(), B.Threads.size());
+  for (size_t T = 0; T < A.Threads.size(); ++T) {
+    EXPECT_EQ(A.Threads[T].Encoded, B.Threads[T].Encoded) << "thread " << T;
+    EXPECT_EQ(A.Threads[T].Words, B.Threads[T].Words) << "thread " << T;
+    EXPECT_EQ(A.Threads[T].Bytes, B.Threads[T].Bytes) << "thread " << T;
+  }
+}
+
+/// Runs \p Img once with every mode of \p Modes attached and once per
+/// What one tracer of a multi-tracer run produced.
+struct FusedMode {
+  RunStats Stats;
+  size_t Words = 0;
+};
+
+/// Runs \p Img once with every mode of \p Modes attached and once per
+/// mode alone; every capture and every RunStats field must agree.
+std::vector<FusedMode> expectFusedEqualsSingle(
+    const NativeImage &Img, const RunConfig &RC,
+    const std::vector<TraceOptions> &Modes, const std::string &Ctx) {
+  SCOPED_TRACE(Ctx);
+  PathGraphCache Paths(*Img.P);
+  std::vector<TraceCapture> Caps;
+  std::vector<RunStats> Fused = runImageTraced(Img, RC, Modes, Caps, Paths);
+  std::vector<FusedMode> Out;
+  EXPECT_EQ(Fused.size(), Modes.size());
+  EXPECT_EQ(Caps.size(), Modes.size());
+  for (size_t I = 0; I < Modes.size() && I < Fused.size() && I < Caps.size();
+       ++I) {
+    SCOPED_TRACE("mode " + std::to_string(int(Modes[I].Mode)));
+    RunConfig Single = RC;
+    Single.Trace = &Modes[I];
+    TraceCapture Cap;
+    RunStats Stats = runImage(Img, Single, &Cap);
+    expectSameCapture(Caps[I], Cap);
+    expectSameRun(Fused[I], Stats, "fused vs single");
+    Out.push_back({Fused[I], Caps[I].totalWords()});
+  }
+  return Out;
+}
+
+class FusedCaptureOracle : public ::testing::TestWithParam<std::string> {};
+
+} // namespace
+
+TEST_P(FusedCaptureOracle, EqualsSingleModeRuns) {
+  std::unique_ptr<Program> P = compileWorkload(GetParam());
+  ASSERT_TRUE(P);
+  for (uint64_t Seed : {1001u, 7u}) {
+    NativeImage Img = instrumentedImage(*P, Seed);
+    for (DumpMode Dump : {DumpMode::FlushOnFull, DumpMode::MemoryMapped})
+      for (TraceEncoding Enc : {TraceEncoding::Raw, TraceEncoding::VarintDelta})
+        for (const FusedMode &F : expectFusedEqualsSingle(
+                 Img, RunConfig(),
+                 {traceOptions(TraceMode::CuOrder, Dump, Enc),
+                  traceOptions(TraceMode::MethodOrder, Dump, Enc),
+                  traceOptions(TraceMode::HeapOrder, Dump, Enc)},
+                 "seed " + std::to_string(Seed) + " dump " +
+                     std::to_string(int(Dump)) + " encoding " +
+                     std::to_string(int(Enc))))
+          EXPECT_GT(F.Words, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, FusedCaptureOracle, ::testing::ValuesIn(workloadNames()),
+    [](const ::testing::TestParamInfo<std::string> &I) { return I.param; });
+
+TEST(FusedCapture, FuelLimitedRunEqualsSingleModeRuns) {
+  // The fuel check stops every tracer at the same instruction; options
+  // may differ per tracer, and one mode may be traced twice.
+  std::unique_ptr<Program> P = compileWorkload("Richards");
+  ASSERT_TRUE(P);
+  NativeImage Img = instrumentedImage(*P, 1001);
+  RunConfig RC;
+  RC.MaxInstructions = 60000;
+  std::vector<FusedMode> Fused = expectFusedEqualsSingle(
+      Img, RC,
+      {traceOptions(TraceMode::MethodOrder, DumpMode::FlushOnFull,
+                    TraceEncoding::Raw),
+       traceOptions(TraceMode::CuOrder, DumpMode::MemoryMapped,
+                    TraceEncoding::VarintDelta),
+       traceOptions(TraceMode::HeapOrder, DumpMode::MemoryMapped,
+                    TraceEncoding::Raw),
+       traceOptions(TraceMode::CuOrder, DumpMode::FlushOnFull,
+                    TraceEncoding::VarintDelta)},
+      "fuel-limited");
+  for (const FusedMode &F : Fused) {
+    EXPECT_TRUE(F.Stats.FuelExhausted);
+    EXPECT_GT(F.Words, 0u);
+  }
+}
+
+TEST(FusedCapture, KilledAtFirstResponseEqualsSingleModeRuns) {
+  // The SIGKILL at the first response drops every FlushOnFull writer's
+  // unflushed tail (small buffers here, so some flushes land first), and
+  // each tracer's first-response time charges only its own probes.
+  std::unique_ptr<Program> P = compileWorkload("micronaut");
+  ASSERT_TRUE(P);
+  NativeImage Img = instrumentedImage(*P, 1001);
+  RunConfig RC;
+  RC.StopAtFirstResponse = true;
+  std::vector<TraceOptions> Modes = {
+      traceOptions(TraceMode::CuOrder, DumpMode::MemoryMapped,
+                   TraceEncoding::Raw),
+      traceOptions(TraceMode::MethodOrder, DumpMode::FlushOnFull,
+                   TraceEncoding::VarintDelta),
+      traceOptions(TraceMode::HeapOrder, DumpMode::FlushOnFull,
+                   TraceEncoding::Raw)};
+  Modes[1].BufferWords = Modes[2].BufferWords = 64;
+  for (const FusedMode &F :
+       expectFusedEqualsSingle(Img, RC, Modes, "killed at first response")) {
+    EXPECT_TRUE(F.Stats.Responded);
+    EXPECT_GT(F.Words, 0u);
+  }
+}
+
+TEST(FusedCaptureDeathTest, RejectsSampledMode) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  std::unique_ptr<Program> P = compileWorkload("Bounce");
+  ASSERT_TRUE(P);
+  NativeImage Img = instrumentedImage(*P, 1001);
+  PathGraphCache Paths(*P);
+  std::vector<TraceCapture> Caps;
+  std::vector<TraceOptions> Modes = {
+      traceOptions(TraceMode::CuOrder, DumpMode::FlushOnFull,
+                   TraceEncoding::Raw),
+      traceOptions(TraceMode::Sampled, DumpMode::FlushOnFull,
+                   TraceEncoding::Raw)};
+  EXPECT_DEATH(runImageTraced(Img, RunConfig(), Modes, Caps, Paths),
+               "Sampled must run alone");
+}
+
 #ifndef NIMG_OBS_DISABLED
 
 namespace {
@@ -468,18 +634,20 @@ uint64_t counterValue(const char *Name) {
   return obs::MetricsRegistry::global().counter(Name).value();
 }
 
-/// One collectProfiles makes \p Scans salvage scans, and every parallel
-/// region it opens belongs to the builds it makes (post-processing opens
-/// none).
-void expectOnePassPerCapture(bool Sampled, uint64_t Scans) {
+/// One collectProfiles makes \p Scans salvage scans and \p Runs runs of
+/// an image (runImage / runImageTraced calls), and every parallel region
+/// it opens belongs to the builds it makes (post-processing opens none).
+void expectOnePassPerCapture(bool Sampled, uint64_t Scans, uint64_t Runs) {
   std::unique_ptr<Program> P = compileWorkload("Richards");
   ASSERT_TRUE(P);
   collectFor(*P, "Richards", Sampled); // Warm the build cache.
 
   uint64_t Scans0 = counterValue("nimg.salvage.scans");
+  uint64_t Runs0 = counterValue("nimg.run.count");
   uint64_t Regions0 = counterValue("nimg.parallel.for.count");
   collectFor(*P, "Richards", Sampled);
   uint64_t Scans1 = counterValue("nimg.salvage.scans");
+  uint64_t Runs1 = counterValue("nimg.run.count");
   uint64_t Regions1 = counterValue("nimg.parallel.for.count");
 
   // The same builds on their own: instrumented, plus the uninstrumented
@@ -494,17 +662,47 @@ void expectOnePassPerCapture(bool Sampled, uint64_t Scans) {
   uint64_t Regions2 = counterValue("nimg.parallel.for.count");
 
   EXPECT_EQ(Scans1 - Scans0, Scans);
+  EXPECT_EQ(Runs1 - Runs0, Runs);
   EXPECT_EQ(Regions1 - Regions0, Regions2 - Regions1);
 }
 
 } // namespace
 
 TEST(SerialReplay, InstrumentedCollectScansEachCaptureOnce) {
-  expectOnePassPerCapture(/*Sampled=*/false, 3); // cu, method, heap
+  // cu, method and heap: three captures from one interpretation.
+  expectOnePassPerCapture(/*Sampled=*/false, /*Scans=*/3, /*Runs=*/1);
 }
 
 TEST(SerialReplay, SampledCollectScansEachCaptureOnce) {
-  expectOnePassPerCapture(/*Sampled=*/true, 2); // sampled, heap
+  // The sampler runs alone; the heap capture takes a second run.
+  expectOnePassPerCapture(/*Sampled=*/true, /*Scans=*/2, /*Runs=*/2);
+}
+
+TEST(FusedCapture, InstrumentedProfileSetInterpretsOnce) {
+  // Four instrumented members share one run, and each member's profile is
+  // the one a cu-mode run of its own yields.
+  std::unique_ptr<Program> P = compileWorkload("Richards");
+  ASSERT_TRUE(P);
+  BuildConfig Cfg = profilingConfig(/*Sampled=*/false);
+  uint64_t Runs0 = counterValue("nimg.run.count");
+  std::vector<MemberProfile> Members =
+      collectProfileSet(*P, Cfg, RunConfig(), {"a", "b", "c", "d"});
+  EXPECT_EQ(counterValue("nimg.run.count") - Runs0, 1u);
+
+  NativeImage Img = instrumentedImage(*P, Cfg.Seed);
+  TraceOptions TO = traceOptions(TraceMode::CuOrder, DumpMode::FlushOnFull,
+                                 TraceEncoding::VarintDelta);
+  RunConfig RC;
+  RC.Trace = &TO;
+  TraceCapture Cap;
+  runImage(Img, RC, &Cap);
+  CodeProfile Single = analyzeCuOrder(*P, Cap);
+  ASSERT_EQ(Members.size(), 4u);
+  for (MemberProfile &M : Members) {
+    M.Profile.Header.Fingerprint = Single.Header.Fingerprint;
+    M.Profile.Header.Generation = Single.Header.Generation;
+    EXPECT_EQ(M.Profile.toCsv(), Single.toCsv()) << M.Name;
+  }
 }
 
 #endif // NIMG_OBS_DISABLED
