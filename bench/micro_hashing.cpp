@@ -6,11 +6,14 @@
 // Micro-benchmarks for the object-identity machinery of Sec. 5:
 // MurmurHash3 throughput, structural-hash encoding at several MAX_DEPTH
 // values (the paper's compute-time/robustness trade-off), heap-path
-// hashing, and full identity-table computation over a real snapshot.
+// hashing, and full identity-table computation over a real snapshot; and
+// the program fingerprint that ties images and profiles to their
+// classpath, hashed cold and served from its memo.
 //
 //===----------------------------------------------------------------------===//
 
 #include "src/core/Builder.h"
+#include "src/image/ImageFile.h"
 #include "src/ordering/IdStrategies.h"
 #include "src/support/Murmur3.h"
 #include "src/workloads/Workloads.h"
@@ -90,6 +93,19 @@ static void BM_IncrementalIdTable(benchmark::State &State) {
                           int64_t(F.Img.Snapshot.Entries.size()));
 }
 BENCHMARK(BM_IncrementalIdTable);
+
+/// Arg 0 hashes the whole program on every call (a dropped edit handle
+/// moves its version); arg 1 is the memo hit every unedited build takes.
+static void BM_ProgramFingerprint(benchmark::State &State) {
+  SnapshotFixture &F = SnapshotFixture::get();
+  bool Cold = State.range(0) == 0;
+  for (auto _ : State) {
+    if (Cold)
+      (void)F.P->method(F.P->MainMethod);
+    benchmark::DoNotOptimize(programFingerprint(*F.P));
+  }
+}
+BENCHMARK(BM_ProgramFingerprint)->ArgName("memo")->Arg(0)->Arg(1);
 
 // Custom main: accept the bench-smoke label's --smoke by rewriting it
 // into a tiny min-time (see micro_pipeline.cpp).

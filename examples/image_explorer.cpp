@@ -55,7 +55,7 @@ int main(int argc, char **argv) {
     std::printf("  +%06llu %5u B  %s (%zu inlined copies)\n",
                 (unsigned long long)
                     Img.Layout.CuOffsets[size_t(Img.Layout.CuOrder[I])],
-                CU.CodeSize, P->method(CU.Root).Sig.c_str(),
+                CU.CodeSize, Img.P->method(CU.Root).Sig.c_str(),
                 CU.Copies.size() - 1);
   }
 

@@ -12,6 +12,7 @@
 #include <list>
 #include <mutex>
 #include <unordered_set>
+#include <utility>
 
 using namespace nimg;
 
@@ -136,30 +137,29 @@ bool heapProfileUsable(const HeapProfile &HP, HeapStrategy Strategy,
 /// build heap of memory. Fixed, not a setting.
 constexpr size_t MaxCachedBases = 4;
 
-/// The per-program LRU of build bases (most recent first), kept in the
-/// program's derivedCache() slot. One process-wide mutex guards every
-/// program's list: lookups are a few comparisons, and the stages run
-/// outside the lock.
-using BaseCache =
-    std::list<std::pair<uint64_t, std::shared_ptr<const ImageBase>>>;
+/// The build cache kept in a program's derivedCache() slot: the LRU of
+/// build bases (most recent first) and the memo of the base key's walk
+/// over the program. One process-wide mutex guards every program's list
+/// and slot: lookups are a few comparisons, and the stages run outside
+/// the lock.
+struct BuildCache {
+  std::list<std::pair<uint64_t, std::shared_ptr<const ImageBase>>> Bases;
+  ContentDigestMemo ProgramWalk;
+};
 std::mutex BaseCacheMu;
 
-BaseCache &baseCacheOf(const Program &P) {
+/// Call with BaseCacheMu held.
+BuildCache &buildCacheOf(const Program &P) {
   std::shared_ptr<void> &Slot = P.derivedCache();
   if (!Slot)
-    Slot = std::make_shared<BaseCache>();
-  return *static_cast<BaseCache *>(Slot.get());
+    Slot = std::make_shared<BuildCache>();
+  return *static_cast<BuildCache *>(Slot.get());
 }
 
-/// Content key of a build base: everything reachability, compilation and
-/// build-time initialization read. The program fingerprint covers the
-/// classes, code and string table; the rest of the program those stages
-/// read (entry point, register counts, call-argument pools, method and
-/// class flags, resources) is hashed next to it.
-uint64_t baseKey(const Program &P, const BuildConfig &Cfg, uint64_t BuildFp) {
+/// The class and method flags, register counts and call-argument pools
+/// the base stages read beyond the fingerprint.
+uint64_t hashProgramWalk(const Program &P) {
   Murmur3Stream S;
-  S.appendU64(BuildFp);
-  S.appendU32(uint32_t(P.MainMethod));
   for (size_t C = 0; C < P.numClasses(); ++C) {
     const ClassDef &Def = P.classDef(ClassId(C));
     S.appendU8(Def.IsAbstract ? 1 : 0);
@@ -174,6 +174,31 @@ uint64_t baseKey(const Program &P, const BuildConfig &Cfg, uint64_t BuildFp) {
     S.appendU32(uint32_t(Meth.CallArgs.size()));
     S.update(Meth.CallArgs.data(), Meth.CallArgs.size() * sizeof(uint16_t));
   }
+  return S.digest().Lo;
+}
+
+/// Content key of a build base: everything reachability, compilation and
+/// build-time initialization read. The program fingerprint covers the
+/// classes, code and string table; the walk digest (memoized per program
+/// version, like the fingerprint) covers the flags, register counts and
+/// call-argument pools. The entry point and resources are not versioned,
+/// so they are hashed on every build.
+uint64_t baseKey(const Program &P, const BuildConfig &Cfg, uint64_t BuildFp) {
+  ContentDigestMemo *Memo;
+  {
+    std::lock_guard<std::mutex> G(BaseCacheMu);
+    Memo = &buildCacheOf(P).ProgramWalk;
+  }
+  uint64_t Version = P.version();
+  uint64_t Walk;
+  if (!Memo->lookup(Version, Walk)) {
+    Walk = hashProgramWalk(P);
+    Memo->store(Version, Walk);
+  }
+  Murmur3Stream S;
+  S.appendU64(BuildFp);
+  S.appendU32(uint32_t(P.MainMethod));
+  S.appendU64(Walk);
   S.appendU32(uint32_t(P.Resources.size()));
   for (const auto &[Name, Contents] : P.Resources) {
     S.appendSizedString(Name);
@@ -204,7 +229,7 @@ std::shared_ptr<const ImageBase> obtainBase(Program &P, const BuildConfig &Cfg,
     NIMG_SPAN("build", "base_lookup");
     Key = baseKey(P, Cfg, BuildFp);
     std::lock_guard<std::mutex> G(BaseCacheMu);
-    BaseCache &Cache = baseCacheOf(P);
+    auto &Cache = buildCacheOf(P).Bases;
     for (auto It = Cache.begin(); It != Cache.end(); ++It)
       if (It->first == Key) {
         Cache.splice(Cache.begin(), Cache, It);
@@ -235,7 +260,7 @@ std::shared_ptr<const ImageBase> obtainBase(Program &P, const BuildConfig &Cfg,
   Base->Cached = Cacheable && Base->Code.CompileFaults.empty();
   if (Base->Cached) {
     std::lock_guard<std::mutex> G(BaseCacheMu);
-    BaseCache &Cache = baseCacheOf(P);
+    auto &Cache = buildCacheOf(P).Bases;
     Cache.emplace_front(Key, Base);
     if (Cache.size() > MaxCachedBases)
       Cache.pop_back();
@@ -357,7 +382,7 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
   // fault is recorded on the image like a rejected profile would be.
   for (const auto &[Root, What] : Code.CompileFaults) {
     addDiag(Img.ProfileDiag, ProfileError::WorkerFault,
-            "compile task for " + P.method(Root).Sig +
+            "compile task for " + std::as_const(P).method(Root).Sig +
                 " failed; unit degraded to root only: " + What);
     NIMG_COUNTER_ADD("nimg.build.degraded.cu_compile", 1);
   }

@@ -5,6 +5,8 @@
 #include "src/runtime/Interpreter.h"
 #include "src/support/SplitMix64.h"
 
+#include <utility>
+
 using namespace nimg;
 
 ClassId nimg::ensureClassMetaClass(Program &P) {
@@ -50,7 +52,7 @@ BuildHeapResult nimg::initializeBuildHeap(Program &P,
       if (I.fuelExhausted()) {
         R.Failed = true;
         R.FailureMessage = "static initializer fuel exhausted for class " +
-                           P.classDef(C).Name;
+                           std::as_const(P).classDef(C).Name;
         return R;
       }
     }
@@ -67,7 +69,7 @@ BuildHeapResult nimg::initializeBuildHeap(Program &P,
   for (size_t M = 0; M < P.numMethods(); ++M) {
     if (!Reach.ReachableMethods[M])
       continue;
-    for (const BasicBlock &BB : P.method(MethodId(M)).Blocks)
+    for (const BasicBlock &BB : std::as_const(P).method(MethodId(M)).Blocks)
       for (const Instr &In : BB.Instrs)
         if (In.Op == Opcode::ConstString)
           H.internString(P.string(In.Aux));
@@ -85,7 +87,8 @@ BuildHeapResult nimg::initializeBuildHeap(Program &P,
       continue;
     // Intern the name before taking a cell reference: interning may grow
     // the cell store and invalidate references.
-    CellIdx NameCell = H.internString(P.classDef(ClassId(C)).Name);
+    CellIdx NameCell =
+        H.internString(std::as_const(P).classDef(ClassId(C)).Name);
     CellIdx Cell = H.allocObject(MetaClass);
     HeapCell &Meta = H.cell(Cell);
     Meta.Slots[0] = Value::makeRef(NameCell);

@@ -121,7 +121,7 @@ struct HeapCell {
 /// The heap: an append-only cell store plus a string intern table.
 class Heap {
 public:
-  explicit Heap(Program &P) : Prog(P) {}
+  explicit Heap(const Program &P) : Prog(P) {}
 
   /// Allocates an object of class \p C with zero-initialized fields.
   CellIdx allocObject(ClassId C);
@@ -164,7 +164,6 @@ public:
   }
   size_t numCells() const { return Cells.size(); }
 
-  Program &program() { return Prog; }
   const Program &program() const { return Prog; }
 
   /// Returns the modeled size in bytes of \p C in the image heap:
@@ -180,7 +179,7 @@ public:
   static Value zeroValue(const TypeInfo &T);
 
 private:
-  Program &Prog;
+  const Program &Prog;
   std::vector<HeapCell> Cells;
   std::unordered_map<std::string, CellIdx> InternTable;
 };

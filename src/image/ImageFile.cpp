@@ -3,6 +3,7 @@
 #include "src/image/ImageFile.h"
 
 #include "src/heap/BuildHeap.h"
+#include "src/obs/Metrics.h"
 #include "src/runtime/Paging.h"
 #include "src/support/ByteBuffer.h"
 #include "src/support/Murmur3.h"
@@ -25,7 +26,8 @@ static uint8_t *putLE(uint8_t *Out, uint64_t V, int Bytes) {
   return Out;
 }
 
-uint64_t nimg::programFingerprint(const Program &P) {
+/// The fingerprint itself: one pass over the classes, code and string table.
+static uint64_t hashProgram(const Program &P) {
   // Hashed as encoded: the digest equals murmurHash3 over the same bytes
   // collected in a ByteBuffer, without materializing ~1 MB per call.
   Murmur3Stream B;
@@ -69,6 +71,19 @@ uint64_t nimg::programFingerprint(const Program &P) {
   for (size_t S = 0; S < P.numStrings(); ++S)
     B.appendSizedString(P.string(StrId(S)));
   return B.digest().Lo;
+}
+
+uint64_t nimg::programFingerprint(const Program &P) {
+  uint64_t Version = P.version();
+  uint64_t Fp;
+  if (P.fingerprintMemo().lookup(Version, Fp)) {
+    NIMG_COUNTER_ADD("nimg.program.fingerprint.reused", 1);
+    return Fp;
+  }
+  Fp = hashProgram(P);
+  P.fingerprintMemo().store(Version, Fp);
+  NIMG_COUNTER_ADD("nimg.program.fingerprint.computed", 1);
+  return Fp;
 }
 
 namespace {

@@ -31,7 +31,8 @@ namespace nimg {
 
 /// Stable fingerprint of a program: hashes class names, method signatures
 /// and code, and the string table. Two Programs with the same fingerprint
-/// are layout-compatible.
+/// are layout-compatible. Computed once per Program::version() and
+/// memoized on the program; safe to call from several threads at once.
 uint64_t programFingerprint(const Program &P);
 
 /// Serializes \p Img (which must have been built from \p P).

@@ -75,7 +75,7 @@ private:
 };
 
 struct NativeImage {
-  Program *P = nullptr; ///< Not owned.
+  const Program *P = nullptr; ///< Not owned.
   /// Reachability, CUs and build heap, shared with every image built from
   /// the same base key (see ImageBase).
   std::shared_ptr<const ImageBase> Base;

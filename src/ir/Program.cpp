@@ -2,6 +2,8 @@
 
 #include "src/ir/Program.h"
 
+#include <atomic>
+
 using namespace nimg;
 
 Program::Program() {
@@ -18,6 +20,7 @@ TypeId Program::internType(TypeInfo Info) {
   if (It != TypeByName.end())
     return It->second;
   TypeId Id = TypeId(Types.size());
+  ++Version;
   TypeByName.emplace(Info.Name, Id);
   Types.push_back(std::move(Info));
   return Id;
@@ -42,6 +45,7 @@ bool Program::isSubclassOf(ClassId Sub, ClassId Super) const {
 ClassId Program::addClass(std::string Name, ClassId Super, bool IsAbstract) {
   assert(ClassByName.find(Name) == ClassByName.end() && "duplicate class");
   ClassId Id = ClassId(Classes.size());
+  ++Version;
   ClassDef Def;
   Def.Name = std::move(Name);
   Def.Id = Id;
@@ -50,9 +54,9 @@ ClassId Program::addClass(std::string Name, ClassId Super, bool IsAbstract) {
   ClassByName.emplace(Def.Name, Id);
   Classes.push_back(std::move(Def));
   LayoutCache.emplace_back();
-  LayoutBuilt.push_back(false);
+  LayoutBuilt.push_back(0);
   DispatchCache.emplace_back();
-  DispatchBuilt.push_back(false);
+  DispatchBuilt.push_back(0);
   return Id;
 }
 
@@ -61,9 +65,21 @@ ClassId Program::findClass(std::string_view Name) const {
   return It == ClassByName.end() ? -1 : It->second;
 }
 
+/// The lazily built per-class caches below may be filled by several
+/// readers of one program at once (concurrent builds): a filled entry is
+/// flagged with a release store, each reader checks the flag with an
+/// acquire load, and an entry is computed outside CacheMu and published
+/// under it (the first publisher wins; every one computes the same value).
+static bool cacheFilled(uint8_t &Flag) {
+  return std::atomic_ref<uint8_t>(Flag).load(std::memory_order_acquire);
+}
+static void markCacheFilled(uint8_t &Flag) {
+  std::atomic_ref<uint8_t>(Flag).store(1, std::memory_order_release);
+}
+
 const std::vector<Field> &Program::layout(ClassId C) const {
   assert(C >= 0 && size_t(C) < Classes.size() && "invalid class id");
-  if (LayoutBuilt[size_t(C)])
+  if (cacheFilled(LayoutBuilt[size_t(C)]))
     return LayoutCache[size_t(C)];
   const ClassDef &Def = Classes[size_t(C)];
   std::vector<Field> Result;
@@ -71,8 +87,11 @@ const std::vector<Field> &Program::layout(ClassId C) const {
     Result = layout(Def.Super);
   for (const Field &F : Def.InstanceFields)
     Result.push_back(F);
-  LayoutCache[size_t(C)] = std::move(Result);
-  LayoutBuilt[size_t(C)] = true;
+  std::lock_guard<std::mutex> G(CacheMu);
+  if (!cacheFilled(LayoutBuilt[size_t(C)])) {
+    LayoutCache[size_t(C)] = std::move(Result);
+    markCacheFilled(LayoutBuilt[size_t(C)]);
+  }
   return LayoutCache[size_t(C)];
 }
 
@@ -108,6 +127,7 @@ MethodId Program::addMethod(ClassId Class, std::string Name,
                             std::vector<TypeId> ParamTypes, TypeId RetType,
                             bool IsStatic, bool IsAbstract) {
   MethodId Id = MethodId(Methods.size());
+  ++Version;
   Method M;
   M.Name = Name;
   M.Id = Id;
@@ -133,7 +153,7 @@ MethodId Program::addMethod(ClassId Class, std::string Name,
   // Adding a method invalidates dispatch caches of this class's subtree;
   // the program is fully constructed before dispatch is queried, so a full
   // reset is acceptable and simple.
-  std::fill(DispatchBuilt.begin(), DispatchBuilt.end(), false);
+  std::fill(DispatchBuilt.begin(), DispatchBuilt.end(), 0);
   return Id;
 }
 
@@ -161,30 +181,32 @@ MethodId Program::findDeclaredMethod(ClassId C, std::string_view Name,
   return -1;
 }
 
-void Program::buildDispatch(ClassId C) const {
+const std::unordered_map<SelectorId, MethodId> &
+Program::dispatchTable(ClassId C) const {
+  if (cacheFilled(DispatchBuilt[size_t(C)]))
+    return DispatchCache[size_t(C)];
   const ClassDef &Def = classDef(C);
   std::unordered_map<SelectorId, MethodId> Table;
-  if (Def.Super != -1) {
-    if (!DispatchBuilt[size_t(Def.Super)])
-      buildDispatch(Def.Super);
-    Table = DispatchCache[size_t(Def.Super)];
-  }
+  if (Def.Super != -1)
+    Table = dispatchTable(Def.Super);
   for (MethodId M : Def.Methods) {
     const Method &Meth = method(M);
     if (Meth.IsStatic || Meth.IsAbstract)
       continue;
     Table[Meth.Selector] = M;
   }
-  DispatchCache[size_t(C)] = std::move(Table);
-  DispatchBuilt[size_t(C)] = true;
+  std::lock_guard<std::mutex> G(CacheMu);
+  if (!cacheFilled(DispatchBuilt[size_t(C)])) {
+    DispatchCache[size_t(C)] = std::move(Table);
+    markCacheFilled(DispatchBuilt[size_t(C)]);
+  }
+  return DispatchCache[size_t(C)];
 }
 
 MethodId Program::resolveVirtual(ClassId Receiver, MethodId Declared) const {
   const Method &Decl = method(Declared);
   assert(!Decl.IsStatic && "virtual resolution of a static method");
-  if (!DispatchBuilt[size_t(Receiver)])
-    buildDispatch(Receiver);
-  const auto &Table = DispatchCache[size_t(Receiver)];
+  const auto &Table = dispatchTable(Receiver);
   auto It = Table.find(Decl.Selector);
   return It == Table.end() ? -1 : It->second;
 }
@@ -213,6 +235,7 @@ StrId Program::internString(std::string_view S) {
   if (It != StringPool.end())
     return It->second;
   StrId Id = StrId(Strings.size());
+  ++Version;
   Strings.emplace_back(S);
   StringPool.emplace(Strings.back(), Id);
   return Id;

@@ -20,6 +20,7 @@
 
 #include <cassert>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -110,6 +111,33 @@ struct Method {
   SelectorId Selector = -1;       ///< Dispatch selector (instance methods).
 };
 
+/// One 64-bit digest of a program's content, kept for the content version
+/// (Program::version()) it was computed at. The digest is computed outside
+/// the memo and published with store(), so concurrent readers of one
+/// program may each compute it once; every store of a version carries the
+/// same digest.
+class ContentDigestMemo {
+public:
+  /// Sets \p Digest and returns true when the memo holds version \p V.
+  bool lookup(uint64_t V, uint64_t &Digest) const {
+    std::lock_guard<std::mutex> G(Mu);
+    if (Version != V)
+      return false;
+    Digest = Value;
+    return true;
+  }
+  void store(uint64_t V, uint64_t Digest) {
+    std::lock_guard<std::mutex> G(Mu);
+    Version = V;
+    Value = Digest;
+  }
+
+private:
+  mutable std::mutex Mu;
+  uint64_t Version = 0; ///< 0 = empty: program versions start at 1.
+  uint64_t Value = 0;
+};
+
 /// A whole MiniJava program (the "classpath" in Native-Image terms).
 class Program {
 public:
@@ -148,8 +176,11 @@ public:
   ClassId addClass(std::string Name, ClassId Super = -1,
                    bool IsAbstract = false);
 
+  /// The non-const overload returns an edit handle and bumps version()
+  /// (see there); read through a const Program & instead.
   ClassDef &classDef(ClassId C) {
     assert(C >= 0 && size_t(C) < Classes.size() && "invalid class id");
+    ++Version;
     return Classes[size_t(C)];
   }
   const ClassDef &classDef(ClassId C) const {
@@ -185,8 +216,11 @@ public:
                      std::vector<TypeId> ParamTypes, TypeId RetType,
                      bool IsStatic, bool IsAbstract = false);
 
+  /// The non-const overload returns an edit handle and bumps version()
+  /// (see there); read through a const Program & instead.
   Method &method(MethodId M) {
     assert(M >= 0 && size_t(M) < Methods.size() && "invalid method id");
+    ++Version;
     return Methods[size_t(M)];
   }
   const Method &method(MethodId M) const {
@@ -232,6 +266,27 @@ public:
   /// heap snapshot with inclusion reason "Resource".
   std::vector<std::pair<std::string, std::string>> Resources;
 
+  // --- Content version ------------------------------------------------------
+
+  /// The content version: it changes whenever the program may have been
+  /// edited, and never otherwise. addClass and addMethod bump it, as do
+  /// internString and objectType / arrayType when they add an entry, and
+  /// every call of the non-const classDef() or method(). Digests of the
+  /// program (programFingerprint, the build cache's base key) are memoized
+  /// against it. MainMethod and Resources are plain fields it does not
+  /// cover; whoever digests them hashes them on every use.
+  ///
+  /// A reference returned by a non-const accessor is an edit handle: the
+  /// bump happens when it is fetched, not when it is written through. So a
+  /// handle kept across a build (or a fingerprint) must be fetched again
+  /// before the next edit; writing through a stale handle is a programming
+  /// error that leaves the memoized digests stale. Pipeline code that only
+  /// reads the program holds a const Program &, which never bumps.
+  uint64_t version() const { return Version; }
+
+  /// The memo behind programFingerprint (src/image); ir/ never reads it.
+  ContentDigestMemo &fingerprintMemo() const { return FingerprintMemo; }
+
   /// Opaque slot for state that later pipeline layers derive from this
   /// program (core/ memoizes its strategy-independent build stages here),
   /// so the derived state lives and dies with the program. ir/ never reads
@@ -257,15 +312,20 @@ private:
   std::unordered_map<std::string, MethodId> MethodBySig;
   std::unordered_map<std::string, StrId> StringPool;
   std::unordered_map<std::string, SelectorId> SelectorByKey;
+  // Lazily built per class, safe to fill from concurrent readers (see
+  // Program.cpp). Dispatch[C] maps SelectorId -> MethodId for class C.
+  mutable std::mutex CacheMu;
   mutable std::vector<std::vector<Field>> LayoutCache;
-  mutable std::vector<bool> LayoutBuilt;
-  // Dispatch[C] maps SelectorId -> MethodId for class C (built lazily).
+  mutable std::vector<uint8_t> LayoutBuilt;
   mutable std::vector<std::unordered_map<SelectorId, MethodId>> DispatchCache;
-  mutable std::vector<bool> DispatchBuilt;
+  mutable std::vector<uint8_t> DispatchBuilt;
   mutable std::shared_ptr<void> DerivedCache;
+  uint64_t Version = 1;
+  mutable ContentDigestMemo FingerprintMemo;
 
   TypeId internType(TypeInfo Info);
-  void buildDispatch(ClassId C) const;
+  const std::unordered_map<SelectorId, MethodId> &
+  dispatchTable(ClassId C) const;
 };
 
 /// Builds the human-readable descriptor of a parameter list, e.g.

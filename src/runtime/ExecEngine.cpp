@@ -560,7 +560,7 @@ struct RunPaging {
 void interpret(const NativeImage &Img, const RunConfig &Cfg, RunPaging &Pg,
                uint64_t &TouchClock, AccessRecorder *Rec,
                std::vector<ModeTracer> &Tracers, RunStats &Stats) {
-  Program &P = *Img.P;
+  const Program &P = *Img.P;
   // The run executes on a private copy of the image heap and statics: the
   // mapped image is copy-on-write per process.
   Heap RunHeap(*Img.Built.BuildHeap);

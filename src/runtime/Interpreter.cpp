@@ -7,7 +7,7 @@
 
 using namespace nimg;
 
-Interpreter::Interpreter(Program &Prog, Heap &Heap_, InterpConfig Cfg)
+Interpreter::Interpreter(const Program &Prog, Heap &Heap_, InterpConfig Cfg)
     : P(Prog), H(Heap_), Config(Cfg) {
   Code = &DefaultCode;
   Statics.resize(P.numClasses());

@@ -144,7 +144,7 @@ enum class ClinitState : uint8_t { NotRun, Running, Done };
 /// heap is shared with the caller so it can be snapshotted.
 class Interpreter {
 public:
-  Interpreter(Program &P, Heap &H, InterpConfig Config = InterpConfig());
+  Interpreter(const Program &P, Heap &H, InterpConfig Config = InterpConfig());
 
   void setCodeModel(CodeModel *CM) { Code = CM; }
   void setHooks(RuntimeHooks *H) { Hooks = H; }
@@ -213,7 +213,7 @@ public:
   uint64_t instructionsExecuted() const { return InstrCount; }
   bool fuelExhausted() const { return InstrCount >= Config.MaxInstructions; }
   Heap &heap() { return H; }
-  Program &program() { return P; }
+  const Program &program() const { return P; }
 
   /// Called when Sys.spawn executes; the execution engine wires this to
   /// spawnThread.
@@ -260,7 +260,7 @@ private:
 
   const std::string *cellString(const Value &V);
 
-  Program &P;
+  const Program &P;
   Heap &H;
   InterpConfig Config;
   CodeModel *Code = nullptr;

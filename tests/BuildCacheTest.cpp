@@ -15,6 +15,7 @@
 #include "src/fleet/FleetSim.h"
 #include "src/image/ImageFile.h"
 #include "src/lang/Compile.h"
+#include "src/obs/Metrics.h"
 #include "src/workloads/Workloads.h"
 #include "tests/ExpectSameRun.h"
 
@@ -311,6 +312,24 @@ TEST(BuildCache, EditingTheProgramMissesTheCache) {
   EXPECT_EQ(AfterResource.Built.ResourceCells.count("late.properties"), 1u);
 }
 
+TEST(BuildCache, EditsOutsideTheFingerprintMissTheCache) {
+  // A register-count edit leaves the fingerprint alone; the base key's
+  // memoized program walk must still see it.
+  BenchmarkSpec Spec = awfyBenchmark("Queens");
+  std::unique_ptr<Program> P = compile(Spec);
+  ASSERT_TRUE(P);
+  BuildConfig Cfg;
+  NativeImage Before = buildNativeImage(*P, Cfg);
+  EXPECT_EQ(buildNativeImage(*P, Cfg).Base, Before.Base);
+  uint64_t Fp = programFingerprint(*P);
+  ++P->method(P->MainMethod).NumRegs;
+  EXPECT_EQ(programFingerprint(*P), Fp);
+  NativeImage After = buildNativeImage(*P, Cfg);
+  EXPECT_NE(After.Base, Before.Base);
+  EXPECT_TRUE(After.Base->Cached);
+  EXPECT_EQ(buildNativeImage(*P, Cfg).Base, After.Base);
+}
+
 TEST(BuildCache, CompileFaultHookBypassesTheCache) {
   BenchmarkSpec Spec = awfyBenchmark("Queens");
   std::unique_ptr<Program> P = compile(Spec);
@@ -377,5 +396,136 @@ TEST(BuildCache, LoadedImagesAndTracedRunsNeverRecord) {
   EXPECT_GT(Cap.totalWords(), 0u);
   EXPECT_EQ(Img.Base->numLogs(), 1u);
 }
+
+//===----------------------------------------------------------------------===//
+// The fingerprint memo: one hash per program version.
+//===----------------------------------------------------------------------===//
+
+uint64_t fingerprintsComputed() {
+#ifndef NIMG_OBS_DISABLED
+  return obs::MetricsRegistry::global()
+      .counter("nimg.program.fingerprint.computed")
+      .value();
+#else
+  return 0;
+#endif
+}
+
+/// The fingerprint hashed afresh: fetching an edit handle (and dropping
+/// it) moves the version, so the memo cannot answer.
+uint64_t uncachedFingerprint(Program &P) {
+  (void)P.method(P.MainMethod);
+  return programFingerprint(P);
+}
+
+class FingerprintMemoTest : public testing::TestWithParam<std::string> {};
+
+TEST_P(FingerprintMemoTest, MemoEqualsAnUncachedHash) {
+  BenchmarkSpec Spec = specNamed(GetParam());
+  std::unique_ptr<Program> P = compile(Spec);
+  ASSERT_TRUE(P);
+  RunConfig RC;
+  RC.StopAtFirstResponse = Spec.Microservice;
+
+  // Profile capture and a build+run sweep of the paper's variants only
+  // read the program: one hash in all, taken after the first build adds
+  // the metadata class. A read path that fetches an edit handle moves the
+  // version and fails here.
+  uint64_t Computed0 = fingerprintsComputed();
+  CollectedProfiles Prof = profilesOf(*P, Spec);
+  uint64_t Version = P->version();
+  for (uint64_t Seed : {uint64_t(11), uint64_t(12)})
+    for (size_t I = 0; I < NumPaperVariants; ++I) {
+      NativeImage Img =
+          buildNativeImage(*P, configFor(Variants[I], Seed, Prof));
+      ASSERT_FALSE(Img.Built.Failed) << Variants[I].Name;
+      runImage(Img, RC);
+    }
+  EXPECT_EQ(P->version(), Version);
+#ifndef NIMG_OBS_DISABLED
+  EXPECT_EQ(fingerprintsComputed() - Computed0, 1u);
+#endif
+  EXPECT_EQ(Prof.Cu.Header.Fingerprint, uncachedFingerprint(*P));
+
+  // After each stage the memo still holds the stage's input version and
+  // equals a fresh hash.
+  auto AfterStage = [&](const std::string &Stage, auto &&Run) {
+    uint64_t Before = programFingerprint(*P);
+    uint64_t V = P->version();
+    Run();
+    EXPECT_EQ(P->version(), V) << Stage;
+    EXPECT_EQ(programFingerprint(*P), Before) << Stage;
+    EXPECT_EQ(Before, uncachedFingerprint(*P)) << Stage;
+  };
+  NativeImage Img;
+  AfterStage("build", [&] { Img = buildNativeImage(*P, BuildConfig()); });
+  AfterStage("run", [&] { runImage(Img, RC); });
+  AfterStage("collectProfiles", [&] {
+    CollectedProfiles Again = profilesOf(*P, Spec);
+    EXPECT_EQ(Again.HeapPath.Header.Fingerprint, programFingerprint(*P));
+  });
+  AfterStage("deserializeImage", [&] { loadedCopy(*P, Img); });
+  // A freshly compiled copy, hashed once, agrees with the memo too.
+  std::unique_ptr<Program> Fresh = compile(Spec);
+  ASSERT_TRUE(Fresh);
+  EXPECT_EQ(programFingerprint(*Fresh), uncachedFingerprint(*Fresh));
+  ensureClassMetaClass(*Fresh);
+  EXPECT_EQ(programFingerprint(*Fresh), programFingerprint(*P));
+
+  // Lookups that add nothing are not edits.
+  ASSERT_GT(P->numStrings(), 0u);
+  TypeId IntArray = P->arrayType(P->intType());
+  TypeId Object = P->objectType(0);
+  Version = P->version();
+  EXPECT_EQ(P->arrayType(P->intType()), IntArray);
+  EXPECT_EQ(P->objectType(0), Object);
+  EXPECT_EQ(P->internString(P->string(0)), 0);
+  EXPECT_EQ(P->version(), Version);
+
+  // Every kind of edit forces one fresh hash of the edited program.
+  auto AfterEdit = [&](const std::string &Edit, bool MovesFingerprint,
+                       auto &&Apply) {
+    uint64_t Before = programFingerprint(*P);
+    uint64_t V = P->version();
+    uint64_t C0 = fingerprintsComputed();
+    Apply();
+    EXPECT_NE(P->version(), V) << Edit;
+    uint64_t After = programFingerprint(*P);
+#ifndef NIMG_OBS_DISABLED
+    EXPECT_EQ(fingerprintsComputed() - C0, 1u) << Edit;
+#endif
+    EXPECT_EQ(After, uncachedFingerprint(*P)) << Edit;
+    EXPECT_EQ(After != Before, MovesFingerprint) << Edit;
+  };
+  AfterEdit("method body", true, [&] {
+    for (size_t M = 0; M < P->numMethods(); ++M)
+      for (BasicBlock &BB : P->method(MethodId(M)).Blocks)
+        for (Instr &In : BB.Instrs)
+          if (In.Op == Opcode::ConstInt) {
+            ++In.IImm;
+            return;
+          }
+    ADD_FAILURE() << "no integer constant to edit";
+  });
+  AfterEdit("class definition", true, [&] {
+    ClassDef &Def = P->classDef(0);
+    Def.StaticFields.push_back({"memoProbe", P->intType(), Def.Id, false});
+  });
+  AfterEdit("string table", true,
+            [&] { P->internString("fingerprint memo probe"); });
+  ClassId Probe = -1;
+  AfterEdit("new class and method", true, [&] {
+    Probe = P->addClass("MemoProbe");
+    P->addMethod(Probe, "probe", {}, P->intType(), /*IsStatic=*/true);
+  });
+  AfterEdit("new object and array types", false,
+            [&] { P->arrayType(P->objectType(Probe)); });
+}
+
+INSTANTIATE_TEST_SUITE_P(Programs, FingerprintMemoTest,
+                         testing::ValuesIn(oraclePrograms()),
+                         [](const testing::TestParamInfo<std::string> &I) {
+                           return I.param;
+                         });
 
 } // namespace

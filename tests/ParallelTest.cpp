@@ -10,6 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "src/core/Builder.h"
+#include "src/heap/BuildHeap.h"
 #include "src/image/ImageFile.h"
 #include "src/lang/Compile.h"
 #include "src/support/ThreadPool.h"
@@ -545,6 +546,43 @@ TEST(ParallelPipelineTest, ConcurrentBuildsOfOneBaseShareItsHashMemo) {
         << "variant " << I;
     EXPECT_EQ(serializeImage(P, Imgs[I]), RefBytes[I]) << "variant " << I;
   }
+}
+
+TEST(ParallelPipelineTest, ConcurrentFingerprintsOfOneProgramAgree) {
+  // Four threads fingerprint and build one freshly compiled program whose
+  // fingerprint memo is still empty: several may hash it, each publishes
+  // the same value, and every image equals a build on a program of its
+  // own (under -DNIMG_SANITIZE=thread an unguarded memo shows as a race).
+  std::vector<std::string> Errors;
+  BuildConfig Cfg;
+  Cfg.Seed = 7;
+  Program Ref;
+  ASSERT_TRUE(compileSources({kSpawnWorkload}, Ref, Errors));
+  NativeImage RefImg = buildNativeImage(Ref, Cfg);
+  ASSERT_FALSE(RefImg.Built.Failed) << RefImg.Built.FailureMessage;
+  uint64_t RefFp = programFingerprint(Ref);
+  std::vector<uint8_t> RefBytes = serializeImage(Ref, RefImg);
+
+  Program P;
+  ASSERT_TRUE(compileSources({kSpawnWorkload}, P, Errors));
+  // The metadata class is the one edit a first build makes; make it here,
+  // on one thread, so the threads below only read the program.
+  ensureClassMetaClass(P);
+  std::vector<uint64_t> Fps(4);
+  std::vector<std::vector<uint8_t>> Bytes(Fps.size());
+  std::vector<std::thread> Threads;
+  for (size_t I = 0; I < Fps.size(); ++I)
+    Threads.emplace_back([&, I] {
+      Fps[I] = programFingerprint(P);
+      Bytes[I] = serializeImage(P, buildNativeImage(P, Cfg));
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (size_t I = 0; I < Fps.size(); ++I) {
+    EXPECT_EQ(Fps[I], RefFp) << "thread " << I;
+    EXPECT_EQ(Bytes[I], RefBytes) << "thread " << I;
+  }
+  EXPECT_EQ(programFingerprint(P), RefFp);
 }
 
 TEST(ParallelPipelineTest, ConcurrentProfileCollectionsOwnTheirPathCaches) {
