@@ -103,6 +103,16 @@ BenchmarkSpec nimg::microserviceBenchmark(const std::string &Name) {
   return Spec;
 }
 
+BenchmarkSpec nimg::scaleRung(int Factor) {
+  BenchmarkSpec Spec = microserviceBenchmark("micronaut");
+  Spec.Name = "micronaut-x" + std::to_string(Factor);
+  Spec.Sources = {somLibrarySource(), runtimePreludeSource(140 * Factor),
+                  workloads::microserviceSource("micronaut", 60 * Factor,
+                                                46 * Factor, 30 * Factor,
+                                                3 * Factor)};
+  return Spec;
+}
+
 std::unique_ptr<Program>
 nimg::compileBenchmark(const BenchmarkSpec &Spec,
                        std::vector<std::string> &Errors) {
