@@ -4,7 +4,7 @@
 // Startup Performance" (CGO 2025).
 //
 // Sweeps the multi-size page budget (--huge-pages 0/1/2/4) across the 14
-// AWFY benchmarks for three layouts (cu, cluster, cluster+split+exttsp)
+// AWFY benchmarks for three layouts (cu, cluster, cluster+split)
 // and records modeled first-run startup per point in BENCH_hugepages.json.
 // The driver also enforces the lane's invariants: a zero budget is
 // byte-identical to a build without the flag (image bytes, majors AND
@@ -32,14 +32,13 @@ struct StratSpec {
   const char *Key;
   CodeStrategy Code;
   bool Split;
-  bool ExtTsp;
   bool IsCluster; ///< Participates in the strict-win gate.
 };
 
 const StratSpec kStrategies[] = {
-    {"cu", CodeStrategy::CuOrder, false, false, false},
-    {"cluster", CodeStrategy::Cluster, false, false, true},
-    {"cluster_split_exttsp", CodeStrategy::Cluster, true, true, true},
+    {"cu", CodeStrategy::CuOrder, false, false},
+    {"cluster", CodeStrategy::Cluster, false, true},
+    {"cluster_split", CodeStrategy::Cluster, true, true},
 };
 
 struct BudgetPoint {
@@ -72,10 +71,6 @@ BuildConfig makeCfg(const StratSpec &S, const CollectedProfiles &Prof,
   if (S.Split) {
     Cfg.Split = SplitMode::HotCold;
     Cfg.BlockProf = &Prof.Blocks;
-    if (S.ExtTsp) {
-      Cfg.SplitOpts.Blocks = BlockOrderMode::ExtTsp;
-      Cfg.EdgeProf = &Prof.Edges;
-    }
   }
   Cfg.Image.HugePages = HugePages;
   return Cfg;

@@ -49,21 +49,6 @@ int main(int Argc, char **Argv) {
   std::printf("\n");
   printFactorTable(SplitEvals, faultFactorOf);
 
-  // And with ext-TSP block reordering inside the hot fragments on top.
-  // Reordering is fault-neutral by construction (the engine touches whole
-  // fragments), so this series documents that invariant across the suite.
-  EvalOptions ExtOpts = SplitOpts;
-  ExtOpts.Build.SplitOpts.Blocks = BlockOrderMode::ExtTsp;
-  std::vector<BenchmarkEval> ExtEvals =
-      evaluateSuite(Names, /*Microservices=*/false, ExtOpts);
-  std::printf("\nwith --split hotcold --blocks exttsp (expected: identical "
-              "to the split series):\n\n");
-  std::printf("%-12s", "benchmark");
-  for (const std::string &S : strategyNames())
-    std::printf(" %15s", S.c_str());
-  std::printf("\n");
-  printFactorTable(ExtEvals, faultFactorOf);
-
   std::printf("\nSec. 7.2 — accessed heap-snapshot objects (paper: ~4%% "
               "average on AWFY):\n");
   std::vector<double> Pcts;
@@ -103,13 +88,6 @@ int main(int Argc, char **Argv) {
             W.member(S, V ? faultFactorOf(*V) : 1.0);
           }
           W.endObject();
-          W.key("fault_factors_exttsp");
-          W.beginObject();
-          for (const std::string &S : strategyNames()) {
-            const VariantEval *V = ExtEvals[I].variant(S);
-            W.member(S, V ? faultFactorOf(*V) : 1.0);
-          }
-          W.endObject();
           W.member("pct_stored_objects_touched", E.PctStoredObjectsTouched);
           W.member("snapshot_objects", uint64_t(E.SnapshotObjects));
           W.endObject();
@@ -131,7 +109,6 @@ int main(int Argc, char **Argv) {
         };
         Geomeans("geomean_fault_factors", Evals);
         Geomeans("geomean_fault_factors_split", SplitEvals);
-        Geomeans("geomean_fault_factors_exttsp", ExtEvals);
       });
   return Ok ? 0 : 1;
 }

@@ -44,22 +44,6 @@ int main(int Argc, char **Argv) {
   printFactorTable(SplitEvals,
                    [](const VariantEval &V) { return V.Speedup; });
 
-  // With ext-TSP block reordering inside the hot fragments on top of the
-  // split: startup time is fault-dominated in this model, so the series
-  // should track the split one while the intra-fragment locality gains
-  // show up in abl_exttsp's objective/taken-branch numbers instead.
-  EvalOptions ExtOpts = SplitOpts;
-  ExtOpts.Build.SplitOpts.Blocks = BlockOrderMode::ExtTsp;
-  std::vector<BenchmarkEval> ExtEvals =
-      evaluateSuite(Names, /*Microservices=*/false, ExtOpts);
-  std::printf("\nwith --split hotcold --blocks exttsp:\n\n");
-  std::printf("%-12s", "benchmark");
-  for (const std::string &S : strategyNames())
-    std::printf(" %15s", S.c_str());
-  std::printf("\n");
-  printFactorTable(ExtEvals,
-                   [](const VariantEval &V) { return V.Speedup; });
-
   std::printf("\nbaseline end-to-end time (model):\n");
   for (const BenchmarkEval &E : Evals)
     std::printf("  %-12s %8.2f ms  [%.2f, %.2f]\n", E.Benchmark.c_str(),
@@ -91,13 +75,6 @@ int main(int Argc, char **Argv) {
             W.member(S, V ? V->Speedup : 1.0);
           }
           W.endObject();
-          W.key("speedups_exttsp");
-          W.beginObject();
-          for (const std::string &S : strategyNames()) {
-            const VariantEval *V = ExtEvals[I].variant(S);
-            W.member(S, V ? V->Speedup : 1.0);
-          }
-          W.endObject();
           W.endObject();
         }
         W.endArray();
@@ -117,7 +94,6 @@ int main(int Argc, char **Argv) {
         };
         Geomeans("geomean_speedups", Evals);
         Geomeans("geomean_speedups_split", SplitEvals);
-        Geomeans("geomean_speedups_exttsp", ExtEvals);
       });
   return Ok ? 0 : 1;
 }

@@ -5,8 +5,8 @@
 //
 // Quantifies what layout optimization is worth at fleet scale: for each
 // AWFY benchmark, builds a ladder of layout variants (cu / method /
-// cluster / cu+split / cluster+split / cluster+split+exttsp), records one
-// cold reference run per variant, and replays it through the fleet serving
+// cluster / cu+split / cluster+split), records one cold reference run per
+// variant, and replays it through the fleet serving
 // simulator at 1 / 10 / 100 / 1000 concurrent instances under a storm
 // arrival profile with a shared fork/COW page cache. Reports p50/p99
 // simulated cold-start, fleet-wide majors vs unique pages, and the
@@ -18,7 +18,7 @@
 //     fault count exactly, for every (benchmark, variant);
 //   - warm-hit ratio > 0 at every N >= 10;
 //   - suite geomean p99 cold-start at N=100 strictly decreases from
-//     --code cu to --code cluster --split hotcold --blocks exttsp.
+//     --code cu to --code cluster --split hotcold.
 //     (Per-benchmark, not every workload wins: hot/cold splitting costs
 //     faults on a few AWFY programs — e.g. Towers — and PEA elision varies
 //     with the build fingerprint, so the ladder is asserted suite-wide and
@@ -45,16 +45,14 @@ struct VariantDef {
   const char *Name;
   CodeStrategy Code;
   bool Split;
-  bool ExtTsp;
 };
 
 const VariantDef Variants[] = {
-    {"cu", CodeStrategy::CuOrder, false, false},
-    {"method", CodeStrategy::MethodOrder, false, false},
-    {"cluster", CodeStrategy::Cluster, false, false},
-    {"cu_split", CodeStrategy::CuOrder, true, false},
-    {"cluster_split", CodeStrategy::Cluster, true, false},
-    {"cluster_split_exttsp", CodeStrategy::Cluster, true, true},
+    {"cu", CodeStrategy::CuOrder, false},
+    {"method", CodeStrategy::MethodOrder, false},
+    {"cluster", CodeStrategy::Cluster, false},
+    {"cu_split", CodeStrategy::CuOrder, true},
+    {"cluster_split", CodeStrategy::Cluster, true},
 };
 constexpr size_t NumVariants = sizeof(Variants) / sizeof(Variants[0]);
 
@@ -82,10 +80,6 @@ Reference record(Program &P, const VariantDef &V,
   if (V.Split) {
     Cfg.Split = SplitMode::HotCold;
     Cfg.BlockProf = &Prof.Blocks;
-    if (V.ExtTsp) {
-      Cfg.SplitOpts.Blocks = BlockOrderMode::ExtTsp;
-      Cfg.EdgeProf = &Prof.Edges;
-    }
   }
   NativeImage Img = buildNativeImage(P, Cfg);
   Reference R;
@@ -115,7 +109,7 @@ double geomean(const std::vector<double> &Xs) {
 int main(int Argc, char **Argv) {
   bool Smoke = Argc > 1 && std::strcmp(Argv[1], "--smoke") == 0;
   RunConfig Run;
-  // Same geometry as abl_split/abl_exttsp: demand-fault every page so the
+  // Same geometry as abl_split: demand-fault every page so the
   // layout effect isn't aliased away by readahead batching.
   Run.Paging.ReadaheadPages = 1;
 
@@ -230,7 +224,7 @@ int main(int Argc, char **Argv) {
   if (!Rows.empty() && !(GeoFull < GeoCu)) {
     P99Ok = false;
     std::fprintf(stderr,
-                 "FAIL: suite geomean p99@100 cluster_split_exttsp %.4f ms "
+                 "FAIL: suite geomean p99@100 cluster_split %.4f ms "
                  "not strictly below cu %.4f ms\n",
                  GeoFull / 1e6, GeoCu / 1e6);
   }

@@ -4,24 +4,18 @@
 // Startup Performance" (CGO 2025).
 //
 // Sweeps the four rungs of the scale ladder (scaleRung: micronaut x1, x4,
-// x10 and x25, 0.5 to 7.3 MB of .text) over every code strategy
-// {baseline, cu, method, cluster} x split {none, hotcold, hotcold+exttsp}
-// x huge-page budget {0, 1, 2, 4} x heap ordering {none, heap path} x
-// build seed {1, 2} x readahead window {1, 4}. Each image is built once
-// and run at both windows. Every cell records .text faults, .svm_heap
-// faults and modeled time to first response, exactly, in
-// BENCH_ladder.json. Profiles come from one instrumented build (seed
-// 1001) per rung.
+// x10 and x25, 0.5 to 7.3 MiB of .text) over every code strategy
+// {baseline, cu, method, cluster} x split {none, hotcold} x huge-page
+// budget {0, 1, 2, 4} x heap ordering {none, heap path} x build seed
+// {1, 2} x readahead window {1, 4}. Each image is built once and run at
+// both windows. Every cell records .text faults, .svm_heap faults and
+// modeled time to first response, exactly, in BENCH_ladder.json.
+// Profiles come from one instrumented build (seed 1001) per rung.
 //
 // The verdict block applies the "prove or prune" rule: for each strategy
 // it counts the cells where it strictly beats its simpler sibling on
 // modeled time (all other dimensions equal), per cell and on the mean
 // over the two build seeds, at each readahead window.
-//
-// Two controls back the ext-TSP verdict: `exttsp_text` counts the cells
-// where hotcold+exttsp has the same .text faults as hotcold, and
-// `pea_off_control` rebuilds both with PEA elision off and counts the
-// cells whose RunStats are equal field by field.
 //
 // The driver fails when a build fails, an offered profile is not applied,
 // or a run does not respond. `--smoke` runs x1, seed 1, huge {0, 4}.
@@ -35,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 using namespace nimg;
 
@@ -49,22 +44,14 @@ const CodeDef Codes[] = {{"baseline", CodeStrategy::None},
                          {"method", CodeStrategy::MethodOrder},
                          {"cluster", CodeStrategy::Cluster}};
 
-struct SplitDef {
-  const char *Key;
-  bool Split;
-  bool ExtTsp;
-};
-const SplitDef Splits[] = {{"none", false, false},
-                           {"hotcold", true, false},
-                           {"hotcold_exttsp", true, true}};
-
+const char *const Splits[] = {"none", "hotcold"};
 const char *const Heaps[] = {"none", "path"};
 const uint32_t Readaheads[] = {1, 4};
 
-constexpr size_t NumCodes = sizeof(Codes) / sizeof(Codes[0]);
-constexpr size_t NumSplits = sizeof(Splits) / sizeof(Splits[0]);
-constexpr size_t NumHeaps = 2;
-constexpr size_t NumReadaheads = 2;
+constexpr size_t NumCodes = std::size(Codes);
+constexpr size_t NumSplits = std::size(Splits);
+constexpr size_t NumHeaps = std::size(Heaps);
+constexpr size_t NumReadaheads = std::size(Readaheads);
 
 /// Index of one cell; each field indexes the matching dimension list.
 struct Coord {
@@ -114,10 +101,9 @@ struct Grid {
 };
 
 BuildConfig configFor(const Grid &G, const Coord &C,
-                      const CollectedProfiles &Prof, bool EnablePea) {
+                      const CollectedProfiles &Prof) {
   BuildConfig Cfg;
   Cfg.Seed = G.Seeds[C.Seed];
-  Cfg.EnablePea = EnablePea;
   Cfg.CodeOrder = Codes[C.Code].Code;
   switch (Cfg.CodeOrder) {
   case CodeStrategy::CuOrder:
@@ -132,13 +118,9 @@ BuildConfig configFor(const Grid &G, const Coord &C,
   default:
     break;
   }
-  if (Splits[C.Split].Split) {
+  if (C.Split == 1) {
     Cfg.Split = SplitMode::HotCold;
     Cfg.BlockProf = &Prof.Blocks;
-    if (Splits[C.Split].ExtTsp) {
-      Cfg.SplitOpts.Blocks = BlockOrderMode::ExtTsp;
-      Cfg.EdgeProf = &Prof.Edges;
-    }
   }
   if (C.Heap == 1) {
     Cfg.UseHeapOrder = true;
@@ -164,21 +146,6 @@ std::string checkBuild(const NativeImage &Img, const BuildConfig &Cfg) {
 
 double timeOf(const RunStats &S) {
   return S.Responded ? S.TimeToFirstResponseNs : S.TimeNs;
-}
-
-/// Every RunStats field a layout can move.
-bool sameRun(const RunStats &A, const RunStats &B) {
-  return A.TextFaults == B.TextFaults && A.HeapFaults == B.HeapFaults &&
-         A.TextColdFaults == B.TextColdFaults &&
-         A.TextHugeFaults == B.TextHugeFaults &&
-         A.Instructions == B.Instructions && A.ProbeUnits == B.ProbeUnits &&
-         A.PrefetchedPages == B.PrefetchedPages && A.TimeNs == B.TimeNs &&
-         A.TimeToFirstResponseNs == B.TimeToFirstResponseNs &&
-         A.Responded == B.Responded && A.Trapped == B.Trapped &&
-         A.FuelExhausted == B.FuelExhausted && A.Output == B.Output &&
-         A.StoredObjectsTouched == B.StoredObjectsTouched &&
-         A.StoredObjectsTotal == B.StoredObjectsTotal &&
-         A.TextPages == B.TextPages && A.HeapPages == B.HeapPages;
 }
 
 /// One "prove or prune" comparison: cells whose dimension \c Dim holds
@@ -217,7 +184,6 @@ std::vector<Comparison> comparisons(const Grid &G) {
       {"method", "baseline", &Coord::Code, 2, 0},
       {"cluster", "cu", &Coord::Code, 3, 1},
       {"hotcold", "none", &Coord::Split, 1, 0},
-      {"exttsp", "hotcold", &Coord::Split, 2, 1},
       {"heap_path", "heap_none", &Coord::Heap, 1, 0},
   };
   for (size_t H = 1; H < G.Huge.size(); ++H)
@@ -253,8 +219,6 @@ int main(int Argc, char **Argv) {
   Run.StopAtFirstResponse = true;
 
   std::vector<Rung> Rungs;
-  uint64_t ExtTspCells = 0, ExtTspTextEqual = 0;
-  uint64_t PeaOffCells = 0, PeaOffEqual = 0;
   bool Ok = true;
 
   for (int Factor : Factors) {
@@ -276,61 +240,35 @@ int main(int Argc, char **Argv) {
     R.Name = Spec.Name;
     R.Cells.resize(G.size());
     // One build per cell with Ra == 0, run at every window.
-    auto Measure = [&](const Coord &C, bool EnablePea,
-                       std::vector<RunStats> &Out) {
-      BuildConfig Cfg = configFor(G, C, Prof, EnablePea);
+    G.forEach([&](const Coord &C) {
+      if (C.Ra != 0)
+        return;
+      BuildConfig Cfg = configFor(G, C, Prof);
       NativeImage Img = buildNativeImage(*P, Cfg);
       std::string Err = checkBuild(Img, Cfg);
       if (!Err.empty()) {
         std::fprintf(stderr, "FAIL: %s %s/%s: %s\n", Spec.Name.c_str(),
-                     Codes[C.Code].Key, Splits[C.Split].Key, Err.c_str());
+                     Codes[C.Code].Key, Splits[C.Split], Err.c_str());
         Ok = false;
-        return false;
+        return;
       }
       if (C.Code == 0 && C.Split == 0 && C.Huge == 0 && C.Heap == 0 &&
           C.Seed == 0)
         R.TextSize = Img.Layout.TextSize;
-      Out.clear();
-      for (uint32_t Ra : Readaheads) {
+      for (size_t Ra = 0; Ra < NumReadaheads; ++Ra) {
         RunConfig RC = Run;
-        RC.Paging.ReadaheadPages = Ra;
-        Out.push_back(runImage(Img, RC));
-        if (!Out.back().Responded) {
+        RC.Paging.ReadaheadPages = Readaheads[Ra];
+        RunStats Stats = runImage(Img, RC);
+        if (!Stats.Responded) {
           std::fprintf(stderr, "FAIL: %s %s/%s: no response\n",
                        Spec.Name.c_str(), Codes[C.Code].Key,
-                       Splits[C.Split].Key);
+                       Splits[C.Split]);
           Ok = false;
         }
-      }
-      return true;
-    };
-    std::vector<RunStats> Stats, Plain, Ext;
-    G.forEach([&](const Coord &C) {
-      if (C.Ra != 0 || !Measure(C, true, Stats))
-        return;
-      for (size_t Ra = 0; Ra < NumReadaheads; ++Ra) {
         Coord At = C;
         At.Ra = Ra;
-        R.Cells[G.index(At)] = {Stats[Ra].TextFaults, Stats[Ra].HeapFaults,
-                                timeOf(Stats[Ra])};
-      }
-    });
-    // Ext-TSP controls: .text faults per cell, and with PEA elision off
-    // the whole RunStats.
-    G.forEach([&](const Coord &C) {
-      if (!Splits[C.Split].ExtTsp)
-        return;
-      Coord Sib = C;
-      Sib.Split = 1;
-      ++ExtTspCells;
-      if (R.Cells[G.index(C)].TextFaults == R.Cells[G.index(Sib)].TextFaults)
-        ++ExtTspTextEqual;
-      if (C.Ra != 0 || !Measure(C, false, Ext) || !Measure(Sib, false, Plain))
-        return;
-      for (size_t Ra = 0; Ra < NumReadaheads; ++Ra) {
-        ++PeaOffCells;
-        if (sameRun(Ext[Ra], Plain[Ra]))
-          ++PeaOffEqual;
+        R.Cells[G.index(At)] = {Stats.TextFaults, Stats.HeapFaults,
+                                timeOf(Stats)};
       }
     });
     Rungs.push_back(std::move(R));
@@ -384,13 +322,6 @@ int main(int Argc, char **Argv) {
                 (unsigned long long)V.SeedMean.Wins,
                 (unsigned long long)V.SeedMean.Cells,
                 (unsigned long long)V.Text.Wins);
-  std::printf("\nexttsp .text faults equal to hotcold: %llu of %llu cells\n",
-              (unsigned long long)ExtTspTextEqual,
-              (unsigned long long)ExtTspCells);
-  std::printf("PEA off, exttsp RunStats equal to hotcold: %llu of %llu "
-              "cells\n",
-              (unsigned long long)PeaOffEqual,
-              (unsigned long long)PeaOffCells);
   double WallS = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - Start)
                      .count();
@@ -413,7 +344,7 @@ int main(int Argc, char **Argv) {
                  const Cell &X = R.Cells[G.index(C)];
                  W.beginObject();
                  W.member("code", Codes[C.Code].Key);
-                 W.member("split", Splits[C.Split].Key);
+                 W.member("split", Splits[C.Split]);
                  W.member("huge", uint64_t(G.Huge[C.Huge]));
                  W.member("heap", Heaps[C.Heap]);
                  W.member("seed", G.Seeds[C.Seed]);
@@ -445,16 +376,6 @@ int main(int Argc, char **Argv) {
                W.endObject();
              }
              W.endArray();
-             W.key("exttsp_text");
-             W.beginObject();
-             W.member("cells", ExtTspCells);
-             W.member("equal", ExtTspTextEqual);
-             W.endObject();
-             W.key("pea_off_control");
-             W.beginObject();
-             W.member("cells", PeaOffCells);
-             W.member("equal", PeaOffEqual);
-             W.endObject();
            }) &&
        Ok;
   return Ok ? 0 : 1;

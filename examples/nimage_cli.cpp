@@ -7,7 +7,7 @@
 //
 //   nimage_cli build  <bench|file.mj> [--out image.nimg] [--seed N]
 //                     [--code cu|method|cluster] [--heap inc|struct|path]
-//                     [--split none|hotcold] [--blocks none|exttsp]
+//                     [--split none|hotcold]
 //   nimage_cli run    <bench|file.mj> [--image image.nimg] [--warm]
 //   nimage_cli profile <bench|file.mj> [--dir profiles/] [--cluster-budget B]
 //
@@ -15,6 +15,7 @@
 // (micronaut/quarkus/spring), or a path to a MiniJava source file (which
 // is linked against the som library and the runtime prelude).
 // `build --code/--heap` reads the CSV profiles written by `profile`.
+// A flag the command does not take is a usage error (exit 2).
 //
 // Observability flags (any command):
 //   --metrics          print the metrics registry after the command
@@ -114,6 +115,66 @@ bool hasFlag(int Argc, char **Argv, const char *Flag) {
   return false;
 }
 
+/// One flag a command takes.
+struct FlagSpec {
+  const char *Name;
+  bool TakesValue;
+};
+
+/// The flags \p Cmd takes besides the ones every command takes, or null
+/// for an unknown command.
+const std::vector<FlagSpec> *commandFlags(const std::string &Cmd) {
+  static const std::vector<FlagSpec> Profile = {
+      {"--dir", true},           {"--generation", true},
+      {"--cluster-budget", true}, {"--huge-pages", true},
+      {"--profile-mode", true},  {"--sample-period", true}};
+  static const std::vector<FlagSpec> Build = {
+      {"--out", true},         {"--seed", true},  {"--profiles", true},
+      {"--profile-dir", true}, {"--code", true},  {"--heap", true},
+      {"--split", true},       {"--huge-pages", true}};
+  static const std::vector<FlagSpec> Run = {
+      {"--image", true},             {"--warm", false},
+      {"--fleet", true},             {"--arrivals", true},
+      {"--arrival-window-ns", true}, {"--fleet-seed", true},
+      {"--storm-bursts", true},      {"--cache-pages", true}};
+  if (Cmd == "profile")
+    return &Profile;
+  if (Cmd == "build")
+    return &Build;
+  if (Cmd == "run")
+    return &Run;
+  return nullptr;
+}
+
+/// Checks every argument after the target against the flags \p Cmd takes.
+/// An unknown flag (say `--huge-page 4`, a typo for `--huge-pages`) would
+/// otherwise be ignored and silently change what gets built. Prints an
+/// error naming the offending argument and returns false.
+bool checkFlags(const std::string &Cmd, const std::vector<FlagSpec> &Flags,
+                int Argc, char **Argv) {
+  static const std::vector<FlagSpec> Common = {{"--jobs", true},
+                                               {"--metrics", false},
+                                               {"--trace-out", true},
+                                               {"--report", true}};
+  for (int I = 3; I < Argc; ++I) {
+    const FlagSpec *Spec = nullptr;
+    for (const std::vector<FlagSpec> *List : {&Common, &Flags})
+      for (const FlagSpec &F : *List)
+        if (std::strcmp(Argv[I], F.Name) == 0)
+          Spec = &F;
+    if (!Spec) {
+      std::fprintf(stderr, "error: '%s' does not take '%s'\n", Cmd.c_str(),
+                   Argv[I]);
+      return false;
+    }
+    if (Spec->TakesValue && ++I == Argc) {
+      std::fprintf(stderr, "error: %s expects a value\n", Spec->Name);
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Parses --huge-pages into \p Cfg (build and profile both consume it: the
 /// layout maps the region, the cluster solver packs against the budget).
 /// Returns false after printing an error for a malformed value.
@@ -139,7 +200,7 @@ int usage() {
                "[--profiles DIR|a.csv,b.csv,...] [--profile-dir DIR] "
                "[--code cu|method|cluster] "
                "[--heap inc|struct|path] [--split none|hotcold] "
-               "[--blocks none|exttsp] [--huge-pages N]\n"
+               "[--huge-pages N]\n"
                "  nimage_cli run     <target> [--image F] [--warm]\n"
                "                     [--fleet N] "
                "[--arrivals uniform|poisson|storm]\n"
@@ -193,13 +254,6 @@ int usage() {
                "'profile' the cluster\n"
                "                     solver packs the hottest clusters into "
                "the huge budget.\n"
-               "block layout (build):\n"
-               "  --blocks exttsp    reorder blocks inside each split CU's "
-               "hot fragment by the\n"
-               "  ext-TSP objective, driven by DIR/edges.csv (written by "
-               "'profile'); needs\n"
-               "  --split hotcold. Missing/unusable edge counts keep block "
-               "index order.\n"
                "observability (any command):\n"
                "  --metrics          print the metrics registry on exit\n"
                "  --trace-out FILE   write Chrome trace-event JSON spans\n"
@@ -300,7 +354,6 @@ int cmdProfile(const std::string &Target, int Argc, char **Argv) {
             writeFile(Dir + "/method.csv", Prof.Method.toCsv()) &&
             writeFile(Dir + "/cluster.csv", Prof.Cluster.toCsv()) &&
             writeFile(Dir + "/blocks.csv", Prof.Blocks.toCsv()) &&
-            writeFile(Dir + "/edges.csv", Prof.Edges.toCsv()) &&
             writeFile(Dir + "/heap_inc.csv", Prof.IncrementalId.toCsv()) &&
             writeFile(Dir + "/heap_struct.csv", Prof.StructuralHash.toCsv()) &&
             writeFile(Dir + "/heap_path.csv", Prof.HeapPath.toCsv());
@@ -309,7 +362,7 @@ int cmdProfile(const std::string &Target, int Argc, char **Argv) {
     return 1;
   }
   std::printf("wrote ordering profiles to %s/{cu,method,cluster,blocks,"
-              "edges,heap_inc,heap_struct,heap_path}.csv\n",
+              "heap_inc,heap_struct,heap_path}.csv\n",
               Dir.c_str());
   std::printf("  cu entries: %zu, methods: %zu, heap objects: %zu\n",
               Prof.Cu.Sigs.size(), Prof.Method.Sigs.size(),
@@ -481,39 +534,6 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
       return 2;
     }
   }
-  EdgeProfile EdgeProf;
-  if (const char *Blocks = flagValue(Argc, Argv, "--blocks")) {
-    if (std::strcmp(Blocks, "exttsp") == 0) {
-      if (Cfg.Split != SplitMode::HotCold) {
-        std::fprintf(stderr,
-                     "error: --blocks exttsp needs --split hotcold (it "
-                     "reorders within hot fragments)\n");
-        return 2;
-      }
-      Cfg.SplitOpts.Blocks = BlockOrderMode::ExtTsp;
-      std::string File = Dir + "/edges.csv";
-      std::string Csv;
-      if (readFile(File, Csv)) {
-        ProfileReadReport Report;
-        EdgeProf = EdgeProfile::fromCsv(Csv, &Report);
-        Cfg.EdgeProf = &EdgeProf;
-        if (Report.RowsSkipped > 0)
-          std::fprintf(stderr, "warning: %s: skipped %zu malformed row(s)\n",
-                       File.c_str(), Report.RowsSkipped);
-      } else {
-        // A missing edge profile is not fatal: hot fragments keep block
-        // index order and insufficient_edge_profile is recorded.
-        std::fprintf(stderr,
-                     "warning: missing profile %s; keeping block index "
-                     "order (run 'profile' first)\n",
-                     File.c_str());
-      }
-    } else if (std::strcmp(Blocks, "none") != 0) {
-      std::fprintf(stderr, "error: --blocks expects none|exttsp, got '%s'\n",
-                   Blocks);
-      return 2;
-    }
-  }
 
   NativeImage Img = buildNativeImage(*P, Cfg);
 
@@ -534,9 +554,6 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
   if (Cfg.Split == SplitMode::HotCold)
     Report.Variant += (Report.Variant.empty() ? "" : " ") +
                       std::string("split=hotcold");
-  if (Cfg.SplitOpts.Blocks == BlockOrderMode::ExtTsp)
-    Report.Variant += (Report.Variant.empty() ? "" : " ") +
-                      std::string("blocks=exttsp");
   if (Cfg.Image.HugePages > 0)
     Report.Variant += (Report.Variant.empty() ? "" : " ") +
                       std::string("huge-pages=") +
@@ -570,16 +587,6 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
                 Img.Split.SplitCus, Img.Split.DegradedCus,
                 (unsigned long long)Img.Layout.ColdTailSize,
                 (unsigned long long)Img.Split.StubBytes);
-  if (Img.Split.ExtTsp.Requested) {
-    const ExtTspSummary &T = Img.Split.ExtTsp;
-    std::printf("  blocks: exttsp reordered %u CU(s), %u degraded, %llu "
-                "chain merge(s), score %+.1f%%\n",
-                T.ReorderedCus, T.DegradedCus,
-                (unsigned long long)T.ChainMerges,
-                T.ScoreBefore > 0
-                    ? 100.0 * (T.ScoreAfter - T.ScoreBefore) / T.ScoreBefore
-                    : 0.0);
-  }
   if (Img.ProfileDiag.Merge.attempted()) {
     const MergeManifest &M = Img.ProfileDiag.Merge;
     std::printf("  merge: %s — %zu member(s): %zu accepted, %zu "
@@ -776,6 +783,11 @@ int main(int Argc, char **Argv) {
     return usage();
   std::string Cmd = Argv[1];
   std::string Target = Argv[2];
+  const std::vector<FlagSpec> *Flags = commandFlags(Cmd);
+  if (!Flags)
+    return usage();
+  if (!checkFlags(Cmd, *Flags, Argc, Argv))
+    return 2;
 
   if (const char *Jobs = flagValue(Argc, Argv, "--jobs")) {
     int N = std::atoi(Jobs);
@@ -792,15 +804,13 @@ int main(int Argc, char **Argv) {
   if (TraceOut)
     obs::SpanTracer::global().setEnabled(true);
 
-  int Rc = 2;
+  int Rc;
   if (Cmd == "profile")
     Rc = cmdProfile(Target, Argc, Argv);
   else if (Cmd == "build")
     Rc = cmdBuild(Target, Argc, Argv);
-  else if (Cmd == "run")
-    Rc = cmdRun(Target, Argc, Argv);
   else
-    return usage();
+    Rc = cmdRun(Target, Argc, Argv);
 
   if (TraceOut) {
     if (!obs::SpanTracer::global().writeFile(TraceOut)) {

@@ -4,11 +4,9 @@
 
 #include "src/compiler/CodeSize.h"
 #include "src/obs/Metrics.h"
-#include "src/ordering/ExtTsp.h"
 #include "src/support/SplitMix64.h"
 
 #include <cassert>
-#include <numeric>
 #include <unordered_map>
 
 using namespace nimg;
@@ -102,95 +100,12 @@ private:
   std::unordered_map<MethodId, std::vector<bool>> HotOf;
 };
 
-/// Per-method CFG-edge weights resolved from the edge profile rows, keyed
-/// like HotBlocks (signatures apply to every inline copy).
-class EdgeCounts {
-public:
-  EdgeCounts() = default;
-  EdgeCounts(const Program &P, const EdgeProfile &Prof) {
-    for (const EdgeProfile::Row &R : Prof.Rows) {
-      if (R.Count == 0)
-        continue;
-      auto It = MethodOf.find(R.Sig);
-      MethodId M;
-      if (It != MethodOf.end()) {
-        M = It->second;
-      } else {
-        M = P.findMethodBySig(R.Sig);
-        MethodOf.emplace(R.Sig, M);
-      }
-      if (M < 0)
-        continue; // Stale row from another program version; ignore.
-      EdgesOf[M].push_back({R.From, R.To, R.Count});
-    }
-  }
-
-  /// Edges of \p M in profile row order (Sig/From/To-sorted, so
-  /// deterministic), or null when the method has no counted edges.
-  const std::vector<ExtTspEdge> *of(MethodId M) const {
-    auto It = EdgesOf.find(M);
-    return It == EdgesOf.end() ? nullptr : &It->second;
-  }
-
-private:
-  std::unordered_map<std::string, MethodId> MethodOf;
-  std::unordered_map<MethodId, std::vector<ExtTspEdge>> EdgesOf;
-};
-
-/// Fall-through / taken-branch decomposition of one linear order of the
-/// hot-fragment blocks: how much edge weight falls through, how much
-/// takes a branch, and the weighted byte distance those branches travel.
-struct OrderCost {
-  uint64_t Fallthrough = 0;
-  uint64_t Taken = 0;
-  double Distance = 0;
-};
-
-OrderCost orderCost(const std::vector<uint32_t> &Order,
-                    const std::vector<uint32_t> &Sizes,
-                    const std::vector<ExtTspEdge> &Edges) {
-  std::vector<uint64_t> Start(Sizes.size(), 0);
-  uint64_t Cur = 0;
-  for (uint32_t B : Order) {
-    Start[B] = Cur;
-    Cur += Sizes[B];
-  }
-  OrderCost C;
-  for (const ExtTspEdge &E : Edges) {
-    uint64_t SrcEnd = Start[E.From] + Sizes[E.From];
-    uint64_t DstStart = Start[E.To];
-    if (DstStart == SrcEnd) {
-      C.Fallthrough += E.Weight;
-    } else {
-      C.Taken += E.Weight;
-      uint64_t D = DstStart > SrcEnd ? DstStart - SrcEnd : SrcEnd - DstStart;
-      C.Distance += double(E.Weight) * double(D);
-    }
-  }
-  return C;
-}
-
 void meterSplit(const SplitResult &R) {
   NIMG_COUNTER_ADD("nimg.split.cus_split", R.SplitCus);
   NIMG_COUNTER_ADD("nimg.split.cus_degraded", R.DegradedCus);
   NIMG_COUNTER_ADD("nimg.split.hot_bytes", R.HotBytes);
   NIMG_COUNTER_ADD("nimg.split.cold_bytes", R.ColdBytes);
   NIMG_COUNTER_ADD("nimg.split.stub_bytes", R.StubBytes);
-  if (R.ExtTsp.Requested) {
-    const ExtTspSummary &T = R.ExtTsp;
-    NIMG_COUNTER_ADD("nimg.layout.exttsp.cus_reordered", T.ReorderedCus);
-    NIMG_COUNTER_ADD("nimg.layout.exttsp.cus_degraded", T.DegradedCus);
-    NIMG_COUNTER_ADD("nimg.layout.exttsp.chain_merges", T.ChainMerges);
-    NIMG_GAUGE_SET("nimg.layout.exttsp.fallthrough_permille",
-                   int64_t(T.EdgeWeight
-                               ? T.FallthroughAfter * 1000 / T.EdgeWeight
-                               : 0));
-    NIMG_GAUGE_SET("nimg.layout.exttsp.score_uplift_permille",
-                   int64_t(T.ScoreBefore > 0
-                               ? (T.ScoreAfter - T.ScoreBefore) * 1000.0 /
-                                     T.ScoreBefore
-                               : 0));
-  }
 #ifdef NIMG_OBS_DISABLED
   (void)R;
 #endif
@@ -201,8 +116,7 @@ void meterSplit(const SplitResult &R) {
 SplitResult nimg::splitCompiledProgram(const Program &P,
                                        const CompiledProgram &CP,
                                        const BlockProfile *Prof,
-                                       const SplitOptions &Opts,
-                                       const EdgeProfile *Edges) {
+                                       const SplitOptions &Opts) {
   SplitResult R;
   R.Mode = SplitMode::HotCold;
   R.PerCu.resize(CP.CUs.size());
@@ -228,38 +142,8 @@ SplitResult nimg::splitCompiledProgram(const Program &P,
     Degraded = true;
   }
 
-  // Edge-profile degradation is independent and softer: the split itself
-  // still happens; only the intra-fragment reorder falls back to block
-  // index order.
-  bool EdgeDegraded = false;
-  if (Opts.Blocks == BlockOrderMode::ExtTsp) {
-    R.ExtTsp.Requested = true;
-    if (Degraded) {
-      EdgeDegraded = true; // Nothing splits, so nothing can reorder.
-    } else if (!Edges) {
-      addIssue(R, ProfileError::InsufficientEdgeProfile, 0,
-               "no edge profile offered");
-      EdgeDegraded = true;
-    } else if (!Edges->usable()) {
-      addIssue(R, ProfileError::InsufficientEdgeProfile, 0,
-               std::string("edge profile rejected: ") +
-                   profileErrorSlug(Edges->LoadError));
-      EdgeDegraded = true;
-    } else if (Edges->CoveragePermille < Opts.MinCoveragePermille) {
-      addIssue(R, ProfileError::InsufficientEdgeProfile, 0,
-               "edge salvage coverage " +
-                   std::to_string(Edges->CoveragePermille) +
-                   " permille below threshold " +
-                   std::to_string(Opts.MinCoveragePermille));
-      EdgeDegraded = true;
-    }
-  }
-  const bool DoExtTsp = R.ExtTsp.Requested && !EdgeDegraded;
-
   HotBlocks Hot = Degraded ? HotBlocks(P, BlockProfile{})
                            : HotBlocks(P, *Prof);
-  EdgeCounts EdgeW = DoExtTsp ? EdgeCounts(P, *Edges) : EdgeCounts();
-  const ExtTspOptions TspOpts;
 
   uint64_t Fp = 0x5eed5eedULL;
   uint64_t ExiledCopies = 0;
@@ -347,8 +231,6 @@ SplitResult nimg::splitCompiledProgram(const Program &P,
       S.Split = true;
       S.Copies.resize(CU.Copies.size());
       uint32_t HotCur = 0, ColdCur = 0, StubTotal = 0;
-      uint64_t CuEdgeWeight = 0;
-      bool CuReordered = false;
       for (size_t C = 0; C < CU.Copies.size(); ++C) {
         const CopyPlan &Plan = Plans[C];
         const Method &Meth = P.method(CU.Copies[C].Method);
@@ -357,77 +239,14 @@ SplitResult nimg::splitCompiledProgram(const Program &P,
         CS.ColdOffset = ColdCur;
         CS.Blocks.resize(Plan.Sizes.size());
 
-        // Local indexing of this copy's hot blocks (index order): local 0
-        // is the first hot block — the fragment's entry, which the
-        // reorderer pins first.
-        std::vector<uint32_t> HotLocal; // local index -> BlockId
-        std::vector<int32_t> LocalOf(Plan.Sizes.size(), -1);
-        std::vector<uint32_t> HotSizes;
-        for (size_t B = 0; B < Plan.Sizes.size(); ++B)
-          if (Plan.Hot[B]) {
-            LocalOf[B] = int32_t(HotLocal.size());
-            HotLocal.push_back(uint32_t(B));
-            HotSizes.push_back(Plan.Sizes[B]);
-          }
-        std::vector<uint32_t> HotOrder(HotLocal.size());
-        std::iota(HotOrder.begin(), HotOrder.end(), 0);
-
-        if (DoExtTsp && HotLocal.size() >= 3) {
-          // Map the method's counted CFG edges onto this copy's hot
-          // fragment; edges touching a cold or out-of-range block cannot
-          // be improved by an intra-hot reorder and are dropped.
-          std::vector<ExtTspEdge> Local;
-          if (const std::vector<ExtTspEdge> *ME =
-                  EdgeW.of(CU.Copies[C].Method)) {
-            for (const ExtTspEdge &E : *ME)
-              if (E.From < LocalOf.size() && E.To < LocalOf.size() &&
-                  LocalOf[E.From] >= 0 && LocalOf[E.To] >= 0 &&
-                  E.From != E.To)
-                Local.push_back({uint32_t(LocalOf[E.From]),
-                                 uint32_t(LocalOf[E.To]), E.Weight});
-          }
-          if (!Local.empty()) {
-            ExtTspResult ER = extTspOrder(HotSizes, Local, TspOpts);
-            ExtTspSummary &T = R.ExtTsp;
-            T.ScoreBefore += ER.IdentityScore;
-            T.ScoreAfter += ER.Score;
-            T.ChainMerges += ER.ChainMerges;
-            std::vector<uint32_t> Identity(HotOrder);
-            OrderCost Before = orderCost(Identity, HotSizes, Local);
-            OrderCost After = orderCost(ER.Order, HotSizes, Local);
-            T.FallthroughBefore += Before.Fallthrough;
-            T.FallthroughAfter += After.Fallthrough;
-            T.TakenBefore += Before.Taken;
-            T.TakenAfter += After.Taken;
-            T.JumpDistanceBefore += Before.Distance;
-            T.JumpDistanceAfter += After.Distance;
-            for (const ExtTspEdge &E : Local)
-              CuEdgeWeight += E.Weight;
-            if (!ER.KeptIdentity) {
-              HotOrder = std::move(ER.Order);
-              CuReordered = true;
-            }
-          }
-        }
-
-        for (size_t B = 0; B < Plan.Sizes.size(); ++B) {
-          CS.Blocks[B].Size = Plan.Sizes[B];
-          CS.Blocks[B].Cold = !Plan.Hot[B];
-        }
-        // Hot blocks in the chosen order (index order unless the
-        // reorderer strictly improved the objective); cold blocks always
-        // in index order.
-        for (uint32_t L : HotOrder) {
-          BlockPlace &Place = CS.Blocks[HotLocal[L]];
-          Place.Offset = HotCur;
-          HotCur += Place.Size;
-        }
+        // Both fragments keep block index order.
         for (size_t B = 0; B < Plan.Sizes.size(); ++B) {
           BlockPlace &Place = CS.Blocks[B];
-          if (Place.Cold) {
-            Place.Offset = ColdCur;
-            ColdCur += Place.Size;
-          }
+          Place.Size = Plan.Sizes[B];
+          Place.Cold = !Plan.Hot[B];
+          uint32_t &Cur = Place.Cold ? ColdCur : HotCur;
+          Place.Offset = Cur;
+          Cur += Place.Size;
         }
         // One stub branch per static CFG edge crossing the boundary,
         // charged to the source block's fragment.
@@ -455,87 +274,6 @@ SplitResult nimg::splitCompiledProgram(const Program &P,
                  uint64_t(CU.CodeSize) + S.StubBytes &&
              "fragment sizes must account for every byte plus stubs");
       ++R.SplitCus;
-      if (DoExtTsp) {
-        R.ExtTsp.EdgeWeight += CuEdgeWeight;
-        if (CuReordered) {
-          ++R.ExtTsp.ReorderedCus;
-        } else if (CuEdgeWeight == 0) {
-          // Split CU with no counted hot-hot edge at all: the reorderer
-          // had nothing to work from. Typed per-CU degradation.
-          ++R.ExtTsp.DegradedCus;
-          addIssue(R, ProfileError::InsufficientEdgeProfile, 0,
-                   "no edge rows mapped onto split CU " +
-                       P.method(CU.Root).Sig);
-        }
-      }
-    } else if (DoExtTsp && !Degraded && AnyHot) {
-      // Executed but unsplit CU (tight kernels keep every block hot, so
-      // nothing moves to the cold tail): its whole body is one degenerate
-      // hot fragment with an empty cold side, and BOLT reorders those
-      // too. Counted edges pull their blocks into chains; never-executed
-      // blocks keep their relative index order behind them. The placement
-      // is recorded only when the objective strictly improves, so
-      // untouched CUs stay byte-identical to --blocks none (Split stays
-      // false either way — the runtime keeps touching the copy ranges it
-      // always touched, which is why the reorder cannot change faults).
-      std::vector<CopySplit> Copies(CU.Copies.size());
-      uint32_t HotCur = 0;
-      uint64_t CuEdgeWeight = 0;
-      bool CuReordered = false;
-      for (size_t C = 0; C < CU.Copies.size(); ++C) {
-        const CopyPlan &Plan = Plans[C];
-        CopySplit &CS = Copies[C];
-        CS.HotOffset = HotCur;
-        CS.Blocks.resize(Plan.Sizes.size());
-        std::vector<uint32_t> Order(Plan.Sizes.size());
-        std::iota(Order.begin(), Order.end(), 0);
-        if (Plan.Sizes.size() >= 3) {
-          // Whole-body fragment: block ids are already the local indices.
-          std::vector<ExtTspEdge> Local;
-          if (const std::vector<ExtTspEdge> *ME =
-                  EdgeW.of(CU.Copies[C].Method)) {
-            for (const ExtTspEdge &E : *ME)
-              if (E.From < Plan.Sizes.size() && E.To < Plan.Sizes.size() &&
-                  E.From != E.To)
-                Local.push_back(E);
-          }
-          if (!Local.empty()) {
-            ExtTspResult ER = extTspOrder(Plan.Sizes, Local, TspOpts);
-            ExtTspSummary &T = R.ExtTsp;
-            T.ScoreBefore += ER.IdentityScore;
-            T.ScoreAfter += ER.Score;
-            T.ChainMerges += ER.ChainMerges;
-            OrderCost Before = orderCost(Order, Plan.Sizes, Local);
-            OrderCost After = orderCost(ER.Order, Plan.Sizes, Local);
-            T.FallthroughBefore += Before.Fallthrough;
-            T.FallthroughAfter += After.Fallthrough;
-            T.TakenBefore += Before.Taken;
-            T.TakenAfter += After.Taken;
-            T.JumpDistanceBefore += Before.Distance;
-            T.JumpDistanceAfter += After.Distance;
-            for (const ExtTspEdge &E : Local)
-              CuEdgeWeight += E.Weight;
-            if (!ER.KeptIdentity) {
-              Order = std::move(ER.Order);
-              CuReordered = true;
-            }
-          }
-        }
-        for (size_t B = 0; B < Plan.Sizes.size(); ++B)
-          CS.Blocks[B].Size = Plan.Sizes[B];
-        for (uint32_t L : Order) {
-          CS.Blocks[L].Offset = HotCur;
-          HotCur += CS.Blocks[L].Size;
-        }
-        CS.HotSize = HotCur - CS.HotOffset;
-      }
-      assert(HotCur == CU.CodeSize &&
-             "whole-body fragment must account for every byte");
-      R.ExtTsp.EdgeWeight += CuEdgeWeight;
-      if (CuReordered) {
-        S.Copies = std::move(Copies);
-        ++R.ExtTsp.ReorderedCus;
-      }
     }
 
     R.HotBytes += S.HotSize;
@@ -543,11 +281,9 @@ SplitResult nimg::splitCompiledProgram(const Program &P,
     R.StubBytes += S.StubBytes;
 
     // Fold this CU's decision into the fingerprint: the split flag plus
-    // every block's fragment assignment and intra-fragment offset (the
-    // offset captures the ext-TSP order, so two builds that split alike
-    // but lay hot blocks differently diverge deterministically).
+    // every block's fragment assignment and intra-fragment offset.
     Fp = mix64(Fp, (uint64_t(CuIdx) << 1) | (S.Split ? 1 : 0));
-    if (S.Split || !S.Copies.empty()) {
+    if (S.Split) {
       uint64_t H = 0;
       for (size_t C = 0; C < S.Copies.size(); ++C)
         for (size_t B = 0; B < S.Copies[C].Blocks.size(); ++B) {
@@ -562,12 +298,6 @@ SplitResult nimg::splitCompiledProgram(const Program &P,
 
   if (Degraded)
     R.DegradedCus = uint32_t(CP.CUs.size());
-  if (R.ExtTsp.Requested) {
-    // Whole-profile edge degradation: every split CU kept index order.
-    if (EdgeDegraded)
-      R.ExtTsp.DegradedCus = R.SplitCus;
-    R.ExtTsp.Applied = DoExtTsp && R.ExtTsp.ReorderedCus > 0;
-  }
   R.DecisionFingerprint = Fp;
   NIMG_COUNTER_ADD("nimg.split.copies_exiled", ExiledCopies);
   meterSplit(R);

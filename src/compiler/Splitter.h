@@ -49,18 +49,7 @@ namespace nimg {
 
 enum class SplitMode : uint8_t { None, HotCold };
 
-/// How blocks are laid out *within* a split CU's hot fragment. None keeps
-/// block index order; ExtTsp reorders by the ext-TSP objective
-/// (src/ordering/ExtTsp.h) using CFG-edge counts (EdgeProfile). Cold
-/// fragments always keep index order — they are never fetched on startup,
-/// so intra-fragment locality buys nothing there.
-enum class BlockOrderMode : uint8_t { None, ExtTsp };
-
 struct SplitOptions {
-  /// Hot-fragment block ordering. Requires an EdgeProfile when ExtTsp;
-  /// a missing/unusable/under-covered one degrades every hot fragment to
-  /// index order with a typed `insufficient_edge_profile` issue.
-  BlockOrderMode Blocks = BlockOrderMode::None;
   /// Minimum salvage coverage (permille of trace words kept) the block
   /// profile must vouch for; below it, counts under-report executed blocks
   /// and a wrongly-cold block would fault on the cold tail every startup.
@@ -93,42 +82,15 @@ struct CopySplit {
   std::vector<BlockPlace> Blocks; ///< Indexed by the method's BlockId.
 };
 
-/// Split decision for one CU. An unsplit CU has Split == false and
-/// HotSize == CodeSize; its Copies are empty unless ext-TSP reordered the
-/// CU's whole body as a degenerate hot fragment (Split stays false — the
-/// placements are layout bookkeeping, not a cold-tail decision).
+/// Split decision for one CU. An unsplit CU has Split == false,
+/// HotSize == CodeSize and no Copies. Blocks of both fragments keep block
+/// index order.
 struct CuSplit {
   bool Split = false;
   uint32_t HotSize = 0;
   uint32_t ColdSize = 0;
   uint32_t StubBytes = 0; ///< Total stub bytes (counted in Hot/ColdSize).
   std::vector<CopySplit> Copies;
-};
-
-/// Accounting of the ext-TSP hot-fragment block reordering
-/// (SplitOptions::Blocks == ExtTsp). All weights are profile edge counts
-/// restricted to the edges the reorder can affect: hot-hot edges of split
-/// CUs plus all counted edges of executed unsplit CUs (whose whole body
-/// is a degenerate hot fragment). Before/after pairs compare block index
-/// order against the emitted order.
-struct ExtTspSummary {
-  bool Requested = false; ///< --blocks exttsp was on.
-  bool Applied = false;   ///< Usable edge profile; >= 1 fragment reordered.
-  uint32_t ReorderedCus = 0;
-  /// Split CUs whose hot fragments kept index order for lack of mapped
-  /// edge rows (plus, on whole-profile degradation, every split CU).
-  uint32_t DegradedCus = 0;
-  uint64_t ChainMerges = 0;
-  double ScoreBefore = 0; ///< Summed ext-TSP objective, index order.
-  double ScoreAfter = 0;  ///< ... emitted order (>= ScoreBefore).
-  uint64_t EdgeWeight = 0;        ///< Total hot-hot edge weight considered.
-  uint64_t FallthroughBefore = 0; ///< Weight falling through, index order.
-  uint64_t FallthroughAfter = 0;  ///< ... emitted order.
-  uint64_t TakenBefore = 0;       ///< Weight taking a branch, index order.
-  uint64_t TakenAfter = 0;        ///< ... emitted order.
-  double JumpDistanceBefore = 0;  ///< Sum of weight x byte distance over
-                                  ///< taken branches, index order.
-  double JumpDistanceAfter = 0;   ///< ... emitted order.
 };
 
 /// The whole program's split decisions plus accounting. PerCu is indexed
@@ -145,11 +107,9 @@ struct SplitResult {
   uint64_t HotBytes = 0;
   uint64_t ColdBytes = 0;
   uint64_t StubBytes = 0;
-  /// Typed degradation findings (insufficient_block_profile,
-  /// insufficient_edge_profile), capped like profile ingestion issues.
+  /// Typed degradation findings (insufficient_block_profile), capped
+  /// like profile ingestion issues.
   std::vector<ProfileIssue> Issues;
-  /// Ext-TSP reordering accounting; all-zero unless Opts.Blocks == ExtTsp.
-  ExtTspSummary ExtTsp;
 
   bool active() const { return Mode == SplitMode::HotCold; }
 };
@@ -157,14 +117,10 @@ struct SplitResult {
 /// Runs the splitting pass. \p Prof may be null (no block profile was
 /// offered): every CU stays unsplit with a single degradation issue.
 /// \p CP must be the optimized (non-instrumented) program — block sizes
-/// are modeled without probes. \p Edges feeds the ext-TSP hot-fragment
-/// block reordering and is only consulted when Opts.Blocks == ExtTsp;
-/// null/unusable/under-covered edge counts degrade every hot fragment to
-/// block index order (the split itself still happens).
+/// are modeled without probes.
 SplitResult splitCompiledProgram(const Program &P, const CompiledProgram &CP,
                                  const BlockProfile *Prof,
-                                 const SplitOptions &Opts = {},
-                                 const EdgeProfile *Edges = nullptr);
+                                 const SplitOptions &Opts = {});
 
 } // namespace nimg
 

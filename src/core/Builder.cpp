@@ -78,31 +78,6 @@ bool blockProfileUsable(const BlockProfile &BP, uint64_t BuildFp,
   return true;
 }
 
-/// Whether the offered edge profile may drive ext-TSP block reordering.
-/// Same provenance vetting as blockProfileUsable; the coverage threshold
-/// again belongs to the splitter.
-bool edgeProfileUsable(const EdgeProfile &EP, uint64_t BuildFp,
-                       ProfileDiagnostics &Diag) {
-  if (EP.LoadError != ProfileError::None) {
-    addDiag(Diag, EP.LoadError, "edge profile rejected at load");
-    return false;
-  }
-  if (EP.Header.Version == 0)
-    return true;
-  if (EP.Header.Mode != TraceMode::MethodOrder) {
-    addDiag(Diag, ProfileError::ModeMismatch,
-            "edge counts must come from a method-order path trace");
-    return false;
-  }
-  if (EP.Header.Fingerprint != 0 && BuildFp != 0 &&
-      EP.Header.Fingerprint != BuildFp) {
-    addDiag(Diag, ProfileError::FingerprintMismatch,
-            "edge profile came from a different program");
-    return false;
-  }
-  return true;
-}
-
 bool heapProfileUsable(const HeapProfile &HP, HeapStrategy Strategy,
                        uint64_t BuildFp, ProfileDiagnostics &Diag) {
   if (HP.LoadError != ProfileError::None) {
@@ -340,18 +315,6 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
       NIMG_COUNTER_ADD("nimg.build.degraded.split", 1);
     }
   }
-  const EdgeProfile *EdgeProf = Cfg.EdgeProf;
-  bool BlocksRequested =
-      SplitRequested && Cfg.SplitOpts.Blocks == BlockOrderMode::ExtTsp;
-  if (BlocksRequested && EdgeProf) {
-    Img.ProfileDiag.EdgeProfileProvided = true;
-    if (edgeProfileUsable(*EdgeProf, BuildFp, Img.ProfileDiag)) {
-      Img.ProfileDiag.EdgeProfileApplied = true;
-    } else {
-      EdgeProf = nullptr;
-      NIMG_COUNTER_ADD("nimg.build.degraded.blocks", 1);
-    }
-  }
   const HeapProfile *HeapProf = Cfg.HeapProf;
   if (Cfg.UseHeapOrder && HeapProf) {
     Img.ProfileDiag.HeapProfileProvided = true;
@@ -392,8 +355,7 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
   //     the fingerprint folded below — are byte-identical at any --jobs.
   if (SplitRequested) {
     NIMG_SPAN("build", "split");
-    Img.Split =
-        splitCompiledProgram(P, Code, BlockProf, Cfg.SplitOpts, EdgeProf);
+    Img.Split = splitCompiledProgram(P, Code, BlockProf, Cfg.SplitOpts);
     for (const ProfileIssue &I : Img.Split.Issues) {
       Img.ProfileDiag.Issues.push_back(I);
       NIMG_COUNTER_ADD_DYN(std::string("nimg.build.profile_rejected.") +
@@ -405,10 +367,6 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
     if (Img.Split.SplitCus == 0 &&
         Img.Split.DegradedCus == uint32_t(Code.CUs.size()))
       Img.ProfileDiag.BlockProfileApplied = false;
-    // "Applied" for the edge profile means at least one hot fragment was
-    // actually reordered; usable-but-inert counts report as provided only.
-    if (BlocksRequested)
-      Img.ProfileDiag.EdgeProfileApplied = Img.Split.ExtTsp.Applied;
   }
 
   // 4. Code ordering (Sec. 4) — determines .text placement and, through
@@ -620,7 +578,6 @@ CollectedProfiles nimg::collectProfiles(Program &P,
          "sampled capture carries no CU transitions; cluster ordering "
          "degrades to the sampled cu order"});
     Out.Blocks.LoadError = ProfileError::InsufficientBlockProfile;
-    Out.Edges.LoadError = ProfileError::InsufficientEdgeProfile;
     // The sampler runs alone (its ticks clamp scheduling quanta), so the
     // instrumented heap capture takes a run of its own.
     HeapCap = std::move(
@@ -647,20 +604,17 @@ CollectedProfiles nimg::collectProfiles(Program &P,
                               &Out.ClusterIssues, &Out.ClusterLayoutStats);
     }
     {
-      // One replay of the method-order capture feeds the method profile,
-      // the block counts (splitting evidence) and the edge counts
-      // (reordering evidence): every path record names its blocks.
+      // One replay of the method-order capture feeds the method profile
+      // and the block counts (splitting evidence): every path record
+      // names its blocks.
       NIMG_SPAN("profile", "post.method");
       CodeOrderAnalysis MethodA(P, CodeOrderAnalysis::Source::MethodEnter);
       BlockCountAnalysis BlockA(P);
-      EdgeCountAnalysis EdgeA(P);
-      replayTrace(P, MethodCap, Paths, {&MethodA, &BlockA, &EdgeA},
+      replayTrace(P, MethodCap, Paths, {&MethodA, &BlockA},
                   &Out.MethodSalvage);
       Out.Method = MethodA.finish(Out.MethodSalvage);
       Out.Blocks = BlockA.finish(Out.MethodSalvage);
-      Out.Edges = EdgeA.finish(Out.MethodSalvage);
       Out.Blocks.Header.CoveragePermille = Out.Blocks.CoveragePermille;
-      Out.Edges.Header.CoveragePermille = Out.Edges.CoveragePermille;
     }
   }
 
@@ -677,7 +631,7 @@ CollectedProfiles nimg::collectProfiles(Program &P,
   }
   for (ProfileHeader *H :
        {&Out.Cu.Header, &Out.Method.Header, &Out.Cluster.Header,
-        &Out.Blocks.Header, &Out.Edges.Header, &Out.IncrementalId.Header,
+        &Out.Blocks.Header, &Out.IncrementalId.Header,
         &Out.StructuralHash.Header, &Out.HeapPath.Header}) {
     H->Fingerprint = Fp;
     H->Generation = Gen;

@@ -99,12 +99,6 @@ struct BuildConfig {
   SplitMode Split = SplitMode::None;
   const BlockProfile *BlockProf = nullptr;
   SplitOptions SplitOpts;
-  /// CFG-edge counts feeding the ext-TSP hot-fragment block reordering
-  /// (--blocks exttsp, i.e. SplitOpts.Blocks == ExtTsp). Only consulted
-  /// for split builds; missing/unusable edge counts degrade every hot
-  /// fragment to block index order with an insufficient_edge_profile
-  /// diagnostic. The build still succeeds.
-  const EdgeProfile *EdgeProf = nullptr;
 };
 
 /// Runs the full pipeline over \p P. Asserts the program has a main
@@ -130,9 +124,6 @@ struct CollectedProfiles {
   /// Per-block execution counts, derived from the same method-order trace
   /// as Method (no extra instrumented run); feeds --split hotcold.
   BlockProfile Blocks;
-  /// Per-CFG-edge execution counts, derived from the same method-order
-  /// trace (no extra instrumented run); feeds --blocks exttsp.
-  EdgeProfile Edges;
   HeapProfile IncrementalId;
   HeapProfile StructuralHash;
   HeapProfile HeapPath;

@@ -131,13 +131,9 @@ BenchmarkEval nimg::evaluateBenchmark(const BenchmarkSpec &Spec,
         Cfg.HeapProf = &Prof.forStrategy(Heap);
       }
       // --split hotcold rides along on any code strategy: wire the block
-      // profile whenever the caller's build config asks for splitting, and
-      // the edge profile when it also asks for ext-TSP block reordering.
-      if (Cfg.Split != SplitMode::None) {
+      // profile whenever the caller's build config asks for splitting.
+      if (Cfg.Split != SplitMode::None)
         Cfg.BlockProf = &Prof.Blocks;
-        if (Cfg.SplitOpts.Blocks == BlockOrderMode::ExtTsp)
-          Cfg.EdgeProf = &Prof.Edges;
-      }
       NativeImage Img = buildNativeImage(*P, Cfg);
       assert(!Img.Built.Failed && "image build failed");
       RunStats Stats = runImage(Img, Run);

@@ -56,21 +56,6 @@ void StartupReport::setImage(const NativeImage &Img) {
     HugeRegionSize = Img.Layout.HugeRegionSize;
     PageSize = Img.Layout.PageSize;
   }
-  HasBlocks = Img.Split.ExtTsp.Requested;
-  if (HasBlocks) {
-    const ExtTspSummary &T = Img.Split.ExtTsp;
-    BlocksReorderedCus = T.ReorderedCus;
-    BlocksDegradedCus = T.DegradedCus;
-    BlocksChainMerges = T.ChainMerges;
-    BlocksFallthroughPermille =
-        T.EdgeWeight ? T.FallthroughAfter * 1000 / T.EdgeWeight : 0;
-    BlocksFallthroughPermilleIndex =
-        T.EdgeWeight ? T.FallthroughBefore * 1000 / T.EdgeWeight : 0;
-    BlocksScoreUpliftPermille =
-        T.ScoreBefore > 0
-            ? int64_t((T.ScoreAfter - T.ScoreBefore) * 1000.0 / T.ScoreBefore)
-            : 0;
-  }
 }
 
 static void writeSalvage(JsonWriter &W, const SalvageStats &S) {
@@ -177,19 +162,6 @@ std::string StartupReport::toJson() const {
       W.member("text_cold_faults", Run.TextColdFaults);
       W.member("text_hot_faults", Run.TextFaults - Run.TextColdFaults);
     }
-    W.endObject();
-  }
-
-  if (HasBlocks) {
-    W.key("blocks");
-    W.beginObject();
-    W.member("mode", "exttsp");
-    W.member("cus_reordered", uint64_t(BlocksReorderedCus));
-    W.member("cus_degraded", uint64_t(BlocksDegradedCus));
-    W.member("chain_merges", BlocksChainMerges);
-    W.member("fallthrough_permille", BlocksFallthroughPermille);
-    W.member("fallthrough_permille_index", BlocksFallthroughPermilleIndex);
-    W.member("score_uplift_permille", BlocksScoreUpliftPermille);
     W.endObject();
   }
 
@@ -408,19 +380,6 @@ std::string StartupReport::toCsv() const {
       csvRow(Out, "split", "text_hot_faults",
              num(Run.TextFaults - Run.TextColdFaults));
     }
-  }
-
-  if (HasBlocks) {
-    csvRow(Out, "blocks", "mode", "exttsp");
-    csvRow(Out, "blocks", "cus_reordered", num(BlocksReorderedCus));
-    csvRow(Out, "blocks", "cus_degraded", num(BlocksDegradedCus));
-    csvRow(Out, "blocks", "chain_merges", num(BlocksChainMerges));
-    csvRow(Out, "blocks", "fallthrough_permille",
-           num(BlocksFallthroughPermille));
-    csvRow(Out, "blocks", "fallthrough_permille_index",
-           num(BlocksFallthroughPermilleIndex));
-    csvRow(Out, "blocks", "score_uplift_permille",
-           std::to_string(BlocksScoreUpliftPermille));
   }
 
   if (HasPages) {

@@ -102,20 +102,6 @@ private:
   uint64_t ColdTailOffset = 0;
   uint64_t ColdTailSize = 0;
 
-  /// Ext-TSP hot-fragment block-reordering summary (present when the
-  /// image was built with --blocks exttsp, even if every fragment kept
-  /// block index order).
-  bool HasBlocks = false;
-  uint32_t BlocksReorderedCus = 0;
-  uint32_t BlocksDegradedCus = 0;
-  uint64_t BlocksChainMerges = 0;
-  /// Permille of considered hot-hot edge weight falling through in the
-  /// emitted order / in block index order.
-  uint64_t BlocksFallthroughPermille = 0;
-  uint64_t BlocksFallthroughPermilleIndex = 0;
-  /// Ext-TSP score uplift of the emitted order over index order, permille.
-  int64_t BlocksScoreUpliftPermille = 0;
-
   /// Multi-size page geometry (present when the image was built with
   /// --huge-pages, even if the budget was clamped to zero effective pages).
   bool HasPages = false;

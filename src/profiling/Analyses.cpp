@@ -248,7 +248,7 @@ bool isBlankRow(const std::vector<std::string> &Row) {
   return Row.empty() || (Row.size() == 1 && Row[0].empty());
 }
 
-/// Surfaces one profile-load outcome ("code"/"heap"/"block"/"edge")
+/// Surfaces one profile-load outcome ("code"/"heap"/"block")
 /// through the registry, including a per-rejection-kind counter (dynamic
 /// names; ingestion is not a hot path).
 void meterProfileLoad(const char *Kind, const ProfileReadReport &R) {
@@ -309,7 +309,7 @@ Profile readProfileRows(const std::string &Text, const char *Kind,
   return P;
 }
 
-/// First payload cell of the coverage row of block and edge profiles. '@'
+/// First payload cell of the coverage row of block profiles. '@'
 /// cannot start a method signature, so the row is unambiguous.
 constexpr const char *CoverageRowTag = "@coverage";
 
@@ -436,41 +436,6 @@ BlockProfile BlockProfile::fromCsv(const std::string &Text,
       });
 }
 
-std::string EdgeProfile::toCsv() const {
-  CsvDocument Doc;
-  Doc.Rows.reserve(Rows.size() + 1);
-  Doc.Rows.push_back({CoverageRowTag, std::to_string(CoveragePermille)});
-  for (const Row &R : Rows)
-    Doc.Rows.push_back({R.Sig, std::to_string(R.From), std::to_string(R.To),
-                        std::to_string(R.Count)});
-  std::string Body = writeCsv(Doc);
-  return headerRowCsv(Header, crc32(Body)) + Body;
-}
-
-EdgeProfile EdgeProfile::fromCsv(const std::string &Text,
-                                 ProfileReadReport *Report) {
-  EdgeProfile Empty;
-  Empty.CoveragePermille = 0; // Only an explicit coverage row vouches.
-  return readProfileRows(
-      Text, "edge", Report, std::move(Empty),
-      [](EdgeProfile &Out, const std::vector<std::string> &Row,
-         std::string &Why) {
-        if (Row[0] == CoverageRowTag)
-          return parseCoverageRow(Row, Out.CoveragePermille, Why);
-        EdgeProfile::Row Parsed;
-        if (Row.size() < 4 || !validSig(Row[0]) ||
-            !parseDecU32(Row[1], Parsed.From) ||
-            !parseDecU32(Row[2], Parsed.To) ||
-            !parseDecU64(Row[3], Parsed.Count)) {
-          Why = "bad edge-count row";
-          return false;
-        }
-        Parsed.Sig = Row[0];
-        Out.Rows.push_back(std::move(Parsed));
-        return true;
-      });
-}
-
 //===----------------------------------------------------------------------===//
 // Replay.
 //===----------------------------------------------------------------------===//
@@ -509,9 +474,6 @@ void replayThread(const Program &P, TraceMode Mode,
     for (BlockId B : Events.Blocks)
       for (OrderingAnalysis *A : Analyses)
         A->onBlockVisit(M, B);
-    if (!Events.Blocks.empty())
-      for (OrderingAnalysis *A : Analyses)
-        A->onPathRecord(M, Events.Blocks, Events.MethodEntry);
     if (!HasOperands)
       continue;
     // A record cut mid-operands at the thread's end (mode-1 SIGKILL)
@@ -636,69 +598,6 @@ BlockProfile BlockCountAnalysis::finish(const SalvageStats &Stats) const {
   return Out;
 }
 
-void EdgeCountAnalysis::onPathRecord(MethodId M,
-                                     const std::vector<BlockId> &Blocks,
-                                     bool MethodEntry) {
-  for (size_t I = 0; I + 1 < Blocks.size(); ++I)
-    note(M, Blocks[I], Blocks[I + 1]);
-  auto [It, Fresh] = LastBlock.try_emplace(M, Blocks.back());
-  if (!Fresh) {
-    if (!MethodEntry && isStaticEdge(M, It->second, Blocks.front()))
-      note(M, It->second, Blocks.front());
-    It->second = Blocks.back();
-  }
-}
-
-void EdgeCountAnalysis::note(MethodId M, BlockId From, BlockId To) {
-  if (uint32_t(M) >= (1u << 24) || uint32_t(From) >= (1u << 20) ||
-      uint32_t(To) >= (1u << 20))
-    return;
-  ++Counts[(uint64_t(uint32_t(M)) << 40) | (uint64_t(uint32_t(From)) << 20) |
-           uint32_t(To)];
-}
-
-bool EdgeCountAnalysis::isStaticEdge(MethodId M, BlockId From,
-                                     BlockId To) const {
-  const Method &Meth = P.method(M);
-  if (size_t(From) >= Meth.Blocks.size() ||
-      Meth.Blocks[size_t(From)].Instrs.empty())
-    return false;
-  const Instr &Term = Meth.Blocks[size_t(From)].Instrs.back();
-  switch (Term.Op) {
-  case Opcode::Br:
-    return Term.Target == To || BlockId(Term.Aux2) == To;
-  case Opcode::Jmp:
-    return Term.Target == To;
-  default:
-    return false;
-  }
-}
-
-EdgeProfile EdgeCountAnalysis::finish(const SalvageStats &Stats) const {
-  EdgeProfile Out;
-  Out.Header.Mode = TraceMode::MethodOrder;
-  Out.Rows.reserve(Counts.size());
-  for (const auto &[Key, N] : Counts) {
-    EdgeProfile::Row R;
-    R.Sig = P.method(MethodId(int32_t(Key >> 40))).Sig;
-    R.From = uint32_t((Key >> 20) & 0xfffffu);
-    R.To = uint32_t(Key & 0xfffffu);
-    R.Count = N;
-    Out.Rows.push_back(std::move(R));
-  }
-  std::sort(Out.Rows.begin(), Out.Rows.end(),
-            [](const EdgeProfile::Row &A, const EdgeProfile::Row &B) {
-              if (A.Sig != B.Sig)
-                return A.Sig < B.Sig;
-              if (A.From != B.From)
-                return A.From < B.From;
-              return A.To < B.To;
-            });
-  Out.CoveragePermille = coveragePermille(Stats, 0);
-  NIMG_COUNTER_ADD("nimg.layout.exttsp.edge_rows", Out.Rows.size());
-  return Out;
-}
-
 //===----------------------------------------------------------------------===//
 // One-sink wrappers.
 //===----------------------------------------------------------------------===//
@@ -754,15 +653,6 @@ BlockProfile nimg::analyzeBlockCounts(const Program &P,
                                       PathGraphCache &Paths,
                                       SalvageStats *Stats) {
   BlockCountAnalysis A(P);
-  return A.finish(
-      replayInto(P, Capture, TraceMode::MethodOrder, Paths, A, Stats));
-}
-
-EdgeProfile nimg::analyzeEdgeCounts(const Program &P,
-                                    const TraceCapture &Capture,
-                                    PathGraphCache &Paths,
-                                    SalvageStats *Stats) {
-  EdgeCountAnalysis A(P);
   return A.finish(
       replayInto(P, Capture, TraceMode::MethodOrder, Paths, A, Stats));
 }

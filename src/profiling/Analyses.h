@@ -104,45 +104,13 @@ struct BlockProfile {
                               ProfileReadReport *Report = nullptr);
 };
 
-/// Per-CFG-edge execution counts derived by replaying a MethodOrder path
-/// capture — the evidence the ext-TSP block reorderer consumes. Edges are
-/// keyed by (method signature, source block, target block), so counts
-/// apply to every inline copy of a method, exactly like BlockProfile.
-/// Consecutive block pairs within one path record are true CFG edges; the
-/// edges a record cut severs (loop back edges, frame-pushing call sites)
-/// are re-stitched across records of the same method when the static CFG
-/// confirms the adjacency. CoveragePermille mirrors BlockProfile: the
-/// reorderer degrades to block index order below its threshold.
-struct EdgeProfile {
-  ProfileHeader Header;
-  ProfileError LoadError = ProfileError::None;
-  /// WordsKept * 1000 / WordsScanned of the deriving salvage scan; 1000
-  /// for a clean trace, 0 when nothing was scanned.
-  uint32_t CoveragePermille = 1000;
-
-  struct Row {
-    std::string Sig;
-    uint32_t From = 0;
-    uint32_t To = 0;
-    uint64_t Count = 0;
-  };
-  /// Sorted by Sig, then From, then To.
-  std::vector<Row> Rows;
-
-  bool usable() const { return LoadError == ProfileError::None; }
-
-  std::string toCsv() const;
-  static EdgeProfile fromCsv(const std::string &Text,
-                             ProfileReadReport *Report = nullptr);
-};
-
 /// An event sink in the visitor style of Sec. 6.2.
 class OrderingAnalysis {
 public:
   virtual ~OrderingAnalysis() = default;
   /// Called before each traced thread's events. Sinks that relate
-  /// consecutive events (transition edges, edge stitching) reset that
-  /// state here: temporal adjacency exists only within one thread.
+  /// consecutive events (transition edges) reset that state here:
+  /// temporal adjacency exists only within one thread.
   virtual void onThreadBegin() {}
   virtual void onCuEnter(MethodId Root) { (void)Root; }
   virtual void onMethodEnter(MethodId M) { (void)M; }
@@ -157,19 +125,6 @@ public:
   virtual void onBlockVisit(MethodId M, BlockId B) {
     (void)M;
     (void)B;
-  }
-  /// One whole decoded path record (method/heap modes): the path-ordered
-  /// block list of a single Ball-Larus record, with \p MethodEntry telling
-  /// whether the path starts at the method's entry block or at a cut point
-  /// (frame-pushing call site / loop back edge). Consecutive pairs within
-  /// \p Blocks are true CFG edges; analyses that need edge evidence (the
-  /// ext-TSP block reorderer) consume this instead of reconstructing
-  /// adjacency from onBlockVisit.
-  virtual void onPathRecord(MethodId M, const std::vector<BlockId> &Blocks,
-                            bool MethodEntry) {
-    (void)M;
-    (void)Blocks;
-    (void)MethodEntry;
   }
   /// \p SnapshotEntry is the traced image-object index (already >= 0).
   virtual void onObjectAccess(int32_t SnapshotEntry) { (void)SnapshotEntry; }
@@ -261,38 +216,6 @@ private:
   std::unordered_map<uint64_t, uint64_t> Counts;
 };
 
-/// Sink for per-CFG-edge execution counts. Consecutive block pairs within
-/// one path record are true CFG edges by construction. The edges a record
-/// cut severs — loop back edges and frame-pushing call sites — are
-/// recovered by stitching: the last block of a method's previous record
-/// joins the first block of its next non-entry record, but only when the
-/// static CFG confirms the adjacency (a call cut resumes inside the same
-/// block, which the consecutive-duplicate collapse already handles;
-/// interleaved recursive invocations fail the successor check and
-/// contribute nothing). Stitching never crosses a thread boundary.
-class EdgeCountAnalysis : public OrderingAnalysis {
-public:
-  explicit EdgeCountAnalysis(const Program &P) : P(P) {}
-  void onThreadBegin() override { LastBlock.clear(); }
-  void onPathRecord(MethodId M, const std::vector<BlockId> &Blocks,
-                    bool MethodEntry) override;
-  /// The profile; CoveragePermille comes from \p Stats (0 when nothing was
-  /// scanned).
-  EdgeProfile finish(const SalvageStats &Stats) const;
-
-private:
-  void note(MethodId M, BlockId From, BlockId To);
-  bool isStaticEdge(MethodId M, BlockId From, BlockId To) const;
-
-  const Program &P;
-  /// Key: (method << 40) | (from << 20) | to. Blocks per method are far
-  /// below 2^20 (the path-id field itself is 20 bits) and method ids far
-  /// below 2^24; out-of-range values are skipped defensively.
-  std::unordered_map<uint64_t, uint64_t> Counts;
-  /// Last path-record tail block seen per method within this thread.
-  std::unordered_map<MethodId, BlockId> LastBlock;
-};
-
 // One-sink wrappers over replayTrace(). A capture in the wrong mode yields
 // an empty result (and sets Stats->ModeMismatch) instead of asserting —
 // trace files are external input.
@@ -333,12 +256,6 @@ HeapProfile heapProfileFor(const std::vector<int32_t> &EntryOrder,
 BlockProfile analyzeBlockCounts(const Program &P, const TraceCapture &Capture,
                                 PathGraphCache &Paths,
                                 SalvageStats *Stats = nullptr);
-
-/// Per-CFG-edge execution counts from a MethodOrder-mode capture (the same
-/// capture analyzeBlockCounts replays; no extra instrumented run).
-EdgeProfile analyzeEdgeCounts(const Program &P, const TraceCapture &Capture,
-                              PathGraphCache &Paths,
-                              SalvageStats *Stats = nullptr);
 
 } // namespace nimg
 

@@ -51,8 +51,6 @@ enum class ProfileError : uint8_t {
                         ///< profile degraded to plain cu ordering.
   InsufficientBlockProfile, ///< Block counts missing or salvage coverage
                             ///< below threshold; CUs stay unsplit.
-  InsufficientEdgeProfile,  ///< CFG-edge counts missing or under-covered;
-                            ///< hot fragments keep block index order.
   CoverageBelowGate,   ///< Merge member's salvage coverage under the gate.
   DriftOutlier,        ///< Merge member's per-CU count distribution is a
                        ///< statistical outlier vs the member median.
@@ -94,8 +92,6 @@ inline const char *profileErrorName(ProfileError E) {
     return "empty transition graph";
   case ProfileError::InsufficientBlockProfile:
     return "insufficient block profile";
-  case ProfileError::InsufficientEdgeProfile:
-    return "insufficient edge profile";
   case ProfileError::CoverageBelowGate:
     return "coverage below gate";
   case ProfileError::DriftOutlier:
@@ -140,8 +136,6 @@ inline const char *profileErrorSlug(ProfileError E) {
     return "empty_transition_graph";
   case ProfileError::InsufficientBlockProfile:
     return "insufficient_block_profile";
-  case ProfileError::InsufficientEdgeProfile:
-    return "insufficient_edge_profile";
   case ProfileError::CoverageBelowGate:
     return "coverage_below_gate";
   case ProfileError::DriftOutlier:
@@ -307,11 +301,6 @@ struct ProfileDiagnostics {
   /// — individual CUs may still degrade to unsplit, listed in Issues.
   bool BlockProfileProvided = false;
   bool BlockProfileApplied = false;
-  /// Ext-TSP block-reordering evidence (--blocks exttsp only; both stay
-  /// false otherwise). "Applied" means the edge profile was usable and at
-  /// least one hot fragment was reordered.
-  bool EdgeProfileProvided = false;
-  bool EdgeProfileApplied = false;
   std::vector<ProfileIssue> Issues;
   /// Fleet aggregation account (BuildConfig::CodeMembers builds only;
   /// Outcome stays NotAttempted otherwise).

@@ -66,8 +66,8 @@ BenchmarkSpec microserviceBenchmark(const std::string &Name);
 
 /// A rung of the scale ladder: micronaut with \p Factor times each of its
 /// generated class counts (controllers, services, repositories, workers
-/// and the runtime-library prelude). x1 has 0.5 MB of .text, x4 1.3 MB,
-/// x10 3.0 MB and x25 7.3 MB.
+/// and the runtime-library prelude). x1 has 0.5 MiB of .text, x4 1.3 MiB,
+/// x10 3.0 MiB and x25 7.3 MiB.
 BenchmarkSpec scaleRung(int Factor);
 
 /// Compiles a spec into a Program (registers resources too). Returns null

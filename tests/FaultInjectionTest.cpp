@@ -634,60 +634,6 @@ TEST(FaultInjection, SplitBuildsSurviveTraceFaults) {
   }
 }
 
-// --blocks exttsp layers edge counts from the same faulted captures on
-// top of the split. Whatever the fault did to the trace, the build must
-// complete, fragment accounting must balance, the run must reproduce the
-// baseline output, and a rejected edge profile must degrade to block
-// index order with typed diagnostics — never crash.
-TEST(FaultInjection, ExtTspBuildsSurviveTraceFaults) {
-  Corpus &C = corpus();
-  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
-    for (TraceFault Kind : {TraceFault::TruncateMidRecord, TraceFault::BitFlip,
-                            TraceFault::DropThread}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "seed=" << Seed << " fault=" << int(Kind));
-      TraceCapture Cap = C.Caps[size_t(TraceMode::MethodOrder)];
-      FaultInjector Inj(Seed);
-      Inj.applyTraceFault(Cap, Kind);
-
-      BlockProfile Blocks = analyzeBlockCounts(C.P, Cap, C.Paths, nullptr);
-      Blocks.Header.Fingerprint = C.Fp;
-      EdgeProfile Edges = analyzeEdgeCounts(C.P, Cap, C.Paths, nullptr);
-      Edges.Header.Fingerprint = C.Fp;
-
-      BuildConfig Cfg;
-      Cfg.Seed = 9 + Seed;
-      Cfg.Split = SplitMode::HotCold;
-      Cfg.SplitOpts.Blocks = BlockOrderMode::ExtTsp;
-      Cfg.BlockProf = &Blocks;
-      Cfg.EdgeProf = &Edges;
-      NativeImage Img = buildNativeImage(C.P, Cfg);
-      ASSERT_FALSE(Img.Built.Failed) << Img.Built.FailureMessage;
-      EXPECT_TRUE(Img.Split.ExtTsp.Requested);
-      EXPECT_TRUE(Img.ProfileDiag.EdgeProfileProvided);
-
-      if (Edges.CoveragePermille < SplitOptions().MinCoveragePermille ||
-          Blocks.CoveragePermille < SplitOptions().MinCoveragePermille) {
-        // An under-covered profile (either one) keeps every fragment in
-        // block index order; the reorderer reports full degradation.
-        EXPECT_EQ(Img.Split.ExtTsp.ReorderedCus, 0u);
-        EXPECT_FALSE(Img.Split.ExtTsp.Applied);
-        EXPECT_FALSE(Img.ProfileDiag.EdgeProfileApplied);
-      }
-      // Reordered or degraded, no CU's fragment accounting loses bytes.
-      for (size_t Cu = 0; Cu < Img.Split.PerCu.size(); ++Cu) {
-        const CuSplit &S = Img.Split.PerCu[Cu];
-        EXPECT_EQ(uint64_t(S.HotSize) + S.ColdSize,
-                  uint64_t(Img.code().CUs[Cu].CodeSize) + S.StubBytes);
-      }
-
-      RunStats S = runImage(Img, RunConfig());
-      EXPECT_FALSE(S.Trapped) << S.TrapMessage;
-      EXPECT_EQ(S.Output, C.BaselineOutput);
-    }
-  }
-}
-
 TEST(FaultInjection, CollectedProfilesFromCleanRunsSalvageClean) {
   Corpus &C = corpus();
   EXPECT_TRUE(C.Prof.CuSalvage.clean());

@@ -75,7 +75,7 @@ struct Env {
     Prof = collectProfiles(P, ProfCfg, RunConfig());
   }
 
-  NativeImage build(CodeStrategy Code, bool Split, bool ExtTsp) {
+  NativeImage build(CodeStrategy Code, bool Split) {
     BuildConfig Cfg;
     Cfg.Seed = 1;
     Cfg.CodeOrder = Code;
@@ -86,10 +86,6 @@ struct Env {
     if (Split) {
       Cfg.Split = SplitMode::HotCold;
       Cfg.BlockProf = &Prof.Blocks;
-      if (ExtTsp) {
-        Cfg.SplitOpts.Blocks = BlockOrderMode::ExtTsp;
-        Cfg.EdgeProf = &Prof.Edges;
-      }
     }
     NativeImage Img = buildNativeImage(P, Cfg);
     EXPECT_FALSE(Img.Built.Failed);
@@ -116,20 +112,17 @@ TEST(FleetSim, OneInstanceEqualsSingleRunForEveryStrategy) {
   struct Variant {
     CodeStrategy Code;
     bool Split;
-    bool ExtTsp;
   };
   const Variant Variants[] = {
-      {CodeStrategy::CuOrder, false, false},
-      {CodeStrategy::MethodOrder, false, false},
-      {CodeStrategy::Cluster, false, false},
-      {CodeStrategy::Cluster, true, false},
-      {CodeStrategy::Cluster, true, true},
+      {CodeStrategy::CuOrder, false},
+      {CodeStrategy::MethodOrder, false},
+      {CodeStrategy::Cluster, false},
+      {CodeStrategy::Cluster, true},
   };
   for (const Variant &V : Variants) {
     SCOPED_TRACE(::testing::Message()
-                 << "code=" << int(V.Code) << " split=" << V.Split
-                 << " exttsp=" << V.ExtTsp);
-    NativeImage Img = E.build(V.Code, V.Split, V.ExtTsp);
+                 << "code=" << int(V.Code) << " split=" << V.Split);
+    NativeImage Img = E.build(V.Code, V.Split);
     RunConfig Run = demandRun();
     RunStats Single = runImage(Img, Run);
     ASSERT_FALSE(Single.Trapped) << Single.TrapMessage;
@@ -158,7 +151,7 @@ TEST(FleetSim, OneInstanceStaysExactUnderTinyCache) {
   // eviction can never force a re-fault at N=1: exactness must survive
   // even a minimal cache.
   Env E;
-  NativeImage Img = E.build(CodeStrategy::Cluster, true, false);
+  NativeImage Img = E.build(CodeStrategy::Cluster, true);
   RunConfig Run = demandRun();
   RunStats Single = runImage(Img, Run);
 
@@ -216,7 +209,7 @@ TEST(FleetSim, ByteIdenticalAcrossJobs) {
   const int JobsLadder[] = {1, 2, 5, 8};
   for (size_t I = 0; I < 4; ++I) {
     setJobs(JobsLadder[I]);
-    NativeImage Img = E.build(CodeStrategy::Cluster, true, true);
+    NativeImage Img = E.build(CodeStrategy::Cluster, true);
     FleetResult FR = runFleet(Img, demandRun(), FC);
     if (I == 0) {
       Majors = FR.TotalMajors;
@@ -241,7 +234,7 @@ TEST(FleetSim, ByteIdenticalAcrossJobs) {
 
 TEST(FleetSim, SeedChangesArrivalsButNotColdPageEconomy) {
   Env E;
-  NativeImage Img = E.build(CodeStrategy::CuOrder, false, false);
+  NativeImage Img = E.build(CodeStrategy::CuOrder, false);
   RunConfig Run = demandRun();
   RunConfig RefCfg = Run;
   RefCfg.RecordTouches = true;
@@ -277,7 +270,7 @@ TEST(FleetSim, SeedChangesArrivalsButNotColdPageEconomy) {
 
 TEST(FleetSim, SecondInstanceRidesWarmPages) {
   Env E;
-  NativeImage Img = E.build(CodeStrategy::Cluster, false, false);
+  NativeImage Img = E.build(CodeStrategy::Cluster, false);
   FleetConfig FC;
   FC.Instances = 2;
   FC.ArrivalWindowNs = 1e6;
@@ -297,7 +290,7 @@ TEST(FleetSim, SecondInstanceRidesWarmPages) {
 
 TEST(FleetSim, TinyCacheThrashesButUniquePagesHold) {
   Env E;
-  NativeImage Img = E.build(CodeStrategy::CuOrder, false, false);
+  NativeImage Img = E.build(CodeStrategy::CuOrder, false);
   FleetConfig Unlimited;
   Unlimited.Instances = 8;
   Unlimited.ArrivalWindowNs = 40e6; // Spread out: later arrivals find a
@@ -397,7 +390,7 @@ TEST(CostModel, MajorFaultCostMatchesLegacyConstantsAtBasePageSize) {
 
 TEST(CostModel, StartupFormulaReproducesRunStatsTime) {
   Env E;
-  NativeImage Img = E.build(CodeStrategy::CuOrder, false, false);
+  NativeImage Img = E.build(CodeStrategy::CuOrder, false);
   RunConfig Run = demandRun();
   RunStats S = runImage(Img, Run);
   EXPECT_EQ(S.TimeNs,
@@ -430,7 +423,7 @@ TEST(PagingSim, EvictPageForcesRefault) {
 
 TEST(PagingSim, FirstTouchTraceAccountsForEveryFault) {
   Env E;
-  NativeImage Img = E.build(CodeStrategy::Cluster, true, false);
+  NativeImage Img = E.build(CodeStrategy::Cluster, true);
   RunConfig Run = demandRun();
   Run.RecordTouches = true;
   RunStats S = runImage(Img, Run);
@@ -472,7 +465,7 @@ TEST(FleetPageCache, CapacityIsClampedToReadaheadCluster) {
 
 TEST(FleetReport, FleetSectionRoundTripsThroughJson) {
   Env E;
-  NativeImage Img = E.build(CodeStrategy::Cluster, true, true);
+  NativeImage Img = E.build(CodeStrategy::Cluster, true);
   FleetConfig FC;
   FC.Instances = 10;
   FC.ArrivalWindowNs = 2e6;

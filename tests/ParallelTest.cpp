@@ -215,12 +215,6 @@ struct PipelineArtifacts {
   /// too.
   uint64_t SplitFingerprint = 0;
   std::vector<uint8_t> SplitImageBytes;
-  /// And with --blocks exttsp on top: the edge profile and the chosen
-  /// block orders (folded into the decision fingerprint) must not depend
-  /// on the worker count either.
-  std::string EdgesCsv;
-  uint64_t ExtTspFingerprint = 0;
-  std::vector<uint8_t> ExtTspImageBytes;
   /// Fleet aggregation rides on the same pool: the merged profile and the
   /// image it drives must be worker-count-invariant too.
   std::string MergedCsv;
@@ -277,15 +271,6 @@ PipelineArtifacts runPipeline(int Jobs) {
   Art.SplitFingerprint = SplitImg.Split.DecisionFingerprint;
   Art.SplitImageBytes = serializeImage(P, SplitImg);
 
-  Art.EdgesCsv = Prof.Edges.toCsv();
-  BuildConfig TspCfg = SplitCfg;
-  TspCfg.SplitOpts.Blocks = BlockOrderMode::ExtTsp;
-  TspCfg.EdgeProf = &Prof.Edges;
-  NativeImage TspImg = buildNativeImage(P, TspCfg);
-  EXPECT_FALSE(TspImg.Built.Failed) << TspImg.Built.FailureMessage;
-  Art.ExtTspFingerprint = TspImg.Split.DecisionFingerprint;
-  Art.ExtTspImageBytes = serializeImage(P, TspImg);
-
   // Fleet path: capture a 3-member set (one instrumented run each under
   // the same pool), merge, and build from the merged profile.
   BuildConfig SetCfg = ProfCfg;
@@ -331,9 +316,6 @@ TEST(ParallelPipelineTest, JobsOneAndEightAreByteIdentical) {
   EXPECT_EQ(One.BlocksCsv, Eight.BlocksCsv);
   EXPECT_EQ(One.SplitFingerprint, Eight.SplitFingerprint);
   EXPECT_EQ(One.SplitImageBytes, Eight.SplitImageBytes);
-  EXPECT_EQ(One.EdgesCsv, Eight.EdgesCsv);
-  EXPECT_EQ(One.ExtTspFingerprint, Eight.ExtTspFingerprint);
-  EXPECT_EQ(One.ExtTspImageBytes, Eight.ExtTspImageBytes);
   EXPECT_EQ(One.MergedCsv, Eight.MergedCsv);
   EXPECT_EQ(One.MergedImageBytes, Eight.MergedImageBytes);
 }
@@ -479,8 +461,6 @@ TEST(ParallelPipelineTest, IntermediateJobCountsMatchToo) {
     EXPECT_EQ(One.ClusterCsv, J.ClusterCsv) << "jobs=" << Jobs;
     EXPECT_EQ(One.HeapPathCsv, J.HeapPathCsv) << "jobs=" << Jobs;
     EXPECT_EQ(One.SplitImageBytes, J.SplitImageBytes) << "jobs=" << Jobs;
-    EXPECT_EQ(One.EdgesCsv, J.EdgesCsv) << "jobs=" << Jobs;
-    EXPECT_EQ(One.ExtTspImageBytes, J.ExtTspImageBytes) << "jobs=" << Jobs;
     EXPECT_EQ(One.MergedCsv, J.MergedCsv) << "jobs=" << Jobs;
     EXPECT_EQ(One.MergedImageBytes, J.MergedImageBytes) << "jobs=" << Jobs;
   }
@@ -595,7 +575,7 @@ TEST(ParallelPipelineTest, ConcurrentProfileCollectionsOwnTheirPathCaches) {
   Cfg.Seed = 1001;
   auto Csvs = [](const CollectedProfiles &C) {
     return C.Cu.toCsv() + C.Method.toCsv() + C.Cluster.toCsv() +
-           C.Blocks.toCsv() + C.Edges.toCsv() + C.HeapPath.toCsv();
+           C.Blocks.toCsv() + C.HeapPath.toCsv();
   };
   Program Ref;
   ASSERT_TRUE(compileSources({kSpawnWorkload}, Ref, Errors));
