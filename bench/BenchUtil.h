@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Table printing and evaluation drivers shared by the per-figure bench
+/// Table printing and JSON helpers shared by the per-figure bench
 /// binaries. Each binary regenerates one table/figure of the paper's
 /// evaluation (Sec. 7); set NIMAGE_EVAL_SEEDS to trade precision for wall
 /// time (default 3 builds per strategy; the paper uses 10).
@@ -17,9 +17,11 @@
 #define NIMG_BENCH_BENCHUTIL_H
 
 #include "src/core/Evaluation.h"
+#include "src/obs/Json.h"
 
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -47,41 +49,29 @@ inline void applySmoke(bool Smoke, std::vector<std::string> &Names,
   Opts.Seeds = 1;
 }
 
-inline const std::vector<std::string> &strategyNames() {
-  static const std::vector<std::string> Names = {
-      "cu",        "method",      "cluster",      "incremental id",
-      "structural hash", "heap path", "cu+heap path"};
-  return Names;
-}
-
-/// The figure's factor convention: code strategies are scored on .text
-/// faults, heap strategies on .svm_heap faults, the combined strategy on
-/// both (Sec. 7.1).
-inline double faultFactorOf(const VariantEval &V) {
-  if (V.Name == "cu" || V.Name == "method" || V.Name == "cluster")
-    return V.TextFaultFactor;
-  if (V.Name == "cu+heap path")
-    return V.TotalFaultFactor;
-  return V.HeapFaultFactor;
-}
-
 inline EvalOptions defaultOptions() {
   EvalOptions Opts;
   Opts.Seeds = evalSeedsFromEnv(3);
   return Opts;
 }
 
-inline std::vector<BenchmarkEval>
-evaluateSuite(const std::vector<std::string> &Names, bool Microservices,
-              const EvalOptions &Opts) {
-  std::vector<BenchmarkEval> Out;
-  for (const std::string &Name : Names) {
-    BenchmarkSpec Spec =
-        Microservices ? microserviceBenchmark(Name) : awfyBenchmark(Name);
-    std::fprintf(stderr, "  evaluating %s...\n", Name.c_str());
-    Out.push_back(evaluateBenchmark(Spec, Opts));
-  }
-  return Out;
+/// The specs of \p Names, made by \p Make (awfyBenchmark or
+/// microserviceBenchmark).
+inline std::vector<BenchmarkSpec>
+specsOf(const std::vector<std::string> &Names,
+        BenchmarkSpec (*Make)(const std::string &)) {
+  std::vector<BenchmarkSpec> Specs;
+  for (const std::string &Name : Names)
+    Specs.push_back(Make(Name));
+  return Specs;
+}
+
+/// Prints the figure's column names: every paper variant but the baseline.
+inline void printColumns() {
+  std::printf("%-12s", "benchmark");
+  for (size_t V = 1; V < std::size(PaperVariants); ++V)
+    std::printf(" %15s", PaperVariants[V].Name);
+  std::printf("\n");
 }
 
 inline void printHeader(const char *Title, const char *Metric, int Seeds) {
@@ -89,30 +79,55 @@ inline void printHeader(const char *Title, const char *Metric, int Seeds) {
   std::printf("metric: %s; %d image builds per strategy; factors are "
               "M_baseline / M_optimized (higher is better)\n\n",
               Metric, Seeds);
-  std::printf("%-12s", "benchmark");
-  for (const std::string &S : strategyNames())
-    std::printf(" %15s", S.c_str());
-  std::printf("\n");
+  printColumns();
 }
 
+/// One row per benchmark of \p Factor over its variants, then the geomean
+/// row.
 template <typename FactorFn>
 inline void printFactorTable(const std::vector<BenchmarkEval> &Evals,
                              FactorFn Factor) {
-  std::vector<std::vector<double>> PerStrategy(strategyNames().size());
+  std::vector<std::vector<double>> PerStrategy(std::size(PaperVariants) - 1);
   for (const BenchmarkEval &E : Evals) {
     std::printf("%-12s", E.Benchmark.c_str());
-    for (size_t S = 0; S < strategyNames().size(); ++S) {
-      const VariantEval *V = E.variant(strategyNames()[S]);
-      double F = V ? Factor(*V) : 1.0;
+    for (size_t S = 0; S < E.Variants.size(); ++S) {
+      double F = Factor(E.Variants[S]);
       PerStrategy[S].push_back(F);
       std::printf(" %15.2f", F);
     }
     std::printf("\n");
   }
   std::printf("%-12s", "geomean");
-  for (size_t S = 0; S < strategyNames().size(); ++S)
-    std::printf(" %15.2f", geomean(PerStrategy[S]));
+  for (const std::vector<double> &Fs : PerStrategy)
+    std::printf(" %15.2f", geomean(Fs));
   std::printf("\n");
+}
+
+/// Writes {variant name: Factor(variant)} for one benchmark.
+template <typename FactorFn>
+inline void writeFactors(obs::JsonWriter &W, const char *Key,
+                         const BenchmarkEval &E, FactorFn Factor) {
+  W.key(Key);
+  W.beginObject();
+  for (const VariantEval &V : E.Variants)
+    W.member(V.Name, Factor(V));
+  W.endObject();
+}
+
+/// Writes {variant name: geomean of Factor(variant) over \p Evals}.
+template <typename FactorFn>
+inline void writeGeomeans(obs::JsonWriter &W, const char *Key,
+                          const std::vector<BenchmarkEval> &Evals,
+                          FactorFn Factor) {
+  W.key(Key);
+  W.beginObject();
+  for (size_t S = 1; S < std::size(PaperVariants); ++S) {
+    std::vector<double> Fs;
+    for (const BenchmarkEval &E : Evals)
+      Fs.push_back(Factor(E.Variants[S - 1]));
+    W.member(PaperVariants[S].Name, geomean(Fs));
+  }
+  W.endObject();
 }
 
 } // namespace benchutil

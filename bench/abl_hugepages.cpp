@@ -17,7 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
-#include "src/core/Builder.h"
+#include "src/core/Evaluation.h"
 #include "src/image/ImageFile.h"
 #include "src/workloads/Workloads.h"
 
@@ -63,17 +63,13 @@ struct StratResult {
 
 BuildConfig makeCfg(const StratSpec &S, const CollectedProfiles &Prof,
                     uint32_t HugePages) {
-  BuildConfig Cfg;
-  Cfg.Seed = 1;
-  Cfg.CodeOrder = S.Code;
-  Cfg.CodeProf =
-      S.Code == CodeStrategy::CuOrder ? &Prof.Cu : &Prof.Cluster;
-  if (S.Split) {
-    Cfg.Split = SplitMode::HotCold;
-    Cfg.BlockProf = &Prof.Blocks;
-  }
-  Cfg.Image.HugePages = HugePages;
-  return Cfg;
+  BuildConfig Base;
+  Base.Seed = 1;
+  if (S.Split)
+    Base.Split = SplitMode::HotCold;
+  Base.Image.HugePages = HugePages;
+  return variantConfig({S.Key, S.Code, false, HeapStrategy::HeapPath}, Base,
+                       Prof);
 }
 
 } // namespace

@@ -11,7 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "src/core/Builder.h"
+#include "src/core/Evaluation.h"
 #include "src/workloads/Workloads.h"
 
 #include <cstdio>
@@ -37,13 +37,9 @@ int main(int Argc, char **Argv) {
   Base.Seed = 1;
   NativeImage Baseline = buildNativeImage(*P, Base);
 
-  BuildConfig Comb = Base;
-  Comb.CodeOrder = CodeStrategy::CuOrder;
-  Comb.CodeProf = &Prof.Cu;
-  Comb.UseHeapOrder = true;
-  Comb.HeapOrder = HeapStrategy::HeapPath;
-  Comb.HeapProf = &Prof.HeapPath;
-  NativeImage Combined = buildNativeImage(*P, Comb);
+  const PaperVariant &CuHeapPath = PaperVariants[7];
+  NativeImage Combined =
+      buildNativeImage(*P, variantConfig(CuHeapPath, Base, Prof));
 
   std::printf("Ablation — readahead window sweep (AWFY Havlak, "
               "cu+heap path)\n");

@@ -215,12 +215,12 @@ bool evalWorkload(const std::string &Name, bool Micro, const RunConfig &RunBase,
   BuildConfig ProfCfg;
   ProfCfg.Seed = 1001;
   CollectedProfiles Prof = collectProfiles(*P, ProfCfg, RunFault);
-  const CodeProfile *InstrProfs[3] = {&Prof.Cu, &Prof.Method, &Prof.Cluster};
 
   R.HasFaults = true;
   for (size_t L = 0; L < 3; ++L) {
     StrategyFaults &F = R.Faults[L];
-    F.Instrumented = measureFaults(*P, kLegs[L].Strategy, InstrProfs[L],
+    F.Instrumented = measureFaults(*P, kLegs[L].Strategy,
+                                   &Prof.forCode(kLegs[L].Strategy),
                                    nullptr, RunFault, nullptr, nullptr);
     const std::vector<MemberProfile> *Members =
         kLegs[L].Strategy == CodeStrategy::MethodOrder ? &MethodMembers

@@ -136,12 +136,7 @@ int main(int Argc, char **Argv) {
     R.Name = Name;
     std::printf("%-12s", Name.c_str());
     for (size_t S = 0; S < 3; ++S) {
-      const CodeProfile *CodeProf = Strategies[S] == CodeStrategy::CuOrder
-                                        ? &Prof.Cu
-                                        : Strategies[S] ==
-                                                  CodeStrategy::MethodOrder
-                                              ? &Prof.Method
-                                              : &Prof.Cluster;
+      const CodeProfile *CodeProf = &Prof.forCode(Strategies[S]);
       R.Unsplit[S] = measure(*P, Strategies[S], CodeProf, SplitMode::None,
                              nullptr, Run);
       R.Split[S] = measure(*P, Strategies[S], CodeProf, SplitMode::HotCold,

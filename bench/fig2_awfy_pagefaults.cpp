@@ -24,45 +24,39 @@ int main(int Argc, char **Argv) {
   EvalOptions Opts = defaultOptions();
   std::vector<std::string> Names = awfyBenchmarkNames();
   applySmoke(Smoke, Names, Opts);
-  std::vector<BenchmarkEval> Evals =
-      evaluateSuite(Names, /*Microservices=*/false, Opts);
+  // The same evaluation with hot/cold splitting enabled everywhere —
+  // baseline and variants alike — so the split factors isolate what
+  // ordering adds on top of split images (the split-vs-unsplit axis itself
+  // is abl_split's job).
+  std::vector<std::vector<BenchmarkEval>> Series = evaluateSuite(
+      specsOf(Names, awfyBenchmark), {SplitMode::None, SplitMode::HotCold},
+      Opts);
+  const std::vector<BenchmarkEval> &Evals = Series[0];
+  const std::vector<BenchmarkEval> &SplitEvals = Series[1];
+  auto FaultFactor = [](const VariantEval &V) { return V.FaultFactor; };
 
   printHeader("Figure 2 — AWFY page-fault reduction",
               ".text faults for cu/method, .svm_heap faults for heap "
               "strategies, both for cu+heap path",
               Opts.Seeds);
-  printFactorTable(Evals, faultFactorOf);
+  printFactorTable(Evals, FaultFactor);
 
-  // The same evaluation with hot/cold splitting enabled everywhere —
-  // baseline and variants alike — so the factors isolate what ordering
-  // adds on top of split images (the split-vs-unsplit axis itself is
-  // abl_split's job).
-  EvalOptions SplitOpts = Opts;
-  SplitOpts.Build.Split = SplitMode::HotCold;
-  std::vector<BenchmarkEval> SplitEvals =
-      evaluateSuite(Names, /*Microservices=*/false, SplitOpts);
   std::printf("\nwith --split hotcold (all images split, same factor "
               "convention):\n\n");
-  std::printf("%-12s", "benchmark");
-  for (const std::string &S : strategyNames())
-    std::printf(" %15s", S.c_str());
-  std::printf("\n");
-  printFactorTable(SplitEvals, faultFactorOf);
+  printColumns();
+  printFactorTable(SplitEvals, FaultFactor);
 
   std::printf("\nSec. 7.2 — accessed heap-snapshot objects (paper: ~4%% "
               "average on AWFY):\n");
-  std::vector<double> Pcts;
+  double Sum = 0;
   for (const BenchmarkEval &E : Evals) {
     std::printf("  %-12s %5.1f%% of %zu stored objects\n",
                 E.Benchmark.c_str(), E.PctStoredObjectsTouched,
                 E.SnapshotObjects);
-    Pcts.push_back(E.PctStoredObjectsTouched);
+    Sum += E.PctStoredObjectsTouched;
   }
-  double Sum = 0;
-  for (double P : Pcts)
-    Sum += P;
   std::printf("  %-12s %5.1f%%\n", "average",
-              Pcts.empty() ? 0.0 : Sum / double(Pcts.size()));
+              Evals.empty() ? 0.0 : Sum / double(Evals.size()));
 
   bool Ok = benchjson::writeBenchJson(
       "BENCH_fig2.json", "fig2", [&](obs::JsonWriter &W) {
@@ -74,41 +68,16 @@ int main(int Argc, char **Argv) {
           const BenchmarkEval &E = Evals[I];
           W.beginObject();
           W.member("name", E.Benchmark);
-          W.key("fault_factors");
-          W.beginObject();
-          for (const std::string &S : strategyNames()) {
-            const VariantEval *V = E.variant(S);
-            W.member(S, V ? faultFactorOf(*V) : 1.0);
-          }
-          W.endObject();
-          W.key("fault_factors_split");
-          W.beginObject();
-          for (const std::string &S : strategyNames()) {
-            const VariantEval *V = SplitEvals[I].variant(S);
-            W.member(S, V ? faultFactorOf(*V) : 1.0);
-          }
-          W.endObject();
+          writeFactors(W, "fault_factors", E, FaultFactor);
+          writeFactors(W, "fault_factors_split", SplitEvals[I], FaultFactor);
           W.member("pct_stored_objects_touched", E.PctStoredObjectsTouched);
           W.member("snapshot_objects", uint64_t(E.SnapshotObjects));
           W.endObject();
         }
         W.endArray();
-        auto Geomeans = [&](const char *Key,
-                            const std::vector<BenchmarkEval> &Es) {
-          W.key(Key);
-          W.beginObject();
-          for (const std::string &S : strategyNames()) {
-            std::vector<double> Fs;
-            for (const BenchmarkEval &E : Es) {
-              const VariantEval *V = E.variant(S);
-              Fs.push_back(V ? faultFactorOf(*V) : 1.0);
-            }
-            W.member(S, geomean(Fs));
-          }
-          W.endObject();
-        };
-        Geomeans("geomean_fault_factors", Evals);
-        Geomeans("geomean_fault_factors_split", SplitEvals);
+        writeGeomeans(W, "geomean_fault_factors", Evals, FaultFactor);
+        writeGeomeans(W, "geomean_fault_factors_split", SplitEvals,
+                      FaultFactor);
       });
   return Ok ? 0 : 1;
 }

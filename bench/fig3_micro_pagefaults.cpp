@@ -21,14 +21,15 @@ int main(int Argc, char **Argv) {
   EvalOptions Opts = defaultOptions();
   std::vector<std::string> Names = microserviceNames();
   applySmoke(smokeMode(Argc, Argv), Names, Opts, /*Keep=*/1);
-  std::vector<BenchmarkEval> Evals =
-      evaluateSuite(Names, /*Microservices=*/true, Opts);
+  std::vector<BenchmarkEval> Evals = evaluateSuite(
+      specsOf(Names, microserviceBenchmark), {SplitMode::None}, Opts)[0];
 
   printHeader("Figure 3 — microservice page-fault reduction",
               ".text faults for cu/method, .svm_heap faults for heap "
               "strategies, both for cu+heap path",
               Opts.Seeds);
-  printFactorTable(Evals, faultFactorOf);
+  printFactorTable(Evals,
+                   [](const VariantEval &V) { return V.FaultFactor; });
 
   std::printf("\naccessed heap-snapshot objects:\n");
   for (const BenchmarkEval &E : Evals)

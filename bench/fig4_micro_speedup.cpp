@@ -20,8 +20,8 @@ int main(int Argc, char **Argv) {
   EvalOptions Opts = defaultOptions();
   std::vector<std::string> Names = microserviceNames();
   applySmoke(smokeMode(Argc, Argv), Names, Opts, /*Keep=*/1);
-  std::vector<BenchmarkEval> Evals =
-      evaluateSuite(Names, /*Microservices=*/true, Opts);
+  std::vector<BenchmarkEval> Evals = evaluateSuite(
+      specsOf(Names, microserviceBenchmark), {SplitMode::None}, Opts)[0];
 
   printHeader("Figure 4 — microservice execution-time speedup",
               "time to first response on a cold page cache", Opts.Seeds);

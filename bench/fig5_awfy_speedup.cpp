@@ -22,27 +22,23 @@ int main(int Argc, char **Argv) {
   EvalOptions Opts = defaultOptions();
   std::vector<std::string> Names = awfyBenchmarkNames();
   applySmoke(Smoke, Names, Opts);
-  std::vector<BenchmarkEval> Evals =
-      evaluateSuite(Names, /*Microservices=*/false, Opts);
+  // Splitting rides along on every variant of the second series
+  // (abl_split owns the direct split-vs-unsplit comparison; this shows
+  // ordering gains survive it).
+  std::vector<std::vector<BenchmarkEval>> Series = evaluateSuite(
+      specsOf(Names, awfyBenchmark), {SplitMode::None, SplitMode::HotCold},
+      Opts);
+  const std::vector<BenchmarkEval> &Evals = Series[0];
+  const std::vector<BenchmarkEval> &SplitEvals = Series[1];
+  auto Speedup = [](const VariantEval &V) { return V.Speedup; };
 
   printHeader("Figure 5 — AWFY execution-time speedup",
               "end-to-end execution time on a cold page cache", Opts.Seeds);
-  printFactorTable(Evals,
-                   [](const VariantEval &V) { return V.Speedup; });
+  printFactorTable(Evals, Speedup);
 
-  // Splitting rides along on every variant (abl_split owns the direct
-  // split-vs-unsplit comparison; this shows ordering gains survive it).
-  EvalOptions SplitOpts = Opts;
-  SplitOpts.Build.Split = SplitMode::HotCold;
-  std::vector<BenchmarkEval> SplitEvals =
-      evaluateSuite(Names, /*Microservices=*/false, SplitOpts);
   std::printf("\nwith --split hotcold (all images split):\n\n");
-  std::printf("%-12s", "benchmark");
-  for (const std::string &S : strategyNames())
-    std::printf(" %15s", S.c_str());
-  std::printf("\n");
-  printFactorTable(SplitEvals,
-                   [](const VariantEval &V) { return V.Speedup; });
+  printColumns();
+  printFactorTable(SplitEvals, Speedup);
 
   std::printf("\nbaseline end-to-end time (model):\n");
   for (const BenchmarkEval &E : Evals)
@@ -61,39 +57,13 @@ int main(int Argc, char **Argv) {
           W.beginObject();
           W.member("name", E.Benchmark);
           W.member("baseline_time_ms", E.Baseline.TimeNs.Mean / 1e6);
-          W.key("speedups");
-          W.beginObject();
-          for (const std::string &S : strategyNames()) {
-            const VariantEval *V = E.variant(S);
-            W.member(S, V ? V->Speedup : 1.0);
-          }
-          W.endObject();
-          W.key("speedups_split");
-          W.beginObject();
-          for (const std::string &S : strategyNames()) {
-            const VariantEval *V = SplitEvals[I].variant(S);
-            W.member(S, V ? V->Speedup : 1.0);
-          }
-          W.endObject();
+          writeFactors(W, "speedups", E, Speedup);
+          writeFactors(W, "speedups_split", SplitEvals[I], Speedup);
           W.endObject();
         }
         W.endArray();
-        auto Geomeans = [&](const char *Key,
-                            const std::vector<BenchmarkEval> &Es) {
-          W.key(Key);
-          W.beginObject();
-          for (const std::string &S : strategyNames()) {
-            std::vector<double> Fs;
-            for (const BenchmarkEval &E : Es) {
-              const VariantEval *V = E.variant(S);
-              Fs.push_back(V ? V->Speedup : 1.0);
-            }
-            W.member(S, geomean(Fs));
-          }
-          W.endObject();
-        };
-        Geomeans("geomean_speedups", Evals);
-        Geomeans("geomean_speedups_split", SplitEvals);
+        writeGeomeans(W, "geomean_speedups", Evals, Speedup);
+        writeGeomeans(W, "geomean_speedups_split", SplitEvals, Speedup);
       });
   return Ok ? 0 : 1;
 }

@@ -18,7 +18,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
-#include "src/core/Builder.h"
+#include "src/core/Evaluation.h"
 #include "src/workloads/Workloads.h"
 
 #include <cstdio>
@@ -139,22 +139,18 @@ int main(int Argc, char **Argv) {
   RunStats RegularStats = runImage(Regular, Run);
   MapSummary RegularSum = printPageMap("(a) regular binary", RegularStats);
 
-  BuildConfig CuCfg = Base;
-  CuCfg.CodeOrder = CodeStrategy::CuOrder;
-  CuCfg.CodeProf = &Prof.Cu;
-  CuCfg.UseHeapOrder = true;
-  CuCfg.HeapOrder = HeapStrategy::HeapPath;
-  CuCfg.HeapProf = &Prof.HeapPath;
-  NativeImage Optimized = buildNativeImage(*P, CuCfg);
+  const PaperVariant &CuHeapPath = PaperVariants[7];
+  NativeImage Optimized =
+      buildNativeImage(*P, variantConfig(CuHeapPath, Base, Prof));
   RunStats OptimizedStats = runImage(Optimized, Run);
   MapSummary OptimizedSum = printPageMap(
       "(b) binary optimized with the cu + heap-path strategies",
       OptimizedStats);
 
-  BuildConfig SplitCfg = CuCfg;
-  SplitCfg.Split = SplitMode::HotCold;
-  SplitCfg.BlockProf = &Prof.Blocks;
-  NativeImage SplitImg = buildNativeImage(*P, SplitCfg);
+  BuildConfig SplitBase = Base;
+  SplitBase.Split = SplitMode::HotCold;
+  NativeImage SplitImg =
+      buildNativeImage(*P, variantConfig(CuHeapPath, SplitBase, Prof));
   RunStats SplitStats = runImage(SplitImg, Run);
   MapSummary SplitSum = printPageMap(
       "(c) same, plus --split hotcold (cold tail after '|')", SplitStats,
@@ -163,9 +159,10 @@ int main(int Argc, char **Argv) {
   // Panel (d): the cu-ordered image with a 2 MiB huge page over the hot
   // prefix. The first map cell is the whole huge page: every hot fault it
   // absorbs collapses into one bigger (284.4 us vs 80 us) device read.
-  BuildConfig HugeCfg = CuCfg;
-  HugeCfg.Image.HugePages = 1;
-  NativeImage HugeImg = buildNativeImage(*P, HugeCfg);
+  BuildConfig HugeBase = Base;
+  HugeBase.Image.HugePages = 1;
+  NativeImage HugeImg =
+      buildNativeImage(*P, variantConfig(CuHeapPath, HugeBase, Prof));
   RunStats HugeStats = runImage(HugeImg, Run);
   MapSummary HugeSum =
       printPageMap("(d) same as (b), plus --huge-pages 1 ('H' lane below)",

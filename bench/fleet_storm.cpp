@@ -29,11 +29,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
-#include "src/core/Builder.h"
+#include "src/core/Evaluation.h"
 #include "src/fleet/FleetSim.h"
 #include "src/workloads/Workloads.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -70,18 +69,13 @@ struct Reference {
 
 Reference record(Program &P, const VariantDef &V,
                  const CollectedProfiles &Prof, const RunConfig &Run) {
-  BuildConfig Cfg;
-  Cfg.Seed = 1;
-  Cfg.CodeOrder = V.Code;
-  Cfg.CodeProf = V.Code == CodeStrategy::CuOrder
-                     ? &Prof.Cu
-                     : V.Code == CodeStrategy::MethodOrder ? &Prof.Method
-                                                          : &Prof.Cluster;
-  if (V.Split) {
-    Cfg.Split = SplitMode::HotCold;
-    Cfg.BlockProf = &Prof.Blocks;
-  }
-  NativeImage Img = buildNativeImage(P, Cfg);
+  BuildConfig Base;
+  Base.Seed = 1;
+  if (V.Split)
+    Base.Split = SplitMode::HotCold;
+  NativeImage Img = buildNativeImage(
+      P, variantConfig({V.Name, V.Code, false, HeapStrategy::HeapPath}, Base,
+                       Prof));
   Reference R;
   if (Img.Built.Failed)
     return R;
@@ -93,15 +87,6 @@ Reference record(Program &P, const VariantDef &V,
   R.HeapSize = Img.Layout.HeapSize;
   R.Ok = true;
   return R;
-}
-
-double geomean(const std::vector<double> &Xs) {
-  if (Xs.empty())
-    return 0.0;
-  double LogSum = 0.0;
-  for (double X : Xs)
-    LogSum += std::log(X);
-  return std::exp(LogSum / double(Xs.size()));
 }
 
 } // namespace

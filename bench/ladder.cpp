@@ -23,7 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchJson.h"
-#include "src/core/Builder.h"
+#include "src/core/Evaluation.h"
 #include "src/workloads/Workloads.h"
 
 #include <chrono>
@@ -35,20 +35,15 @@ using namespace nimg;
 
 namespace {
 
-struct CodeDef {
-  const char *Key;
-  CodeStrategy Code;
-};
-const CodeDef Codes[] = {{"baseline", CodeStrategy::None},
-                         {"cu", CodeStrategy::CuOrder},
-                         {"method", CodeStrategy::MethodOrder},
-                         {"cluster", CodeStrategy::Cluster}};
+/// The code strategies: the first four paper variants (baseline, cu,
+/// method, cluster).
+const PaperVariant *const Codes = PaperVariants;
+constexpr size_t NumCodes = 4;
 
 const char *const Splits[] = {"none", "hotcold"};
 const char *const Heaps[] = {"none", "path"};
 const uint32_t Readaheads[] = {1, 4};
 
-constexpr size_t NumCodes = std::size(Codes);
 constexpr size_t NumSplits = std::size(Splits);
 constexpr size_t NumHeaps = std::size(Heaps);
 constexpr size_t NumReadaheads = std::size(Readaheads);
@@ -102,33 +97,15 @@ struct Grid {
 
 BuildConfig configFor(const Grid &G, const Coord &C,
                       const CollectedProfiles &Prof) {
-  BuildConfig Cfg;
-  Cfg.Seed = G.Seeds[C.Seed];
-  Cfg.CodeOrder = Codes[C.Code].Code;
-  switch (Cfg.CodeOrder) {
-  case CodeStrategy::CuOrder:
-    Cfg.CodeProf = &Prof.Cu;
-    break;
-  case CodeStrategy::MethodOrder:
-    Cfg.CodeProf = &Prof.Method;
-    break;
-  case CodeStrategy::Cluster:
-    Cfg.CodeProf = &Prof.Cluster;
-    break;
-  default:
-    break;
-  }
-  if (C.Split == 1) {
-    Cfg.Split = SplitMode::HotCold;
-    Cfg.BlockProf = &Prof.Blocks;
-  }
-  if (C.Heap == 1) {
-    Cfg.UseHeapOrder = true;
-    Cfg.HeapOrder = HeapStrategy::HeapPath;
-    Cfg.HeapProf = &Prof.HeapPath;
-  }
-  Cfg.Image.HugePages = G.Huge[C.Huge];
-  return Cfg;
+  BuildConfig Base;
+  Base.Seed = G.Seeds[C.Seed];
+  if (C.Split == 1)
+    Base.Split = SplitMode::HotCold;
+  Base.Image.HugePages = G.Huge[C.Huge];
+  const PaperVariant &Code = Codes[C.Code];
+  return variantConfig({Code.Name, Code.Code, C.Heap == 1,
+                        HeapStrategy::HeapPath},
+                       Base, Prof);
 }
 
 /// Why a built image does not measure what its cell claims, or "".
@@ -248,7 +225,7 @@ int main(int Argc, char **Argv) {
       std::string Err = checkBuild(Img, Cfg);
       if (!Err.empty()) {
         std::fprintf(stderr, "FAIL: %s %s/%s: %s\n", Spec.Name.c_str(),
-                     Codes[C.Code].Key, Splits[C.Split], Err.c_str());
+                     Codes[C.Code].Name, Splits[C.Split], Err.c_str());
         Ok = false;
         return;
       }
@@ -261,7 +238,7 @@ int main(int Argc, char **Argv) {
         RunStats Stats = runImage(Img, RC);
         if (!Stats.Responded) {
           std::fprintf(stderr, "FAIL: %s %s/%s: no response\n",
-                       Spec.Name.c_str(), Codes[C.Code].Key,
+                       Spec.Name.c_str(), Codes[C.Code].Name,
                        Splits[C.Split]);
           Ok = false;
         }
@@ -343,7 +320,7 @@ int main(int Argc, char **Argv) {
                G.forEach([&](const Coord &C) {
                  const Cell &X = R.Cells[G.index(C)];
                  W.beginObject();
-                 W.member("code", Codes[C.Code].Key);
+                 W.member("code", Codes[C.Code].Name);
                  W.member("split", Splits[C.Split]);
                  W.member("huge", uint64_t(G.Huge[C.Huge]));
                  W.member("heap", Heaps[C.Heap]);

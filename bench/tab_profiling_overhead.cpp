@@ -167,13 +167,17 @@ int main(int Argc, char **Argv) {
   applySmoke(Smoke, AwfyNames, Opts);
   applySmoke(Smoke, MicroNames, Opts, /*Keep=*/1);
 
-  std::vector<BenchmarkEval> Awfy =
-      evaluateSuite(AwfyNames, /*Microservices=*/false, Opts);
+  // One fan-out over both suites: AWFY first, then the microservices.
+  std::vector<BenchmarkSpec> Specs = specsOf(AwfyNames, awfyBenchmark);
+  for (const BenchmarkSpec &Spec : specsOf(MicroNames, microserviceBenchmark))
+    Specs.push_back(Spec);
+  std::vector<BenchmarkEval> All =
+      evaluateSuite(Specs, {SplitMode::None}, Opts)[0];
+  std::vector<BenchmarkEval> Awfy(All.begin(),
+                                  All.begin() + AwfyNames.size());
+  std::vector<BenchmarkEval> Micro(All.begin() + AwfyNames.size(), All.end());
   printSuite("AWFY (buffer dump mode: flush on full / at termination)",
              Awfy);
-
-  std::vector<BenchmarkEval> Micro =
-      evaluateSuite(MicroNames, /*Microservices=*/true, Opts);
   printSuite("microservices (buffer dump mode: memory-mapped trace files)",
              Micro);
 

@@ -33,7 +33,6 @@
 #include "src/obs/SpanTracer.h"
 #include "src/obs/StartupReport.h"
 #include "src/support/AtomicFile.h"
-#include "src/support/ThreadPool.h"
 #include "src/workloads/Workloads.h"
 
 #include <cstdio>
@@ -152,8 +151,7 @@ const std::vector<FlagSpec> *commandFlags(const std::string &Cmd) {
 /// error naming the offending argument and returns false.
 bool checkFlags(const std::string &Cmd, const std::vector<FlagSpec> &Flags,
                 int Argc, char **Argv) {
-  static const std::vector<FlagSpec> Common = {{"--jobs", true},
-                                               {"--metrics", false},
+  static const std::vector<FlagSpec> Common = {{"--metrics", false},
                                                {"--trace-out", true},
                                                {"--report", true}};
   for (int I = 3; I < Argc; ++I) {
@@ -237,12 +235,6 @@ int usage() {
                "  merges every cu*.csv in DIR. A bare directory keeps the "
                "classic meaning:\n"
                "  read {cu,method,cluster,...}.csv from it.\n"
-               "pipeline (any command):\n"
-               "  --jobs N           worker threads for the parallel build "
-               "stages\n"
-               "                     (default: NIMG_JOBS env, then hardware "
-               "concurrency; output is\n"
-               "                     byte-identical for any N)\n"
                "huge pages (build, profile):\n"
                "  --huge-pages N     map up to N 2 MiB huge pages at the "
                "front of .text (pure\n"
@@ -336,7 +328,6 @@ int cmdProfile(const std::string &Target, int Argc, char **Argv) {
   obs::StartupReport Report;
   Report.Target = Target;
   Report.Command = "profile";
-  Report.setJobs(currentJobs());
   Report.addSalvage("cu", Prof.CuSalvage);
   Report.addSalvage("method", Prof.MethodSalvage);
   Report.addSalvage("heap", Prof.HeapSalvage);
@@ -540,7 +531,6 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
   obs::StartupReport Report;
   Report.Target = Target;
   Report.Command = "build";
-  Report.setJobs(currentJobs());
   if (const char *CodeFlag = flagValue(Argc, Argv, "--code"))
     Report.Variant += std::string("code=") + CodeFlag;
   else if (MemberMode)
@@ -717,8 +707,7 @@ int cmdRun(const std::string &Target, int Argc, char **Argv) {
     obs::StartupReport Report;
     Report.Target = Target;
     Report.Command = "run";
-    Report.setJobs(currentJobs());
-    Report.Variant = std::string("fleet=") + std::to_string(FC.Instances) +
+      Report.Variant = std::string("fleet=") + std::to_string(FC.Instances) +
                      " arrivals=" + arrivalKindName(FC.Arrivals);
     Report.setRun(Ref);
     Report.setImage(Img);
@@ -756,7 +745,6 @@ int cmdRun(const std::string &Target, int Argc, char **Argv) {
   obs::StartupReport Report;
   Report.Target = Target;
   Report.Command = "run";
-  Report.setJobs(currentJobs());
   Report.Variant = Run.ColdCache ? "cold-cache" : "warm-cache";
   Report.setRun(S);
   Report.setImage(Img);
@@ -788,17 +776,6 @@ int main(int Argc, char **Argv) {
     return usage();
   if (!checkFlags(Cmd, *Flags, Argc, Argv))
     return 2;
-
-  if (const char *Jobs = flagValue(Argc, Argv, "--jobs")) {
-    int N = std::atoi(Jobs);
-    if (N <= 0) {
-      std::fprintf(stderr, "error: --jobs expects a positive integer, got "
-                           "'%s'\n",
-                   Jobs);
-      return 2;
-    }
-    setJobs(N);
-  }
 
   const char *TraceOut = flagValue(Argc, Argv, "--trace-out");
   if (TraceOut)

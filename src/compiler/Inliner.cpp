@@ -5,7 +5,6 @@
 #include "src/compiler/CodeSize.h"
 #include "src/support/Murmur3.h"
 #include "src/support/SplitMix64.h"
-#include "src/support/ThreadPool.h"
 
 #include <algorithm>
 #include <stdexcept>
@@ -21,11 +20,9 @@ std::function<bool(MethodId)> &compileFaultHook() {
   return Hook;
 }
 
-/// Result of one per-root compile task. Decisions made while building a CU
-/// depend only on that CU's own state, so the tasks are independent; the
-/// global InlineFingerprint is the sequential mix64 fold of every CU's
-/// DecisionHashes in root order, which reproduces the sequential driver's
-/// chain exactly (the fold itself happens on the caller, after the join).
+/// Result of compiling one root. Decisions made while building a CU depend
+/// only on that CU's own state; the global InlineFingerprint is the mix64
+/// fold of every CU's DecisionHashes in root order.
 struct CuResult {
   CompilationUnit CU;
   std::vector<uint64_t> DecisionHashes;
@@ -177,27 +174,21 @@ CompiledProgram nimg::buildCompilationUnits(const Program &P,
     return P.method(A).Sig < P.method(B).Sig;
   });
 
-  // Each task compiles one CU; a task that throws degrades to a root-only
-  // CU so one bad unit cannot wedge or fail the whole build (the Builder
-  // records the fault as a ProfileDiag issue).
-  std::vector<CuResult> Results =
-      parallelMap(Roots.size(), 8, "compile", [&](size_t I) {
-        MethodId Root = Roots[I];
-        try {
-          if (compileFaultHook() && compileFaultHook()(Root))
-            throw std::runtime_error("injected compile fault");
-          return CuCompiler(P, Reach, Config, Instrumented).compile(Root);
-        } catch (const std::exception &E) {
-          return CuCompiler::rootOnly(P, Root, Instrumented, E.what());
-        }
-      });
-
-  // Ordered splice: root order is fixed above, so the CU vector, the
-  // CU-of-method table, and the fingerprint fold are identical for any
-  // worker count.
-  CP.CUs.reserve(Results.size());
+  // Each root compiles on its own; a compile that throws degrades to a
+  // root-only CU so one bad unit cannot fail the whole build (the Builder
+  // records the fault as a ProfileDiag issue). A whole program compiles in
+  // about a millisecond and ran no faster on the pool (DESIGN.md § 10).
+  CP.CUs.reserve(Roots.size());
   uint64_t Fp = 0x9e3779b97f4a7c15ULL;
-  for (CuResult &R : Results) {
+  for (MethodId Root : Roots) {
+    CuResult R;
+    try {
+      if (compileFaultHook() && compileFaultHook()(Root))
+        throw std::runtime_error("injected compile fault");
+      R = CuCompiler(P, Reach, Config, Instrumented).compile(Root);
+    } catch (const std::exception &E) {
+      R = CuCompiler::rootOnly(P, Root, Instrumented, E.what());
+    }
     if (R.Faulted)
       CP.CompileFaults.emplace_back(R.CU.Root, std::move(R.FaultWhat));
     for (uint64_t H : R.DecisionHashes)

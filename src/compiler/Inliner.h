@@ -97,19 +97,17 @@ struct CompiledProgram {
   }
 };
 
-/// Builds compilation units for every compiled reachable method. CUs are
-/// compiled in parallel on the shared pool (sharedPool(); `--jobs` /
-/// NIMG_JOBS) and spliced in stable root order, so the CU set, .text
-/// order, and inline fingerprint are byte-identical for any worker count.
+/// Builds compilation units for every compiled reachable method, one per
+/// root in signature order (the default .text order).
 CompiledProgram buildCompilationUnits(const Program &P,
                                       const ReachabilityResult &Reach,
                                       const InlinerConfig &Config,
                                       bool Instrumented);
 
 /// Test-only fault injection: when set, a compile task whose root makes
-/// the hook return true throws mid-build (exercising the pool's exception
-/// path and the Builder's degradation policy). Install/clear only while no
-/// build is running; pass nullptr to clear.
+/// the hook return true throws mid-build (exercising the Builder's
+/// degradation policy). Install/clear only while no build is running; pass
+/// nullptr to clear.
 void setCompileFaultHookForTest(std::function<bool(MethodId Root)> Hook);
 
 /// Whether a compile-fault hook is installed. A build made while one is

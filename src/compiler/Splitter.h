@@ -32,7 +32,7 @@
 /// blocks but a cold root entry block) degrades individually with the same
 /// slug. Split decisions are pure functions of the merged profile, so the
 /// result — and the DecisionFingerprint folded into the build fingerprint
-/// — is byte-identical for any --jobs value.
+/// — is byte-identical for any worker count.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -352,7 +352,7 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
 
   // 2b. Hot/cold CU splitting (--split hotcold): a pure function of the
   //     compiled CUs and the merged block profile, so its decisions — and
-  //     the fingerprint folded below — are byte-identical at any --jobs.
+  //     the fingerprint folded below — are byte-identical at any worker count.
   if (SplitRequested) {
     NIMG_SPAN("build", "split");
     Img.Split = splitCompiledProgram(P, Code, BlockProf, Cfg.SplitOpts);

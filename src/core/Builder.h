@@ -143,6 +143,18 @@ struct CollectedProfiles {
   /// empty capture (retried once, in the memory-mapped dump mode).
   int RetriedRuns = 0;
 
+  /// The code profile a code strategy builds from (Cu for None).
+  const CodeProfile &forCode(CodeStrategy S) const {
+    switch (S) {
+    case CodeStrategy::MethodOrder:
+      return Method;
+    case CodeStrategy::Cluster:
+      return Cluster;
+    default:
+      return Cu;
+    }
+  }
+
   const HeapProfile &forStrategy(HeapStrategy S) const {
     switch (S) {
     case HeapStrategy::IncrementalId:

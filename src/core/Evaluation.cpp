@@ -2,8 +2,13 @@
 
 #include "src/core/Evaluation.h"
 
+#include "src/support/ThreadPool.h"
+
+#include <cassert>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <mutex>
 
 using namespace nimg;
 
@@ -46,11 +51,20 @@ int nimg::evalSeedsFromEnv(int Default) {
   return N > 0 ? N : Default;
 }
 
-const VariantEval *BenchmarkEval::variant(const std::string &Name) const {
-  for (const VariantEval &V : Variants)
-    if (V.Name == Name)
-      return &V;
-  return nullptr;
+BuildConfig nimg::variantConfig(const PaperVariant &V, BuildConfig Base,
+                                const CollectedProfiles &Prof) {
+  Base.CodeOrder = V.Code;
+  if (V.Code != CodeStrategy::None)
+    Base.CodeProf = &Prof.forCode(V.Code);
+  Base.UseHeapOrder = V.UseHeap;
+  if (V.UseHeap) {
+    Base.HeapOrder = V.Heap;
+    Base.HeapProf = &Prof.forStrategy(V.Heap);
+  }
+  // --split hotcold rides along on any code strategy.
+  if (Base.Split != SplitMode::None)
+    Base.BlockProf = &Prof.Blocks;
+  return Base;
 }
 
 namespace {
@@ -63,143 +77,124 @@ double timeOf(const RunStats &S, bool Microservice) {
   return S.TimeNs;
 }
 
-struct VariantSpec {
-  std::string Name;
-  CodeStrategy Code;
-  bool UseHeap;
-  HeapStrategy Heap;
-};
+/// The fault count \p V is scored on.
+Stat VariantEval::*faultAxis(const PaperVariant &V) {
+  if (!V.UseHeap)
+    return &VariantEval::TextFaults;
+  return V.Code == CodeStrategy::None ? &VariantEval::HeapFaults
+                                      : &VariantEval::TotalFaults;
+}
 
-} // namespace
+double factor(double Base, double Opt) {
+  if (Opt <= 0)
+    return Base <= 0 ? 1.0 : Base;
+  return Base / Opt;
+}
 
-BenchmarkEval nimg::evaluateBenchmark(const BenchmarkSpec &Spec,
-                                      const EvalOptions &Opts) {
-  BenchmarkEval Eval;
-  Eval.Benchmark = Spec.Name;
-  Eval.Microservice = Spec.Microservice;
-
+/// Evaluates one benchmark once per split mode in \p Series, from one
+/// compile and one profile capture: instrumented builds ignore the split
+/// mode, so every series reads the same profiles.
+std::vector<BenchmarkEval>
+evaluateBenchmark(const BenchmarkSpec &Spec,
+                  const std::vector<SplitMode> &Series, int Seeds) {
   std::vector<std::string> Errors;
   std::unique_ptr<Program> P = compileBenchmark(Spec, Errors);
   assert(P && "benchmark failed to compile");
 
-  RunConfig Run = Opts.Run;
+  RunConfig Run;
   Run.StopAtFirstResponse = Spec.Microservice;
 
-  // --- Profile collection (one instrumented image, Sec. 3) --------------------
-  BuildConfig InstrCfg = Opts.Build;
-  InstrCfg.Seed = Opts.BaseSeed + 1000;
+  // --- Profile collection (one instrumented image, Sec. 3) ------------------
+  BuildConfig InstrCfg;
+  InstrCfg.Seed = 1001;
   CollectedProfiles Prof = collectProfiles(*P, InstrCfg, Run);
 
-  // --- Fleet profile set (cu-merged variant) ----------------------------------
-  std::vector<MemberProfile> Members;
-  if (Opts.MergeMembers > 0) {
-    BuildConfig SetCfg = Opts.Build;
-    SetCfg.Seed = Opts.BaseSeed + 1000;
-    if (!SetCfg.ProfileGeneration)
-      SetCfg.ProfileGeneration = 1;
-    std::vector<std::string> Names;
-    for (int I = 0; I < Opts.MergeMembers; ++I)
-      Names.push_back("inst" + std::to_string(I));
-    Members = collectProfileSet(*P, SetCfg, Run, Names);
-  }
+  std::vector<BenchmarkEval> Out;
+  for (SplitMode Split : Series) {
+    BenchmarkEval Eval;
+    Eval.Benchmark = Spec.Name;
+    Eval.Microservice = Spec.Microservice;
+    BuildConfig Base;
+    Base.Split = Split;
 
-  // --- Measurement helper -------------------------------------------------------
-  auto Measure = [&](const std::string &Name, CodeStrategy Code,
-                     bool UseHeap, HeapStrategy Heap,
-                     const std::vector<MemberProfile> *CodeMembers =
-                         nullptr) {
-    VariantEval V;
-    V.Name = Name;
-    std::vector<double> Text, HeapF, Total, Time;
-    for (int S = 0; S < Opts.Seeds; ++S) {
-      BuildConfig Cfg = Opts.Build;
-      Cfg.Seed = Opts.BaseSeed + uint64_t(S);
-      Cfg.CodeOrder = Code;
-      if (Code == CodeStrategy::CuOrder)
-        Cfg.CodeProf = &Prof.Cu;
-      else if (Code == CodeStrategy::MethodOrder)
-        Cfg.CodeProf = &Prof.Method;
-      else if (Code == CodeStrategy::Cluster)
-        Cfg.CodeProf = &Prof.Cluster;
-      if (CodeMembers) {
-        Cfg.CodeMembers = CodeMembers;
-        Cfg.CodeProf = nullptr;
+    for (const PaperVariant &PV : PaperVariants) {
+      bool IsBaseline = &PV == &PaperVariants[0];
+      VariantEval V;
+      V.Name = PV.Name;
+      std::vector<double> Text, HeapF, Total, Time;
+      for (int S = 0; S < Seeds; ++S) {
+        Base.Seed = 1 + uint64_t(S);
+        NativeImage Img = buildNativeImage(*P, variantConfig(PV, Base, Prof));
+        assert(!Img.Built.Failed && "image build failed");
+        RunStats Stats = runImage(Img, Run);
+        assert(!Stats.Trapped && "benchmark trapped");
+        Text.push_back(double(Stats.TextFaults));
+        HeapF.push_back(double(Stats.HeapFaults));
+        Total.push_back(double(Stats.totalFaults()));
+        Time.push_back(timeOf(Stats, Spec.Microservice));
+        if (IsBaseline && S == 0) {
+          Eval.PctStoredObjectsTouched =
+              Stats.StoredObjectsTotal == 0
+                  ? 0.0
+                  : 100.0 * double(Stats.StoredObjectsTouched) /
+                        double(Stats.StoredObjectsTotal);
+          Eval.SnapshotObjects = Stats.StoredObjectsTotal;
+          Eval.ImageBytes = Img.imageBytes();
+        }
       }
-      Cfg.UseHeapOrder = UseHeap;
-      if (UseHeap) {
-        Cfg.HeapOrder = Heap;
-        Cfg.HeapProf = &Prof.forStrategy(Heap);
+      V.TextFaults = statOf(Text);
+      V.HeapFaults = statOf(HeapF);
+      V.TotalFaults = statOf(Total);
+      V.TimeNs = statOf(Time);
+      if (IsBaseline) {
+        Eval.Baseline = std::move(V);
+        continue;
       }
-      // --split hotcold rides along on any code strategy: wire the block
-      // profile whenever the caller's build config asks for splitting.
-      if (Cfg.Split != SplitMode::None)
-        Cfg.BlockProf = &Prof.Blocks;
-      NativeImage Img = buildNativeImage(*P, Cfg);
-      assert(!Img.Built.Failed && "image build failed");
-      RunStats Stats = runImage(Img, Run);
-      assert(!Stats.Trapped && "benchmark trapped");
-      Text.push_back(double(Stats.TextFaults));
-      HeapF.push_back(double(Stats.HeapFaults));
-      Total.push_back(double(Stats.totalFaults()));
-      Time.push_back(timeOf(Stats, Spec.Microservice));
-      if (Name == "baseline" && S == 0) {
-        Eval.PctStoredObjectsTouched =
-            Stats.StoredObjectsTotal == 0
-                ? 0.0
-                : 100.0 * double(Stats.StoredObjectsTouched) /
-                      double(Stats.StoredObjectsTotal);
-        Eval.SnapshotObjects = Stats.StoredObjectsTotal;
-        Eval.ImageBytes = Img.imageBytes();
-      }
+      const VariantEval &B = Eval.Baseline;
+      Stat VariantEval::*Axis = faultAxis(PV);
+      V.FaultFactor = factor((B.*Axis).Mean, (V.*Axis).Mean);
+      V.Speedup = factor(B.TimeNs.Mean, V.TimeNs.Mean);
+      Eval.Variants.push_back(std::move(V));
     }
-    V.TextFaults = statOf(Text);
-    V.HeapFaults = statOf(HeapF);
-    V.TotalFaults = statOf(Total);
-    V.TimeNs = statOf(Time);
-    return V;
-  };
 
-  Eval.Baseline =
-      Measure("baseline", CodeStrategy::None, false, HeapStrategy::HeapPath);
-
-  const VariantSpec Specs[] = {
-      {"cu", CodeStrategy::CuOrder, false, HeapStrategy::HeapPath},
-      {"method", CodeStrategy::MethodOrder, false, HeapStrategy::HeapPath},
-      {"cluster", CodeStrategy::Cluster, false, HeapStrategy::HeapPath},
-      {"incremental id", CodeStrategy::None, true,
-       HeapStrategy::IncrementalId},
-      {"structural hash", CodeStrategy::None, true,
-       HeapStrategy::StructuralHash},
-      {"heap path", CodeStrategy::None, true, HeapStrategy::HeapPath},
-      {"cu+heap path", CodeStrategy::CuOrder, true, HeapStrategy::HeapPath},
-  };
-  auto Factor = [](double Base, double Opt) {
-    if (Opt <= 0)
-      return Base <= 0 ? 1.0 : Base;
-    return Base / Opt;
-  };
-  auto PushVariant = [&](VariantEval V) {
-    V.TextFaultFactor =
-        Factor(Eval.Baseline.TextFaults.Mean, V.TextFaults.Mean);
-    V.HeapFaultFactor =
-        Factor(Eval.Baseline.HeapFaults.Mean, V.HeapFaults.Mean);
-    V.TotalFaultFactor =
-        Factor(Eval.Baseline.TotalFaults.Mean, V.TotalFaults.Mean);
-    V.Speedup = Factor(Eval.Baseline.TimeNs.Mean, V.TimeNs.Mean);
-    Eval.Variants.push_back(std::move(V));
-  };
-  for (const VariantSpec &VS : Specs)
-    PushVariant(Measure(VS.Name, VS.Code, VS.UseHeap, VS.Heap));
-  if (!Members.empty())
-    PushVariant(Measure("cu-merged", CodeStrategy::CuOrder, false,
-                        HeapStrategy::HeapPath, &Members));
-
-  // --- Profiling overhead (Sec. 7.4) ------------------------------------------
-  double BaseTime = Eval.Baseline.TimeNs.Mean;
-  if (BaseTime > 0) {
-    Eval.CuOverhead = timeOf(Prof.CuRun, Spec.Microservice) / BaseTime;
-    Eval.MethodOverhead = timeOf(Prof.MethodRun, Spec.Microservice) / BaseTime;
-    Eval.HeapOverhead = timeOf(Prof.HeapRun, Spec.Microservice) / BaseTime;
+    // --- Profiling overhead (Sec. 7.4) --------------------------------------
+    double BaseTime = Eval.Baseline.TimeNs.Mean;
+    if (BaseTime > 0) {
+      Eval.CuOverhead = timeOf(Prof.CuRun, Spec.Microservice) / BaseTime;
+      Eval.MethodOverhead =
+          timeOf(Prof.MethodRun, Spec.Microservice) / BaseTime;
+      Eval.HeapOverhead = timeOf(Prof.HeapRun, Spec.Microservice) / BaseTime;
+    }
+    Out.push_back(std::move(Eval));
   }
-  return Eval;
+  return Out;
+}
+
+} // namespace
+
+std::vector<std::vector<BenchmarkEval>>
+nimg::evaluateSuite(const std::vector<BenchmarkSpec> &Specs,
+                    const std::vector<SplitMode> &Series,
+                    const EvalOptions &Opts) {
+  // Progress lines go out in index order as the finished prefix grows.
+  std::mutex Mu;
+  std::vector<bool> Finished(Specs.size());
+  size_t Reported = 0;
+  std::vector<std::vector<BenchmarkEval>> PerBenchmark =
+      parallelMap(Specs.size(), 1, "evaluate", [&](size_t I) {
+        std::vector<BenchmarkEval> Evals =
+            evaluateBenchmark(Specs[I], Series, Opts.Seeds);
+        std::lock_guard<std::mutex> G(Mu);
+        Finished[I] = true;
+        for (; Reported < Specs.size() && Finished[Reported]; ++Reported)
+          std::fprintf(stderr, "  evaluated %s\n",
+                       Specs[Reported].Name.c_str());
+        return Evals;
+      });
+
+  std::vector<std::vector<BenchmarkEval>> Out(Series.size());
+  for (std::vector<BenchmarkEval> &Evals : PerBenchmark)
+    for (size_t S = 0; S < Series.size(); ++S)
+      Out[S].push_back(std::move(Evals[S]));
+  return Out;
 }

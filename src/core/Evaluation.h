@@ -6,13 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Reproduces the measurement protocol of Sec. 7.1: per benchmark, build
-/// several images per strategy (the paper builds 10; the seed plays the
-/// role of build-to-build nondeterminism), run each on a cold page cache,
-/// and report factors M_baseline / M_optimized with 95% confidence
-/// intervals. Code strategies are scored on .text faults, heap strategies
-/// on .svm_heap faults, the combined strategy on both — exactly the
-/// figures' conventions. AWFY workloads measure end-to-end time;
+/// Reproduces the measurement protocol of Sec. 7.1: per benchmark, collect
+/// one profile, build several images per strategy (the paper builds 10;
+/// the seed plays the role of build-to-build nondeterminism), run each on
+/// a cold page cache, and report factors M_baseline / M_optimized with 95%
+/// confidence intervals. Code strategies are scored on .text faults, heap
+/// strategies on .svm_heap faults, the combined strategy on both — exactly
+/// the figures' conventions. AWFY workloads measure end-to-end time;
 /// microservices measure elapsed time until the first response and are
 /// then killed.
 ///
@@ -29,18 +29,39 @@
 
 namespace nimg {
 
+/// One column of the paper's figures, or the baseline: a code strategy, a
+/// heap strategy, or both.
+struct PaperVariant {
+  const char *Name;
+  CodeStrategy Code;
+  bool UseHeap;
+  HeapStrategy Heap;
+};
+
+/// The baseline, then the seven columns of Fig. 2 in figure order.
+inline constexpr PaperVariant PaperVariants[] = {
+    {"baseline", CodeStrategy::None, false, HeapStrategy::HeapPath},
+    {"cu", CodeStrategy::CuOrder, false, HeapStrategy::HeapPath},
+    {"method", CodeStrategy::MethodOrder, false, HeapStrategy::HeapPath},
+    {"cluster", CodeStrategy::Cluster, false, HeapStrategy::HeapPath},
+    {"incremental id", CodeStrategy::None, true, HeapStrategy::IncrementalId},
+    {"structural hash", CodeStrategy::None, true,
+     HeapStrategy::StructuralHash},
+    {"heap path", CodeStrategy::None, true, HeapStrategy::HeapPath},
+    {"cu+heap path", CodeStrategy::CuOrder, true, HeapStrategy::HeapPath},
+};
+
+/// \p Base with \p V's orderings wired to \p Prof: the code profile of its
+/// code strategy, the heap profile of its heap strategy, and the block
+/// profile when \p Base asks for a split.
+BuildConfig variantConfig(const PaperVariant &V, BuildConfig Base,
+                          const CollectedProfiles &Prof);
+
 struct EvalOptions {
-  /// Images built per strategy (paper: 10). Runs are deterministic given a
-  /// build, so one measured run per image suffices.
+  /// Images built per strategy (paper: 10), with build seeds 1..Seeds.
+  /// Runs are deterministic given a build, so one measured run per image
+  /// suffices.
   int Seeds = 3;
-  uint64_t BaseSeed = 1;
-  RunConfig Run;
-  BuildConfig Build;
-  /// When > 0, additionally capture a fleet profile set of this many
-  /// members (one instrumented cu-mode run each) and measure a
-  /// "cu-merged" variant driven by the aggregated profile — the
-  /// multi-instance analogue of the "cu" variant.
-  int MergeMembers = 0;
 };
 
 /// Mean with a 95% confidence interval over build seeds.
@@ -48,6 +69,8 @@ struct Stat {
   double Mean = 0;
   double Lo = 0;
   double Hi = 0;
+
+  bool operator==(const Stat &) const = default;
 };
 
 Stat statOf(const std::vector<double> &Samples);
@@ -60,18 +83,19 @@ struct VariantEval {
   Stat TotalFaults;
   Stat TimeNs;
   // Factors versus the baseline (higher is better, Sec. 7.1).
-  double TextFaultFactor = 1.0;
-  double HeapFaultFactor = 1.0;
-  double TotalFaultFactor = 1.0;
+  /// On the figures' fault axis for this variant: .text faults for a code
+  /// strategy, .svm_heap faults for a heap strategy, all faults for both.
+  double FaultFactor = 1.0;
   double Speedup = 1.0;
+
+  bool operator==(const VariantEval &) const = default;
 };
 
 struct BenchmarkEval {
   std::string Benchmark;
   bool Microservice = false;
   VariantEval Baseline;
-  /// cu, method, cluster, incremental id, structural hash, heap path,
-  /// cu+heap path.
+  /// The seven figure columns, in PaperVariants order.
   std::vector<VariantEval> Variants;
 
   /// Fraction of stored snapshot objects the baseline run touches
@@ -85,12 +109,18 @@ struct BenchmarkEval {
   double MethodOverhead = 1.0;
   double HeapOverhead = 1.0;
 
-  const VariantEval *variant(const std::string &Name) const;
+  bool operator==(const BenchmarkEval &) const = default;
 };
 
-/// Runs the full per-benchmark evaluation.
-BenchmarkEval evaluateBenchmark(const BenchmarkSpec &Spec,
-                                const EvalOptions &Opts);
+/// Runs the full evaluation of every benchmark in \p Specs once per split
+/// mode in \p Series; every image of a series, baseline included, is built
+/// with that split. Each benchmark is compiled and profiled once for all
+/// of its series. Benchmarks fan out over the shared pool and merge in
+/// index order, so the result is the same at any worker count; progress
+/// goes to stderr in index order. Returns Out[Series][Benchmark].
+std::vector<std::vector<BenchmarkEval>>
+evaluateSuite(const std::vector<BenchmarkSpec> &Specs,
+              const std::vector<SplitMode> &Series, const EvalOptions &Opts);
 
 /// Geometric mean (the figures' summary statistic).
 double geomean(const std::vector<double> &Factors);

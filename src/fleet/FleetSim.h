@@ -28,7 +28,7 @@
 /// Everything is deterministic: one seed drives arrivals, the scheduler
 /// breaks time ties by instance id, and the replay trace is a pure
 /// function of the (byte-deterministic) image — so fleet results are
-/// byte-identical at any --jobs.
+/// byte-identical at any worker count.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -41,7 +41,7 @@ ImageLayout nimg::computeImageLayout(const Program &P,
   if (Splitting) {
     // Cold fragments pack after the last page the hot code can touch, in
     // the same placement order (a pure function of the split decisions and
-    // the CU order — byte-identical at any --jobs).
+    // the CU order — byte-identical at any worker count).
     L.ColdTailOffset = alignUp(Off, Opts.PageSize);
     L.CuColdOffsets.assign(CP.CUs.size(), ImageLayout::NotStored);
     uint64_t ColdOff = L.ColdTailOffset;

@@ -83,8 +83,6 @@ std::string StartupReport::toJson() const {
     W.member("command", Command);
   if (!Variant.empty())
     W.member("variant", Variant);
-  if (Jobs > 0)
-    W.member("jobs", uint64_t(Jobs));
 
   if (HasRun) {
     W.key("run");
@@ -320,8 +318,6 @@ std::string StartupReport::toCsv() const {
     csvRow(Out, "report", "command", Command);
   if (!Variant.empty())
     csvRow(Out, "report", "variant", Variant);
-  if (Jobs > 0)
-    csvRow(Out, "report", "jobs", num(uint64_t(Jobs)));
 
   if (HasRun) {
     csvRow(Out, "run", "text_faults", num(Run.TextFaults));

@@ -52,8 +52,6 @@ public:
     Run = Stats;
     HasRun = true;
   }
-  /// Worker count the pipeline ran with (`--jobs` / NIMG_JOBS); 0 = unset.
-  void setJobs(int N) { Jobs = N; }
   /// Image summary + its profile-ingestion diagnostics.
   void setImage(const NativeImage &Img);
   void addSalvage(std::string Phase, const SalvageStats &Stats) {
@@ -80,7 +78,6 @@ public:
 private:
   bool HasRun = false;
   RunStats Run;
-  int Jobs = 0;
 
   bool HasImage = false;
   size_t NumCus = 0;

@@ -13,11 +13,6 @@
 #include <string>
 #include <utility>
 
-#if defined(__linux__) || defined(__APPLE__)
-#include <time.h>
-#define NIMG_HAVE_THREAD_CPUTIME 1
-#endif
-
 using namespace nimg;
 
 namespace {
@@ -33,25 +28,6 @@ struct ParallelRegionGuard {
   ~ParallelRegionGuard() { InParallelTask = false; }
 };
 
-/// Timing hook state: the flag makes the disabled fast path one relaxed
-/// load; the hook itself is guarded for set-vs-call ordering by convention
-/// (set it only while no parallel work is in flight).
-std::atomic<bool> TimingEnabled{false};
-ChunkTimingFn &timingHook() {
-  static ChunkTimingFn Hook;
-  return Hook;
-}
-std::atomic<uint64_t> BatchSeq{0};
-
-uint64_t threadCpuNs() {
-#ifdef NIMG_HAVE_THREAD_CPUTIME
-  timespec Ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &Ts) == 0)
-    return uint64_t(Ts.tv_sec) * 1000000000ull + uint64_t(Ts.tv_nsec);
-#endif
-  return 0;
-}
-
 } // namespace
 
 /// One parallelFor invocation. Heap-allocated and shared with the workers
@@ -60,7 +36,6 @@ uint64_t threadCpuNs() {
 struct ThreadPool::Batch {
   const ChunkFn *Fn = nullptr;
   const char *Stage = "";
-  uint64_t Seq = 0;
   size_t N = 0;
   size_t ChunkSize = 1;
   size_t NumChunks = 0;
@@ -98,11 +73,7 @@ void ThreadPool::runOneChunk(Batch &B, size_t Chunk) {
   size_t End = std::min(Begin + B.ChunkSize, B.N);
   NIMG_SPAN("parallel",
             std::string(B.Stage) + " chunk " + std::to_string(Chunk));
-  bool Timed = TimingEnabled.load(std::memory_order_relaxed);
-  uint64_t T0 = Timed ? threadCpuNs() : 0;
   (*B.Fn)(Begin, End, Chunk);
-  if (Timed)
-    timingHook()(B.Stage, B.Seq, Chunk, threadCpuNs() - T0);
 }
 
 void ThreadPool::runChunks(Batch &B) {
@@ -160,13 +131,12 @@ void ThreadPool::parallelFor(size_t N, size_t MinChunk, const char *Stage,
   NIMG_COUNTER_ADD_DYN(std::string("nimg.parallel.") + Stage + ".chunks",
                        NumChunks);
 
-  Batch B;
-  B.Fn = &Fn;
-  B.Stage = Stage;
-  B.Seq = BatchSeq.fetch_add(1, std::memory_order_relaxed);
-  B.N = N;
-  B.ChunkSize = ChunkSize;
-  B.NumChunks = NumChunks;
+  auto Shared = std::make_shared<Batch>();
+  Shared->Fn = &Fn;
+  Shared->Stage = Stage;
+  Shared->N = N;
+  Shared->ChunkSize = ChunkSize;
+  Shared->NumChunks = NumChunks;
 
   // Inline execution: sequential pools, single-chunk batches. Zero thread
   // handoffs; exceptions propagate directly (first throwing chunk wins —
@@ -175,17 +145,10 @@ void ThreadPool::parallelFor(size_t N, size_t MinChunk, const char *Stage,
     NIMG_COUNTER_ADD("nimg.parallel.for.inline", 1);
     ParallelRegionGuard Guard;
     for (size_t C = 0; C < NumChunks; ++C)
-      runOneChunk(B, C);
+      runOneChunk(*Shared, C);
     return;
   }
 
-  auto Shared = std::make_shared<Batch>();
-  Shared->Fn = &Fn;
-  Shared->Stage = Stage;
-  Shared->Seq = B.Seq;
-  Shared->N = N;
-  Shared->ChunkSize = ChunkSize;
-  Shared->NumChunks = NumChunks;
   {
     std::lock_guard<std::mutex> G(Mu);
     Current = Shared;
@@ -274,10 +237,4 @@ ThreadPool &nimg::sharedPool() {
     NIMG_GAUGE_SET("nimg.parallel.jobs", int64_t(S.Pool->jobs()));
   }
   return *S.Pool;
-}
-
-void nimg::setChunkTimingHook(ChunkTimingFn Fn) {
-  bool On = static_cast<bool>(Fn);
-  timingHook() = std::move(Fn);
-  TimingEnabled.store(On, std::memory_order_relaxed);
 }

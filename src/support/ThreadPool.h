@@ -6,22 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The fan-out substrate of the parallel pipeline (DESIGN.md § 10). A
+/// The fan-out substrate of the evaluation engine (DESIGN.md § 10). A
 /// ThreadPool owns a fixed set of workers; parallelFor() splits an index
 /// range [0, N) into contiguous chunks that workers (and the calling
 /// thread) pull from an atomic cursor. Which worker runs which chunk is
 /// scheduling-dependent, but chunk *boundaries* are a pure function of
 /// (N, MinChunk, jobs) and every chunk writes only its own output slots —
-/// pipeline stages then merge per-chunk results at an ordered join point,
-/// so profiles, object ids, and image layouts are byte-identical for any
-/// worker count (the determinism guarantee the ordering pipeline needs:
-/// profile-guided layout tools are only trustworthy when a rebuild with
-/// more cores reproduces the same image).
+/// the caller then merges per-chunk results at an ordered join point, so
+/// results are byte-identical for any worker count. Its one caller is
+/// evaluateSuite (src/core/Evaluation.h), which fans out over benchmarks.
 ///
 /// Contracts:
-///  - `--jobs 1` (or a single chunk) executes inline on the caller with
-///    zero thread handoffs — the sequential pipeline is literally the same
-///    code path.
+///  - One job (or a single chunk) executes inline on the caller with zero
+///    thread handoffs — the sequential path is literally the same code.
 ///  - A task exception is captured and rethrown from parallelFor() on the
 ///    caller; when several chunks throw, the lowest chunk index wins, so
 ///    the surfaced error does not depend on scheduling. Inline execution
@@ -30,9 +27,9 @@
 ///  - Nested use from inside a task throws std::logic_error: the pool is
 ///    fixed-size and a blocked worker waiting on its own pool deadlocks.
 ///
-/// The process-wide worker count comes from, in priority order: setJobs()
-/// (the CLI's `--jobs N`), the NIMG_JOBS environment variable, and
-/// std::thread::hardware_concurrency(). Stages reach the pool through
+/// The process-wide worker count comes from, in priority order: setJobs(),
+/// the NIMG_JOBS environment variable, and
+/// std::thread::hardware_concurrency(). Callers reach the pool through
 /// sharedPool().
 ///
 //===----------------------------------------------------------------------===//
@@ -100,21 +97,13 @@ int hardwareJobs();
 /// pool's count): setJobs() override, else NIMG_JOBS, else hardwareJobs().
 int currentJobs();
 
-/// Overrides the shared pool's worker count (`--jobs N`); 0 resets to the
+/// Overrides the shared pool's worker count; 0 resets to the
 /// NIMG_JOBS / hardware default. Destroys the current shared pool, so call
 /// only between pipeline stages, never from inside parallel work.
 void setJobs(int Jobs);
 
 /// Lazily constructed process-wide pool with currentJobs() workers.
 ThreadPool &sharedPool();
-
-/// Bench/test instrumentation: when set, every chunk reports its thread
-/// CPU time as (Stage, Batch, Chunk, CpuNs). \p Fn is invoked concurrently
-/// from worker threads and must be thread-safe; pass nullptr to disable.
-using ChunkTimingFn =
-    std::function<void(const char *Stage, uint64_t Batch, size_t Chunk,
-                       uint64_t CpuNs)>;
-void setChunkTimingHook(ChunkTimingFn Fn);
 
 /// Maps [0, N) through \p F on the shared pool into a vector in index
 /// order — the ordered-merge primitive: Out[I] = F(I) regardless of which

@@ -25,51 +25,19 @@ using namespace nimg;
 
 namespace {
 
-struct Variant {
-  const char *Name;
-  CodeStrategy Code;
-  bool UseHeap;
-  HeapStrategy Heap;
-};
-
-/// The paper's variants (Figs. 2-5) plus cluster ordering.
-const Variant Variants[] = {
-    {"baseline", CodeStrategy::None, false, HeapStrategy::HeapPath},
-    {"cu", CodeStrategy::CuOrder, false, HeapStrategy::HeapPath},
-    {"method", CodeStrategy::MethodOrder, false, HeapStrategy::HeapPath},
-    {"incremental id", CodeStrategy::None, true, HeapStrategy::IncrementalId},
-    {"structural hash", CodeStrategy::None, true,
-     HeapStrategy::StructuralHash},
-    {"heap path", CodeStrategy::None, true, HeapStrategy::HeapPath},
-    {"cu+heap path", CodeStrategy::CuOrder, true, HeapStrategy::HeapPath},
-    {"cluster", CodeStrategy::Cluster, false, HeapStrategy::HeapPath},
-};
-constexpr size_t NumPaperVariants = 7;
-
 /// \p Blocks non-null selects --split hotcold with that block profile.
-BuildConfig configFor(const Variant &V, uint64_t Seed,
+BuildConfig configFor(const PaperVariant &V, uint64_t Seed,
                       const CollectedProfiles &Prof,
                       const BlockProfile *Blocks = nullptr,
                       uint32_t HugePages = 0) {
-  BuildConfig C;
-  C.Seed = Seed;
-  C.CodeOrder = V.Code;
-  if (V.Code == CodeStrategy::CuOrder)
-    C.CodeProf = &Prof.Cu;
-  else if (V.Code == CodeStrategy::MethodOrder)
-    C.CodeProf = &Prof.Method;
-  else if (V.Code == CodeStrategy::Cluster)
-    C.CodeProf = &Prof.Cluster;
-  C.UseHeapOrder = V.UseHeap;
-  if (V.UseHeap) {
-    C.HeapOrder = V.Heap;
-    C.HeapProf = &Prof.forStrategy(V.Heap);
-  }
-  if (Blocks) {
-    C.Split = SplitMode::HotCold;
+  BuildConfig Base;
+  Base.Seed = Seed;
+  Base.Image.HugePages = HugePages;
+  if (Blocks)
+    Base.Split = SplitMode::HotCold;
+  BuildConfig C = variantConfig(V, Base, Prof);
+  if (Blocks)
     C.BlockProf = Blocks;
-  }
-  C.Image.HugePages = HugePages;
   return C;
 }
 
@@ -125,7 +93,7 @@ TEST_P(ReplayOracleTest, ReplayEqualsInterpretation) {
       Thin.Rows.erase(Thin.Rows.begin() + I);
   uint64_t ColdFaults = 0;
 
-  for (const Variant &V : Variants)
+  for (const PaperVariant &V : PaperVariants)
     for (bool Split : {false, true})
       for (uint32_t Huge : {0u, 1u}) {
         std::string Ctx = std::string(V.Name) + (Split ? " split" : "") +
@@ -185,10 +153,12 @@ TEST(ReplayOracle, FuelExhaustedRunReplaysExactly) {
   CollectedProfiles Prof = profilesOf(*P, Spec);
   RunConfig RC;
   RC.MaxInstructions = 20000;
-  NativeImage First = buildNativeImage(*P, configFor(Variants[0], 3, Prof));
+  NativeImage First =
+      buildNativeImage(*P, configFor(PaperVariants[0], 3, Prof));
   RunStats Recorded = runImage(First, RC);
   EXPECT_TRUE(Recorded.FuelExhausted);
-  NativeImage Img = buildNativeImage(*P, configFor(Variants[6], 3, Prof));
+  NativeImage Img =
+      buildNativeImage(*P, configFor(PaperVariants[7], 3, Prof));
   ASSERT_EQ(Img.Base, First.Base);
   expectSameRun(runImage(Img, RC), runImage(loadedCopy(*P, Img), RC),
                 "fuel-limited cu+heap path");
@@ -227,9 +197,10 @@ class Main {
   CollectedProfiles Prof = collectProfiles(P, Instr, RunConfig());
   RunConfig RC;
   RC.StopAtFirstResponse = false;
-  NativeImage First = buildNativeImage(P, configFor(Variants[0], 3, Prof));
+  NativeImage First =
+      buildNativeImage(P, configFor(PaperVariants[0], 3, Prof));
   runImage(First, RC);
-  for (const Variant &V : Variants) {
+  for (const PaperVariant &V : PaperVariants) {
     NativeImage Img = buildNativeImage(P, configFor(V, 3, Prof));
     RunStats Replayed = runImage(Img, RC);
     RunStats Interpreted = runImage(loadedCopy(P, Img), RC);
@@ -249,17 +220,17 @@ TEST(BuildCache, WarmBuildsSerializeLikeFreshPrograms) {
   CollectedProfiles Prof = profilesOf(*Warm, Spec);
 
   struct Case {
-    const Variant *V;
+    const PaperVariant *V;
     uint64_t Seed;
     const BlockProfile *Blocks;
     uint32_t Huge;
   };
   std::vector<Case> Cases;
   for (uint64_t Seed : {uint64_t(11), uint64_t(12)})
-    for (size_t I = 0; I < NumPaperVariants; ++I)
-      Cases.push_back({&Variants[I], Seed, nullptr, 0});
-  Cases.push_back({&Variants[6], 11, &Prof.Blocks, 0});
-  Cases.push_back({&Variants[6], 11, nullptr, 1});
+    for (const PaperVariant &V : PaperVariants)
+      Cases.push_back({&V, Seed, nullptr, 0});
+  Cases.push_back({&PaperVariants[7], 11, &Prof.Blocks, 0});
+  Cases.push_back({&PaperVariants[7], 11, nullptr, 1});
 
   std::shared_ptr<const ImageBase> SeedBase[2];
   for (const Case &C : Cases) {
@@ -435,10 +406,9 @@ TEST_P(FingerprintMemoTest, MemoEqualsAnUncachedHash) {
   CollectedProfiles Prof = profilesOf(*P, Spec);
   uint64_t Version = P->version();
   for (uint64_t Seed : {uint64_t(11), uint64_t(12)})
-    for (size_t I = 0; I < NumPaperVariants; ++I) {
-      NativeImage Img =
-          buildNativeImage(*P, configFor(Variants[I], Seed, Prof));
-      ASSERT_FALSE(Img.Built.Failed) << Variants[I].Name;
+    for (const PaperVariant &V : PaperVariants) {
+      NativeImage Img = buildNativeImage(*P, configFor(V, Seed, Prof));
+      ASSERT_FALSE(Img.Built.Failed) << V.Name;
       runImage(Img, RC);
     }
   EXPECT_EQ(P->version(), Version);

@@ -3,7 +3,7 @@
 // The COW-cache correctness contract of src/fleet/: a 1-instance fleet
 // reproduces the single-run PagingSim byte for byte (fault count AND
 // modeled time) for every layout strategy; fleet results are deterministic
-// across seeds and across --jobs; warm sharing and capacity thrash behave
+// across seeds and worker counts; warm sharing and capacity thrash behave
 // as modeled; the arrival generator is seeded and sorted; the hoisted
 // CostModel matches what ExecEngine charges; and the startup report's
 // fleet section round-trips through the JSON parser. This binary carries
@@ -195,7 +195,7 @@ TEST(FleetSim, OneInstanceStaysExactWithHugePages) {
 }
 
 //===----------------------------------------------------------------------===//
-// Determinism: seeds and --jobs.
+// Determinism: seeds and worker counts.
 //===----------------------------------------------------------------------===//
 
 TEST(FleetSim, ByteIdenticalAcrossJobs) {

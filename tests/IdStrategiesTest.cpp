@@ -1,6 +1,6 @@
 //===- IdStrategiesTest.cpp - Alg. 1-3 identity-strategy tests --------------===//
 
-#include "src/core/Builder.h"
+#include "src/core/Evaluation.h"
 #include "src/lang/Compile.h"
 #include "src/obs/Metrics.h"
 #include "src/ordering/IdStrategies.h"
@@ -256,43 +256,6 @@ TEST(IdTable, ElidedEntriesGetZeroIds) {
 
 namespace {
 
-struct PaperVariant {
-  const char *Name;
-  CodeStrategy Code;
-  bool UseHeap;
-  HeapStrategy Heap;
-};
-
-/// The paper's variants (Figs. 2-5). Code orders move the snapshot's
-/// traversal order, so each build asks the memo for entries in a new order.
-const PaperVariant PaperVariants[] = {
-    {"baseline", CodeStrategy::None, false, HeapStrategy::HeapPath},
-    {"cu", CodeStrategy::CuOrder, false, HeapStrategy::HeapPath},
-    {"method", CodeStrategy::MethodOrder, false, HeapStrategy::HeapPath},
-    {"incremental id", CodeStrategy::None, true, HeapStrategy::IncrementalId},
-    {"structural hash", CodeStrategy::None, true,
-     HeapStrategy::StructuralHash},
-    {"heap path", CodeStrategy::None, true, HeapStrategy::HeapPath},
-    {"cu+heap path", CodeStrategy::CuOrder, true, HeapStrategy::HeapPath},
-};
-
-BuildConfig variantConfig(const PaperVariant &V, uint64_t Seed,
-                          const CollectedProfiles &Prof) {
-  BuildConfig C;
-  C.Seed = Seed;
-  C.CodeOrder = V.Code;
-  if (V.Code == CodeStrategy::CuOrder)
-    C.CodeProf = &Prof.Cu;
-  else if (V.Code == CodeStrategy::MethodOrder)
-    C.CodeProf = &Prof.Method;
-  C.UseHeapOrder = V.UseHeap;
-  if (V.UseHeap) {
-    C.HeapOrder = V.Heap;
-    C.HeapProf = &Prof.forStrategy(V.Heap);
-  }
-  return C;
-}
-
 void expectFreshTable(const Program &P, const NativeImage &Img, int MaxDepth,
                       const std::string &Ctx) {
   IdTable Fresh = computeIdTable(P, *Img.Built.BuildHeap, Img.Snapshot,
@@ -333,7 +296,9 @@ TEST_P(StructuralHashMemoOracle, WarmBuildsMatchFreshTables) {
   // filled; each must equal a table computed from scratch.
   for (uint64_t Seed : {7u, 11u})
     for (const PaperVariant &V : PaperVariants) {
-      NativeImage Img = buildNativeImage(*P, variantConfig(V, Seed, Prof));
+      BuildConfig Base;
+      Base.Seed = Seed;
+      NativeImage Img = buildNativeImage(*P, variantConfig(V, Base, Prof));
       ASSERT_FALSE(Img.Built.Failed) << Img.Built.FailureMessage;
       ASSERT_TRUE(Img.Base->Cached);
       expectFreshTable(*P, Img, DefaultStructuralMaxDepth,

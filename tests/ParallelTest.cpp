@@ -1,18 +1,21 @@
 //===- ParallelTest.cpp - Thread pool and pipeline determinism --------------===//
 //
 // Unit tests for the deterministic thread pool (chunking, exception
-// propagation, nested-use rejection) and the contract the parallel
-// pipeline stages rely on: the full profile-and-build pipeline must emit
-// byte-identical ordering profiles, identity tables, and image bytes
-// whether it runs on one worker or eight. This binary carries the "tsan"
+// propagation, nested-use rejection), its one stage — evaluateSuite's
+// fan-out over benchmarks, which must give the same evaluation at any
+// worker count — and the pipeline's determinism: profiles, identity
+// tables, and image bytes must not depend on the worker count, nor on
+// other threads building at the same time. This binary carries the "tsan"
 // ctest label so a -DNIMG_SANITIZE=thread build can run it alone.
 //
 //===----------------------------------------------------------------------===//
 
 #include "src/core/Builder.h"
+#include "src/core/Evaluation.h"
 #include "src/heap/BuildHeap.h"
 #include "src/image/ImageFile.h"
 #include "src/lang/Compile.h"
+#include "src/obs/Metrics.h"
 #include "src/support/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -372,7 +375,7 @@ SampledArtifacts runSampledPipeline(int Jobs) {
 TEST(ParallelPipelineTest, SampledCaptureIsWorkerCountInvariant) {
   // The sample stream is driven by the sequential interpreter's model
   // clock, so the capture — and everything built from it — must be
-  // byte-identical at any --jobs.
+  // byte-identical at any worker count.
   SampledArtifacts One = runSampledPipeline(1);
   for (int Jobs : {2, 5, 8}) {
     SampledArtifacts J = runSampledPipeline(Jobs);
@@ -387,7 +390,7 @@ TEST(ParallelPipelineTest, SampledCaptureIsWorkerCountInvariant) {
 TEST(ParallelPipelineTest, HugePageBuildsAreWorkerCountInvariant) {
   // Multi-size packing is a sequential post-pass over the final clusters,
   // so a --huge-pages build (including its PackFingerprint fold into the
-  // decision fingerprint) must be byte-identical at any --jobs.
+  // decision fingerprint) must be byte-identical at any worker count.
   auto BuildHuge = [](int Jobs) {
     setJobs(Jobs);
     Program P;
@@ -598,5 +601,85 @@ TEST(ParallelPipelineTest, ConcurrentProfileCollectionsOwnTheirPathCaches) {
   for (size_t I = 0; I < Got.size(); ++I)
     EXPECT_EQ(Got[I], Expected) << "thread " << I;
 }
+
+//===----------------------------------------------------------------------===//
+// The evaluation fan-out: one pool stage over benchmarks.
+//===----------------------------------------------------------------------===//
+
+/// Three small AWFY programs and one microservice.
+std::vector<BenchmarkSpec> evalSpecs() {
+  return {awfyBenchmark("Bounce"), awfyBenchmark("Sieve"),
+          awfyBenchmark("Towers"), microserviceBenchmark("micronaut")};
+}
+
+const std::vector<SplitMode> BothSeries = {SplitMode::None,
+                                           SplitMode::HotCold};
+
+EvalOptions oneSeed() {
+  EvalOptions Opts;
+  Opts.Seeds = 1;
+  return Opts;
+}
+
+/// The two-series evaluation of evalSpecs() on one job, computed once.
+const std::vector<std::vector<BenchmarkEval>> &serialEvaluation() {
+  static const std::vector<std::vector<BenchmarkEval>> Evals = [] {
+    setJobs(1);
+    auto Out = evaluateSuite(evalSpecs(), BothSeries, oneSeed());
+    setJobs(0);
+    return Out;
+  }();
+  return Evals;
+}
+
+TEST(EvaluationFanOut, FourJobsEqualOneJobExactly) {
+  const std::vector<std::vector<BenchmarkEval>> &One = serialEvaluation();
+  setJobs(4);
+  std::vector<std::vector<BenchmarkEval>> Four =
+      evaluateSuite(evalSpecs(), BothSeries, oneSeed());
+  setJobs(0);
+  ASSERT_EQ(Four.size(), 2u);
+  for (size_t S = 0; S < Four.size(); ++S) {
+    ASSERT_EQ(Four[S].size(), evalSpecs().size());
+    for (size_t B = 0; B < Four[S].size(); ++B) {
+      EXPECT_EQ(Four[S][B].Benchmark, evalSpecs()[B].Name);
+      EXPECT_EQ(Four[S][B].Variants.size(), std::size(PaperVariants) - 1);
+      // Every Stat, factor and overhead, compared exactly.
+      EXPECT_TRUE(Four[S][B] == One[S][B])
+          << "series " << S << " " << Four[S][B].Benchmark;
+    }
+  }
+  EXPECT_TRUE(One[0][3].Microservice);
+}
+
+TEST(EvaluationFanOut, SeriesEqualSeparateCalls) {
+  // One compile and one profile serve both series: the split series must
+  // equal a call that evaluates it alone, and so must the plain one.
+  const std::vector<std::vector<BenchmarkEval>> &Both = serialEvaluation();
+  setJobs(4);
+  std::vector<std::vector<BenchmarkEval>> Plain =
+      evaluateSuite(evalSpecs(), {SplitMode::None}, oneSeed());
+  std::vector<std::vector<BenchmarkEval>> Split =
+      evaluateSuite(evalSpecs(), {SplitMode::HotCold}, oneSeed());
+  setJobs(0);
+  ASSERT_EQ(Plain.size(), 1u);
+  ASSERT_EQ(Split.size(), 1u);
+  EXPECT_TRUE(Plain[0] == Both[0]);
+  EXPECT_TRUE(Split[0] == Both[1]);
+  // The series differ, or the oracle compares nothing.
+  EXPECT_FALSE(Both[0] == Both[1]);
+}
+
+#ifndef NIMG_OBS_DISABLED
+TEST(EvaluationFanOut, ProfilesEachBenchmarkOncePerCall) {
+  obs::Counter &Collects =
+      obs::MetricsRegistry::global().counter("nimg.profile.collect.count");
+  uint64_t Before = Collects.value();
+  setJobs(4);
+  evaluateSuite(evalSpecs(), BothSeries, oneSeed());
+  setJobs(0);
+  EXPECT_EQ(Collects.value() - Before, evalSpecs().size());
+}
+#endif
 
 } // namespace
