@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <queue>
-#include <tuple>
 
 using namespace nimg;
 
@@ -24,6 +23,109 @@ double percentile(const std::vector<double> &Sorted, double Q) {
   if (Rank > Sorted.size())
     Rank = Sorted.size();
   return Sorted[Rank - 1];
+}
+
+/// Absolute model time of an instance's demand fault at recorded model
+/// clock \p Clock, given the fault service time it has accumulated so far.
+/// Both replay paths order instances by this one expression.
+double eventTime(double ArrivalNs, const CostModel &Cost, uint64_t Clock,
+                 double FaultAccumNs) {
+  return ArrivalNs + Cost.BaseNs + double(Clock) * Cost.InstrNs +
+         FaultAccumNs;
+}
+
+/// A trace index at which the fleet takes a major fault, and its cost.
+struct MajorAt {
+  size_t Index;
+  double CostNs;
+};
+
+/// The no-eviction closed form. Pages never leave the cache, so each
+/// readahead cluster majors exactly once, at the first trace index that
+/// touches it (\p Majors, from the N=1 pass), and every other event is a
+/// warm hit. The heap pops events in ascending (time, id) and an
+/// instance's times never decrease along the trace, so that major goes to
+/// the instance whose event at that index has the smallest (time, id).
+/// Each instance's fault service time is summed in trace order, the same
+/// += sequence the scheduler performs.
+void replayClosedForm(const std::vector<MajorAt> &Majors, size_t TraceLen,
+                      const std::vector<uint64_t> &DemandClocks,
+                      const std::vector<double> &Arrivals,
+                      const CostModel &Cost, FleetResult &R,
+                      std::vector<double> &FaultAccumNs) {
+  size_t N = FaultAccumNs.size();
+  size_t NextMajor = 0;
+  for (size_t K = 0; K < TraceLen; ++K) {
+    size_t Winner = N; // N: every instance takes a warm hit at K.
+    double MajorNs = 0;
+    if (NextMajor < Majors.size() && Majors[NextMajor].Index == K) {
+      MajorNs = Majors[NextMajor++].CostNs;
+      double Best = 0;
+      for (size_t Inst = 0; Inst < N; ++Inst) {
+        double T = eventTime(Arrivals[Inst], Cost, DemandClocks[K],
+                             FaultAccumNs[Inst]);
+        if (Winner == N || T < Best) {
+          Best = T;
+          Winner = Inst;
+        }
+      }
+      ++R.Instances[Winner].Majors;
+    }
+    for (size_t Inst = 0; Inst < N; ++Inst)
+      FaultAccumNs[Inst] += Inst == Winner ? MajorNs : Cost.MinorFaultNs;
+  }
+  for (FleetInstanceStats &S : R.Instances)
+    S.WarmHits = TraceLen - S.Majors;
+}
+
+/// The event-driven scheduler, for caches that evict: a min-heap of
+/// (absolute model time of the instance's next demand fault, instance
+/// id), ties broken by instance id — fully deterministic. Returns the
+/// number of events the heap ordered.
+uint64_t replayScheduled(
+    const std::vector<std::pair<ImageSection, uint64_t>> &DemandPages,
+    const std::vector<uint64_t> &DemandClocks,
+    const std::vector<double> &Arrivals, const CostModel &Cost,
+    FleetPageCache &Cache, FleetResult &R,
+    std::vector<double> &FaultAccumNs) {
+  uint32_t N = uint32_t(FaultAccumNs.size());
+  std::vector<size_t> NextEvent(N, 0);
+  using Ev = std::pair<double, uint32_t>;
+  std::priority_queue<Ev, std::vector<Ev>, std::greater<Ev>> Queue;
+  auto nextTime = [&](uint32_t Inst) {
+    return eventTime(Arrivals[Inst], Cost, DemandClocks[NextEvent[Inst]],
+                     FaultAccumNs[Inst]);
+  };
+  if (!DemandPages.empty())
+    for (uint32_t Inst = 0; Inst < N; ++Inst)
+      Queue.push({nextTime(Inst), Inst});
+
+  uint64_t Scheduled = 0;
+  while (!Queue.empty()) {
+    uint32_t Inst = Queue.top().second;
+    Queue.pop();
+    ++Scheduled;
+    size_t Idx = NextEvent[Inst]++;
+    FleetTouch Outcome =
+        Cache.touchPage(DemandPages[Idx].first, DemandPages[Idx].second);
+    if (Outcome == FleetTouch::Major) {
+      ++R.Instances[Inst].Majors;
+      // Charged at the page's native size: a fault in the huge-page text
+      // region pays the one-seek-plus-bigger-transfer huge service time,
+      // everything else the base-page cost. All service costs are
+      // integer-valued ns, so this per-fault accumulation reproduces the
+      // reference run's multiplied formula exactly (the N=1 anchor).
+      FaultAccumNs[Inst] += Cost.majorFaultNs(
+          Cache.sim().pageSizeBytes(DemandPages[Idx].first,
+                                    DemandPages[Idx].second));
+    } else {
+      ++R.Instances[Inst].WarmHits;
+      FaultAccumNs[Inst] += Cost.MinorFaultNs;
+    }
+    if (NextEvent[Inst] < DemandPages.size())
+      Queue.push({nextTime(Inst), Inst});
+  }
+  return Scheduled;
 }
 
 } // namespace
@@ -59,55 +161,50 @@ FleetResult nimg::simulateFleet(const RunStats &Reference, uint64_t TextSize,
   Traffic.StormBursts = Cfg.StormBursts;
   std::vector<double> Arrivals = generateArrivals(Traffic);
 
-  FleetPageCache Cache(TextSize, HeapSize, Paging, Cfg.CachePages);
   // Everything after the last demand fault: remaining instructions plus
   // any probe overhead, identical for every instance.
   double TailNs = Cost.BaseNs + double(Reference.Instructions) * Cost.InstrNs +
                   double(Reference.ProbeUnits) * Cost.ProbeUnitNs;
 
   R.Instances.resize(Cfg.Instances);
-  std::vector<size_t> NextEvent(Cfg.Instances, 0);
+  for (uint32_t Inst = 0; Inst < Cfg.Instances; ++Inst)
+    R.Instances[Inst].ArrivalNs = Arrivals[Inst];
   std::vector<double> FaultAccumNs(Cfg.Instances, 0.0);
 
-  // Min-heap of (absolute model time of the instance's next demand fault,
-  // instance id). Ties break by instance id — fully deterministic.
-  using Ev = std::pair<double, uint32_t>;
-  std::priority_queue<Ev, std::vector<Ev>, std::greater<Ev>> Queue;
-  auto eventTime = [&](uint32_t Inst) {
-    return Arrivals[Inst] + Cost.BaseNs +
-           double(DemandClocks[NextEvent[Inst]]) * Cost.InstrNs +
-           FaultAccumNs[Inst];
-  };
-  for (uint32_t Inst = 0; Inst < Cfg.Instances; ++Inst) {
-    R.Instances[Inst].ArrivalNs = Arrivals[Inst];
-    if (!DemandPages.empty())
-      Queue.push({eventTime(Inst), Inst});
+  // The N=1 replay picks the path. Its majors are the first touches of
+  // each readahead cluster; if it evicted nothing, no fleet size can
+  // evict either (every instance loads the same clusters), and the
+  // closed form replays the fleet without a scheduler.
+  FleetPageCache Pass(TextSize, HeapSize, Paging, Cfg.CachePages);
+  std::vector<MajorAt> Majors;
+  for (size_t K = 0; K < DemandPages.size() && Pass.evictions() == 0; ++K) {
+    auto [Sec, Page] = DemandPages[K];
+    if (Pass.touchPage(Sec, Page) == FleetTouch::Major)
+      Majors.push_back(
+          {K, Cost.majorFaultNs(Pass.sim().pageSizeBytes(Sec, Page))});
   }
 
-  while (!Queue.empty()) {
-    auto [Now, Inst] = Queue.top();
-    (void)Now;
-    Queue.pop();
-    size_t Idx = NextEvent[Inst]++;
-    FleetTouch Outcome =
-        Cache.touchPage(DemandPages[Idx].first, DemandPages[Idx].second);
-    if (Outcome == FleetTouch::Major) {
-      ++R.Instances[Inst].Majors;
-      // Charged at the page's native size: a fault in the huge-page text
-      // region pays the one-seek-plus-bigger-transfer huge service time,
-      // everything else the base-page cost. All service costs are
-      // integer-valued ns, so this per-fault accumulation reproduces the
-      // reference run's multiplied formula exactly (the N=1 anchor).
-      FaultAccumNs[Inst] += Cost.majorFaultNs(
-          Cache.sim().pageSizeBytes(DemandPages[Idx].first,
-                                    DemandPages[Idx].second));
-    } else {
-      ++R.Instances[Inst].WarmHits;
-      FaultAccumNs[Inst] += Cost.MinorFaultNs;
-    }
-    if (NextEvent[Inst] < DemandPages.size())
-      Queue.push({eventTime(Inst), Inst});
+  uint64_t Scheduled = 0;
+  if (Pass.evictions() == 0) {
+    replayClosedForm(Majors, DemandPages.size(), DemandClocks, Arrivals, Cost,
+                     R, FaultAccumNs);
+    R.TotalMajors = Pass.majors();
+    // Every instance classifies the pass's in-range events; all but the
+    // majors are warm fleet-wide. Out-of-range pages are warm hits for
+    // the instance but are not counted by the cache.
+    R.TotalWarmHits = (Pass.warmHits() + Pass.majors()) * Cfg.Instances -
+                      Pass.majors();
+    R.UniquePages = Pass.uniquePages();
+  } else {
+    FleetPageCache Cache(TextSize, HeapSize, Paging, Cfg.CachePages);
+    Scheduled = replayScheduled(DemandPages, DemandClocks, Arrivals, Cost,
+                                Cache, R, FaultAccumNs);
+    R.TotalMajors = Cache.majors();
+    R.TotalWarmHits = Cache.warmHits();
+    R.UniquePages = Cache.uniquePages();
+    R.Evictions = Cache.evictions();
   }
+  NIMG_COUNTER_ADD("nimg.fleet.scheduled_events", Scheduled);
 
   std::vector<double> ColdStarts;
   ColdStarts.reserve(Cfg.Instances);
@@ -122,10 +219,6 @@ FleetResult nimg::simulateFleet(const RunStats &Reference, uint64_t TextSize,
   R.P50Ns = percentile(ColdStarts, 0.50);
   R.P90Ns = percentile(ColdStarts, 0.90);
   R.P99Ns = percentile(ColdStarts, 0.99);
-  R.TotalMajors = Cache.majors();
-  R.TotalWarmHits = Cache.warmHits();
-  R.UniquePages = Cache.uniquePages();
-  R.Evictions = Cache.evictions();
   return R;
 }
 

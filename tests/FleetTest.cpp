@@ -3,11 +3,15 @@
 // The COW-cache correctness contract of src/fleet/: a 1-instance fleet
 // reproduces the single-run PagingSim byte for byte (fault count AND
 // modeled time) for every layout strategy; fleet results are deterministic
-// across seeds and worker counts; warm sharing and capacity thrash behave
-// as modeled; the arrival generator is seeded and sorted; the hoisted
+// across seeds and worker counts; both replay paths (the no-eviction
+// closed form and the min-heap scheduler) equal a linear-scan reference
+// scheduler field for field; warm sharing and capacity thrash behave as
+// modeled; the arrival generator is seeded and sorted; the hoisted
 // CostModel matches what ExecEngine charges; and the startup report's
 // fleet section round-trips through the JSON parser. This binary carries
-// the "fleet" ctest label (plus "tsan" for the sanitizer lane).
+// the "fleet" ctest label (plus "tsan" for the sanitizer lane; the
+// nimage_fleet_asan_tests twin re-runs it with the fleet and paging TUs
+// under ASan).
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +20,7 @@
 #include "src/fleet/FleetSim.h"
 #include "src/lang/Compile.h"
 #include "src/obs/Json.h"
+#include "src/obs/Metrics.h"
 #include "src/obs/StartupReport.h"
 #include "src/support/ThreadPool.h"
 
@@ -23,7 +28,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <string>
 
 using namespace nimg;
 
@@ -317,6 +325,281 @@ TEST(FleetSim, TinyCacheThrashesButUniquePagesHold) {
   // median, where the unlimited cache hands later arrivals cheap starts.
   EXPECT_GT(Thrash.MeanNs, Free.MeanNs);
   EXPECT_GT(Thrash.P50Ns, Free.P50Ns);
+}
+
+//===----------------------------------------------------------------------===//
+// The exact replay paths against a reference scheduler.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Nearest-rank percentile of an ascending-sorted, non-empty sample.
+double nearestRank(const std::vector<double> &Sorted, double Q) {
+  size_t Rank = size_t(Q * double(Sorted.size()) + 0.999999);
+  return Sorted[std::min(std::max<size_t>(Rank, 1), Sorted.size()) - 1];
+}
+
+/// The reference replay: the next event is the instance with the smallest
+/// (time, id), found by a linear scan over all instances, and every event
+/// is classified by a FleetPageCache — no heap and no closed form.
+FleetResult linearScanFleet(const RunStats &Ref, uint64_t TextSize,
+                            uint64_t HeapSize, const PagingConfig &Paging,
+                            const CostModel &Cost, const FleetConfig &Cfg) {
+  std::vector<const PageTouch *> Trace;
+  for (const PageTouch &T : Ref.Touches)
+    if (T.WasFault)
+      Trace.push_back(&T);
+  TrafficConfig Traffic;
+  Traffic.Kind = Cfg.Arrivals;
+  Traffic.Instances = Cfg.Instances;
+  Traffic.WindowNs = Cfg.ArrivalWindowNs;
+  Traffic.Seed = Cfg.Seed;
+  Traffic.StormBursts = Cfg.StormBursts;
+  std::vector<double> Arrivals = generateArrivals(Traffic);
+
+  size_t N = Cfg.Instances;
+  FleetPageCache Cache(TextSize, HeapSize, Paging, Cfg.CachePages);
+  FleetResult R;
+  R.Instances.resize(N);
+  std::vector<size_t> Next(N, 0);
+  std::vector<double> Accum(N, 0.0), Time(N);
+  auto timeOf = [&](size_t I) {
+    return Next[I] == Trace.size()
+               ? std::numeric_limits<double>::infinity()
+               : Arrivals[I] + Cost.BaseNs +
+                     double(Trace[Next[I]]->Clock) * Cost.InstrNs + Accum[I];
+  };
+  for (size_t I = 0; I < N; ++I)
+    Time[I] = timeOf(I);
+  for (size_t Left = N * Trace.size(); Left > 0; --Left) {
+    // min_element returns the first smallest: ties go to the lowest id.
+    size_t I = size_t(std::min_element(Time.begin(), Time.end()) -
+                      Time.begin());
+    const PageTouch &T = *Trace[Next[I]++];
+    if (Cache.touchPage(T.Sec, T.Page) == FleetTouch::Major) {
+      ++R.Instances[I].Majors;
+      Accum[I] += Cost.majorFaultNs(Cache.sim().pageSizeBytes(T.Sec, T.Page));
+    } else {
+      ++R.Instances[I].WarmHits;
+      Accum[I] += Cost.MinorFaultNs;
+    }
+    Time[I] = timeOf(I);
+  }
+
+  double TailNs = Cost.BaseNs + double(Ref.Instructions) * Cost.InstrNs +
+                  double(Ref.ProbeUnits) * Cost.ProbeUnitNs;
+  std::vector<double> Sorted;
+  for (size_t I = 0; I < N; ++I) {
+    R.Instances[I].ArrivalNs = Arrivals[I];
+    R.Instances[I].ColdStartNs = TailNs + Accum[I];
+    Sorted.push_back(R.Instances[I].ColdStartNs);
+    R.MeanNs += R.Instances[I].ColdStartNs;
+  }
+  R.MeanNs /= double(N);
+  std::sort(Sorted.begin(), Sorted.end());
+  R.P50Ns = nearestRank(Sorted, 0.50);
+  R.P90Ns = nearestRank(Sorted, 0.90);
+  R.P99Ns = nearestRank(Sorted, 0.99);
+  R.TotalMajors = Cache.majors();
+  R.TotalWarmHits = Cache.warmHits();
+  R.UniquePages = Cache.uniquePages();
+  R.Evictions = Cache.evictions();
+  R.ReferenceFaults = Ref.totalFaults();
+  R.ReferenceTimeNs = Ref.TimeNs;
+  return R;
+}
+
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof(double)) == 0;
+}
+
+/// The first FleetResult field in which \p A and \p B differ, bit for bit;
+/// empty when they are identical.
+std::string firstDifference(const FleetResult &A, const FleetResult &B) {
+  if (A.Instances.size() != B.Instances.size())
+    return "instance count";
+  for (size_t I = 0; I < A.Instances.size(); ++I) {
+    const FleetInstanceStats &X = A.Instances[I], &Y = B.Instances[I];
+    if (!sameBits(X.ArrivalNs, Y.ArrivalNs) ||
+        !sameBits(X.ColdStartNs, Y.ColdStartNs) || X.Majors != Y.Majors ||
+        X.WarmHits != Y.WarmHits)
+      return "instance " + std::to_string(I);
+  }
+  if (A.TotalMajors != B.TotalMajors)
+    return "TotalMajors";
+  if (A.TotalWarmHits != B.TotalWarmHits)
+    return "TotalWarmHits";
+  if (A.UniquePages != B.UniquePages)
+    return "UniquePages";
+  if (A.Evictions != B.Evictions)
+    return "Evictions";
+  if (!sameBits(A.P50Ns, B.P50Ns) || !sameBits(A.P90Ns, B.P90Ns) ||
+      !sameBits(A.P99Ns, B.P99Ns) || !sameBits(A.MeanNs, B.MeanNs))
+    return "percentiles or mean";
+  if (A.ReferenceFaults != B.ReferenceFaults ||
+      !sameBits(A.ReferenceTimeNs, B.ReferenceTimeNs))
+    return "reference anchor";
+  return {};
+}
+
+/// Pages an unlimited shared cache holds after one pass over the trace.
+uint64_t workingSet(const RunStats &Ref, uint64_t TextSize, uint64_t HeapSize,
+                    const PagingConfig &Paging) {
+  FleetPageCache Cache(TextSize, HeapSize, Paging);
+  for (const PageTouch &T : Ref.Touches)
+    if (T.WasFault)
+      Cache.touchPage(T.Sec, T.Page);
+  return Cache.sim().residentPages(ImageSection::Text) +
+         Cache.sim().residentPages(ImageSection::HeapSec);
+}
+
+} // namespace
+
+TEST(FleetOracle, EveryFieldEqualsLinearScanReplay) {
+  Env E;
+  struct Variant {
+    CodeStrategy Code;
+    bool Split;
+  };
+  const Variant Variants[] = {
+      {CodeStrategy::CuOrder, false},
+      {CodeStrategy::MethodOrder, false},
+      {CodeStrategy::Cluster, false},
+      {CodeStrategy::Cluster, true},
+  };
+  struct Arrival {
+    ArrivalKind Kind;
+    double WindowNs;
+  };
+  // A zero window starts every instance at once: their event times tie
+  // until one of them majors, which exercises the lowest-id tie-break.
+  const Arrival Arrivals[] = {{ArrivalKind::Storm, 20e6},
+                              {ArrivalKind::Uniform, 20e6},
+                              {ArrivalKind::Poisson, 20e6},
+                              {ArrivalKind::Storm, 0.0}};
+  size_t Configs = 0, ClosedForm = 0, Evicting = 0, OutOfRange = 0,
+         Failures = 0;
+  for (const Variant &V : Variants) {
+    for (uint32_t Huge : {0u, 1u}) {
+      BuildConfig Cfg;
+      Cfg.Seed = 1;
+      Cfg.CodeOrder = V.Code;
+      Cfg.CodeProf = V.Code == CodeStrategy::CuOrder
+                         ? &E.Prof.Cu
+                         : V.Code == CodeStrategy::MethodOrder ? &E.Prof.Method
+                                                               : &E.Prof.Cluster;
+      if (V.Split) {
+        Cfg.Split = SplitMode::HotCold;
+        Cfg.BlockProf = &E.Prof.Blocks;
+      }
+      Cfg.Image.HugePages = Huge;
+      NativeImage Img = buildNativeImage(E.P, Cfg);
+      ASSERT_FALSE(Img.Built.Failed);
+      // The reference is recorded at readahead 1: every touched page is a
+      // demand fault, so a wider fleet readahead sees clusters recur.
+      RunConfig Run = demandRun();
+      Run.RecordTouches = true;
+      RunStats Ref = runImage(Img, Run);
+      ASSERT_FALSE(Ref.Trapped) << Ref.TrapMessage;
+
+      for (uint32_t Readahead : {1u, 4u, 8u}) {
+        PagingConfig Paging = Run.Paging;
+        Paging.ReadaheadPages = Readahead;
+        Paging.HugeTextPages = Img.Layout.HugePages;
+        struct Geometry {
+          uint64_t Text, Heap;
+        };
+        // The second geometry is smaller than the reference's: its tail
+        // pages are out of range for the shared cache.
+        const Geometry Geometries[] = {
+            {Img.Layout.TextSize, Img.Layout.HeapSize},
+            {Img.Layout.TextSize / 2, Img.Layout.HeapSize / 2}};
+        for (const Geometry &G : Geometries) {
+          bool Smaller = &G != &Geometries[0];
+          uint64_t WS = workingSet(Ref, G.Text, G.Heap, Paging);
+          for (const Arrival &A : Arrivals) {
+            for (uint32_t N : {1u, 2u, 10u, 100u, 1000u}) {
+              // The linear scan costs N per event, N^2 per trace index:
+              // the 1000-instance rung runs on one slice (cluster+split,
+              // base pages, readahead 4, full geometry, storm arrivals).
+              if (N == 1000 && (!V.Split || Huge != 0 || Readahead != 4 ||
+                                Smaller || A.Kind != ArrivalKind::Storm))
+                continue;
+              if (Smaller && N > 10)
+                continue;
+              for (uint64_t Cache : {uint64_t(0), WS + 8, WS / 2, uint64_t(1)})
+                for (double MinorNs : {2000.0, 0.0}) {
+                  CostModel Cost = Run.Cost;
+                  Cost.MinorFaultNs = MinorNs;
+                  FleetConfig FC;
+                  FC.Instances = N;
+                  FC.Arrivals = A.Kind;
+                  FC.ArrivalWindowNs = A.WindowNs;
+                  FC.CachePages = Cache;
+                  FleetResult Fast =
+                      simulateFleet(Ref, G.Text, G.Heap, Paging, Cost, FC);
+                  FleetResult Slow =
+                      linearScanFleet(Ref, G.Text, G.Heap, Paging, Cost, FC);
+                  ++Configs;
+                  ++(Fast.Evictions == 0 ? ClosedForm : Evicting);
+                  if (Fast.TotalMajors + Fast.TotalWarmHits <
+                      uint64_t(N) * Ref.totalFaults())
+                    ++OutOfRange;
+                  std::string Diff = firstDifference(Fast, Slow);
+                  if (!Diff.empty() && ++Failures <= 10)
+                    ADD_FAILURE()
+                        << Diff << " differs: code=" << int(V.Code)
+                        << " split=" << V.Split << " huge=" << Huge
+                        << " readahead=" << Readahead
+                        << " smaller=" << Smaller
+                        << " arrivals=" << arrivalKindName(A.Kind)
+                        << " window=" << A.WindowNs
+                        << " N=" << N << " cache=" << Cache
+                        << " minor=" << MinorNs;
+                }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(Failures, 0u) << "of " << Configs << " configurations";
+  EXPECT_GT(ClosedForm, 0u);
+  EXPECT_GT(Evicting, 0u);
+  EXPECT_GT(OutOfRange, 0u);
+}
+
+TEST(FleetSim, OnlyEvictingReplaysScheduleEvents) {
+  // nimg.fleet.scheduled_events counts what the min-heap ordered: nothing
+  // when the cache never evicts (the closed form ran), every instance's
+  // every event when it does.
+  Env E;
+  NativeImage Img = E.build(CodeStrategy::CuOrder, false);
+  RunConfig Run = demandRun();
+  Run.RecordTouches = true;
+  RunStats Ref = runImage(Img, Run);
+  uint64_t Text = Img.Layout.TextSize, Heap = Img.Layout.HeapSize;
+  uint64_t WS = workingSet(Ref, Text, Heap, Run.Paging);
+  obs::Counter &Scheduled = obs::MetricsRegistry::global().counter(
+      "nimg.fleet.scheduled_events");
+
+  FleetConfig FC;
+  FC.Instances = 100;
+  FC.ArrivalWindowNs = 20e6;
+  for (uint64_t Cache : {uint64_t(0), WS, WS + 8}) {
+    SCOPED_TRACE(::testing::Message() << "cache=" << Cache);
+    FC.CachePages = Cache;
+    uint64_t Before = Scheduled.value();
+    FleetResult FR = simulateFleet(Ref, Text, Heap, Run.Paging, Run.Cost, FC);
+    EXPECT_EQ(FR.Evictions, 0u);
+    EXPECT_EQ(Scheduled.value() - Before, 0u);
+  }
+
+  FC.CachePages = WS / 2;
+  uint64_t Before = Scheduled.value();
+  FleetResult FR = simulateFleet(Ref, Text, Heap, Run.Paging, Run.Cost, FC);
+  EXPECT_GT(FR.Evictions, 0u);
+  EXPECT_EQ(Scheduled.value() - Before, FR.TotalMajors + FR.TotalWarmHits);
 }
 
 //===----------------------------------------------------------------------===//
