@@ -5,12 +5,13 @@
 //
 // Micro-benchmarks for the build-pipeline stages (what "approximate time
 // to reproduce" is made of): frontend compilation, reachability analysis,
-// CU formation, snapshotting, path-graph numbering, trace replay, and the
-// paging simulator.
+// CU formation, snapshotting, path-graph numbering, trace replay, the
+// paging simulator, and the fleet simulator's evicting replay.
 //
 //===----------------------------------------------------------------------===//
 
 #include "src/core/Builder.h"
+#include "src/fleet/FleetSim.h"
 #include "src/lang/Compile.h"
 #include "src/profiling/Analyses.h"
 #include "src/runtime/Paging.h"
@@ -18,6 +19,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 
 using namespace nimg;
@@ -147,6 +149,52 @@ static void BM_PagingDropCaches(benchmark::State &State) {
   State.SetItemsProcessed(int64_t(State.iterations()) * Residents);
 }
 BENCHMARK(BM_PagingDropCaches)->Arg(16)->Arg(4096);
+
+static void BM_FleetEvictingReplay(benchmark::State &State) {
+  // The thrash regime of a cold-start storm: micronaut x4 (scaleRung(4))
+  // built with cu + heap path ordering, 1000 instances arriving in 4
+  // bursts over 20 ms, and a shared cache of half the pages one instance
+  // faults in. Items are replayed demand-fault events (instances x trace
+  // length), so the rate reads as ns per event beside the paging
+  // simulator's per-touch numbers.
+  BenchmarkSpec Spec = scaleRung(4);
+  std::vector<std::string> Errors;
+  std::unique_ptr<Program> P = compileBenchmark(Spec, Errors);
+  assert(P && "scaleRung(4) failed to compile");
+  RunConfig Run;
+  Run.StopAtFirstResponse = Spec.Microservice;
+  BuildConfig ProfCfg;
+  ProfCfg.Seed = 1001;
+  CollectedProfiles Prof = collectProfiles(*P, ProfCfg, Run);
+  BuildConfig Cfg;
+  Cfg.Seed = 1;
+  Cfg.CodeOrder = CodeStrategy::CuOrder;
+  Cfg.CodeProf = &Prof.Cu;
+  Cfg.UseHeapOrder = true;
+  Cfg.HeapOrder = HeapStrategy::HeapPath;
+  Cfg.HeapProf = &Prof.HeapPath;
+  NativeImage Img = buildNativeImage(*P, Cfg);
+  Run.RecordTouches = true;
+  RunStats Ref = runImage(Img, Run);
+  uint64_t Text = Img.Layout.TextSize, Heap = Img.Layout.HeapSize;
+
+  FleetConfig FC;
+  FC.Arrivals = ArrivalKind::Storm;
+  FC.ArrivalWindowNs = 20e6;
+  FC.StormBursts = 4;
+  uint64_t WorkingSet =
+      simulateFleet(Ref, Text, Heap, Run.Paging, Run.Cost, FC).UniquePages;
+  FC.Instances = 1000;
+  FC.CachePages = std::max<uint64_t>(1, WorkingSet / 2);
+  int64_t Events = 0;
+  for (auto _ : State) {
+    FleetResult FR = simulateFleet(Ref, Text, Heap, Run.Paging, Run.Cost, FC);
+    Events += int64_t(FR.TotalMajors + FR.TotalWarmHits);
+    benchmark::DoNotOptimize(FR);
+  }
+  State.SetItemsProcessed(Events);
+}
+BENCHMARK(BM_FleetEvictingReplay)->Unit(benchmark::kMillisecond);
 
 static void BM_InterpreterThroughput(benchmark::State &State) {
   ProgFixture &F = ProgFixture::get();

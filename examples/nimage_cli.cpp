@@ -35,7 +35,12 @@
 #include "src/support/AtomicFile.h"
 #include "src/workloads/Workloads.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -112,6 +117,34 @@ bool hasFlag(int Argc, char **Argv, const char *Flag) {
     if (std::strcmp(Argv[I], Flag) == 0)
       return true;
   return false;
+}
+
+/// Parses all of \p Text as a decimal integer in [\p Min, \p Max]. A
+/// sign, trailing junk or an out-of-range value is rejected rather than
+/// wrapped or cut short: `--cache-pages 12x` must not run a 12-page cache.
+bool parseInteger(const char *Text, uint64_t Min, uint64_t Max,
+                  uint64_t &Out) {
+  if (!std::isdigit(static_cast<unsigned char>(Text[0])))
+    return false;
+  errno = 0;
+  char *End = nullptr;
+  unsigned long long V = std::strtoull(Text, &End, 10);
+  if (errno == ERANGE || *End != '\0' || V < Min || V > Max)
+    return false;
+  Out = V;
+  return true;
+}
+
+/// Parses all of \p Text as a finite number >= 0.
+bool parseNonNegative(const char *Text, double &Out) {
+  errno = 0;
+  char *End = nullptr;
+  double V = std::strtod(Text, &End);
+  if (End == Text || *End != '\0' || errno == ERANGE || !std::isfinite(V) ||
+      V < 0)
+    return false;
+  Out = V;
+  return true;
 }
 
 /// One flag a command takes.
@@ -645,15 +678,15 @@ int cmdRun(const std::string &Target, int Argc, char **Argv) {
   Run.ColdCache = !hasFlag(Argc, Argv, "--warm");
 
   if (const char *Fleet = flagValue(Argc, Argv, "--fleet")) {
-    long long N = std::atoll(Fleet);
-    if (N <= 0) {
+    FleetConfig FC;
+    uint64_t N = 0;
+    if (!parseInteger(Fleet, 1, UINT32_MAX, N)) {
       std::fprintf(stderr,
-                   "error: --fleet expects an instance count >= 1, got "
+                   "error: --fleet expects an instance count 1..%u, got "
                    "'%s'\n",
-                   Fleet);
+                   UINT32_MAX, Fleet);
       return 2;
     }
-    FleetConfig FC;
     FC.Instances = uint32_t(N);
     if (const char *Arrivals = flagValue(Argc, Argv, "--arrivals")) {
       if (!parseArrivalKind(Arrivals, FC.Arrivals)) {
@@ -665,39 +698,42 @@ int cmdRun(const std::string &Target, int Argc, char **Argv) {
       }
     }
     if (const char *Window = flagValue(Argc, Argv, "--arrival-window-ns")) {
-      double W = std::atof(Window);
-      if (W < 0) {
+      if (!parseNonNegative(Window, FC.ArrivalWindowNs)) {
         std::fprintf(stderr,
                      "error: --arrival-window-ns expects a window >= 0, got "
                      "'%s'\n",
                      Window);
         return 2;
       }
-      FC.ArrivalWindowNs = W;
     }
-    if (const char *Seed = flagValue(Argc, Argv, "--fleet-seed"))
-      FC.Seed = std::strtoull(Seed, nullptr, 10);
-    if (const char *Bursts = flagValue(Argc, Argv, "--storm-bursts")) {
-      long long B = std::atoll(Bursts);
-      if (B <= 0) {
+    if (const char *Seed = flagValue(Argc, Argv, "--fleet-seed")) {
+      if (!parseInteger(Seed, 0, UINT64_MAX, FC.Seed)) {
         std::fprintf(stderr,
-                     "error: --storm-bursts expects a burst count >= 1, got "
+                     "error: --fleet-seed expects a decimal seed, got "
                      "'%s'\n",
-                     Bursts);
+                     Seed);
+        return 2;
+      }
+    }
+    if (const char *Bursts = flagValue(Argc, Argv, "--storm-bursts")) {
+      uint64_t B = 0;
+      if (!parseInteger(Bursts, 1, UINT32_MAX, B)) {
+        std::fprintf(stderr,
+                     "error: --storm-bursts expects a burst count 1..%u, got "
+                     "'%s'\n",
+                     UINT32_MAX, Bursts);
         return 2;
       }
       FC.StormBursts = uint32_t(B);
     }
     if (const char *Cache = flagValue(Argc, Argv, "--cache-pages")) {
-      long long C = std::atoll(Cache);
-      if (C < 0) {
+      if (!parseInteger(Cache, 0, UINT64_MAX, FC.CachePages)) {
         std::fprintf(stderr,
                      "error: --cache-pages expects a page count >= 0 "
                      "(0 = unlimited), got '%s'\n",
                      Cache);
         return 2;
       }
-      FC.CachePages = uint64_t(C);
     }
 
     RunStats Ref;

@@ -2,61 +2,59 @@
 
 #include "src/fleet/FleetCache.h"
 
-#include <cassert>
+#include <algorithm>
 
 using namespace nimg;
 
 FleetPageCache::FleetPageCache(uint64_t TextSize, uint64_t HeapSize,
                                const PagingConfig &Config,
                                uint64_t CapacityPages)
-    : Sim(TextSize, HeapSize, Config), Capacity(CapacityPages) {
+    : Geometry(TextSize, HeapSize, Config), Capacity(CapacityPages) {
   if (Capacity != 0 && Capacity < Config.ReadaheadPages)
     Capacity = Config.ReadaheadPages;
-  EverFaulted[0].assign(Sim.pageStates(ImageSection::Text).size(), false);
-  EverFaulted[1].assign(Sim.pageStates(ImageSection::HeapSec).size(), false);
+  PageCount[0] = Geometry.pageStates(ImageSection::Text).size();
+  PageCount[1] = Geometry.pageStates(ImageSection::HeapSec).size();
+  Base[0] = 0;
+  Base[1] = PageCount[0];
+  uint64_t Pages = PageCount[0] + PageCount[1];
+  State.assign(size_t(Pages), 0);
+  // A fault queues at most one readahead cluster on top of what eviction
+  // left resident (never more than the capacity, never more than the
+  // image), so the ring never overflows — and a huge cap allocates
+  // nothing proportional to itself.
+  uint64_t Resident = Capacity == 0 ? Pages : std::min(Capacity, Pages);
+  Fifo.assign(size_t(Resident + Config.ReadaheadPages), 0);
 }
 
-FleetTouch FleetPageCache::touchPage(ImageSection Sec, uint64_t Page) {
-  const std::vector<PageState> &States = Sim.pageStates(Sec);
-  if (Page >= States.size())
-    return FleetTouch::WarmHit; // Out of range: free, like PagingSim::touch.
-  if (States[size_t(Page)] != PageState::Untouched) {
-    // Already in the shared cache (faulted or readahead by an earlier
-    // instance): minor fault only.
-    ++WarmHits;
-    return FleetTouch::WarmHit;
-  }
-
-  // Fleet-wide cold: a real major through the simulator, which pulls the
-  // aligned readahead cluster in exactly as a single run would. Snapshot
-  // which cluster pages were cold first so the FIFO mirrors the page-in
-  // order (faulting page, then cluster pages ascending). The cluster and
-  // the byte offset come from the simulator so pages keep their native
-  // size: a huge text page is its own cluster and occupies one FIFO slot,
-  // same as in the per-instance resident list.
+void FleetPageCache::faultIn(ImageSection Sec, uint64_t Page) {
+  // Fleet-wide cold: a major that pulls the aligned readahead cluster in
+  // exactly as a single run would. The FIFO takes the faulting page, then
+  // the cluster's cold pages ascending. The cluster and the page sizes
+  // come from the geometry, so a huge text page is its own cluster and
+  // occupies one FIFO slot, same as in the per-instance resident list.
   uint64_t ClusterStart, ClusterEnd;
-  Sim.clusterRange(Sec, Page, ClusterStart, ClusterEnd);
-  Fifo.emplace_back(Sec, Page);
-  for (uint64_t Ahead = ClusterStart; Ahead < ClusterEnd; ++Ahead)
-    if (Ahead != Page && States[size_t(Ahead)] == PageState::Untouched)
-      Fifo.emplace_back(Sec, Ahead);
-  Sim.touch(Sec, Sim.pageStartOffset(Sec, Page), 1);
-  if (!EverFaulted[size_t(Sec)][size_t(Page)]) {
-    EverFaulted[size_t(Sec)][size_t(Page)] = true;
+  Geometry.clusterRange(Sec, Page, ClusterStart, ClusterEnd);
+  uint64_t B = Base[size_t(Sec)];
+  uint8_t &Faulted = State[size_t(B + Page)];
+  if (!(Faulted & EverFaulted))
     ++UniquePages;
-  }
-
-  if (Capacity != 0) {
-    while (Fifo.size() > Capacity) {
-      auto [ESec, EPage] = Fifo.front();
-      Fifo.pop_front();
-      // Invariant: the FIFO holds exactly the resident pages, each once,
-      // so eviction always succeeds.
-      bool Evicted = Sim.evictPage(ESec, EPage);
-      assert(Evicted && "fleet FIFO desynced from the resident set");
-      (void)Evicted;
-      ++Evictions;
+  Faulted |= Resident | EverFaulted;
+  pushFifo(B + Page);
+  for (uint64_t Ahead = B + ClusterStart; Ahead < B + ClusterEnd; ++Ahead)
+    if (!(State[size_t(Ahead)] & Resident)) {
+      State[size_t(Ahead)] |= Resident;
+      pushFifo(Ahead);
     }
+  ++Majors;
+
+  if (Capacity == 0)
+    return;
+  for (; FifoLen > Capacity; --FifoLen) {
+    // The FIFO holds exactly the resident pages, each once, so the front
+    // is always resident.
+    State[size_t(Fifo[size_t(FifoHead)])] &= uint8_t(~Resident);
+    if (++FifoHead == Fifo.size())
+      FifoHead = 0;
+    ++Evictions;
   }
-  return FleetTouch::Major;
 }

@@ -7,7 +7,7 @@
 #include "src/obs/SpanTracer.h"
 
 #include <algorithm>
-#include <queue>
+#include <cstring>
 
 using namespace nimg;
 
@@ -78,54 +78,112 @@ void replayClosedForm(const std::vector<MajorAt> &Majors, size_t TraceLen,
     S.WarmHits = TraceLen - S.Majors;
 }
 
-/// The event-driven scheduler, for caches that evict: a min-heap of
-/// (absolute model time of the instance's next demand fault, instance
-/// id), ties broken by instance id — fully deterministic. Returns the
-/// number of events the heap ordered.
-uint64_t replayScheduled(
+/// A binary min-heap of each replaying instance's next demand fault,
+/// ordered by (absolute model time, instance id): ties go to the lower id,
+/// so the pop order is fully deterministic. Advancing the top instance to
+/// its next event is one sift-down, not a pop and a push.
+class EventHeap {
+public:
+  /// One event as a single integer key: the time's order-preserving bit
+  /// pattern above the instance id. Integer compares of the key order
+  /// events exactly as (time, id) does, at a fraction of the latency of a
+  /// floating-point compare chain.
+  using Key = unsigned __int128;
+
+  static Key key(double TimeNs, uint32_t Inst) {
+    // Adding +0.0 folds -0.0 into +0.0, so equal times get equal bits.
+    // Flipping the sign bit of a positive double (every bit of a
+    // negative one) makes the bits compare as unsigned integers in the
+    // doubles' order.
+    double Canonical = TimeNs + 0.0;
+    uint64_t Bits;
+    std::memcpy(&Bits, &Canonical, sizeof(Bits));
+    Bits ^= uint64_t(int64_t(Bits) >> 63) | (uint64_t(1) << 63);
+    return Key(Bits) << 32 | Inst;
+  }
+
+  explicit EventHeap(std::vector<Key> Keys)
+      : H(std::move(Keys)), Size(H.size()) {
+    // One slot past the end always holds a sentinel that sorts after
+    // every event, so a sift-down compares both children unconditionally.
+    H.push_back(~Key(0));
+    for (size_t I = Size / 2; I-- > 0;)
+      siftDown(I, H[I]);
+  }
+
+  bool empty() const { return Size == 0; }
+  uint32_t top() const { return uint32_t(H[0]); }
+  /// The top instance's next event replaces its current one.
+  void replaceTop(Key K) { siftDown(0, K); }
+  /// The top instance has replayed its whole trace.
+  void popTop() {
+    Key Last = H[--Size];
+    H[Size] = ~Key(0);
+    if (Size != 0)
+      siftDown(0, Last);
+  }
+
+private:
+  void siftDown(size_t I, Key K) {
+    for (size_t C = 2 * I + 1; C < Size; C = 2 * I + 1) {
+      C += H[C + 1] < H[C]; // The smaller child, without a branch.
+      if (!(H[C] < K))
+        break;
+      H[I] = H[C];
+      I = C;
+    }
+    H[I] = K;
+  }
+
+  std::vector<Key> H;
+  size_t Size;
+};
+
+/// The event-driven scheduler, for caches that evict: every instance's
+/// every demand fault is classified against the shared cache in
+/// (time, id) order.
+void replayScheduled(
     const std::vector<std::pair<ImageSection, uint64_t>> &DemandPages,
     const std::vector<uint64_t> &DemandClocks,
     const std::vector<double> &Arrivals, const CostModel &Cost,
     FleetPageCache &Cache, FleetResult &R,
     std::vector<double> &FaultAccumNs) {
   uint32_t N = uint32_t(FaultAccumNs.size());
+  size_t TraceLen = DemandPages.size();
+  if (TraceLen == 0)
+    return;
   std::vector<size_t> NextEvent(N, 0);
-  using Ev = std::pair<double, uint32_t>;
-  std::priority_queue<Ev, std::vector<Ev>, std::greater<Ev>> Queue;
-  auto nextTime = [&](uint32_t Inst) {
-    return eventTime(Arrivals[Inst], Cost, DemandClocks[NextEvent[Inst]],
-                     FaultAccumNs[Inst]);
-  };
-  if (!DemandPages.empty())
-    for (uint32_t Inst = 0; Inst < N; ++Inst)
-      Queue.push({nextTime(Inst), Inst});
-
-  uint64_t Scheduled = 0;
+  std::vector<EventHeap::Key> First(N);
+  for (uint32_t Inst = 0; Inst < N; ++Inst)
+    First[Inst] = EventHeap::key(
+        eventTime(Arrivals[Inst], Cost, DemandClocks[0], 0.0), Inst);
+  EventHeap Queue(std::move(First));
   while (!Queue.empty()) {
-    uint32_t Inst = Queue.top().second;
-    Queue.pop();
-    ++Scheduled;
+    uint32_t Inst = Queue.top();
     size_t Idx = NextEvent[Inst]++;
-    FleetTouch Outcome =
-        Cache.touchPage(DemandPages[Idx].first, DemandPages[Idx].second);
-    if (Outcome == FleetTouch::Major) {
+    auto [Sec, Page] = DemandPages[Idx];
+    if (Cache.touchPage(Sec, Page) == FleetTouch::Major) {
       ++R.Instances[Inst].Majors;
       // Charged at the page's native size: a fault in the huge-page text
       // region pays the one-seek-plus-bigger-transfer huge service time,
       // everything else the base-page cost. All service costs are
       // integer-valued ns, so this per-fault accumulation reproduces the
       // reference run's multiplied formula exactly (the N=1 anchor).
-      FaultAccumNs[Inst] += Cost.majorFaultNs(
-          Cache.sim().pageSizeBytes(DemandPages[Idx].first,
-                                    DemandPages[Idx].second));
+      FaultAccumNs[Inst] +=
+          Cost.majorFaultNs(Cache.geometry().pageSizeBytes(Sec, Page));
     } else {
-      ++R.Instances[Inst].WarmHits;
       FaultAccumNs[Inst] += Cost.MinorFaultNs;
     }
-    if (NextEvent[Inst] < DemandPages.size())
-      Queue.push({nextTime(Inst), Inst});
+    if (Idx + 1 < TraceLen)
+      Queue.replaceTop(
+          EventHeap::key(eventTime(Arrivals[Inst], Cost, DemandClocks[Idx + 1],
+                                   FaultAccumNs[Inst]),
+                         Inst));
+    else
+      Queue.popTop();
   }
-  return Scheduled;
+  for (FleetInstanceStats &S : R.Instances)
+    S.WarmHits = TraceLen - S.Majors;
 }
 
 } // namespace
@@ -181,7 +239,7 @@ FleetResult nimg::simulateFleet(const RunStats &Reference, uint64_t TextSize,
     auto [Sec, Page] = DemandPages[K];
     if (Pass.touchPage(Sec, Page) == FleetTouch::Major)
       Majors.push_back(
-          {K, Cost.majorFaultNs(Pass.sim().pageSizeBytes(Sec, Page))});
+          {K, Cost.majorFaultNs(Pass.geometry().pageSizeBytes(Sec, Page))});
   }
 
   uint64_t Scheduled = 0;
@@ -197,8 +255,9 @@ FleetResult nimg::simulateFleet(const RunStats &Reference, uint64_t TextSize,
     R.UniquePages = Pass.uniquePages();
   } else {
     FleetPageCache Cache(TextSize, HeapSize, Paging, Cfg.CachePages);
-    Scheduled = replayScheduled(DemandPages, DemandClocks, Arrivals, Cost,
-                                Cache, R, FaultAccumNs);
+    replayScheduled(DemandPages, DemandClocks, Arrivals, Cost, Cache, R,
+                    FaultAccumNs);
+    Scheduled = uint64_t(Cfg.Instances) * DemandPages.size();
     R.TotalMajors = Cache.majors();
     R.TotalWarmHits = Cache.warmHits();
     R.UniquePages = Cache.uniquePages();

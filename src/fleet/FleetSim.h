@@ -25,13 +25,16 @@
 /// time shifts every later event of that instance, so concurrent instances
 /// leapfrog each other and fault costs spread across the storm.
 ///
-/// Two replay paths give the same result bit for bit. A min-heap scheduler
-/// pops one event per instance per demand fault; it runs only when the
-/// shared cache evicts. When an N=1 pass over the trace evicts nothing, no
-/// fleet size can, and a closed form replaces the scheduler: each readahead
-/// cluster majors once, at its first trace index, for the instance with the
-/// smallest (time, id) there, and every other event is a warm hit
-/// (docs/FLEET.md, "No eviction, no scheduler").
+/// Two replay paths give the same result bit for bit. A binary min-heap
+/// scheduler orders one event per instance per demand fault — one
+/// sift-down each, as the popped instance's next event replaces it at the
+/// top — and runs only when the shared cache evicts. When an N=1 pass over
+/// the trace evicts nothing, no fleet size can, and a closed form replaces
+/// the scheduler: each readahead cluster majors once, at its first trace
+/// index, for the instance with the smallest (time, id) there, and every
+/// other event is a warm hit (docs/FLEET.md, "No eviction, no scheduler").
+/// Neither path drives a PagingSim, so a replay leaves the per-run
+/// nimg.paging.* counters alone.
 ///
 /// Everything is deterministic: one seed drives arrivals, the scheduler
 /// breaks time ties by instance id, and the replay trace is a pure

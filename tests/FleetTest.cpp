@@ -4,11 +4,13 @@
 // reproduces the single-run PagingSim byte for byte (fault count AND
 // modeled time) for every layout strategy; fleet results are deterministic
 // across seeds and worker counts; both replay paths (the no-eviction
-// closed form and the min-heap scheduler) equal a linear-scan reference
-// scheduler field for field; warm sharing and capacity thrash behave as
-// modeled; the arrival generator is seeded and sorted; the hoisted
-// CostModel matches what ExecEngine charges; and the startup report's
-// fleet section round-trips through the JSON parser. This binary carries
+// closed form and the min-heap scheduler over the flat shared cache)
+// equal a linear-scan reference scheduler over an independent deque-FIFO
+// cache field for field; a replay leaves the nimg.paging.* counters
+// alone; warm sharing and capacity thrash behave as modeled; the arrival
+// generator is seeded and sorted; the hoisted CostModel matches what
+// ExecEngine charges; and the startup report's fleet section round-trips
+// through the JSON parser. This binary carries
 // the "fleet" ctest label (plus "tsan" for the sanitizer lane; the
 // nimage_fleet_asan_tests twin re-runs it with the fleet and paging TUs
 // under ASan).
@@ -23,12 +25,14 @@
 #include "src/obs/Metrics.h"
 #include "src/obs/StartupReport.h"
 #include "src/support/ThreadPool.h"
+#include "src/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <set>
 #include <string>
@@ -339,9 +343,73 @@ double nearestRank(const std::vector<double> &Sorted, double Q) {
   return Sorted[std::min(std::max<size_t>(Rank, 1), Sorted.size()) - 1];
 }
 
+/// The reference shared cache, an independent implementation of
+/// FleetPageCache's contract: it drives a real PagingSim through touch()
+/// and evictPage() and queues resident pages in a std::deque, so the
+/// oracle compares FleetPageCache against different code, not against
+/// itself.
+class ReferenceFleetCache {
+public:
+  ReferenceFleetCache(uint64_t TextSize, uint64_t HeapSize,
+                      const PagingConfig &Config, uint64_t CapacityPages = 0)
+      : Sim(TextSize, HeapSize, Config), Capacity(CapacityPages) {
+    if (Capacity != 0 && Capacity < Config.ReadaheadPages)
+      Capacity = Config.ReadaheadPages;
+    EverFaulted[0].assign(Sim.pageStates(ImageSection::Text).size(), false);
+    EverFaulted[1].assign(Sim.pageStates(ImageSection::HeapSec).size(),
+                          false);
+  }
+
+  FleetTouch touchPage(ImageSection Sec, uint64_t Page) {
+    const std::vector<PageState> &States = Sim.pageStates(Sec);
+    if (Page >= States.size())
+      return FleetTouch::WarmHit;
+    if (States[size_t(Page)] != PageState::Untouched) {
+      ++WarmHits;
+      return FleetTouch::WarmHit;
+    }
+    // Snapshot the cluster's cold pages before the simulator pulls them
+    // in, so the FIFO holds them in page-in order: the faulting page, then
+    // the rest of the cluster ascending.
+    uint64_t ClusterStart, ClusterEnd;
+    Sim.clusterRange(Sec, Page, ClusterStart, ClusterEnd);
+    Fifo.emplace_back(Sec, Page);
+    for (uint64_t Ahead = ClusterStart; Ahead < ClusterEnd; ++Ahead)
+      if (Ahead != Page && States[size_t(Ahead)] == PageState::Untouched)
+        Fifo.emplace_back(Sec, Ahead);
+    Sim.touch(Sec, Sim.pageStartOffset(Sec, Page), 1);
+    if (!EverFaulted[size_t(Sec)][size_t(Page)]) {
+      EverFaulted[size_t(Sec)][size_t(Page)] = true;
+      ++UniquePages;
+    }
+    while (Capacity != 0 && Fifo.size() > Capacity) {
+      auto [ESec, EPage] = Fifo.front();
+      Fifo.pop_front();
+      EXPECT_TRUE(Sim.evictPage(ESec, EPage)) << "FIFO desynced";
+      ++Evictions;
+    }
+    return FleetTouch::Major;
+  }
+
+  uint64_t majors() const { return Sim.totalFaults(); }
+  uint64_t warmHits() const { return WarmHits; }
+  uint64_t uniquePages() const { return UniquePages; }
+  uint64_t evictions() const { return Evictions; }
+  const PagingSim &sim() const { return Sim; }
+
+private:
+  PagingSim Sim;
+  uint64_t Capacity;
+  std::deque<std::pair<ImageSection, uint64_t>> Fifo;
+  std::vector<bool> EverFaulted[2];
+  uint64_t WarmHits = 0;
+  uint64_t UniquePages = 0;
+  uint64_t Evictions = 0;
+};
+
 /// The reference replay: the next event is the instance with the smallest
 /// (time, id), found by a linear scan over all instances, and every event
-/// is classified by a FleetPageCache — no heap and no closed form.
+/// is classified by a ReferenceFleetCache — no heap and no closed form.
 FleetResult linearScanFleet(const RunStats &Ref, uint64_t TextSize,
                             uint64_t HeapSize, const PagingConfig &Paging,
                             const CostModel &Cost, const FleetConfig &Cfg) {
@@ -358,7 +426,7 @@ FleetResult linearScanFleet(const RunStats &Ref, uint64_t TextSize,
   std::vector<double> Arrivals = generateArrivals(Traffic);
 
   size_t N = Cfg.Instances;
-  FleetPageCache Cache(TextSize, HeapSize, Paging, Cfg.CachePages);
+  ReferenceFleetCache Cache(TextSize, HeapSize, Paging, Cfg.CachePages);
   FleetResult R;
   R.Instances.resize(N);
   std::vector<size_t> Next(N, 0);
@@ -445,7 +513,7 @@ std::string firstDifference(const FleetResult &A, const FleetResult &B) {
 /// Pages an unlimited shared cache holds after one pass over the trace.
 uint64_t workingSet(const RunStats &Ref, uint64_t TextSize, uint64_t HeapSize,
                     const PagingConfig &Paging) {
-  FleetPageCache Cache(TextSize, HeapSize, Paging);
+  ReferenceFleetCache Cache(TextSize, HeapSize, Paging);
   for (const PageTouch &T : Ref.Touches)
     if (T.WasFault)
       Cache.touchPage(T.Sec, T.Page);
@@ -478,7 +546,7 @@ TEST(FleetOracle, EveryFieldEqualsLinearScanReplay) {
                               {ArrivalKind::Poisson, 20e6},
                               {ArrivalKind::Storm, 0.0}};
   size_t Configs = 0, ClosedForm = 0, Evicting = 0, OutOfRange = 0,
-         Failures = 0;
+         Failures = 0, TimedConfigs = 0, TimedEvicting = 0;
   for (const Variant &V : Variants) {
     for (uint32_t Huge : {0u, 1u}) {
       BuildConfig Cfg;
@@ -563,10 +631,118 @@ TEST(FleetOracle, EveryFieldEqualsLinearScanReplay) {
       }
     }
   }
-  EXPECT_EQ(Failures, 0u) << "of " << Configs << " configurations";
+
+  // The timed regime, as a cold-start storm records and replays it:
+  // micronaut's baseline and cu + heap path images, a reference recorded
+  // at the default readahead and first response, and 20 ms storms of 4
+  // bursts against caches that thrash. A cap far above the image must
+  // replay exactly like an unlimited cache.
+  std::vector<std::string> Errors;
+  BenchmarkSpec Spec = microserviceBenchmark("micronaut");
+  std::unique_ptr<Program> Micronaut = compileBenchmark(Spec, Errors);
+  ASSERT_TRUE(Micronaut) << (Errors.empty() ? "" : Errors.front());
+  RunConfig Timed;
+  Timed.StopAtFirstResponse = true;
+  BuildConfig ProfCfg;
+  ProfCfg.Seed = 1001;
+  CollectedProfiles Prof = collectProfiles(*Micronaut, ProfCfg, Timed);
+  Timed.RecordTouches = true;
+  for (bool Ordered : {false, true}) {
+    for (uint32_t Huge : {0u, 1u}) {
+      BuildConfig Cfg;
+      Cfg.Seed = 1;
+      if (Ordered) {
+        Cfg.CodeOrder = CodeStrategy::CuOrder;
+        Cfg.CodeProf = &Prof.Cu;
+        Cfg.UseHeapOrder = true;
+        Cfg.HeapOrder = HeapStrategy::HeapPath;
+        Cfg.HeapProf = &Prof.HeapPath;
+      }
+      Cfg.Image.HugePages = Huge;
+      NativeImage Img = buildNativeImage(*Micronaut, Cfg);
+      ASSERT_FALSE(Img.Built.Failed);
+      RunStats Ref = runImage(Img, Timed);
+      ASSERT_FALSE(Ref.Trapped) << Ref.TrapMessage;
+      PagingConfig Paging = Timed.Paging;
+      Paging.HugeTextPages = Img.Layout.HugePages;
+      uint64_t Text = Img.Layout.TextSize, Heap = Img.Layout.HeapSize;
+      uint64_t WS = workingSet(Ref, Text, Heap, Paging);
+      for (uint32_t N : {100u, 1000u}) {
+        FleetConfig FC;
+        FC.Instances = N;
+        FC.Arrivals = ArrivalKind::Storm;
+        FC.ArrivalWindowNs = 20e6;
+        FC.StormBursts = 4;
+        FleetResult Unlimited =
+            simulateFleet(Ref, Text, Heap, Paging, Timed.Cost, FC);
+        for (uint64_t Cache : {WS / 2, uint64_t(1), uint64_t(1) << 40}) {
+          FC.CachePages = Cache;
+          FleetResult Fast =
+              simulateFleet(Ref, Text, Heap, Paging, Timed.Cost, FC);
+          FleetResult Slow =
+              linearScanFleet(Ref, Text, Heap, Paging, Timed.Cost, FC);
+          ++TimedConfigs;
+          if (Fast.Evictions > 0)
+            ++TimedEvicting;
+          std::string Diff = firstDifference(Fast, Slow);
+          if (Cache == uint64_t(1) << 40 && Diff.empty())
+            Diff = firstDifference(Fast, Unlimited);
+          if (!Diff.empty() && ++Failures <= 10)
+            ADD_FAILURE() << Diff << " differs (timed regime): ordered="
+                          << Ordered << " huge=" << Huge << " N=" << N
+                          << " cache=" << Cache;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(Failures, 0u) << "of " << Configs << " + " << TimedConfigs
+                          << " configurations";
   EXPECT_GT(ClosedForm, 0u);
   EXPECT_GT(Evicting, 0u);
   EXPECT_GT(OutOfRange, 0u);
+  // The WS/2 and 1-page caps thrash in every timed row.
+  EXPECT_EQ(TimedEvicting, TimedConfigs * 2 / 3);
+}
+
+TEST(FleetSim, EvictingReplayLeavesPagingCountersAlone) {
+  // nimg.paging.* describes single runs. The shared cache only reads
+  // PagingSim's geometry, so a fleet replay — even one that evicts huge
+  // pages — adds nothing to those counters.
+  Env E;
+  BuildConfig Cfg;
+  Cfg.Seed = 1;
+  Cfg.CodeOrder = CodeStrategy::CuOrder;
+  Cfg.CodeProf = &E.Prof.Cu;
+  Cfg.Image.HugePages = 1;
+  NativeImage Img = buildNativeImage(E.P, Cfg);
+  ASSERT_FALSE(Img.Built.Failed);
+  RunConfig Run = demandRun();
+  Run.RecordTouches = true;
+  RunStats Ref = runImage(Img, Run);
+  ASSERT_GT(Ref.TextHugeFaults, 0u);
+  PagingConfig Paging = Run.Paging;
+  Paging.HugeTextPages = Img.Layout.HugePages;
+  uint64_t Text = Img.Layout.TextSize, Heap = Img.Layout.HeapSize;
+
+  auto pagingCounters = [] {
+    std::string Lines, Dump = obs::MetricsRegistry::global().toText();
+    for (size_t At = 0, End; At < Dump.size(); At = End + 1) {
+      End = Dump.find('\n', At);
+      std::string Line = Dump.substr(At, End - At);
+      if (Line.find(" nimg.paging.") != std::string::npos)
+        Lines += Line + "\n";
+    }
+    return Lines;
+  };
+  std::string Before = pagingCounters();
+  ASSERT_NE(Before.find("nimg.paging.faults.text"), std::string::npos);
+  FleetConfig FC;
+  FC.Instances = 100;
+  FC.ArrivalWindowNs = 20e6;
+  FC.CachePages = 1; // Every major evicts the page before it, huge or not.
+  FleetResult FR = simulateFleet(Ref, Text, Heap, Paging, Run.Cost, FC);
+  EXPECT_GT(FR.Evictions, 0u);
+  EXPECT_EQ(pagingCounters(), Before);
 }
 
 TEST(FleetSim, OnlyEvictingReplaysScheduleEvents) {
