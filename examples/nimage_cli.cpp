@@ -157,9 +157,9 @@ struct FlagSpec {
 /// for an unknown command.
 const std::vector<FlagSpec> *commandFlags(const std::string &Cmd) {
   static const std::vector<FlagSpec> Profile = {
-      {"--dir", true},           {"--generation", true},
-      {"--cluster-budget", true}, {"--huge-pages", true},
-      {"--profile-mode", true},  {"--sample-period", true}};
+      {"--dir", true},          {"--generation", true},
+      {"--cluster-budget", true}, {"--profile-mode", true},
+      {"--sample-period", true}};
   static const std::vector<FlagSpec> Build = {
       {"--out", true},         {"--seed", true},  {"--profiles", true},
       {"--profile-dir", true}, {"--code", true},  {"--heap", true},
@@ -206,22 +206,17 @@ bool checkFlags(const std::string &Cmd, const std::vector<FlagSpec> &Flags,
   return true;
 }
 
-/// Parses --huge-pages into \p Cfg (build and profile both consume it: the
-/// layout maps the region, the cluster solver packs against the budget).
-/// Returns false after printing an error for a malformed value.
-bool parseHugePages(int Argc, char **Argv, BuildConfig &Cfg) {
-  const char *Huge = flagValue(Argc, Argv, "--huge-pages");
-  if (!Huge)
+/// Parses the value of \p Flag, if given, into \p Out with parseInteger.
+/// Returns false after printing an error that names the flag and \p Expects
+/// (the accepted range) for a malformed or out-of-range value.
+bool parseIntegerFlag(int Argc, char **Argv, const char *Flag, uint64_t Min,
+                      uint64_t Max, const char *Expects, uint64_t &Out) {
+  const char *Text = flagValue(Argc, Argv, Flag);
+  if (!Text || parseInteger(Text, Min, Max, Out))
     return true;
-  long long N = std::atoll(Huge);
-  if (N < 0 || N > (1ll << 20)) {
-    std::fprintf(stderr, "error: --huge-pages expects a 2 MiB page count "
-                         ">= 0 (0 = no huge pages), got '%s'\n",
-                 Huge);
-    return false;
-  }
-  Cfg.Image.HugePages = uint32_t(N);
-  return true;
+  std::fprintf(stderr, "error: %s expects %s, got '%s'\n", Flag, Expects,
+               Text);
+  return false;
 }
 
 int usage() {
@@ -239,7 +234,7 @@ int usage() {
                "[--storm-bursts B]\n"
                "                     [--cache-pages C]\n"
                "  nimage_cli profile <target> [--dir DIR] "
-               "[--generation N] [--cluster-budget BYTES] [--huge-pages N]\n"
+               "[--generation N] [--cluster-budget BYTES]\n"
                "                     [--profile-mode instrumented|sampled] "
                "[--sample-period N]\n"
                "fleet simulation (run):\n"
@@ -268,17 +263,14 @@ int usage() {
                "  merges every cu*.csv in DIR. A bare directory keeps the "
                "classic meaning:\n"
                "  read {cu,method,cluster,...}.csv from it.\n"
-               "huge pages (build, profile):\n"
+               "huge pages (build):\n"
                "  --huge-pages N     map up to N 2 MiB huge pages at the "
                "front of .text (pure\n"
                "                     page-size overlay: 0 is byte-identical "
                "to omitting the flag).\n"
                "                     The count clamps to the hot prefix; an "
                "unfillable remainder\n"
-               "                     records huge_budget_unfillable. In "
-               "'profile' the cluster\n"
-               "                     solver packs the hottest clusters into "
-               "the huge budget.\n"
+               "                     records huge_budget_unfillable.\n"
                "observability (any command):\n"
                "  --metrics          print the metrics registry on exit\n"
                "  --trace-out FILE   write Chrome trace-event JSON spans\n"
@@ -311,28 +303,18 @@ int cmdProfile(const std::string &Target, int Argc, char **Argv) {
   RunConfig Run;
   BuildConfig Cfg;
   Cfg.Seed = 1001;
-  if (const char *Gen = flagValue(Argc, Argv, "--generation")) {
-    long long G = std::atoll(Gen);
-    if (G < 0) {
-      std::fprintf(stderr, "error: --generation expects a stamp >= 0 "
-                           "(0 = unstamped), got '%s'\n",
-                   Gen);
-      return 2;
-    }
-    Cfg.ProfileGeneration = uint64_t(G);
-  }
-  if (const char *Budget = flagValue(Argc, Argv, "--cluster-budget")) {
-    long long B = std::atoll(Budget);
-    if (B < 0) {
-      std::fprintf(stderr, "error: --cluster-budget expects a byte count "
-                           ">= 0 (0 = unlimited), got '%s'\n",
-                   Budget);
-      return 2;
-    }
-    Cfg.ClusterPageBudget = uint32_t(B);
-  }
-  if (!parseHugePages(Argc, Argv, Cfg))
+  uint64_t Budget = Cfg.ClusterPageBudget;
+  if (!parseIntegerFlag(Argc, Argv, "--generation", 0, UINT64_MAX,
+                        "a stamp >= 0 (0 = unstamped)",
+                        Cfg.ProfileGeneration) ||
+      !parseIntegerFlag(Argc, Argv, "--cluster-budget", 0, UINT32_MAX,
+                        "a byte count 0..4294967295 (0 = unlimited)",
+                        Budget) ||
+      !parseIntegerFlag(Argc, Argv, "--sample-period", 1,
+                        TraceOptions::MaxSamplePeriod, "a period 1..1048576",
+                        Cfg.SamplePeriod))
     return 2;
+  Cfg.ClusterPageBudget = uint32_t(Budget);
   if (const char *PMode = flagValue(Argc, Argv, "--profile-mode")) {
     if (std::strcmp(PMode, "sampled") == 0) {
       Cfg.ProfileCapture = CaptureKind::Sampled;
@@ -342,16 +324,6 @@ int cmdProfile(const std::string &Target, int Argc, char **Argv) {
                    PMode);
       return 2;
     }
-  }
-  if (const char *Period = flagValue(Argc, Argv, "--sample-period")) {
-    long long N = std::atoll(Period);
-    if (N <= 0 || uint64_t(N) > TraceOptions::MaxSamplePeriod) {
-      std::fprintf(stderr,
-                   "error: --sample-period expects 1..%llu, got '%s'\n",
-                   (unsigned long long)TraceOptions::MaxSamplePeriod, Period);
-      return 2;
-    }
-    Cfg.SamplePeriod = uint64_t(N);
   }
   CollectedProfiles Prof = collectProfiles(*P, Cfg, Run);
   for (const ProfileIssue &I : Prof.ClusterIssues)
@@ -411,10 +383,14 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
   if (!P)
     return 1;
   BuildConfig Cfg;
-  if (const char *Seed = flagValue(Argc, Argv, "--seed"))
-    Cfg.Seed = uint64_t(std::atoll(Seed));
-  if (!parseHugePages(Argc, Argv, Cfg))
+  uint64_t Huge = 0;
+  if (!parseIntegerFlag(Argc, Argv, "--seed", 0, UINT64_MAX, "a decimal seed",
+                        Cfg.Seed) ||
+      !parseIntegerFlag(Argc, Argv, "--huge-pages", 0, 1u << 20,
+                        "a 2 MiB page count 0..1048576 (0 = no huge pages)",
+                        Huge))
     return 2;
+  Cfg.Image.HugePages = uint32_t(Huge);
 
   // --profiles keeps its classic meaning for a bare directory (read
   // {cu,method,...}.csv from it). A comma-separated list or a single
@@ -677,17 +653,20 @@ int cmdRun(const std::string &Target, int Argc, char **Argv) {
   RunConfig Run;
   Run.ColdCache = !hasFlag(Argc, Argv, "--warm");
 
-  if (const char *Fleet = flagValue(Argc, Argv, "--fleet")) {
+  if (flagValue(Argc, Argv, "--fleet")) {
     FleetConfig FC;
-    uint64_t N = 0;
-    if (!parseInteger(Fleet, 1, UINT32_MAX, N)) {
-      std::fprintf(stderr,
-                   "error: --fleet expects an instance count 1..%u, got "
-                   "'%s'\n",
-                   UINT32_MAX, Fleet);
+    uint64_t N = 0, Bursts = FC.StormBursts;
+    if (!parseIntegerFlag(Argc, Argv, "--fleet", 1, UINT32_MAX,
+                          "an instance count 1..4294967295", N) ||
+        !parseIntegerFlag(Argc, Argv, "--fleet-seed", 0, UINT64_MAX,
+                          "a decimal seed", FC.Seed) ||
+        !parseIntegerFlag(Argc, Argv, "--storm-bursts", 1, UINT32_MAX,
+                          "a burst count 1..4294967295", Bursts) ||
+        !parseIntegerFlag(Argc, Argv, "--cache-pages", 0, UINT64_MAX,
+                          "a page count >= 0 (0 = unlimited)", FC.CachePages))
       return 2;
-    }
     FC.Instances = uint32_t(N);
+    FC.StormBursts = uint32_t(Bursts);
     if (const char *Arrivals = flagValue(Argc, Argv, "--arrivals")) {
       if (!parseArrivalKind(Arrivals, FC.Arrivals)) {
         std::fprintf(stderr,
@@ -703,35 +682,6 @@ int cmdRun(const std::string &Target, int Argc, char **Argv) {
                      "error: --arrival-window-ns expects a window >= 0, got "
                      "'%s'\n",
                      Window);
-        return 2;
-      }
-    }
-    if (const char *Seed = flagValue(Argc, Argv, "--fleet-seed")) {
-      if (!parseInteger(Seed, 0, UINT64_MAX, FC.Seed)) {
-        std::fprintf(stderr,
-                     "error: --fleet-seed expects a decimal seed, got "
-                     "'%s'\n",
-                     Seed);
-        return 2;
-      }
-    }
-    if (const char *Bursts = flagValue(Argc, Argv, "--storm-bursts")) {
-      uint64_t B = 0;
-      if (!parseInteger(Bursts, 1, UINT32_MAX, B)) {
-        std::fprintf(stderr,
-                     "error: --storm-bursts expects a burst count 1..%u, got "
-                     "'%s'\n",
-                     UINT32_MAX, Bursts);
-        return 2;
-      }
-      FC.StormBursts = uint32_t(B);
-    }
-    if (const char *Cache = flagValue(Argc, Argv, "--cache-pages")) {
-      if (!parseInteger(Cache, 0, UINT64_MAX, FC.CachePages)) {
-        std::fprintf(stderr,
-                     "error: --cache-pages expects a page count >= 0 "
-                     "(0 = unlimited), got '%s'\n",
-                     Cache);
         return 2;
       }
     }

@@ -9,10 +9,12 @@ using namespace nimg;
 
 namespace {
 
+/// Selector target count beyond which dispatch saturates.
+constexpr int SaturationThreshold = 8;
+
 class Analyzer {
 public:
-  Analyzer(const Program &P, const ReachabilityConfig &Config)
-      : P(P), Config(Config) {
+  explicit Analyzer(const Program &P) : P(P) {
     R.ReachableMethods.assign(P.numMethods(), false);
     R.InstantiatedClasses.assign(P.numClasses(), false);
     R.ReachableClasses.assign(P.numClasses(), false);
@@ -36,7 +38,7 @@ public:
                                size_t(P.method(MethodId(M)).Selector) + 1);
     R.SaturatedSelectors.assign(MaxSelector, false);
     for (const auto &[Sel, Targets] : SelectorTargets)
-      if (int(Targets.size()) > Config.SaturationThreshold)
+      if (int(Targets.size()) > SaturationThreshold)
         R.SaturatedSelectors[size_t(Sel)] = true;
     return std::move(R);
   }
@@ -92,7 +94,7 @@ private:
     Targets.push_back(Target);
     // Saturation: once a selector exceeds the threshold, conservatively
     // reach every implementation of the selector program-wide.
-    if (int(Targets.size()) == Config.SaturationThreshold + 1) {
+    if (int(Targets.size()) == SaturationThreshold + 1) {
       for (size_t M = 0; M < P.numMethods(); ++M) {
         const Method &Meth = P.method(MethodId(M));
         if (Meth.Selector == Sel && !Meth.IsAbstract)
@@ -145,7 +147,6 @@ private:
   }
 
   const Program &P;
-  const ReachabilityConfig &Config;
   ReachabilityResult R;
   std::vector<MethodId> Worklist;
   std::vector<MethodId> VirtualSites; ///< Declared methods of virtual calls.
@@ -154,9 +155,8 @@ private:
 
 } // namespace
 
-ReachabilityResult
-nimg::analyzeReachability(const Program &P, const ReachabilityConfig &Config) {
-  return Analyzer(P, Config).run();
+ReachabilityResult nimg::analyzeReachability(const Program &P) {
+  return Analyzer(P).run();
 }
 
 std::vector<MethodId>

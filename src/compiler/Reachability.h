@@ -13,7 +13,8 @@
 /// Per the paper, the analysis employs *saturation*: when a dispatch
 /// selector accumulates more concrete targets than a threshold, it is
 /// marked saturated and conservatively reaches every implementation
-/// program-wide (and is never devirtualized).
+/// program-wide (and is never devirtualized). The threshold is 8 targets
+/// (Sec. 2 cites saturation per Wimmer et al., PLDI'24).
 ///
 /// The analysis is deliberately conservative — "always includes more code
 /// than what is actually reachable or executed at runtime" — which is what
@@ -30,12 +31,6 @@
 #include <vector>
 
 namespace nimg {
-
-struct ReachabilityConfig {
-  /// Selector target count beyond which dispatch saturates (Sec. 2 cites
-  /// saturation per Wimmer et al., PLDI'24).
-  int SaturationThreshold = 8;
-};
 
 struct ReachabilityResult {
   std::vector<bool> ReachableMethods;    ///< Indexed by MethodId.
@@ -64,8 +59,7 @@ struct ReachabilityResult {
 
 /// Runs the analysis from Program::MainMethod plus every Sys.spawn target
 /// discovered in reachable code.
-ReachabilityResult analyzeReachability(const Program &P,
-                                       const ReachabilityConfig &Config = {});
+ReachabilityResult analyzeReachability(const Program &P);
 
 } // namespace nimg
 

@@ -179,11 +179,6 @@ uint64_t baseKey(const Program &P, const BuildConfig &Cfg, uint64_t BuildFp) {
     S.appendSizedString(Name);
     S.appendSizedString(Contents);
   }
-  S.appendU32(uint32_t(Cfg.Reach.SaturationThreshold));
-  S.appendU32(Cfg.Inliner.TrivialSize);
-  S.appendU32(Cfg.Inliner.SmallSize);
-  S.appendU32(Cfg.Inliner.MaxCuSize);
-  S.appendU32(uint32_t(Cfg.Inliner.MaxDepth));
   S.appendU8(Cfg.Instrumented ? 1 : 0);
   S.appendU64(Cfg.Seed);
   return S.digest().Lo;
@@ -218,14 +213,14 @@ std::shared_ptr<const ImageBase> obtainBase(Program &P, const BuildConfig &Cfg,
   // 1. Points-to-style reachability (Sec. 2).
   {
     NIMG_SPAN("build", "reachability");
-    Base->Reach = analyzeReachability(P, Cfg.Reach);
+    Base->Reach = analyzeReachability(P);
   }
   // 2. Compilation: size-driven inlining into CUs. Instrumentation
   //    inflates sizes, diverging the CU set from the optimized build's.
   {
     NIMG_SPAN("build", "compile");
-    Base->Code =
-        buildCompilationUnits(P, Base->Reach, Cfg.Inliner, Cfg.Instrumented);
+    Base->Code = buildCompilationUnits(P, Base->Reach, InlinerConfig(),
+                                       Cfg.Instrumented);
   }
   // 3. Build-time initialization (permuted by the seed).
   {
@@ -275,9 +270,8 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
   if (Cfg.CodeOrder != CodeStrategy::None && Cfg.CodeMembers &&
       !Cfg.CodeMembers->empty()) {
     NIMG_SPAN("build", "merge_profiles");
-    MergeOptions MOpts = Cfg.Merge;
-    if (!MOpts.ExpectedFingerprint)
-      MOpts.ExpectedFingerprint = BuildFp;
+    MergeOptions MOpts;
+    MOpts.ExpectedFingerprint = BuildFp;
     // A method-order build merges method-granularity members; everything
     // else (cu, cluster) merges cu-granularity ones.
     MOpts.ExpectedMode = Cfg.CodeOrder == CodeStrategy::MethodOrder
@@ -355,7 +349,7 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
   //     the fingerprint folded below — are byte-identical at any worker count.
   if (SplitRequested) {
     NIMG_SPAN("build", "split");
-    Img.Split = splitCompiledProgram(P, Code, BlockProf, Cfg.SplitOpts);
+    Img.Split = splitCompiledProgram(P, Code, BlockProf);
     for (const ProfileIssue &I : Img.Split.Issues) {
       Img.ProfileDiag.Issues.push_back(I);
       NIMG_COUNTER_ADD_DYN(std::string("nimg.build.profile_rejected.") +
@@ -385,7 +379,6 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
 
   SnapshotConfig SnapCfg;
   SnapCfg.EnablePea = Cfg.EnablePea;
-  SnapCfg.PeaRate = Cfg.PeaRate;
   uint64_t InlineFp = Code.InlineFingerprint;
   if (Img.Split.active())
     InlineFp = mix64(InlineFp, Img.Split.DecisionFingerprint);
@@ -435,11 +428,12 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
             profileErrorSlug(ProfileError::HugeBudgetUnfillable),
         1);
   }
-  // Multi-size packing is part of the build identity: fold the huge-page
-  // decision into the image's decision fingerprint. Gated on the request
-  // so a zero budget stays byte-identical to a build without the option
-  // (and this runs after the snapshot, so PEA elision — which consumes
-  // the fingerprint state above — is untouched either way).
+  // The huge-page region is part of the build identity: fold the requested
+  // and effective budget into the image's decision fingerprint, which the
+  // image file serializes. Gated on the request so a zero budget stays
+  // byte-identical to a build without the option (and this runs after the
+  // snapshot, so PEA elision — which consumes the fingerprint state above
+  // — is untouched either way).
   if (Img.Layout.HugePagesRequested > 0)
     Img.Split.DecisionFingerprint =
         mix64(mix64(Img.Split.DecisionFingerprint,
@@ -496,7 +490,6 @@ CollectedProfiles nimg::collectProfiles(Program &P,
     // analyses decode both encodings transparently.
     TOpts.Encoding = TraceEncoding::VarintDelta;
     TOpts.SamplePeriod = InstrumentedCfg.SamplePeriod;
-    TOpts.SamplePhase = InstrumentedCfg.SamplePhase;
     return TOpts;
   };
   // An empty capture usually means the run died before any buffer flushed
@@ -598,7 +591,6 @@ CollectedProfiles nimg::collectProfiles(Program &P,
       Out.Cu = CuA.finish(Out.CuSalvage);
       ClusterOptions COpts;
       COpts.PageBudgetBytes = Cfg.ClusterPageBudget;
-      COpts.HugePages = Cfg.Image.HugePages;
       Out.Cluster =
           analyzeClusterOrder(P, GraphA.finish(), Img.code(), COpts,
                               &Out.ClusterIssues, &Out.ClusterLayoutStats);
@@ -699,7 +691,6 @@ nimg::collectProfileSet(Program &P, const BuildConfig &InstrumentedCfg,
       // sample set then covers clock offsets no single member sees.
       TOpts.SamplePeriod = InstrumentedCfg.SamplePeriod;
       TOpts.SamplePhase =
-          InstrumentedCfg.SamplePhase +
           I * std::max<uint64_t>(1, TOpts.SamplePeriod) / InstanceNames.size();
     }
     Opts.push_back(TOpts);

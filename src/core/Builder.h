@@ -39,12 +39,9 @@ struct BuildConfig {
   uint64_t Seed = 1;
   bool Instrumented = false;
 
-  ReachabilityConfig Reach;
-  InlinerConfig Inliner;
   ImageOptions Image;
 
   bool EnablePea = true;
-  uint32_t PeaRate = 4;
 
   /// Structural-hash recursion bound (Sec. 7.1 uses 2).
   int StructuralMaxDepth = DefaultStructuralMaxDepth;
@@ -62,13 +59,13 @@ struct BuildConfig {
   const HeapProfile *HeapProf = nullptr;
 
   /// Fleet aggregation (--profiles a.csv,b.csv / --profile-dir): when
-  /// non-null and nonempty, the members are merged (under Merge, with the
-  /// build's own fingerprint as the skew reference) into the code profile
-  /// and CodeProf is ignored. The quarantine manifest lands on the built
-  /// image's ProfileDiag.Merge; a merge that quarantines every member
-  /// degrades to the default cu-order layout, never fails the build.
+  /// non-null and nonempty, the members are merged (under the default
+  /// MergeOptions gates, with the build's own fingerprint as the skew
+  /// reference) into the code profile and CodeProf is ignored. The
+  /// quarantine manifest lands on the built image's ProfileDiag.Merge; a
+  /// merge that quarantines every member degrades to the default cu-order
+  /// layout, never fails the build.
   const std::vector<MemberProfile> *CodeMembers = nullptr;
-  MergeOptions Merge;
 
   /// Monotonic generation stamp collectProfiles() writes into every
   /// produced profile header (v2 cell 7); 0 = unstamped, exempt from the
@@ -86,10 +83,6 @@ struct BuildConfig {
   /// Sampled capture only (--sample-period): model-clock instructions
   /// between samples.
   uint64_t SamplePeriod = TraceOptions::DefaultSamplePeriod;
-  /// Sampled capture only: clock offset of the first sample.
-  /// collectProfileSet() staggers member phases across the period on top
-  /// of this base, so a merged fleet set covers more of the clock.
-  uint64_t SamplePhase = 0;
 
   /// Hot/cold CU splitting (--split hotcold), orthogonal to the code
   /// strategy. Ignored for instrumented builds (the profiling build must
@@ -98,7 +91,6 @@ struct BuildConfig {
   /// insufficient_block_profile diagnostic; the build still succeeds.
   SplitMode Split = SplitMode::None;
   const BlockProfile *BlockProf = nullptr;
-  SplitOptions SplitOpts;
 };
 
 /// Runs the full pipeline over \p P. Asserts the program has a main

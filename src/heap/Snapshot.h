@@ -86,12 +86,11 @@ struct HeapSnapshot {
 };
 
 struct SnapshotConfig {
+  /// When set, elide roughly one in four eligible objects.
   bool EnablePea = true;
   /// Seeds elision decisions; derived from the build's inline fingerprint
   /// and build seed so snapshots differ across builds.
   uint64_t PeaFingerprint = 0;
-  /// Elide roughly one in PeaRate eligible objects.
-  uint32_t PeaRate = 4;
   /// Placement order of CUs in .text (indices into CompiledProgram::CUs);
   /// empty means the default order. The traversal enumerates code-constant
   /// roots in this order, because "objects are ordered according to the

@@ -8,6 +8,11 @@ using namespace nimg;
 
 static uint64_t alignUp(uint64_t V, uint64_t A) { return (V + A - 1) & ~(A - 1); }
 
+static constexpr uint64_t CuAlignment = 16;
+static constexpr uint64_t ObjectAlignment = 8;
+/// Bytes of unprofiled statically-linked native code at the end of .text.
+static constexpr uint64_t NativeTailSize = 192 * 1024;
+
 ImageLayout nimg::computeImageLayout(const Program &P,
                                      const CompiledProgram &CP,
                                      const HeapSnapshot &Snap,
@@ -16,7 +21,6 @@ ImageLayout nimg::computeImageLayout(const Program &P,
                                      const ImageOptions &Opts,
                                      const SplitResult *Split) {
   ImageLayout L;
-  L.PageSize = Opts.PageSize;
   bool Splitting = Split && Split->active();
   assert((!Splitting || Split->PerCu.size() == CP.CUs.size()) &&
          "split result must cover every CU");
@@ -33,7 +37,7 @@ ImageLayout nimg::computeImageLayout(const Program &P,
   L.CuOffsets.assign(CP.CUs.size(), 0);
   uint64_t Off = 0;
   for (int32_t CuIdx : L.CuOrder) {
-    Off = alignUp(Off, Opts.CuAlignment);
+    Off = alignUp(Off, CuAlignment);
     L.CuOffsets[size_t(CuIdx)] = Off;
     Off += Splitting ? Split->PerCu[size_t(CuIdx)].HotSize
                      : CP.CUs[size_t(CuIdx)].CodeSize;
@@ -42,22 +46,22 @@ ImageLayout nimg::computeImageLayout(const Program &P,
     // Cold fragments pack after the last page the hot code can touch, in
     // the same placement order (a pure function of the split decisions and
     // the CU order — byte-identical at any worker count).
-    L.ColdTailOffset = alignUp(Off, Opts.PageSize);
+    L.ColdTailOffset = alignUp(Off, BasePageBytes);
     L.CuColdOffsets.assign(CP.CUs.size(), ImageLayout::NotStored);
     uint64_t ColdOff = L.ColdTailOffset;
     for (int32_t CuIdx : L.CuOrder) {
       const CuSplit &S = Split->PerCu[size_t(CuIdx)];
       if (!S.Split)
         continue;
-      ColdOff = alignUp(ColdOff, Opts.CuAlignment);
+      ColdOff = alignUp(ColdOff, CuAlignment);
       L.CuColdOffsets[size_t(CuIdx)] = ColdOff;
       ColdOff += S.ColdSize;
     }
     L.ColdTailSize = ColdOff - L.ColdTailOffset;
     Off = ColdOff;
   }
-  L.NativeTailOffset = alignUp(Off, Opts.PageSize);
-  L.NativeTailSize = Opts.NativeTailSize;
+  L.NativeTailOffset = alignUp(Off, BasePageBytes);
+  L.NativeTailSize = NativeTailSize;
   L.TextSize = L.NativeTailOffset + L.NativeTailSize;
 
   // --- huge-page overlay ---------------------------------------------------
@@ -84,7 +88,7 @@ ImageLayout nimg::computeImageLayout(const Program &P,
     L.StaticsBase[C] = HOff;
     HOff += 8 * P.classDef(ClassId(C)).StaticFields.size();
   }
-  L.StaticsSize = HOff = alignUp(HOff, Opts.PageSize);
+  L.StaticsSize = HOff = alignUp(HOff, BasePageBytes);
 
   L.ObjectOrder = ObjectOrder;
   if (L.ObjectOrder.empty())
@@ -98,10 +102,10 @@ ImageLayout nimg::computeImageLayout(const Program &P,
   for (int32_t EntryIdx : L.ObjectOrder) {
     const SnapshotEntry &E = Snap.Entries[size_t(EntryIdx)];
     assert(!E.Elided && "elided entries are not stored");
-    HOff = alignUp(HOff, Opts.ObjectAlignment);
+    HOff = alignUp(HOff, ObjectAlignment);
     L.ObjectOffsets[size_t(EntryIdx)] = HOff;
     HOff += E.SizeBytes;
   }
-  L.HeapSize = alignUp(HOff, Opts.PageSize);
+  L.HeapSize = alignUp(HOff, BasePageBytes);
   return L;
 }

@@ -31,11 +31,6 @@
 namespace nimg {
 
 struct ImageOptions {
-  uint32_t PageSize = BasePageBytes;
-  uint32_t CuAlignment = 16;
-  uint32_t ObjectAlignment = 8;
-  /// Bytes of unprofiled statically-linked native code at the end of .text.
-  uint64_t NativeTailSize = 192 * 1024;
   /// `--huge-pages N`: map up to N huge pages (N x 2 MiB) at the front of
   /// `.text`. The huge-page region is a pure page-size overlay: no byte
   /// offset of the layout moves, so a zero budget is byte-identical to a

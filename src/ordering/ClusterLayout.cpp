@@ -4,11 +4,8 @@
 
 #include "src/obs/Metrics.h"
 #include "src/obs/SpanTracer.h"
-#include "src/runtime/CostModel.h"
-#include "src/support/SplitMix64.h"
 
 #include <algorithm>
-#include <string>
 #include <unordered_map>
 
 using namespace nimg;
@@ -132,45 +129,6 @@ std::vector<MethodId> nimg::clusterLayout(const CuTransitionGraph &G,
             [&](size_t A, size_t B) { return Set.MinRank[A] < Set.MinRank[B]; });
   Stats.Clusters = Reps.size();
 
-  // Multi-size packing (--huge-pages): the front of .text is mapped at
-  // 2 MiB, so the hottest clusters should fill those pages with as little
-  // internal fragmentation as possible. Walk clusters in startup (MinRank)
-  // order and promote each while it fits the remaining huge byte budget; a
-  // cluster too big for the hole is deferred behind later, smaller
-  // promotions and tails onto 4 KiB pages. When every cluster fits — the
-  // common case, since the page budget caps cluster size well under
-  // 2 MiB — the permutation is the identity, so a zero budget and a
-  // saturated one emit the same order. The fingerprint folds every
-  // (rank, promoted) decision so packing is part of the build identity.
-  if (Opts.HugePages > 0 && !Reps.empty()) {
-    const uint64_t Budget = uint64_t(Opts.HugePages) * HugePageBytes;
-    std::vector<size_t> Promoted, Deferred;
-    Promoted.reserve(Reps.size());
-    uint64_t Fp = mix64(0x68756765u /* "huge" */, Opts.HugePages);
-    for (size_t Rep : Reps) {
-      bool Fits = Stats.HugePackedBytes + Set.Bytes[Rep] <= Budget;
-      if (Fits) {
-        Promoted.push_back(Rep);
-        Stats.HugePackedBytes += Set.Bytes[Rep];
-      } else {
-        Deferred.push_back(Rep);
-      }
-      Fp = mix64(Fp, uint64_t(Set.MinRank[Rep]) << 1 | uint64_t(Fits));
-    }
-    Stats.HugePromotedClusters = Promoted.size();
-    Stats.HugeDeferredClusters = Deferred.size();
-    Stats.HugePagesJustified =
-        uint32_t((Stats.HugePackedBytes + HugePageBytes - 1) / HugePageBytes);
-    Stats.HugeBudgetUnfillable = Stats.HugePagesJustified < Opts.HugePages;
-    Stats.PackFingerprint = Fp;
-    Reps = std::move(Promoted);
-    Reps.insert(Reps.end(), Deferred.begin(), Deferred.end());
-    NIMG_COUNTER_ADD("nimg.order.cluster.huge_promoted",
-                     Stats.HugePromotedClusters);
-    NIMG_COUNTER_ADD("nimg.order.cluster.huge_deferred",
-                     Stats.HugeDeferredClusters);
-  }
-
   std::vector<MethodId> Order;
   Order.reserve(G.FirstSeen.size());
   for (size_t Rep : Reps)
@@ -216,13 +174,6 @@ CodeProfile nimg::analyzeClusterOrder(const Program &P,
     NIMG_COUNTER_ADD("nimg.order.cluster.fallback", 1);
   } else {
     Order = clusterLayout(G, CP, Opts, &LStats);
-    if (LStats.HugeBudgetUnfillable && Issues)
-      Issues->push_back({ProfileError::HugeBudgetUnfillable, 0,
-                         "hot clusters fill only " +
-                             std::to_string(LStats.HugePagesJustified) +
-                             " of " + std::to_string(Opts.HugePages) +
-                             " requested huge pages; remainder stays on "
-                             "4 KiB pages"});
   }
 
   Out.Sigs.reserve(Order.size());

@@ -14,7 +14,9 @@
 /// page-budget knob so one hot chain cannot swallow the whole section.
 /// The result is emitted as a regular cu-mode CodeProfile, so the builder
 /// ingests it through the exact same CSV interchange and validation path
-/// as the paper's cu/method profiles.
+/// as the paper's cu/method profiles. The order is a pure function of the
+/// transition graph, the CU sizes and the page budget; a build's huge-page
+/// budget is a layout-time overlay (ImageLayout.h) and never reaches it.
 ///
 /// Degradation: an empty or malformed transition graph (no edges, wrong
 /// trace mode) falls back to plain first-seen (cu) ordering and records a
@@ -43,16 +45,6 @@ struct ClusterOptions {
   /// Maximum byte size (sum of member CU code sizes) a cluster may reach
   /// through merging. 0 means unlimited.
   uint32_t PageBudgetBytes = DefaultClusterPageBudget;
-  /// Multi-size page budget (--huge-pages): number of 2 MiB huge pages the
-  /// image will map at the front of `.text`. When nonzero, the solver runs
-  /// a packing phase after the greedy merges: clusters are promoted into
-  /// the huge region in startup (MinRank) order while they fit — a cluster
-  /// too big for the remaining huge budget is deferred behind later,
-  /// smaller promotions (first-fit packing, minimal internal
-  /// fragmentation) and tails onto 4 KiB pages. With every executed
-  /// cluster fitting the budget, the emitted order is the identity of the
-  /// single-size pass.
-  uint32_t HugePages = 0;
 };
 
 /// What the greedy pass did; surfaced through nimg.order.cluster.* too.
@@ -63,19 +55,8 @@ struct ClusterStats {
   size_t BudgetRejections = 0; ///< Merges refused by the page budget.
   size_t Clusters = 0;         ///< Final cluster count.
   bool FellBack = false;       ///< Empty graph: emitted cu ordering.
-  // Multi-size packing phase (all zero when ClusterOptions::HugePages is 0).
-  size_t HugePromotedClusters = 0; ///< Clusters packed into the huge region.
-  size_t HugeDeferredClusters = 0; ///< Clusters too big for the remaining
-                                   ///< huge budget, tailed onto 4 KiB pages.
-  uint64_t HugePackedBytes = 0;    ///< Code bytes promoted into the region.
-  /// Huge pages the promoted bytes actually fill (ceil). Less than the
-  /// requested budget => HugeBudgetUnfillable degradation.
-  uint32_t HugePagesJustified = 0;
-  bool HugeBudgetUnfillable = false;
-  /// Order-sensitive fold of every promotion decision; the builder mixes
-  /// this into the image's DecisionFingerprint so multi-size packing is
-  /// part of the build identity. 0 when the packing phase did not run.
-  uint64_t PackFingerprint = 0;
+
+  bool operator==(const ClusterStats &) const = default;
 };
 
 /// Runs the greedy clustering over \p G and returns CU root methods in

@@ -60,7 +60,7 @@ enum class ProfileError : uint8_t {
                        ///< same instance name; later ones are dropped.
   ImplausibleSamplePeriod, ///< A sampled profile whose period metadata is
                            ///< zero or absurdly coarse; member quarantined.
-  HugeBudgetUnfillable, ///< Profile coverage / hot-prefix size cannot
+  HugeBudgetUnfillable, ///< The hot .text prefix is too small to
                         ///< justify the full --huge-pages budget; the
                         ///< effective region is clamped, the tail of the
                         ///< budget stays on base pages.

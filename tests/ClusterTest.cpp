@@ -3,8 +3,9 @@
 // Properties of the cluster code orderer: the emitted profile is a
 // permutation of the CU set seen in the trace, hot caller/callee pairs
 // are packed together with the caller first, the page budget caps
-// cluster growth, and degenerate inputs (no transitions, wrong trace
-// mode) fall back to plain cu ordering with a documented diagnostic.
+// cluster growth, degenerate inputs (no transitions, wrong trace mode)
+// fall back to plain cu ordering with a documented diagnostic, and the
+// build's huge-page budget never reaches profiling.
 //
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +14,7 @@
 #include "src/ir/IrBuilder.h"
 #include "src/lang/Compile.h"
 #include "src/ordering/ClusterLayout.h"
+#include "src/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -225,4 +227,32 @@ TEST(ClusterOrder, ProfileIsPermutationOfCuProfile) {
   NativeImage Img = buildNativeImage(P, Opt);
   ASSERT_FALSE(Img.Built.Failed) << Img.Built.FailureMessage;
   EXPECT_TRUE(Img.ProfileDiag.CodeProfileApplied);
+}
+
+TEST(ClusterProfile, IndependentOfHugeBudget) {
+  // The huge-page budget is a layout-time overlay: profiling with it set
+  // must write the same bytes as profiling without it, cluster profile
+  // included.
+  for (const std::string &Name : awfyBenchmarkNames()) {
+    SCOPED_TRACE(Name);
+    std::vector<std::string> Errors;
+    std::unique_ptr<Program> P = compileBenchmark(awfyBenchmark(Name), Errors);
+    ASSERT_TRUE(P);
+    auto Collect = [&](uint32_t HugePages) {
+      BuildConfig Cfg;
+      Cfg.Seed = 1001;
+      Cfg.Image.HugePages = HugePages;
+      return collectProfiles(*P, Cfg, RunConfig());
+    };
+    CollectedProfiles Zero = Collect(0), Four = Collect(4);
+    EXPECT_EQ(Zero.Cu.toCsv(), Four.Cu.toCsv());
+    EXPECT_EQ(Zero.Method.toCsv(), Four.Method.toCsv());
+    EXPECT_EQ(Zero.Cluster.toCsv(), Four.Cluster.toCsv());
+    EXPECT_EQ(Zero.Blocks.toCsv(), Four.Blocks.toCsv());
+    EXPECT_EQ(Zero.IncrementalId.toCsv(), Four.IncrementalId.toCsv());
+    EXPECT_EQ(Zero.StructuralHash.toCsv(), Four.StructuralHash.toCsv());
+    EXPECT_EQ(Zero.HeapPath.toCsv(), Four.HeapPath.toCsv());
+    EXPECT_TRUE(Zero.ClusterLayoutStats == Four.ClusterLayoutStats);
+    EXPECT_EQ(Zero.ClusterIssues.size(), Four.ClusterIssues.size());
+  }
 }

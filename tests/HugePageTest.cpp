@@ -2,8 +2,8 @@
 //
 // The --huge-pages lane: per-size fault costs, the mixed-size page index
 // space of PagingSim, eviction at both page sizes, the layout overlay
-// invariant (no byte offset moves), the cluster solver's multi-size
-// packing, and the end-to-end budget-0 byte-identity guarantee.
+// invariant (no byte offset moves) and the end-to-end budget-0
+// byte-identity guarantee.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,7 +11,6 @@
 #include "src/fleet/FleetCache.h"
 #include "src/image/ImageFile.h"
 #include "src/lang/Compile.h"
-#include "src/ordering/ClusterLayout.h"
 #include "src/runtime/ExecEngine.h"
 #include "src/runtime/Paging.h"
 
@@ -321,90 +320,4 @@ TEST(HugeLayout, HugeBuildChargesPerSizeCostsAndNeverAddsMajors) {
             Cost.startupNs(B.Instructions, B.ProbeUnits,
                            B.totalFaults() - B.TextHugeFaults,
                            B.TextHugeFaults, HugePageBytes));
-}
-
-//===----------------------------------------------------------------------===//
-// Cluster solver packing.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Builds a graph of singleton clusters (no edges merge across them) with
-/// the given CU byte sizes; method i roots CU i.
-void singletonGraph(const std::vector<uint32_t> &Sizes, CuTransitionGraph &G,
-                    CompiledProgram &CP) {
-  for (size_t I = 0; I < Sizes.size(); ++I) {
-    G.FirstSeen.push_back(MethodId(I));
-    CompilationUnit CU;
-    CU.Root = MethodId(I);
-    CU.CodeSize = Sizes[I];
-    CP.CUs.push_back(std::move(CU));
-    CP.CuOfMethod.push_back(int32_t(I));
-  }
-  // One featherweight edge so the graph is not "empty" (weight ties break
-  // by rank; the page budget below blocks every merge anyway).
-  G.Edges.push_back({MethodId(0), MethodId(1), 1});
-}
-
-} // namespace
-
-TEST(HugeCluster, PacksFirstFitAndDefersOversizedClusters) {
-  // 1.5 MiB, 1 MiB, 0.4 MiB singletons against a 1-huge-page budget:
-  // A fits (1.5), B does not (2.5 > 2), C fits behind A (1.9 <= 2).
-  CuTransitionGraph G;
-  CompiledProgram CP;
-  singletonGraph({1536 * 1024, 1024 * 1024, 409 * 1024}, G, CP);
-  ClusterOptions Opts;
-  Opts.PageBudgetBytes = 1; // reject every merge: keep singletons
-  Opts.HugePages = 1;
-  ClusterStats Stats;
-  std::vector<MethodId> Order = clusterLayout(G, CP, Opts, &Stats);
-  ASSERT_EQ(Order.size(), 3u);
-  EXPECT_EQ(Order[0], MethodId(0));
-  EXPECT_EQ(Order[1], MethodId(2)); // promoted past the deferred B
-  EXPECT_EQ(Order[2], MethodId(1));
-  EXPECT_EQ(Stats.HugePromotedClusters, 2u);
-  EXPECT_EQ(Stats.HugeDeferredClusters, 1u);
-  EXPECT_EQ(Stats.HugePackedBytes, uint64_t(1536 + 409) * 1024);
-  EXPECT_EQ(Stats.HugePagesJustified, 1u);
-  EXPECT_FALSE(Stats.HugeBudgetUnfillable);
-  EXPECT_NE(Stats.PackFingerprint, 0u);
-}
-
-TEST(HugeCluster, IdentityWhenEverythingFitsAndZeroBudgetNoOp) {
-  CuTransitionGraph G;
-  CompiledProgram CP;
-  singletonGraph({4096, 8192, 4096, 12288}, G, CP);
-  ClusterOptions Zero;
-  Zero.PageBudgetBytes = 1;
-  ClusterStats ZeroStats;
-  std::vector<MethodId> Baseline = clusterLayout(G, CP, Zero, &ZeroStats);
-  EXPECT_EQ(ZeroStats.PackFingerprint, 0u);
-
-  ClusterOptions Huge = Zero;
-  Huge.HugePages = 4;
-  ClusterStats HugeStats;
-  std::vector<MethodId> Packed = clusterLayout(G, CP, Huge, &HugeStats);
-  // Every cluster fits: the permutation is the identity of the
-  // single-size pass.
-  EXPECT_EQ(Packed, Baseline);
-  EXPECT_EQ(HugeStats.HugePromotedClusters, 4u);
-  EXPECT_EQ(HugeStats.HugeDeferredClusters, 0u);
-  // ~28 KiB of hot code justifies 1 of the 4 requested pages.
-  EXPECT_EQ(HugeStats.HugePagesJustified, 1u);
-  EXPECT_TRUE(HugeStats.HugeBudgetUnfillable);
-  EXPECT_NE(HugeStats.PackFingerprint, 0u);
-}
-
-TEST(HugeCluster, PackFingerprintCoversTheBudget) {
-  CuTransitionGraph G;
-  CompiledProgram CP;
-  singletonGraph({4096, 8192}, G, CP);
-  ClusterOptions A, B;
-  A.HugePages = 1;
-  B.HugePages = 2;
-  ClusterStats SA, SB;
-  clusterLayout(G, CP, A, &SA);
-  clusterLayout(G, CP, B, &SB);
-  EXPECT_NE(SA.PackFingerprint, SB.PackFingerprint);
 }

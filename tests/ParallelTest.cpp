@@ -388,9 +388,9 @@ TEST(ParallelPipelineTest, SampledCaptureIsWorkerCountInvariant) {
 }
 
 TEST(ParallelPipelineTest, HugePageBuildsAreWorkerCountInvariant) {
-  // Multi-size packing is a sequential post-pass over the final clusters,
-  // so a --huge-pages build (including its PackFingerprint fold into the
-  // decision fingerprint) must be byte-identical at any worker count.
+  // The huge-page region is a sequential overlay on the final layout, so a
+  // --huge-pages build (including its fold into the decision fingerprint)
+  // must be byte-identical at any worker count.
   auto BuildHuge = [](int Jobs) {
     setJobs(Jobs);
     Program P;

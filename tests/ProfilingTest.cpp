@@ -236,10 +236,7 @@ uint32_t clusterDigest(const CollectedProfiles &C) {
   for (uint64_t V :
        {uint64_t(S.Nodes), uint64_t(S.Edges), uint64_t(S.Merges),
         uint64_t(S.BudgetRejections), uint64_t(S.Clusters),
-        uint64_t(S.FellBack), uint64_t(S.HugePromotedClusters),
-        uint64_t(S.HugeDeferredClusters), S.HugePackedBytes,
-        uint64_t(S.HugePagesJustified), uint64_t(S.HugeBudgetUnfillable),
-        S.PackFingerprint})
+        uint64_t(S.FellBack)})
     Text += std::to_string(V) + ',';
   for (const ProfileIssue &I : C.ClusterIssues)
     Text += std::string(profileErrorSlug(I.Kind)) + ',' +
@@ -290,106 +287,106 @@ struct Golden {
 const Golden GoldenDigests[] = {
     {"Bounce", false,
      "ff928707 5acdc1e6 03a63506 6b5d667b 03a91477 d57da720 fffac774",
-     "5853/5853/0/0/0/0/0 21417/21417/0/0/0/0/0 73969/73969/0/0/0/0/0", 0x81461098u},
+     "5853/5853/0/0/0/0/0 21417/21417/0/0/0/0/0 73969/73969/0/0/0/0/0", 0x4d7ad61au},
     {"Bounce", true,
      "21f3dc9a 16288ec5 21f3dc9a 8cfcfcbe 03a91477 d57da720 fffac774",
-     "343/343/0/0/0/0/0 343/343/0/0/0/0/0 73969/73969/0/0/0/0/0", 0xebabdccbu},
+     "343/343/0/0/0/0/0 343/343/0/0/0/0/0 73969/73969/0/0/0/0/0", 0xe104b347u},
     {"CD", false,
      "e950b02c 65a75baf 111d4a1a 30aded4b 7175f1b5 05377f01 d4c8017a",
-     "18983/18983/0/0/0/0/0 59557/59557/0/0/0/0/0 140234/140234/0/0/0/0/0", 0xd249dd07u},
+     "18983/18983/0/0/0/0/0 59557/59557/0/0/0/0/0 140234/140234/0/0/0/0/0", 0xd08dc48au},
     {"CD", true,
      "1d8560b8 4be7acdf 1d8560b8 e11dc4c7 7175f1b5 05377f01 d4c8017a",
-     "411/411/0/0/0/0/0 411/411/0/0/0/0/0 140234/140234/0/0/0/0/0", 0xebabdccbu},
+     "411/411/0/0/0/0/0 411/411/0/0/0/0/0 140234/140234/0/0/0/0/0", 0xe104b347u},
     {"DeltaBlue", false,
      "b9a90fb1 b8dd214b d8e8d8c7 8772f06e b19d70b1 087eb1e9 4e033df7",
-     "9046/9046/0/0/0/0/0 38537/38537/0/0/0/0/0 79156/79156/0/0/0/0/0", 0x96d28effu},
+     "9046/9046/0/0/0/0/0 38537/38537/0/0/0/0/0 79156/79156/0/0/0/0/0", 0xc03e23abu},
     {"DeltaBlue", true,
      "00d4932a 4837af35 00d4932a 76535926 b19d70b1 087eb1e9 4e033df7",
-     "347/347/0/0/0/0/0 347/347/0/0/0/0/0 79156/79156/0/0/0/0/0", 0xebabdccbu},
+     "347/347/0/0/0/0/0 347/347/0/0/0/0/0 79156/79156/0/0/0/0/0", 0xe104b347u},
     {"Havlak", false,
      "7747f8b4 4c033ec2 899f91b8 8e4d0007 f72cb8be 5bae4d2a bb20403b",
-     "35918/35918/0/0/0/0/0 115110/115110/0/0/0/0/0 262496/262496/0/0/0/0/0", 0x50c033f5u},
+     "35918/35918/0/0/0/0/0 115110/115110/0/0/0/0/0 262496/262496/0/0/0/0/0", 0xf4bb7ba8u},
     {"Havlak", true,
      "37474ff2 5d7d00e1 37474ff2 5e017106 f72cb8be 5bae4d2a bb20403b",
-     "532/532/0/0/0/0/0 532/532/0/0/0/0/0 262496/262496/0/0/0/0/0", 0xebabdccbu},
+     "532/532/0/0/0/0/0 532/532/0/0/0/0/0 262496/262496/0/0/0/0/0", 0xe104b347u},
     {"Json", false,
      "29bf7356 5726da61 f43eb04d 8b2079a0 480196ab 764ef451 0a31bac9",
-     "6573/6573/0/0/0/0/0 21821/21821/0/0/0/0/0 53348/53348/0/0/0/0/0", 0x524fc2cbu},
+     "6573/6573/0/0/0/0/0 21821/21821/0/0/0/0/0 53348/53348/0/0/0/0/0", 0xd2fb44f2u},
     {"Json", true,
      "80708e66 9c41e1a6 80708e66 a60fe488 480196ab 764ef451 0a31bac9",
-     "312/312/0/0/0/0/0 312/312/0/0/0/0/0 53348/53348/0/0/0/0/0", 0xebabdccbu},
+     "312/312/0/0/0/0/0 312/312/0/0/0/0/0 53348/53348/0/0/0/0/0", 0xe104b347u},
     {"List", false,
      "75beebf3 59527e05 76623c37 4753d45e 2314ff89 cc3c97ec 8b11cb5b",
-     "3167/3167/0/0/0/0/0 31709/31709/0/0/0/0/0 59209/59209/0/0/0/0/0", 0x45bd26f3u},
+     "3167/3167/0/0/0/0/0 31709/31709/0/0/0/0/0 59209/59209/0/0/0/0/0", 0xcf6b9f14u},
     {"List", true,
      "9bb6662e 5df9c7b0 9bb6662e b61c6a77 2314ff89 cc3c97ec 8b11cb5b",
-     "348/348/0/0/0/0/0 348/348/0/0/0/0/0 59209/59209/0/0/0/0/0", 0xebabdccbu},
+     "348/348/0/0/0/0/0 348/348/0/0/0/0/0 59209/59209/0/0/0/0/0", 0xe104b347u},
     {"Mandelbrot", false,
      "ba69273f 0d0e90a0 023498ba de3fec49 b78783a2 3ac17f85 820f9659",
-     "353/353/0/0/0/0/0 140075/140075/0/0/0/0/0 663/663/0/0/0/0/0", 0x680009e9u},
+     "353/353/0/0/0/0/0 140075/140075/0/0/0/0/0 663/663/0/0/0/0/0", 0x15079992u},
     {"Mandelbrot", true,
      "6e46a57c 6d98593f 6e46a57c 3f422dfe b78783a2 3ac17f85 820f9659",
-     "2097/2097/0/0/0/0/0 2097/2097/0/0/0/0/0 663/663/0/0/0/0/0", 0xebabdccbu},
+     "2097/2097/0/0/0/0/0 2097/2097/0/0/0/0/0 663/663/0/0/0/0/0", 0xe104b347u},
     {"NBody", false,
      "7c80c35d e53bbc48 060fed81 6c34e156 0ee9589c 25d1a82a f30f4444",
-     "861/861/0/0/0/0/0 11259/11259/0/0/0/0/0 187531/187531/0/0/0/0/0", 0x53d60eebu},
+     "861/861/0/0/0/0/0 11259/11259/0/0/0/0/0 187531/187531/0/0/0/0/0", 0x328a3062u},
     {"NBody", true,
      "6f85fac8 138aeb74 6f85fac8 3b0f3c7b 0ee9589c 25d1a82a f30f4444",
-     "453/453/0/0/0/0/0 453/453/0/0/0/0/0 187531/187531/0/0/0/0/0", 0xebabdccbu},
+     "453/453/0/0/0/0/0 453/453/0/0/0/0/0 187531/187531/0/0/0/0/0", 0xe104b347u},
     {"Permute", false,
      "94067839 a2bd0758 7acbc689 704c3979 b61fbe36 6a07d35c aeddccf9",
-     "10432/10432/0/0/0/0/0 44726/44726/0/0/0/0/0 51053/51053/0/0/0/0/0", 0x245cf7f6u},
+     "10432/10432/0/0/0/0/0 44726/44726/0/0/0/0/0 51053/51053/0/0/0/0/0", 0xabfc81d2u},
     {"Permute", true,
      "16499b46 7ff860f0 16499b46 9fb7db98 b61fbe36 6a07d35c aeddccf9",
-     "358/358/0/0/0/0/0 358/358/0/0/0/0/0 51053/51053/0/0/0/0/0", 0xebabdccbu},
+     "358/358/0/0/0/0/0 358/358/0/0/0/0/0 51053/51053/0/0/0/0/0", 0xe104b347u},
     {"Queens", false,
      "43f48155 00fa4be5 10dad467 cf80f6a4 5a9d8d0b 525cf40e cc12d855",
-     "11313/11313/0/0/0/0/0 35341/35341/0/0/0/0/0 58353/58353/0/0/0/0/0", 0x3b66adbeu},
+     "11313/11313/0/0/0/0/0 35341/35341/0/0/0/0/0 58353/58353/0/0/0/0/0", 0x22188761u},
     {"Queens", true,
      "7fe64084 9a168346 7fe64084 f158f118 5a9d8d0b 525cf40e cc12d855",
-     "346/346/0/0/0/0/0 346/346/0/0/0/0/0 58353/58353/0/0/0/0/0", 0xebabdccbu},
+     "346/346/0/0/0/0/0 346/346/0/0/0/0/0 58353/58353/0/0/0/0/0", 0xe104b347u},
     {"Richards", false,
      "645ac325 1d00b851 91e1e8ff 4f0e7764 f71d4507 33f3f9b9 af3cba16",
-     "35106/35106/0/0/0/0/0 108021/108021/0/0/0/0/0 329071/329071/0/0/0/0/0", 0x17fb0da2u},
+     "35106/35106/0/0/0/0/0 108021/108021/0/0/0/0/0 329071/329071/0/0/0/0/0", 0xa2c61432u},
     {"Richards", true,
      "b7746a6d 725566ac b7746a6d 1bbf4939 f71d4507 33f3f9b9 af3cba16",
-     "614/614/0/0/0/0/0 614/614/0/0/0/0/0 329071/329071/0/0/0/0/0", 0xebabdccbu},
+     "614/614/0/0/0/0/0 614/614/0/0/0/0/0 329071/329071/0/0/0/0/0", 0xe104b347u},
     {"Sieve", false,
      "4445b872 8e351a07 bfc788d5 f5870490 96f35d7a aa94ec96 7ecb83db",
-     "358/358/0/0/0/0/0 107566/107566/0/0/0/0/0 234518/234518/0/0/0/0/0", 0x7ed262d7u},
+     "358/358/0/0/0/0/0 107566/107566/0/0/0/0/0 234518/234518/0/0/0/0/0", 0x5225d7a1u},
     {"Sieve", true,
      "dfae1514 1f4f88ac dfae1514 6e951e2d 96f35d7a aa94ec96 7ecb83db",
-     "745/745/0/0/0/0/0 745/745/0/0/0/0/0 234518/234518/0/0/0/0/0", 0xebabdccbu},
+     "745/745/0/0/0/0/0 745/745/0/0/0/0/0 234518/234518/0/0/0/0/0", 0xe104b347u},
     {"Storage", false,
      "362caa6d 726663f0 c4474515 5e0461d5 5a989af4 0c41a835 1254f13d",
-     "4450/4450/0/0/0/0/0 26789/26789/0/0/0/0/0 27969/27969/0/0/0/0/0", 0x245cf7f6u},
+     "4450/4450/0/0/0/0/0 26789/26789/0/0/0/0/0 27969/27969/0/0/0/0/0", 0xabfc81d2u},
     {"Storage", true,
      "ed979610 2b43d769 ed979610 5c7f3c7c 5a989af4 0c41a835 1254f13d",
-     "321/321/0/0/0/0/0 321/321/0/0/0/0/0 27969/27969/0/0/0/0/0", 0xebabdccbu},
+     "321/321/0/0/0/0/0 321/321/0/0/0/0/0 27969/27969/0/0/0/0/0", 0xe104b347u},
     {"Towers", false,
      "ce19493b 7f97e709 e8fd975a e4a4b2d6 ee7ee83b bbb8ffb0 db8d2b9f",
-     "24942/24942/0/0/0/0/0 67843/67843/0/0/0/0/0 131850/131850/0/0/0/0/0", 0x2d0d85a6u},
+     "24942/24942/0/0/0/0/0 67843/67843/0/0/0/0/0 131850/131850/0/0/0/0/0", 0xdff92817u},
     {"Towers", true,
      "8c46a9da c430ed3c 8c46a9da d80bb184 ee7ee83b bbb8ffb0 db8d2b9f",
-     "367/367/0/0/0/0/0 367/367/0/0/0/0/0 131850/131850/0/0/0/0/0", 0xebabdccbu},
+     "367/367/0/0/0/0/0 367/367/0/0/0/0/0 131850/131850/0/0/0/0/0", 0xe104b347u},
     {"micronaut", false,
      "391dd88f b7552176 025b2ada 18c3c7ba 6dabd386 ba00ce80 c5efc145",
-     "824/824/0/0/0/0/0 6242/6242/0/0/0/0/0 8042/8042/0/0/0/0/0", 0x040c34fau},
+     "824/824/0/0/0/0/0 6242/6242/0/0/0/0/0 8042/8042/0/0/0/0/0", 0xb30f021du},
     {"micronaut", true,
      "0118a3fb 24a113df 0118a3fb 6a007782 6dabd386 ba00ce80 c5efc145",
-     "376/376/0/0/0/0/0 376/376/0/0/0/0/0 8042/8042/0/0/0/0/0", 0xebabdccbu},
+     "376/376/0/0/0/0/0 376/376/0/0/0/0/0 8042/8042/0/0/0/0/0", 0xe104b347u},
     {"quarkus", false,
      "6306fdf2 1aed0834 9f710139 3f4d0325 977d8b54 c5970e07 b4bff476",
-     "815/815/0/0/0/0/0 7364/7364/0/0/0/0/0 10566/10566/0/0/0/0/0", 0x1c19e502u},
+     "815/815/0/0/0/0/0 7364/7364/0/0/0/0/0 10566/10566/0/0/0/0/0", 0x92f63d57u},
     {"quarkus", true,
      "b456d764 c317d5cf b456d764 4a8060fa 977d8b54 c5970e07 b4bff476",
-     "361/361/0/0/0/0/0 361/361/0/0/0/0/0 10566/10566/0/0/0/0/0", 0xebabdccbu},
+     "361/361/0/0/0/0/0 361/361/0/0/0/0/0 10566/10566/0/0/0/0/0", 0xe104b347u},
     {"spring", false,
      "a0a4e991 ef634ca5 8bee2eb1 af246cf9 38adb200 cf609f6b a6beebc1",
-     "985/985/0/0/0/0/0 7407/7407/0/0/0/0/0 10395/10395/0/0/0/0/0", 0xfc254ad5u},
+     "985/985/0/0/0/0/0 7407/7407/0/0/0/0/0 10395/10395/0/0/0/0/0", 0x5a04fc46u},
     {"spring", true,
      "28a709ac 4ba09ed4 28a709ac 15797a6a 38adb200 cf609f6b a6beebc1",
-     "429/429/0/0/0/0/0 429/429/0/0/0/0/0 10395/10395/0/0/0/0/0", 0xebabdccbu},
+     "429/429/0/0/0/0/0 429/429/0/0/0/0/0 10395/10395/0/0/0/0/0", 0xe104b347u},
 };
 
 std::vector<std::string> workloadNames() {
