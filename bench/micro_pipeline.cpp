@@ -6,12 +6,14 @@
 // Micro-benchmarks for the build-pipeline stages (what "approximate time
 // to reproduce" is made of): frontend compilation, reachability analysis,
 // CU formation, snapshotting, path-graph numbering, trace replay, the
-// paging simulator, and the fleet simulator's evicting replay.
+// paging simulator, the fleet simulator's evicting replay, and the deploy
+// side's image load and per-run heap copy.
 //
 //===----------------------------------------------------------------------===//
 
 #include "src/core/Builder.h"
 #include "src/fleet/FleetSim.h"
+#include "src/image/ImageFile.h"
 #include "src/lang/Compile.h"
 #include "src/profiling/Analyses.h"
 #include "src/runtime/Paging.h"
@@ -195,6 +197,63 @@ static void BM_FleetEvictingReplay(benchmark::State &State) {
   State.SetItemsProcessed(Events);
 }
 BENCHMARK(BM_FleetEvictingReplay)->Unit(benchmark::kMillisecond);
+
+namespace {
+
+/// micronaut x4 (scaleRung(4)) built once with the default configuration,
+/// and its image file: the subject of the deploy-side layer benchmarks.
+struct DeployFixture {
+  std::unique_ptr<Program> P;
+  NativeImage Img;
+  std::vector<uint8_t> File;
+
+  DeployFixture() {
+    std::vector<std::string> Errors;
+    P = compileBenchmark(scaleRung(4), Errors);
+    assert(P && "scaleRung(4) failed to compile");
+    BuildConfig Cfg;
+    Cfg.Seed = 1;
+    Img = buildNativeImage(*P, Cfg);
+    File = serializeImage(*P, Img);
+  }
+  static DeployFixture &get() {
+    static DeployFixture F;
+    return F;
+  }
+};
+
+} // namespace
+
+static void BM_ImageLoad(benchmark::State &State) {
+  // One deployed process's image handling: decode and validate the file,
+  // then tear the loaded image down. Items are heap cells.
+  DeployFixture &F = DeployFixture::get();
+  for (auto _ : State) {
+    NativeImage Loaded;
+    std::string Error;
+    bool Ok = deserializeImage(*F.P, F.File, Loaded, Error);
+    assert(Ok && "image failed to load");
+    benchmark::DoNotOptimize(Ok);
+    benchmark::DoNotOptimize(Loaded);
+  }
+  State.SetItemsProcessed(int64_t(State.iterations()) *
+                          int64_t(F.Img.Built.BuildHeap->numCells()));
+}
+BENCHMARK(BM_ImageLoad)->Unit(benchmark::kMillisecond);
+
+static void BM_RunHeapCopy(benchmark::State &State) {
+  // The copy-on-write heap every run executes on: copy the image heap,
+  // then free the copy. Items are heap cells.
+  DeployFixture &F = DeployFixture::get();
+  const Heap &Image = *F.Img.Built.BuildHeap;
+  for (auto _ : State) {
+    Heap RunHeap(Image);
+    benchmark::DoNotOptimize(RunHeap);
+  }
+  State.SetItemsProcessed(int64_t(State.iterations()) *
+                          int64_t(Image.numCells()));
+}
+BENCHMARK(BM_RunHeapCopy)->Unit(benchmark::kMillisecond);
 
 static void BM_InterpreterThroughput(benchmark::State &State) {
   ProgFixture &F = ProgFixture::get();

@@ -85,15 +85,15 @@ BuildHeapResult nimg::initializeBuildHeap(Program &P,
     if (size_t(C) < Reach.ReachableClasses.size() &&
         !Reach.ReachableClasses[C])
       continue;
-    // Intern the name before taking a cell reference: interning may grow
-    // the cell store and invalidate references.
+    // Intern the name before taking the fields: interning may grow the
+    // arenas and invalidate spans.
     CellIdx NameCell =
         H.internString(std::as_const(P).classDef(ClassId(C)).Name);
     CellIdx Cell = H.allocObject(MetaClass);
-    HeapCell &Meta = H.cell(Cell);
-    Meta.Slots[0] = Value::makeRef(NameCell);
-    Meta.Slots[1] = Value::makeInt(int64_t(C));
-    Meta.Slots[2] = Value::makeInt(InitSeq[C]);
+    std::span<Value> Meta = H.slots(Cell);
+    Meta[0] = Value::makeRef(NameCell);
+    Meta[1] = Value::makeInt(int64_t(C));
+    Meta[2] = Value::makeInt(InitSeq[C]);
     R.ClassMetaCells[C] = Cell;
   }
 

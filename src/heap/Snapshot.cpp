@@ -158,11 +158,9 @@ private:
       int32_t EntryIdx = Queue.front();
       Queue.pop_front();
       CellIdx Cell = Snap.Entries[size_t(EntryIdx)].Cell;
-      const HeapCell &C = H.cell(Cell);
-      if (C.Kind == CellKind::String)
-        continue;
-      for (size_t Slot = 0; Slot < C.Slots.size(); ++Slot) {
-        const Value &V = C.Slots[Slot];
+      std::span<const Value> Slots = H.slots(Cell);
+      for (size_t Slot = 0; Slot < Slots.size(); ++Slot) {
+        const Value &V = Slots[Slot];
         if (!V.isRef())
           continue;
         CellIdx Child = V.asRef();
@@ -188,19 +186,20 @@ private:
     const HeapCell &C = H.cell(Cell);
     if (C.Kind != CellKind::Object || C.Class == MetaClass)
       return false;
-    if (C.Slots.size() > 4)
+    std::span<const Value> Slots = H.slots(Cell);
+    if (Slots.size() > 4)
       return false;
-    for (const Value &V : C.Slots)
+    for (const Value &V : Slots)
       if (V.isRef() && H.cell(V.asRef()).Kind != CellKind::String)
         return false;
     // Deterministic per-build decision keyed on the inline fingerprint and
     // the object's content: one in four eligible objects goes.
     ByteBuffer B;
     B.appendSizedString(P.classDef(C.Class).Name);
-    for (const Value &V : C.Slots) {
+    for (const Value &V : Slots) {
       B.appendU8(uint8_t(V.Kind));
       if (V.isRef())
-        B.appendSizedString(H.cell(V.asRef()).Str);
+        B.appendSizedString(H.str(V.asRef()));
       else
         B.appendI64(V.I);
     }

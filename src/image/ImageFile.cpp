@@ -8,7 +8,11 @@
 #include "src/support/ByteBuffer.h"
 #include "src/support/Murmur3.h"
 
+#include <bit>
 #include <cstring>
+#include <span>
+#include <string_view>
+#include <type_traits>
 
 using namespace nimg;
 
@@ -115,107 +119,136 @@ void putValue(ByteBuffer &B, const Value &V) {
 
 // --- Reader ---------------------------------------------------------------------
 
+/// Minimum encoded sizes of the records a count announces. A count is
+/// checked against the bytes left before anything is reserved for it, so a
+/// corrupt count fails as a truncation instead of allocating in proportion
+/// to itself.
+constexpr size_t kValueBytes = 1 + 8;
+constexpr size_t kCuBytes = 4 + 4 + 4;
+constexpr size_t kCopyBytes = 5 * 4;
+constexpr size_t kCellBytes = 1 + 4 + 4 + 4 + 4 + 1;
+constexpr size_t kStaticRowBytes = 4;
+constexpr size_t kResourceBytes = 4 + 4;
+constexpr size_t kEntryBytes = 4 + 4 + 1 + 1 + 4 + 4 + 4;
+constexpr size_t kCuSplitBytes = 1 + 4 + 4 + 4 + 4;
+constexpr size_t kCopySplitBytes = 5 * 4;
+constexpr size_t kBlockBytes = 4 + 4 + 1;
+constexpr size_t kRegionBytes = 1 + 8 + 8 + 4;
+
+/// Loads a little-endian integer from \p P.
+template <typename T> T loadLE(const uint8_t *P) {
+  T V = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&V, P, sizeof(T));
+  } else {
+    for (size_t I = 0; I < sizeof(T); ++I)
+      V |= T(P[I]) << (8 * I);
+  }
+  return V;
+}
+
+/// A bounds-checked reader over an image file. Every read checks once
+/// that its bytes are there; the first failure records its message and
+/// exhausts the cursor, so every later read fails without touching memory
+/// and returns zeros.
 class Cursor {
 public:
   Cursor(const std::vector<uint8_t> &Bytes, std::string &Error)
-      : Bytes(Bytes), Error(Error) {}
+      : At(Bytes.data()), End(Bytes.data() + Bytes.size()), Error(Error) {}
 
   bool ok() const { return !Failed; }
+  size_t left() const { return size_t(End - At); }
 
-  uint8_t u8() {
-    if (!need(1))
-      return 0;
-    return Bytes[Pos++];
+  /// Returns the next \p N bytes and steps past them, or null.
+  const uint8_t *take(size_t N) {
+    if (left() < N) [[unlikely]] {
+      fail("unexpected end of image file");
+      return nullptr;
+    }
+    const uint8_t *P = At;
+    At += N;
+    return P;
   }
-  uint32_t u32() {
-    if (!need(4))
-      return 0;
-    uint32_t V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= uint32_t(Bytes[Pos++]) << (I * 8);
-    return V;
+  template <typename T> T fixed() {
+    const uint8_t *P = take(sizeof(T));
+    return P ? loadLE<T>(P) : T(0);
   }
-  uint64_t u64() {
-    if (!need(8))
+  uint8_t u8() { return fixed<uint8_t>(); }
+  uint32_t u32() { return fixed<uint32_t>(); }
+  uint64_t u64() { return fixed<uint64_t>(); }
+  /// Reads a count of records of at least \p MinBytes each.
+  uint32_t count(size_t MinBytes) {
+    uint32_t N = u32();
+    if (uint64_t(N) * MinBytes > left()) [[unlikely]] {
+      fail("unexpected end of image file");
       return 0;
-    uint64_t V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= uint64_t(Bytes[Pos++]) << (I * 8);
-    return V;
+    }
+    return N;
   }
-  int64_t i64() { return int64_t(u64()); }
-  std::string str() {
+  std::string_view str() {
     uint32_t Len = u32();
-    if (!need(Len))
-      return {};
-    std::string S(reinterpret_cast<const char *>(&Bytes[Pos]), Len);
-    Pos += Len;
-    return S;
+    const uint8_t *P = take(Len);
+    return P ? std::string_view(reinterpret_cast<const char *>(P), Len)
+             : std::string_view();
   }
-  std::vector<bool> bools() {
-    uint32_t N = u32();
-    std::vector<bool> V;
-    for (uint32_t I = 0; I < N && ok(); ++I)
-      V.push_back(u8() != 0);
-    return V;
+  void bools(std::vector<bool> &Out) {
+    uint32_t N = count(1);
+    const uint8_t *P = take(N);
+    Out.assign(N, false);
+    for (uint32_t I = 0; P && I < N; ++I)
+      Out[I] = P[I] != 0;
   }
-  std::vector<uint64_t> u64s() {
-    uint32_t N = u32();
-    std::vector<uint64_t> V;
-    for (uint32_t I = 0; I < N && ok(); ++I)
-      V.push_back(u64());
-    return V;
+  template <typename T> void ints(std::vector<T> &Out) {
+    uint32_t N = count(sizeof(T));
+    const uint8_t *P = take(size_t(N) * sizeof(T));
+    Out.resize(N);
+    for (uint32_t I = 0; P && I < N; ++I)
+      Out[I] = T(loadLE<std::make_unsigned_t<T>>(P + I * sizeof(T)));
   }
-  std::vector<int32_t> i32s() {
-    uint32_t N = u32();
-    std::vector<int32_t> V;
-    for (uint32_t I = 0; I < N && ok(); ++I)
-      V.push_back(int32_t(u32()));
-    return V;
-  }
-  Value value() {
-    ValueKind K = ValueKind(u8());
-    int64_t Raw = i64();
-    switch (K) {
-    case ValueKind::Null:
-      return Value::makeNull();
-    case ValueKind::Int:
-      return Value::makeInt(Raw);
-    case ValueKind::Double: {
-      Value V;
-      V.Kind = ValueKind::Double;
-      V.I = Raw;
-      return V;
+  /// Decodes \p Out.size() values from \p P (already taken) into \p Out,
+  /// failing on a corrupt kind or a reference to no cell below \p NumCells.
+  void values(const uint8_t *P, std::span<Value> Out, uint32_t NumCells) {
+    for (Value &V : Out) {
+      int64_t Raw = int64_t(loadLE<uint64_t>(P + 1));
+      switch (ValueKind(*P)) {
+      case ValueKind::Null:
+        break;
+      case ValueKind::Int:
+        V = Value::makeInt(Raw);
+        break;
+      case ValueKind::Double:
+        V.Kind = ValueKind::Double;
+        V.I = Raw;
+        break;
+      case ValueKind::Bool:
+        V = Value::makeBool(Raw != 0);
+        break;
+      case ValueKind::Ref:
+        if (Raw < 0 || Raw >= int64_t(NumCells)) {
+          fail("reference to a cell outside the heap");
+          return;
+        }
+        V = Value::makeRef(CellIdx(Raw));
+        break;
+      default:
+        fail("corrupt value kind");
+        return;
+      }
+      P += kValueBytes;
     }
-    case ValueKind::Bool:
-      return Value::makeBool(Raw != 0);
-    case ValueKind::Ref:
-      return Value::makeRef(CellIdx(Raw));
-    }
-    fail("corrupt value kind");
-    return Value::makeNull();
   }
 
-  void fail(const std::string &Msg) {
+  [[gnu::cold, gnu::noinline]] void fail(const char *Msg) {
     if (!Failed)
       Error = Msg;
     Failed = true;
+    At = End;
   }
 
 private:
-  bool need(size_t N) {
-    if (Failed)
-      return false;
-    if (Pos + N > Bytes.size()) {
-      fail("unexpected end of image file");
-      return false;
-    }
-    return true;
-  }
-
-  const std::vector<uint8_t> &Bytes;
+  const uint8_t *At;
+  const uint8_t *End;
   std::string &Error;
-  size_t Pos = 0;
   bool Failed = false;
 };
 
@@ -264,10 +297,10 @@ std::vector<uint8_t> nimg::serializeImage(const Program &P,
     B.appendU8(uint8_t(Cell.Kind));
     B.appendU32(uint32_t(Cell.Class));
     B.appendU32(uint32_t(Cell.ArrayType));
-    B.appendU32(uint32_t(Cell.Slots.size()));
-    for (const Value &V : Cell.Slots)
+    B.appendU32(Cell.NumSlots);
+    for (const Value &V : H.slots(CellIdx(C)))
       putValue(B, V);
-    B.appendSizedString(Cell.Str);
+    B.appendSizedString(H.str(CellIdx(C)));
     B.appendU8(H.isInterned(CellIdx(C)) ? 1 : 0);
   }
   B.appendU32(uint32_t(Img.Built.Statics.size()));
@@ -400,120 +433,151 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
   // A loaded image gets a private base: it never joins the program's build
   // cache, so its runs always interpret.
   auto Base = std::make_shared<ImageBase>();
-  Base->Reach.ReachableMethods = C.bools();
-  Base->Reach.InstantiatedClasses = C.bools();
-  Base->Reach.ReachableClasses = C.bools();
-  Base->Reach.SaturatedSelectors = C.bools();
+  C.bools(Base->Reach.ReachableMethods);
+  C.bools(Base->Reach.InstantiatedClasses);
+  C.bools(Base->Reach.ReachableClasses);
+  C.bools(Base->Reach.SaturatedSelectors);
 
   CompiledProgram &Code = Base->Code;
   Code.Instrumented = C.u8() != 0;
   Code.InlineFingerprint = C.u64();
-  Code.CuOfMethod = C.i32s();
-  uint32_t NumCus = C.u32();
-  for (uint32_t I = 0; I < NumCus && C.ok(); ++I) {
-    CompilationUnit CU;
+  C.ints(Code.CuOfMethod);
+  Code.CUs.resize(C.count(kCuBytes));
+  for (CompilationUnit &CU : Code.CUs) {
     CU.Root = MethodId(C.u32());
     CU.CodeSize = C.u32();
-    uint32_t NumCopies = C.u32();
-    for (uint32_t K = 0; K < NumCopies && C.ok(); ++K) {
-      InlineCopy Copy;
-      Copy.Method = MethodId(C.u32());
-      Copy.ParentCopy = int32_t(C.u32());
-      Copy.SiteId = C.u32();
-      Copy.CodeOffset = C.u32();
-      Copy.CodeSize = C.u32();
+    uint32_t NumCopies = C.count(kCopyBytes);
+    const uint8_t *Rec = C.take(size_t(NumCopies) * kCopyBytes);
+    if (!Rec)
+      break;
+    CU.Copies.resize(NumCopies);
+    CU.InlineMap.reserve(NumCopies);
+    for (uint32_t K = 0; K < NumCopies; ++K, Rec += kCopyBytes) {
+      InlineCopy &Copy = CU.Copies[K];
+      Copy.Method = MethodId(loadLE<uint32_t>(Rec));
+      Copy.ParentCopy = int32_t(loadLE<uint32_t>(Rec + 4));
+      Copy.SiteId = loadLE<uint32_t>(Rec + 8);
+      Copy.CodeOffset = loadLE<uint32_t>(Rec + 12);
+      Copy.CodeSize = loadLE<uint32_t>(Rec + 16);
       if (K > 0)
         CU.InlineMap.emplace(
             CompilationUnit::siteKey(Copy.ParentCopy, Copy.SiteId),
             int32_t(K));
-      CU.Copies.push_back(Copy);
     }
-    Code.CUs.push_back(std::move(CU));
   }
 
+  // Cells are built in place from the file: the serialized graph encodes
+  // sharing via cell indices, so each cell is recreated at its index with
+  // no dedup, and interned strings re-register as they arrive. Every
+  // reference is checked against the cell count, which precedes them all.
+  // Read the program through a const view: its non-const accessors bump
+  // the program's version.
+  const Program &Prog = P;
   BuildHeapResult &Built = Base->Built;
   auto OwnedHeap = std::make_shared<Heap>(P);
   Built.BuildHeap = OwnedHeap;
   Heap &H = *OwnedHeap;
-  uint32_t NumCells = C.u32();
+  uint32_t NumCells = C.count(kCellBytes);
+  H.reserveCells(NumCells);
   for (uint32_t I = 0; I < NumCells && C.ok(); ++I) {
-    CellKind Kind = CellKind(C.u8());
-    ClassId Class = ClassId(C.u32());
-    TypeId ArrayType = TypeId(C.u32());
-    uint32_t NumSlots = C.u32();
-    std::vector<Value> Slots;
-    for (uint32_t K = 0; K < NumSlots && C.ok(); ++K)
-      Slots.push_back(C.value());
-    std::string Str = C.str();
+    const uint8_t *Head = C.take(1 + 4 + 4);
+    uint32_t NumSlots = C.count(kValueBytes);
+    const uint8_t *SlotBytes = C.take(size_t(NumSlots) * kValueBytes);
+    std::string_view Str = C.str();
     bool Interned = C.u8() != 0;
-    // Recreate the cell at the same index: the serialized graph encodes
-    // sharing via cell indices, so no dedup may happen here. Interned
-    // strings re-register in the intern table afterwards.
-    CellIdx Cell = -1;
+    if (!C.ok())
+      return false;
+    CellKind Kind = CellKind(Head[0]);
+    ClassId Class = ClassId(loadLE<uint32_t>(Head + 1));
+    TypeId ArrayType = TypeId(loadLE<uint32_t>(Head + 5));
     switch (Kind) {
     case CellKind::Object:
-      if (Class < 0 || size_t(Class) >= P.numClasses()) {
+      if (Class < 0 || size_t(Class) >= Prog.numClasses()) {
         C.fail("cell class out of range");
         return false;
       }
-      Cell = H.allocObject(Class);
+      if (Prog.classDef(Class).IsAbstract) {
+        C.fail("cell class is abstract");
+        return false;
+      }
+      if (NumSlots != Prog.layout(Class).size()) {
+        C.fail("cell slot count mismatch");
+        return false;
+      }
+      C.values(SlotBytes, H.appendCell(Kind, Class, -1, NumSlots, {}),
+               NumCells);
       break;
     case CellKind::Array:
-      if (ArrayType < 0 || size_t(ArrayType) >= P.numTypes() ||
-          P.type(ArrayType).Kind != TypeKind::Array) {
+      if (ArrayType < 0 || size_t(ArrayType) >= Prog.numTypes() ||
+          Prog.type(ArrayType).Kind != TypeKind::Array) {
         C.fail("cell array type out of range");
         return false;
       }
-      Cell = H.allocArray(ArrayType, int64_t(NumSlots));
+      C.values(SlotBytes, H.appendCell(Kind, -1, ArrayType, NumSlots, {}),
+               NumCells);
       break;
     case CellKind::String:
-      Cell = H.allocString(Str);
+      if (NumSlots != 0) {
+        C.fail("cell slot count mismatch");
+        return false;
+      }
+      H.appendCell(Kind, -1, -1, 0, Str);
       if (Interned)
-        H.registerInterned(Cell);
+        H.registerInterned(CellIdx(I));
       break;
     default:
       C.fail("corrupt cell kind");
       return false;
     }
-    if (H.cell(Cell).Slots.size() != Slots.size()) {
-      C.fail("cell slot count mismatch");
-      return false;
-    }
-    H.cell(Cell).Slots = std::move(Slots);
   }
 
-  uint32_t NumStaticRows = C.u32();
-  for (uint32_t I = 0; I < NumStaticRows && C.ok(); ++I) {
-    uint32_t N = C.u32();
-    std::vector<Value> Row;
-    for (uint32_t K = 0; K < N && C.ok(); ++K)
-      Row.push_back(C.value());
-    Built.Statics.push_back(std::move(Row));
+  Built.Statics.resize(C.count(kStaticRowBytes));
+  for (std::vector<Value> &Row : Built.Statics) {
+    uint32_t N = C.count(kValueBytes);
+    const uint8_t *Rec = C.take(size_t(N) * kValueBytes);
+    if (!Rec)
+      break;
+    Row.resize(N);
+    C.values(Rec, Row, NumCells);
   }
-  Built.InitOrder = C.i32s();
-  Built.ClassMetaCells = C.i32s();
-  uint32_t NumResources = C.u32();
+  C.ints(Built.InitOrder);
+  C.ints(Built.ClassMetaCells);
+  for (CellIdx Meta : Built.ClassMetaCells)
+    if (Meta != -1 && (Meta < 0 || uint32_t(Meta) >= NumCells))
+      C.fail("reference to a cell outside the heap");
+  uint32_t NumResources = C.count(kResourceBytes);
+  Built.ResourceCells.reserve(NumResources);
   for (uint32_t I = 0; I < NumResources && C.ok(); ++I) {
-    std::string Name = C.str();
-    Built.ResourceCells.emplace(Name, CellIdx(C.u32()));
+    std::string_view Name = C.str();
+    uint32_t Cell = C.u32();
+    if (C.ok() && Cell >= NumCells)
+      C.fail("reference to a cell outside the heap");
+    Built.ResourceCells.emplace(Name, CellIdx(Cell));
   }
+  if (!C.ok())
+    return false;
   Out.Built = Built;
   Out.Base = std::move(Base);
 
-  uint32_t NumEntries = C.u32();
+  uint32_t NumEntries = C.count(kEntryBytes);
   Out.Snapshot.Entries.clear();
+  Out.Snapshot.Entries.resize(NumEntries);
   Out.Snapshot.EntryOfCell.assign(H.numCells(), -1);
   for (uint32_t I = 0; I < NumEntries && C.ok(); ++I) {
-    SnapshotEntry E;
-    E.Cell = CellIdx(C.u32());
-    E.SizeBytes = C.u32();
-    uint8_t Flags = C.u8();
-    E.IsRoot = Flags & 1;
-    E.Elided = Flags & 2;
-    E.Reason.Kind = InclusionReasonKind(C.u8());
-    E.Reason.Detail = C.str();
-    E.ParentEntry = int32_t(C.u32());
-    E.ParentSlot = int32_t(C.u32());
+    SnapshotEntry &E = Out.Snapshot.Entries[I];
+    const uint8_t *Head = C.take(4 + 4 + 1 + 1);
+    std::string_view Detail = C.str();
+    const uint8_t *Parent = C.take(4 + 4);
+    if (!Parent)
+      return false;
+    E.Cell = CellIdx(loadLE<uint32_t>(Head));
+    E.SizeBytes = loadLE<uint32_t>(Head + 4);
+    E.IsRoot = Head[8] & 1;
+    E.Elided = Head[8] & 2;
+    E.Reason.Kind = InclusionReasonKind(Head[9]);
+    E.Reason.Detail = Detail;
+    E.ParentEntry = int32_t(loadLE<uint32_t>(Parent));
+    E.ParentSlot = int32_t(loadLE<uint32_t>(Parent + 4));
     if (E.Cell < 0 || size_t(E.Cell) >= H.numCells()) {
       C.fail("snapshot entry names a cell outside the heap");
       return false;
@@ -521,23 +585,22 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
     int32_t &Slot = Out.Snapshot.EntryOfCell[size_t(E.Cell)];
     if (Slot == -1)
       Slot = int32_t(I);
-    Out.Snapshot.Entries.push_back(std::move(E));
   }
 
-  Out.Ids.IncrementalIds = C.u64s();
-  Out.Ids.StructuralHashes = C.u64s();
-  Out.Ids.HeapPathHashes = C.u64s();
+  C.ints(Out.Ids.IncrementalIds);
+  C.ints(Out.Ids.StructuralHashes);
+  C.ints(Out.Ids.HeapPathHashes);
 
   Out.Layout.PageSize = C.u32();
-  Out.Layout.CuOrder = C.i32s();
-  Out.Layout.CuOffsets = C.u64s();
+  C.ints(Out.Layout.CuOrder);
+  C.ints(Out.Layout.CuOffsets);
   Out.Layout.NativeTailOffset = C.u64();
   Out.Layout.NativeTailSize = C.u64();
   Out.Layout.TextSize = C.u64();
-  Out.Layout.StaticsBase = C.u64s();
+  C.ints(Out.Layout.StaticsBase);
   Out.Layout.StaticsSize = C.u64();
-  Out.Layout.ObjectOrder = C.i32s();
-  Out.Layout.ObjectOffsets = C.u64s();
+  C.ints(Out.Layout.ObjectOrder);
+  C.ints(Out.Layout.ObjectOffsets);
   Out.Layout.HeapSize = C.u64();
 
   Out.Split.Mode = SplitMode(C.u8());
@@ -547,34 +610,33 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
   Out.Split.HotBytes = C.u64();
   Out.Split.ColdBytes = C.u64();
   Out.Split.StubBytes = C.u64();
-  uint32_t NumSplitCus = C.u32();
   Out.Split.PerCu.clear();
-  for (uint32_t I = 0; I < NumSplitCus && C.ok(); ++I) {
-    CuSplit S;
+  Out.Split.PerCu.resize(C.count(kCuSplitBytes));
+  for (CuSplit &S : Out.Split.PerCu) {
     S.Split = C.u8() != 0;
     S.HotSize = C.u32();
     S.ColdSize = C.u32();
     S.StubBytes = C.u32();
-    uint32_t NumCopies = C.u32();
-    for (uint32_t K = 0; K < NumCopies && C.ok(); ++K) {
-      CopySplit CS;
+    S.Copies.resize(C.count(kCopySplitBytes));
+    for (CopySplit &CS : S.Copies) {
       CS.HotOffset = C.u32();
       CS.HotSize = C.u32();
       CS.ColdOffset = C.u32();
       CS.ColdSize = C.u32();
-      uint32_t NumBlocks = C.u32();
-      for (uint32_t J = 0; J < NumBlocks && C.ok(); ++J) {
-        BlockPlace BP;
-        BP.Offset = C.u32();
-        BP.Size = C.u32();
-        BP.Cold = C.u8() != 0;
-        CS.Blocks.push_back(BP);
+      uint32_t NumBlocks = C.count(kBlockBytes);
+      const uint8_t *Rec = C.take(size_t(NumBlocks) * kBlockBytes);
+      if (!Rec)
+        return false;
+      CS.Blocks.resize(NumBlocks);
+      for (BlockPlace &BP : CS.Blocks) {
+        BP.Offset = loadLE<uint32_t>(Rec);
+        BP.Size = loadLE<uint32_t>(Rec + 4);
+        BP.Cold = Rec[8] != 0;
+        Rec += kBlockBytes;
       }
-      S.Copies.push_back(std::move(CS));
     }
-    Out.Split.PerCu.push_back(std::move(S));
   }
-  Out.Layout.CuColdOffsets = C.u64s();
+  C.ints(Out.Layout.CuColdOffsets);
   Out.Layout.ColdTailOffset = C.u64();
   Out.Layout.ColdTailSize = C.u64();
 
@@ -588,7 +650,7 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
     Out.Layout.HugePagesRequested = C.u32();
     Out.Layout.HugePages = C.u32();
     Out.Layout.HugeRegionSize = C.u64();
-    uint32_t NumRegions = C.u32();
+    uint32_t NumRegions = C.count(kRegionBytes);
     uint64_t HugeTableBytes = 0;
     for (uint32_t I = 0; I < NumRegions && C.ok(); ++I) {
       uint8_t Sec = C.u8();

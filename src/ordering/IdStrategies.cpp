@@ -108,14 +108,15 @@ public:
     bool ShouldRecurse = Depth < MaxDepth;
 
     if (C.Kind == CellKind::String) {
-      Out.appendString(C.Str);
+      Out.appendString(H.str(Cell));
       return;
     }
 
+    std::span<const Value> Slots = H.slots(Cell);
     if (C.Kind == CellKind::Object) {
       const std::vector<Field> &Layout = P.layout(C.Class);
-      for (size_t K = 0; K < C.Slots.size(); ++K) {
-        const Value &FieldVal = C.Slots[K];
+      for (size_t K = 0; K < Slots.size(); ++K) {
+        const Value &FieldVal = Slots[K];
         if (ShouldRecurse || isPrimitiveOrString(FieldVal)) {
           Out.appendString(P.typeName(Layout[K].Type));
           encodeValue(Out, FieldVal, Depth + 1);
@@ -128,15 +129,15 @@ public:
     const TypeInfo &ArrTy = P.type(C.ArrayType);
     const TypeInfo &ElemTy = P.type(ArrTy.Elem);
     Out.appendString(ElemTy.Name);
-    Out.appendU32(uint32_t(C.Slots.size()));
+    Out.appendU32(uint32_t(Slots.size()));
     bool ElemPrimitiveOrString = ElemTy.Kind == TypeKind::Int ||
                                  ElemTy.Kind == TypeKind::Double ||
                                  ElemTy.Kind == TypeKind::Bool ||
                                  ElemTy.Kind == TypeKind::String;
     if (ShouldRecurse || ElemPrimitiveOrString) {
-      for (size_t K = 0; K < C.Slots.size(); ++K) {
+      for (size_t K = 0; K < Slots.size(); ++K) {
         Out.appendU32(uint32_t(K));
-        encodeValue(Out, C.Slots[K], Depth + 1);
+        encodeValue(Out, Slots[K], Depth + 1);
       }
     }
   }
@@ -175,7 +176,7 @@ uint64_t nimg::heapPathHashOf(const Program &P, const Heap &H,
   // Interned-string roots hash their contents: the heap path would be the
   // same for all interned strings (Alg. 3, lines 4-5).
   if (E.IsRoot && E.Reason.Kind == InclusionReasonKind::InternedString) {
-    Bytes.appendString(H.cell(E.Cell).Str);
+    Bytes.appendString(H.str(E.Cell));
     return Bytes.digest().Lo;
   }
 

@@ -584,7 +584,7 @@ void interpret(const NativeImage &Img, const RunConfig &Cfg, RunPaging &Pg,
 
   bool Killed = false;
   I.OnSpawn = [&](MethodId M) { I.spawnThread(M, {}); };
-  I.OnRespond = [&](uint32_t, const std::string &) {
+  I.OnRespond = [&](uint32_t, std::string_view) {
     if (Stats.Responded)
       return;
     Stats.Responded = true;

@@ -144,13 +144,10 @@ bool Interpreter::ensureInitialized(uint32_t Tid, ThreadState &T, ClassId C,
   return true;
 }
 
-const std::string *Interpreter::cellString(const Value &V) {
-  if (!V.isRef())
-    return nullptr;
-  const HeapCell &Cell = H.cell(V.asRef());
-  if (Cell.Kind != CellKind::String)
-    return nullptr;
-  return &Cell.Str;
+std::optional<std::string_view> Interpreter::cellString(const Value &V) {
+  if (!V.isRef() || H.cell(V.asRef()).Kind != CellKind::String)
+    return std::nullopt;
+  return H.str(V.asRef());
 }
 
 void Interpreter::reportAccess(uint32_t Tid, const Frame &F, uint32_t SiteId,
@@ -184,9 +181,8 @@ static std::string stringifyValue(const Heap &H, const Value &V) {
     return Buf;
   }
   case ValueKind::Ref: {
-    const HeapCell &Cell = H.cell(V.Ref);
-    if (Cell.Kind == CellKind::String)
-      return Cell.Str;
+    if (H.cell(V.Ref).Kind == CellKind::String)
+      return std::string(H.str(V.Ref));
     return "<object>";
   }
   }
@@ -501,7 +497,7 @@ bool Interpreter::execInstr(uint32_t Tid, ThreadState &T, const Instr &In) {
     const HeapCell &Cell = H.cell(A.asRef());
     assert(Cell.Kind == CellKind::Array && "arraylen of non-array");
     reportAccess(Tid, F, Site, {A}, 1);
-    R[In.Dst] = Value::makeInt(int64_t(Cell.Slots.size()));
+    R[In.Dst] = Value::makeInt(int64_t(Cell.NumSlots));
     Advance();
     break;
   }
@@ -509,15 +505,15 @@ bool Interpreter::execInstr(uint32_t Tid, ThreadState &T, const Instr &In) {
     const Value &A = R[In.A];
     if (NullTrap(A))
       return false;
-    HeapCell &Cell = H.cell(A.asRef());
-    assert(Cell.Kind == CellKind::Array && "aload of non-array");
+    assert(H.cell(A.asRef()).Kind == CellKind::Array && "aload of non-array");
+    std::span<const Value> Elems = H.slots(A.asRef());
     int64_t Idx = R[In.B].asInt();
-    if (Idx < 0 || size_t(Idx) >= Cell.Slots.size()) {
+    if (Idx < 0 || size_t(Idx) >= Elems.size()) {
       trap(T, "array index out of bounds in " + Meth.Sig);
       return false;
     }
     reportAccess(Tid, F, Site, {A}, 1);
-    R[In.Dst] = Cell.Slots[size_t(Idx)];
+    R[In.Dst] = Elems[size_t(Idx)];
     Advance();
     break;
   }
@@ -525,15 +521,15 @@ bool Interpreter::execInstr(uint32_t Tid, ThreadState &T, const Instr &In) {
     const Value &A = R[In.A];
     if (NullTrap(A))
       return false;
-    HeapCell &Cell = H.cell(A.asRef());
-    assert(Cell.Kind == CellKind::Array && "astore of non-array");
+    assert(H.cell(A.asRef()).Kind == CellKind::Array && "astore of non-array");
+    std::span<Value> Elems = H.slots(A.asRef());
     int64_t Idx = R[In.B].asInt();
-    if (Idx < 0 || size_t(Idx) >= Cell.Slots.size()) {
+    if (Idx < 0 || size_t(Idx) >= Elems.size()) {
       trap(T, "array index out of bounds in " + Meth.Sig);
       return false;
     }
     reportAccess(Tid, F, Site, {A}, 1);
-    Cell.Slots[size_t(Idx)] = R[In.C];
+    Elems[size_t(Idx)] = R[In.C];
     Advance();
     break;
   }
@@ -541,11 +537,12 @@ bool Interpreter::execInstr(uint32_t Tid, ThreadState &T, const Instr &In) {
     const Value &A = R[In.A];
     if (NullTrap(A))
       return false;
-    HeapCell &Cell = H.cell(A.asRef());
-    assert(Cell.Kind == CellKind::Object && "getfield of non-object");
-    assert(size_t(In.Aux) < Cell.Slots.size() && "field index out of range");
+    assert(H.cell(A.asRef()).Kind == CellKind::Object &&
+           "getfield of non-object");
+    std::span<const Value> Fields = H.slots(A.asRef());
+    assert(size_t(In.Aux) < Fields.size() && "field index out of range");
     reportAccess(Tid, F, Site, {A}, 1);
-    R[In.Dst] = Cell.Slots[size_t(In.Aux)];
+    R[In.Dst] = Fields[size_t(In.Aux)];
     Advance();
     break;
   }
@@ -553,11 +550,12 @@ bool Interpreter::execInstr(uint32_t Tid, ThreadState &T, const Instr &In) {
     const Value &A = R[In.A];
     if (NullTrap(A))
       return false;
-    HeapCell &Cell = H.cell(A.asRef());
-    assert(Cell.Kind == CellKind::Object && "putfield of non-object");
-    assert(size_t(In.Aux) < Cell.Slots.size() && "field index out of range");
+    assert(H.cell(A.asRef()).Kind == CellKind::Object &&
+           "putfield of non-object");
+    std::span<Value> Fields = H.slots(A.asRef());
+    assert(size_t(In.Aux) < Fields.size() && "field index out of range");
     reportAccess(Tid, F, Site, {A}, 1);
-    Cell.Slots[size_t(In.Aux)] = R[In.B];
+    Fields[size_t(In.Aux)] = R[In.B];
     Advance();
     break;
   }
@@ -659,10 +657,10 @@ bool Interpreter::doNative(uint32_t Tid, ThreadState &T, Frame &F,
     assert(I < In.ArgsCount && "native argument out of range");
     return R[Meth.CallArgs[In.ArgsBegin + I]];
   };
-  auto ArgString = [&](size_t I) -> const std::string * {
-    return cellString(Arg(I));
-  };
-  auto StrTrap = [&](const std::string *S) {
+  // The views below point into the heap's char arena: none may be used
+  // after an allocation.
+  auto ArgString = [&](size_t I) { return cellString(Arg(I)); };
+  auto StrTrap = [&](const std::optional<std::string_view> &S) {
     if (S)
       return false;
     trap(T, "native string argument is not a string in " + Meth.Sig);
@@ -674,7 +672,7 @@ bool Interpreter::doNative(uint32_t Tid, ThreadState &T, Frame &F,
 
   switch (N) {
   case NativeId::Print: {
-    const std::string *S = ArgString(0);
+    std::optional<std::string_view> S = ArgString(0);
     if (StrTrap(S))
       return false;
     Output += *S;
@@ -699,7 +697,7 @@ bool Interpreter::doNative(uint32_t Tid, ThreadState &T, Frame &F,
     R[In.Dst] = Value::makeDouble(std::floor(Arg(0).asDouble()));
     break;
   case NativeId::StrLen: {
-    const std::string *S = ArgString(0);
+    std::optional<std::string_view> S = ArgString(0);
     if (StrTrap(S))
       return false;
     reportAccess(Tid, F, Site, {Arg(0)}, 1);
@@ -707,7 +705,7 @@ bool Interpreter::doNative(uint32_t Tid, ThreadState &T, Frame &F,
     break;
   }
   case NativeId::StrCharAt: {
-    const std::string *S = ArgString(0);
+    std::optional<std::string_view> S = ArgString(0);
     if (StrTrap(S))
       return false;
     int64_t Idx = Arg(1).asInt();
@@ -720,7 +718,7 @@ bool Interpreter::doNative(uint32_t Tid, ThreadState &T, Frame &F,
     break;
   }
   case NativeId::StrSub: {
-    const std::string *S = ArgString(0);
+    std::optional<std::string_view> S = ArgString(0);
     if (StrTrap(S))
       return false;
     int64_t From = Arg(1).asInt();
@@ -737,8 +735,8 @@ bool Interpreter::doNative(uint32_t Tid, ThreadState &T, Frame &F,
     break;
   }
   case NativeId::StrEquals: {
-    const std::string *A = ArgString(0);
-    const std::string *B = ArgString(1);
+    std::optional<std::string_view> A = ArgString(0);
+    std::optional<std::string_view> B = ArgString(1);
     if (StrTrap(A) || StrTrap(B))
       return false;
     reportAccess(Tid, F, Site, {Arg(0), Arg(1)}, 2);
@@ -762,7 +760,7 @@ bool Interpreter::doNative(uint32_t Tid, ThreadState &T, Frame &F,
     break;
   }
   case NativeId::StrIntern: {
-    const std::string *S = ArgString(0);
+    std::optional<std::string_view> S = ArgString(0);
     if (StrTrap(S))
       return false;
     reportAccess(Tid, F, Site, {Arg(0)}, 1);
@@ -780,7 +778,7 @@ bool Interpreter::doNative(uint32_t Tid, ThreadState &T, Frame &F,
     break;
   }
   case NativeId::Respond: {
-    const std::string *S = ArgString(0);
+    std::optional<std::string_view> S = ArgString(0);
     if (StrTrap(S))
       return false;
     reportAccess(Tid, F, Site, {Arg(0)}, 1);
@@ -789,16 +787,16 @@ bool Interpreter::doNative(uint32_t Tid, ThreadState &T, Frame &F,
     break;
   }
   case NativeId::ReadResource: {
-    const std::string *Name = ArgString(0);
+    std::optional<std::string_view> Name = ArgString(0);
     if (StrTrap(Name))
       return false;
     if (!Resources) {
       trap(T, "no resources bound in " + Meth.Sig);
       return false;
     }
-    auto It = Resources->find(*Name);
+    auto It = Resources->find(std::string(*Name));
     if (It == Resources->end()) {
-      trap(T, "unknown resource '" + *Name + "' in " + Meth.Sig);
+      trap(T, "unknown resource '" + std::string(*Name) + "' in " + Meth.Sig);
       return false;
     }
     reportAccess(Tid, F, Site, {Arg(0), Value::makeRef(It->second)}, 2);

@@ -28,7 +28,9 @@
 
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -219,7 +221,7 @@ public:
   /// spawnThread.
   std::function<void(MethodId)> OnSpawn;
   /// Called when Sys.respond executes (first-response timing, Sec. 7.1).
-  std::function<void(uint32_t, const std::string &)> OnRespond;
+  std::function<void(uint32_t, std::string_view)> OnRespond;
 
 private:
   struct Frame {
@@ -258,7 +260,9 @@ private:
   void reportAccess(uint32_t Tid, const Frame &F, uint32_t SiteId,
                     std::initializer_list<Value> Slots, uint16_t StaticCount);
 
-  const std::string *cellString(const Value &V);
+  /// The characters of \p V when it references a string cell; the view
+  /// is valid until the next allocation on the heap.
+  std::optional<std::string_view> cellString(const Value &V);
 
   const Program &P;
   Heap &H;

@@ -59,7 +59,7 @@ uint64_t concatenatedHeapPathHash(const Program &P, const Heap &H,
   const SnapshotEntry &E = Snap.Entries[size_t(Entry)];
   ByteBuffer Bytes;
   if (E.IsRoot && E.Reason.Kind == InclusionReasonKind::InternedString) {
-    Bytes.appendString(H.cell(E.Cell).Str);
+    Bytes.appendString(H.str(E.Cell));
     return murmurHash3(Bytes.bytes());
   }
   for (int32_t Cur = Entry;;) {
@@ -132,7 +132,7 @@ TEST(StructuralHash, DeterministicAndContentSensitive) {
   for (const SnapshotEntry &E : F.Img.Snapshot.Entries) {
     const HeapCell &C = H.cell(E.Cell);
     if (C.Kind == CellKind::Object && C.Class == NodeC &&
-        C.Slots[0].asInt() == 1) {
+        H.slots(E.Cell)[0].asInt() == 1) {
       Head = E.Cell;
       break;
     }
@@ -141,7 +141,7 @@ TEST(StructuralHash, DeterministicAndContentSensitive) {
   uint64_t H1 = structuralHashOf(F.P, H, Head, 2);
   EXPECT_EQ(H1, structuralHashOf(F.P, H, Head, 2));
   // Mutating a primitive field changes the hash.
-  H.cell(Head).Slots[0] = Value::makeInt(99);
+  H.slots(Head)[0] = Value::makeInt(99);
   EXPECT_NE(H1, structuralHashOf(F.P, H, Head, 2));
 }
 
@@ -154,15 +154,15 @@ TEST(StructuralHash, DepthGatesNeighbourSensitivity) {
   for (const SnapshotEntry &E : F.Img.Snapshot.Entries) {
     const HeapCell &C = H.cell(E.Cell);
     if (C.Kind == CellKind::Object && C.Class == NodeC &&
-        C.Slots[0].asInt() == 1)
+        H.slots(E.Cell)[0].asInt() == 1)
       Head = E.Cell;
   }
   ASSERT_NE(Head, -1);
   uint64_t Shallow = structuralHashOf(F.P, H, Head, 0);
   uint64_t Deep = structuralHashOf(F.P, H, Head, 3);
   // Mutate the SECOND node's key: invisible at depth 0, visible at 3.
-  CellIdx Second = H.cell(Head).Slots[1].asRef();
-  H.cell(Second).Slots[0] = Value::makeInt(42);
+  CellIdx Second = H.slots(Head)[1].asRef();
+  H.slots(Second)[0] = Value::makeInt(42);
   EXPECT_EQ(Shallow, structuralHashOf(F.P, H, Head, 0));
   EXPECT_NE(Deep, structuralHashOf(F.P, H, Head, 3));
 }
@@ -173,8 +173,8 @@ TEST(StructuralHash, StringsHashTheirContents) {
   auto FindString = [](SnapFixture &F, const std::string &S) -> uint64_t {
     const Heap &H = *F.Img.Built.BuildHeap;
     for (size_t I = 0; I < F.Img.Snapshot.Entries.size(); ++I) {
-      const HeapCell &C = H.cell(F.Img.Snapshot.Entries[I].Cell);
-      if (C.Kind == CellKind::String && C.Str == S)
+      CellIdx C = F.Img.Snapshot.Entries[I].Cell;
+      if (H.cell(C).Kind == CellKind::String && H.str(C) == S)
         return F.Img.Ids.StructuralHashes[I];
     }
     return 0;

@@ -1,13 +1,21 @@
 //===- ImageFileTest.cpp - Image serialization round-trip tests -------------===//
 
 #include "src/core/Builder.h"
+#include "src/core/Evaluation.h"
 #include "src/image/ImageFile.h"
 #include "src/lang/Compile.h"
 #include "src/runtime/ExecEngine.h"
 #include "src/support/ByteBuffer.h"
 #include "src/support/Murmur3.h"
+#include "src/workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <utility>
 
 using namespace nimg;
 
@@ -65,7 +73,136 @@ struct Fixture {
   }
 };
 
+uint32_t readU32(const std::vector<uint8_t> &B, size_t At) {
+  uint32_t V = 0;
+  for (int I = 0; I < 4; ++I)
+    V |= uint32_t(B.at(At + size_t(I))) << (8 * I);
+  return V;
+}
+
+void writeU32(std::vector<uint8_t> &B, size_t At, uint32_t V) {
+  for (int I = 0; I < 4; ++I)
+    B.at(At + size_t(I)) = uint8_t(V >> (8 * I));
+}
+
+/// Byte offsets of the counts and records of a serialized image, found by
+/// walking the encoding independently of the loader.
+struct ImageMap {
+  size_t CuCount = 0;
+  size_t CellCount = 0;
+  std::vector<size_t> Cells; ///< Each cell's kind byte.
+  size_t StaticRows = 0;
+  size_t MetaCells = 0;
+  size_t Resources = 0;
+  size_t EntryCount = 0;
+  size_t IdTables[3] = {};
+
+  explicit ImageMap(const std::vector<uint8_t> &B) {
+    size_t At = 4 + 8 + 1 + 8;
+    for (int K = 0; K < 4; ++K) // reachability bit vectors
+      At += 4 + readU32(B, At);
+    At += 1 + 8;
+    At += 4 + 4 * size_t(readU32(B, At)); // CU of each method
+    CuCount = At;
+    uint32_t NumCus = readU32(B, At);
+    At += 4;
+    for (uint32_t C = 0; C < NumCus; ++C)
+      At += 12 + 20 * size_t(readU32(B, At + 8));
+    CellCount = At;
+    uint32_t NumCells = readU32(B, At);
+    At += 4;
+    for (uint32_t C = 0; C < NumCells; ++C) {
+      Cells.push_back(At);
+      At += 9;
+      At += 4 + 9 * size_t(readU32(B, At)); // slots
+      At += 4 + readU32(B, At) + 1;         // string + interned flag
+    }
+    StaticRows = At;
+    uint32_t NumRows = readU32(B, At);
+    At += 4;
+    for (uint32_t R = 0; R < NumRows; ++R)
+      At += 4 + 9 * size_t(readU32(B, At));
+    At += 4 + 4 * size_t(readU32(B, At)); // init order
+    MetaCells = At;
+    At += 4 + 4 * size_t(readU32(B, At));
+    Resources = At;
+    uint32_t NumResources = readU32(B, At);
+    At += 4;
+    for (uint32_t R = 0; R < NumResources; ++R)
+      At += 4 + readU32(B, At) + 4;
+    EntryCount = At;
+    uint32_t NumEntries = readU32(B, At);
+    At += 4;
+    for (uint32_t E = 0; E < NumEntries; ++E)
+      At += 10 + 4 + readU32(B, At + 10) + 8;
+    for (size_t &T : IdTables) {
+      T = At;
+      At += 4 + 8 * size_t(readU32(B, At));
+    }
+  }
+
+  /// Offsets of the kind bytes of every slot value of cell \p C.
+  std::vector<size_t> slotsOf(const std::vector<uint8_t> &B, size_t C) const {
+    std::vector<size_t> Out;
+    size_t At = Cells[C] + 9;
+    uint32_t N = readU32(B, At);
+    for (uint32_t K = 0; K < N; ++K)
+      Out.push_back(At + 4 + 9 * size_t(K));
+    return Out;
+  }
+};
+
+/// The largest single allocation requested while armed. The loader test
+/// arms it around a load of a corrupt image; any request over the cap is
+/// refused with bad_alloc rather than served, so a count that was not
+/// checked before reserving fails the test instead of exhausting memory.
+std::atomic<bool> AllocWatchArmed{false};
+std::atomic<size_t> LargestAlloc{0};
+constexpr size_t kAllocCap = size_t(256) << 20;
+
+std::unique_ptr<Program> compileSpec(const BenchmarkSpec &Spec) {
+  std::vector<std::string> Errors;
+  std::unique_ptr<Program> P = compileBenchmark(Spec, Errors);
+  for (const std::string &E : Errors)
+    ADD_FAILURE() << E;
+  return P;
+}
+
 } // namespace
+
+// The watch replaces every non-aligned allocation function, so that under
+// ASan too each allocation and its release go through the same pair.
+static void *watchedAlloc(std::size_t N) noexcept {
+  if (AllocWatchArmed.load(std::memory_order_relaxed)) {
+    size_t Seen = LargestAlloc.load(std::memory_order_relaxed);
+    while (N > Seen && !LargestAlloc.compare_exchange_weak(Seen, N))
+      ;
+    if (N > kAllocCap)
+      return nullptr;
+  }
+  return std::malloc(N ? N : 1);
+}
+static void *watchedAllocOrThrow(std::size_t N) {
+  if (void *P = watchedAlloc(N))
+    return P;
+  throw std::bad_alloc();
+}
+void *operator new(std::size_t N) { return watchedAllocOrThrow(N); }
+void *operator new[](std::size_t N) { return watchedAllocOrThrow(N); }
+void *operator new(std::size_t N, const std::nothrow_t &) noexcept {
+  return watchedAlloc(N);
+}
+void *operator new[](std::size_t N, const std::nothrow_t &) noexcept {
+  return watchedAlloc(N);
+}
+void operator delete(void *P) noexcept { std::free(P); }
+void operator delete[](void *P) noexcept { std::free(P); }
+void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept { std::free(P); }
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
 
 TEST(ImageFile, FingerprintIsStableAndSensitive) {
   Fixture F;
@@ -360,3 +497,223 @@ TEST(ImageFile, RejectsIdTablesOfTheWrongLength) {
     EXPECT_EQ(Error, "inconsistent image file");
   }
 }
+
+TEST(ImageFile, RejectsAbstractCellClass) {
+  // An object cell naming an abstract class would reach the heap's
+  // "allocating an abstract class" invariant; the loader rejects it first.
+  std::unique_ptr<Program> P = compileSpec(microserviceBenchmark("micronaut"));
+  ASSERT_TRUE(P);
+  BuildConfig Cfg;
+  Cfg.Seed = 1;
+  NativeImage Img = buildNativeImage(*P, Cfg);
+  ClassId Abstract = -1;
+  for (size_t C = 0; C < P->numClasses() && Abstract == -1; ++C)
+    if (std::as_const(*P).classDef(ClassId(C)).IsAbstract)
+      Abstract = ClassId(C);
+  ASSERT_NE(Abstract, -1) << "micronaut declares no abstract class";
+
+  std::vector<uint8_t> Bytes = serializeImage(*P, Img);
+  ImageMap Map(Bytes);
+  ASSERT_EQ(Map.Cells.size(), Img.Built.BuildHeap->numCells());
+  size_t Object = 0;
+  while (Bytes[Map.Cells[Object]] != uint8_t(CellKind::Object))
+    ++Object;
+  writeU32(Bytes, Map.Cells[Object] + 1, uint32_t(Abstract));
+  NativeImage Loaded;
+  std::string Error;
+  EXPECT_FALSE(deserializeImage(*P, Bytes, Loaded, Error));
+  EXPECT_EQ(Error, "cell class is abstract");
+}
+
+TEST(ImageFile, RejectsReferencesOutsideTheHeap) {
+  // Every reference the loader hands the runtime must name a cell; the
+  // run would otherwise index past the cell table.
+  std::unique_ptr<Program> P = compileSpec(microserviceBenchmark("micronaut"));
+  ASSERT_TRUE(P);
+  BuildConfig Cfg;
+  Cfg.Seed = 1;
+  NativeImage Img = buildNativeImage(*P, Cfg);
+  const std::vector<uint8_t> Good = serializeImage(*P, Img);
+  ImageMap Map(Good);
+  uint32_t NumCells = readU32(Good, Map.CellCount);
+  auto Rejects = [&](const std::vector<uint8_t> &Bytes, const char *What) {
+    NativeImage Loaded;
+    std::string Error;
+    if (deserializeImage(*P, Bytes, Loaded, Error)) {
+      ADD_FAILURE() << What << ": loaded";
+      // What a deployed process does next with the image it accepted.
+      RunConfig RC;
+      RC.StopAtFirstResponse = true;
+      runImage(Loaded, RC);
+      return;
+    }
+    EXPECT_EQ(Error, "reference to a cell outside the heap") << What;
+  };
+
+  // Every Ref slot of every cell at once, then the last one alone, just
+  // past the end.
+  std::vector<uint8_t> Bytes = Good;
+  size_t LastRef = 0, Refs = 0;
+  for (size_t C = 0; C < Map.Cells.size(); ++C)
+    for (size_t At : Map.slotsOf(Bytes, C))
+      if (Bytes[At] == uint8_t(ValueKind::Ref)) {
+        writeU32(Bytes, At + 1, 0x7fffffffu);
+        LastRef = At;
+        ++Refs;
+      }
+  ASSERT_GT(Refs, 1000u);
+  Rejects(Bytes, "all cell slots");
+  Bytes = Good;
+  writeU32(Bytes, LastRef + 1, NumCells);
+  Rejects(Bytes, "one cell slot");
+
+  // A static field.
+  Bytes = Good;
+  bool Patched = false;
+  size_t At = Map.StaticRows + 4;
+  for (uint32_t R = 0; R < readU32(Good, Map.StaticRows) && !Patched; ++R) {
+    uint32_t N = readU32(Good, At);
+    for (uint32_t K = 0; K < N && !Patched; ++K)
+      if (Good[At + 4 + 9 * K] == uint8_t(ValueKind::Ref)) {
+        writeU32(Bytes, At + 4 + 9 * K + 1, NumCells);
+        Patched = true;
+      }
+    At += 4 + 9 * size_t(N);
+  }
+  ASSERT_TRUE(Patched);
+  Rejects(Bytes, "static field");
+
+  // A class metadata cell, and a resource cell.
+  Bytes = Good;
+  ASSERT_NE(readU32(Good, Map.MetaCells + 4), 0xffffffffu);
+  writeU32(Bytes, Map.MetaCells + 4, NumCells);
+  Rejects(Bytes, "class metadata cell");
+  ASSERT_GT(readU32(Good, Map.Resources), 0u);
+  Bytes = Good;
+  writeU32(Bytes, Map.Resources + 8 + readU32(Good, Map.Resources + 4),
+           NumCells);
+  Rejects(Bytes, "resource cell");
+
+  // The unpatched image loads.
+  NativeImage Loaded;
+  std::string Error;
+  EXPECT_TRUE(deserializeImage(*P, Good, Loaded, Error)) << Error;
+}
+
+TEST(ImageFile, RejectsEveryTruncationAndHugeCount) {
+  Fixture F;
+  const std::vector<uint8_t> Good = serializeImage(F.P, F.Img);
+  auto Load = [&](const std::vector<uint8_t> &Bytes, std::string &Error) {
+    NativeImage Loaded;
+    return deserializeImage(F.P, Bytes, Loaded, Error);
+  };
+  std::string Error;
+  ASSERT_TRUE(Load(Good, Error)) << Error;
+
+  // Every prefix: each byte of the first 4 KiB, then a stride.
+  for (size_t Len = 0; Len < Good.size(); Len += Len < 4096 ? 1 : 61) {
+    std::vector<uint8_t> Prefix(Good.begin(), Good.begin() + Len);
+    Error.clear();
+    EXPECT_FALSE(Load(Prefix, Error)) << "prefix of " << Len << " bytes";
+    EXPECT_FALSE(Error.empty()) << "prefix of " << Len << " bytes";
+  }
+
+  // A count of 2^32-1 records is refused before anything is sized by it.
+  ImageMap Map(Good);
+  for (auto [What, At] : {std::pair{"cell", Map.CellCount},
+                          std::pair{"CU", Map.CuCount},
+                          std::pair{"snapshot entry", Map.EntryCount},
+                          std::pair{"incremental id", Map.IdTables[0]},
+                          std::pair{"structural hash", Map.IdTables[1]},
+                          std::pair{"heap path", Map.IdTables[2]}}) {
+    std::vector<uint8_t> Bytes = Good;
+    writeU32(Bytes, At, 0xffffffffu);
+    Error.clear();
+    LargestAlloc = 0;
+    AllocWatchArmed = true;
+    bool Ok = Load(Bytes, Error);
+    AllocWatchArmed = false;
+    EXPECT_FALSE(Ok) << What;
+    EXPECT_EQ(Error, "unexpected end of image file") << What;
+    EXPECT_LE(LargestAlloc.load(), 4 * Good.size()) << What;
+  }
+}
+
+namespace {
+
+/// Loads \p Bytes and checks the loaded image re-serializes to exactly
+/// \p Bytes and holds the built heap \p Built cell for cell.
+void expectExactReload(Program &P, const std::vector<uint8_t> &Bytes,
+                       const Heap &Built, const std::string &What) {
+  NativeImage Loaded;
+  std::string Error;
+  ASSERT_TRUE(deserializeImage(P, Bytes, Loaded, Error)) << What << ": "
+                                                          << Error;
+  EXPECT_TRUE(serializeImage(P, Loaded) == Bytes) << What;
+  const Heap &H = *Loaded.Built.BuildHeap;
+  ASSERT_EQ(H.numCells(), Built.numCells()) << What;
+  for (CellIdx C = 0; C < CellIdx(H.numCells()); ++C) {
+    const HeapCell &A = Built.cell(C), &B = H.cell(C);
+    bool Same = A.Kind == B.Kind && A.Class == B.Class &&
+                A.ArrayType == B.ArrayType &&
+                A.SnapshotIndex == B.SnapshotIndex &&
+                std::equal(Built.slots(C).begin(), Built.slots(C).end(),
+                           H.slots(C).begin(), H.slots(C).end()) &&
+                Built.str(C) == H.str(C) &&
+                Built.isInterned(C) == H.isInterned(C);
+    ASSERT_TRUE(Same) << What << ": cell " << C;
+  }
+}
+
+class ReloadIsExact : public testing::TestWithParam<std::string> {};
+
+} // namespace
+
+TEST_P(ReloadIsExact, ForEveryVariant) {
+  const std::string &Name = GetParam();
+  bool Micro = Name == "micronaut" || Name == "quarkus" || Name == "spring";
+  BenchmarkSpec Spec =
+      Micro ? microserviceBenchmark(Name) : awfyBenchmark(Name);
+  std::unique_ptr<Program> P = compileSpec(Spec);
+  ASSERT_TRUE(P);
+  RunConfig RC;
+  RC.StopAtFirstResponse = Spec.Microservice;
+  BuildConfig ProfCfg;
+  ProfCfg.Seed = 1001;
+  CollectedProfiles Prof = collectProfiles(*P, ProfCfg, RC);
+  const PaperVariant &Baseline = PaperVariants[0], &Cu = PaperVariants[1],
+                     &CuHeapPath = PaperVariants[7];
+  ASSERT_STREQ(CuHeapPath.Name, "cu+heap path");
+  struct Case {
+    const char *Name;
+    const PaperVariant &V;
+    SplitMode Split;
+    uint32_t HugePages;
+  } Cases[] = {{"baseline", Baseline, SplitMode::None, 0},
+               {"cu+heap path", CuHeapPath, SplitMode::None, 0},
+               {"cu+hotcold", Cu, SplitMode::HotCold, 0},
+               {"huge pages 2", Baseline, SplitMode::None, 2}};
+  for (const Case &K : Cases) {
+    BuildConfig Cfg;
+    Cfg.Seed = 1;
+    Cfg.Split = K.Split;
+    Cfg.Image.HugePages = K.HugePages;
+    NativeImage Img = buildNativeImage(*P, variantConfig(K.V, Cfg, Prof));
+    ASSERT_FALSE(Img.Built.Failed) << Img.Built.FailureMessage;
+    expectExactReload(*P, serializeImage(*P, Img), *Img.Built.BuildHeap,
+                      Name + " " + K.Name);
+  }
+}
+
+static std::vector<std::string> reloadPrograms() {
+  std::vector<std::string> Names = awfyBenchmarkNames();
+  for (const std::string &M : microserviceNames())
+    Names.push_back(M);
+  return Names;
+}
+
+INSTANTIATE_TEST_SUITE_P(Programs, ReloadIsExact,
+                         testing::ValuesIn(reloadPrograms()),
+                         [](const testing::TestParamInfo<std::string> &I) {
+                           return I.param;
+                         });

@@ -238,6 +238,30 @@ TEST(Interp, StringOps) {
             int64_t('w'));
 }
 
+TEST(Interp, SubstringsAndInternsOfAGrowingArena) {
+  // Str.substring and Str.intern copy a view of the heap's own characters
+  // into a new cell, and the allocation grows the arena under that view;
+  // the ASan lane checks nothing reads the old arena.
+  EXPECT_EQ(runInt("class Main { static int main() {\n"
+                   "  String s = \"\";\n"
+                   "  for (int i = 0; i < 300; i = i + 1) {\n"
+                   "    s = s + \"x\" + i;\n"
+                   "  }\n"
+                   "  int same = 0;\n"
+                   "  for (int i = 0; i < 200; i = i + 1) {\n"
+                   "    String t = Str.substring(s, i, i + 40);\n"
+                   "    String u = Str.intern(t);\n"
+                   "    if (Str.equals(u, t) &&\n"
+                   "        u == Str.intern(Str.substring(s, i, i + 40))) {\n"
+                   "      same = same + 1;\n"
+                   "    }\n"
+                   "  }\n"
+                   "  String head = Str.substring(s, 0, 4);\n"
+                   "  if (Str.charAt(head, 3) != 49) { return -1; }\n"
+                   "  return same; } }"),
+            200);
+}
+
 TEST(Interp, NullComparison) {
   EXPECT_EQ(runInt("class A { A next; }\n"
                    "class Main { static int main() {\n"
