@@ -9,9 +9,12 @@
 /// Tagged runtime values and the heap used both at build time (to execute
 /// static initializers and snapshot the resulting object graph, Sec. 2
 /// "Heap Snapshotting") and at run time (the image heap plus runtime
-/// allocations). Cells carry a snapshot index: cells with a nonnegative
-/// index live in the image's .svm_heap section and their first access
-/// faults pages; cells with index -1 are runtime-allocated (RAM only).
+/// allocations). Cells do not record whether they are in the image: the
+/// snapshot maps build-heap cells to its entries (HeapSnapshot::EntryOfCell,
+/// read through `entryOf`). A cell whose entry is stored lives in the
+/// image's .svm_heap section and its first access faults pages; cells
+/// whose entry the PEA-style pass elided, and cells allocated at run time,
+/// live in RAM only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -116,10 +119,6 @@ struct HeapCell {
   CellKind Kind = CellKind::Object;
   ClassId Class = -1;      ///< For objects: the dynamic class.
   TypeId ArrayType = -1;   ///< For arrays: the array type (element derivable).
-  /// Position in the image heap snapshot; -1 when runtime-allocated or
-  /// elided from the snapshot by the PEA-style pass (Sec. 2 "Heap
-  /// Snapshotting": stack-allocated / constant-folded objects).
-  int32_t SnapshotIndex = -1;
   uint32_t SlotBegin = 0; ///< First slot in the heap's value arena.
   uint32_t NumSlots = 0;  ///< Fields (layout order) or elements.
   uint32_t StrLen = 0;    ///< For strings: the length in bytes.

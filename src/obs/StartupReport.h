@@ -6,18 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One machine-readable artifact per pipeline invocation: per-section page
-/// fault counts (the paper's Sec. 7.1 metric), the Fig. 6 page-state map,
-/// trace-salvage statistics, and the build's profile-ingestion diagnostics,
-/// unified into a single JSON (or flat CSV) document. `nimage_cli --report
-/// out.json` writes it; tests parse it back and check the fault counts
-/// against PagingSim exactly.
+/// One machine-readable artifact per pipeline invocation (`nimage_cli
+/// --report`): per-section page faults (the paper's Sec. 7.1 metric), the
+/// Fig. 6 page maps, salvage statistics and profile-ingestion diagnostics.
+/// Tests parse it back and check the fault counts against PagingSim.
 ///
-/// Schema (JSON): {"schema":"nimg-startup-report","version":1,"target":...,
-/// "command":...,"run":{...},"image":{...},"profile_diag":{...},
-/// "salvage":[...],"metrics":{...}}; absent sections are omitted, not
-/// emitted empty. The CSV form flattens the same keys into section,key,value
-/// rows (page maps are elided there).
+/// JSON and CSV render one ordered field table, `rows()`. JSON nests it as
+/// {"schema","version","target","command","variant","run","capture",
+/// "image","split","pages","fleet","profile_diag":{...,"issues":[...]},
+/// "merge":{...,"manifest":[...]},"salvage":[{"phase","stats"}],"metrics"},
+/// omitting absent sections; CSV writes `section,key,value` lines. Only
+/// JSON has the page maps, `trap_message`, the issue and manifest objects,
+/// salvage `phase` and `clean`, and `metrics`; only CSV has the
+/// `profile_diag.issue` and `merge.member` rows.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,8 +30,10 @@
 #include "src/profiling/TraceSalvage.h"
 #include "src/runtime/ExecEngine.h"
 
+#include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace nimg {
@@ -38,9 +41,32 @@ namespace obs {
 
 inline constexpr uint32_t StartupReportVersion = 1;
 
-/// Renders a Fig. 6 page map as one character per page: '#' faulted,
-/// '+' prefetched by readahead, '.' untouched.
-std::string pageMapString(const std::vector<PageState> &Pages);
+/// A report value. Each type has one spelling per form: JSON writes
+/// doubles with "%.17g", CSV with std::to_string.
+using ReportValue = std::variant<uint64_t, double, bool, std::string>;
+
+/// Which forms carry a row.
+enum class ReportForm : uint8_t { Both, JsonOnly, CsvOnly };
+
+/// How JSON renders a row. CSV writes every row it carries as one line.
+enum class JsonShape : uint8_t {
+  Member, ///< "Key":Value.
+  List,   ///< "Key":[...]: its elements are the rows scoped under
+          ///< Scope + {Key, <index>}. Value is the element count.
+  Splice, ///< "Key":Value, where Value is JSON text copied verbatim.
+};
+
+/// One report field. CSV writes it as `Section,Key,Value`; JSON writes it
+/// into the object at `Scope`, a path of object names and array indices
+/// ({"run"}, {"salvage", "1", "stats"}), empty for the top level.
+struct ReportRow {
+  std::string Section;
+  std::vector<std::string> Scope;
+  std::string Key;
+  ReportValue Value;
+  ReportForm Form = ReportForm::Both;
+  JsonShape Shape = JsonShape::Member;
+};
 
 class StartupReport {
 public:
@@ -48,27 +74,20 @@ public:
   std::string Command; ///< Producing command ("run", "build", "profile").
   std::string Variant; ///< Strategy description, free-form.
 
-  void setRun(const RunStats &Stats) {
-    Run = Stats;
-    HasRun = true;
-  }
+  void setRun(const RunStats &Stats) { Run = Stats; }
   /// Image summary + its profile-ingestion diagnostics.
   void setImage(const NativeImage &Img);
   void addSalvage(std::string Phase, const SalvageStats &Stats) {
     Salvage.emplace_back(std::move(Phase), Stats);
   }
   /// Fleet serving-simulation summary (`nimage_cli run --fleet N`).
-  void setFleet(const FleetResult &R, const FleetConfig &Cfg) {
-    HasFleet = true;
-    Fleet = R;
-    Fleet.Instances.clear(); // Summary only; per-instance rows stay out.
-    FleetCfg = Cfg;
-  }
+  void setFleet(const FleetResult &R, const FleetConfig &Cfg);
   /// Appends the global metrics registry snapshot at serialization time.
   void includeMetrics(bool On = true) { WithMetrics = On; }
 
-  bool hasRun() const { return HasRun; }
-  const RunStats &run() const { return Run; }
+  /// Every field of the report in report order; toJson and toCsv render
+  /// this table and nothing else.
+  std::vector<ReportRow> rows() const;
 
   std::string toJson() const;
   std::string toCsv() const;
@@ -76,44 +95,20 @@ public:
   bool writeFile(const std::string &Path) const;
 
 private:
-  bool HasRun = false;
-  RunStats Run;
+  /// What the report keeps of a built image: no per-CU or per-object data.
+  struct ImageSummary {
+    size_t NumCus, SnapshotObjects;
+    uint64_t TextSize, HeapSize, HugeRegionSize, Seed;
+    bool Instrumented, BuildFailed, Split;
+    uint32_t SplitCus, DegradedCus, PageSize, HugePagesRequested, HugePages;
+    uint64_t HotBytes, ColdBytes, StubBytes, ColdTailOffset, ColdTailSize;
+    ProfileDiagnostics Diag;
+  };
 
-  bool HasImage = false;
-  size_t NumCus = 0;
-  size_t SnapshotObjects = 0;
-  uint64_t TextSize = 0;
-  uint64_t HeapSize = 0;
-  uint64_t Seed = 0;
-  bool Instrumented = false;
-  bool BuildFailed = false;
-
-  /// Hot/cold splitting summary (present when the image was built with
-  /// --split hotcold, even if every CU degraded to unsplit).
-  bool HasSplit = false;
-  uint32_t SplitCus = 0;
-  uint32_t SplitDegradedCus = 0;
-  uint64_t SplitHotBytes = 0;
-  uint64_t SplitColdBytes = 0;
-  uint64_t SplitStubBytes = 0;
-  uint64_t ColdTailOffset = 0;
-  uint64_t ColdTailSize = 0;
-
-  /// Multi-size page geometry (present when the image was built with
-  /// --huge-pages, even if the budget was clamped to zero effective pages).
-  bool HasPages = false;
-  uint32_t HugePagesRequested = 0;
-  uint32_t HugePages = 0;
-  uint64_t HugeRegionSize = 0;
-  uint32_t PageSize = 0;
-
-  bool HasFleet = false;
-  FleetResult Fleet;
-  FleetConfig FleetCfg;
-
-  bool HasDiag = false;
-  ProfileDiagnostics Diag;
-
+  std::optional<RunStats> Run;
+  std::optional<ImageSummary> Image;
+  /// The fleet's configuration and totals; no per-instance rows.
+  std::optional<std::pair<FleetConfig, FleetResult>> Fleet;
   std::vector<std::pair<std::string, SalvageStats>> Salvage;
   bool WithMetrics = false;
 };

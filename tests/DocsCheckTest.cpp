@@ -6,17 +6,20 @@
 // NIMG_HIST_RECORD literal, a documented dynamic family, or a family
 // prefix of such a literal), and conversely every static metric literal
 // in src/ must be documented in docs/OBSERVABILITY.md — as must every
-// startup-report section name (the csvRow section literals in
-// StartupReport.cpp). Runs in tier-1 under the "docs" ctest label, so a
-// renamed counter or a new report section fails the build until the
-// reference table follows.
+// startup-report section and key (read from the report's own field table).
+// Runs in tier-1 under the "docs" ctest label, so a renamed counter or a
+// new report field fails the build until the reference table follows.
 //
 //===----------------------------------------------------------------------===//
 
+#include "StartupReportFixtures.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -177,34 +180,66 @@ TEST(DocsCheck, ReadmeLinksTheDocs) {
         << "README.md does not link " << Link;
 }
 
-/// The startup report's CSV rows name their section in the first `csvRow`
-/// argument; those section names double as the report's public schema.
-/// Each one (family prefix before any '.') must have a field-group row in
-/// OBSERVABILITY.md of the form "- `<section>` —", so a new report
-/// section fails this test until the reference list follows.
-TEST(DocsCheck, EveryReportSectionIsDocumented) {
-  std::string Src = readFile(fs::path(NIMG_SOURCE_DIR) / "src" / "obs" /
-                             "StartupReport.cpp");
-  std::set<std::string> Sections;
-  const std::string Marker = "csvRow(Out, \"";
-  for (size_t At = Src.find(Marker); At != std::string::npos;
-       At = Src.find(Marker, At + 1)) {
-    size_t Start = At + Marker.size();
-    size_t End = Src.find('"', Start);
-    if (End == std::string::npos)
-      continue;
-    std::string Sec = Src.substr(Start, End - Start);
-    Sec = Sec.substr(0, Sec.find('.'));
-    if (!Sec.empty())
-      Sections.insert(Sec);
+/// Names inside the backtick spans of \p Text, split at anything that is
+/// not [a-z0-9_] ("`{name, status}`" names both).
+std::set<std::string> backtickNames(const std::string &Text) {
+  std::set<std::string> Out;
+  for (size_t Open = Text.find('`'); Open != std::string::npos;) {
+    size_t Close = Text.find('`', Open + 1);
+    if (Close == std::string::npos)
+      break;
+    std::string Name;
+    for (size_t I = Open + 1; I <= Close; ++I) {
+      char C = Text[I];
+      if ((C >= 'a' && C <= 'z') || (C >= '0' && C <= '9') || C == '_') {
+        Name += C;
+      } else if (!Name.empty()) {
+        Out.insert(Name);
+        Name.clear();
+      }
+    }
+    Open = Text.find('`', Close + 1);
   }
-  ASSERT_GE(Sections.size(), 5u) << "section extraction looks broken";
+  return Out;
+}
+
+/// The startup report's field table is its public schema. Every section
+/// (family prefix before any '.') of the fully populated fixture reports
+/// must have a field-group row "- `<section>` —" in OBSERVABILITY.md, and
+/// every key the JSON form carries must be named in a backtick span of
+/// that row. Keys of CSV-only rows are data (an issue slug, a member's
+/// path), so those rows add only their section.
+TEST(DocsCheck, EveryReportSectionIsDocumented) {
+  nimg::obs::StartupReport Reports[] = {nimg::fixtures::bareRunReport(),
+                                        nimg::fixtures::buildReport(),
+                                        nimg::fixtures::fleetStormReport()};
+  Reports[2].includeMetrics();
+  std::map<std::string, std::set<std::string>> Keys;
+  for (const nimg::obs::StartupReport &Report : Reports)
+    for (const nimg::obs::ReportRow &Row : Report.rows()) {
+      std::set<std::string> &Section =
+          Keys[Row.Section.substr(0, Row.Section.find('.'))];
+      if (Row.Form != nimg::obs::ReportForm::CsvOnly)
+        Section.insert(Row.Key);
+    }
+  ASSERT_EQ(Keys.size(), 11u) << "the fixture reports lost a section";
 
   std::string Ref = readFile(fs::path(NIMG_SOURCE_DIR) / "docs" /
                              "OBSERVABILITY.md");
-  for (const std::string &Sec : Sections)
-    EXPECT_NE(Ref.find("- `" + Sec + "` —"), std::string::npos)
-        << "startup-report section '" << Sec
-        << "' is missing its field-group row \"- `" << Sec
-        << "` — ...\" in docs/OBSERVABILITY.md";
+  for (const auto &[Sec, Names] : Keys) {
+    size_t At = Ref.find("- `" + Sec + "` —");
+    if (At == std::string::npos) {
+      ADD_FAILURE() << "startup-report section '" << Sec
+                    << "' is missing its field-group row \"- `" << Sec
+                    << "` — ...\" in docs/OBSERVABILITY.md";
+      continue;
+    }
+    // The row runs to the next list item or the end of the list.
+    size_t End = std::min(Ref.find("\n- ", At), Ref.find("\n\n", At));
+    std::set<std::string> Named = backtickNames(Ref.substr(At, End - At));
+    for (const std::string &Key : Names)
+      EXPECT_TRUE(Named.count(Key))
+          << "startup-report key '" << Key << "' is not named in the \"- `"
+          << Sec << "` —\" row of docs/OBSERVABILITY.md";
+  }
 }

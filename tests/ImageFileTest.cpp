@@ -656,7 +656,6 @@ void expectExactReload(Program &P, const std::vector<uint8_t> &Bytes,
     const HeapCell &A = Built.cell(C), &B = H.cell(C);
     bool Same = A.Kind == B.Kind && A.Class == B.Class &&
                 A.ArrayType == B.ArrayType &&
-                A.SnapshotIndex == B.SnapshotIndex &&
                 std::equal(Built.slots(C).begin(), Built.slots(C).end(),
                            H.slots(C).begin(), H.slots(C).end()) &&
                 Built.str(C) == H.str(C) &&

@@ -15,6 +15,9 @@
 
 #include "src/core/Builder.h"
 #include "src/lang/Compile.h"
+#include "src/support/Csv.h"
+
+#include "StartupReportFixtures.h"
 
 #include <gtest/gtest.h>
 
@@ -493,4 +496,300 @@ TEST(StartupReport, ProfileErrorSlugsAreStable) {
                "checksum_mismatch");
   EXPECT_STREQ(profileErrorSlug(ProfileError::LegacyFormat), "legacy_format");
   EXPECT_STREQ(profileErrorSlug(ProfileError::None), "none");
+}
+
+//===----------------------------------------------------------------------===//
+// Report bytes. The three fixture reports (StartupReportFixtures.h) pinned
+// byte for byte in both forms: the report's field order, number spelling
+// and quoting are its public format.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+const char *const GoldenBareRunJson =
+    R"({"schema":"nimg-startup-report","version":1,"target":"Richards",)"
+    R"("command":"run","run":{"text_faults":9,"heap_faults":17,)"
+    R"("text_cold_faults":2,"total_faults":26,"prefetched_pages":31,)"
+    R"("instructions":795814,"probe_units":0,"time_ns":3131072.25,)"
+    R"("responded":true,"time_to_first_response_ns":1048576.5,)"
+    R"("trapped":false,"fuel_exhausted":false,"stored_objects_touched":222,)"
+    R"("stored_objects_total":2894,"text_page_map":"##+.#",)"
+    R"("heap_page_map":"#+."}})";
+
+const char *const GoldenBareRunCsv = R"(section,key,value
+report,schema,nimg-startup-report
+report,version,1
+report,target,Richards
+report,command,run
+run,text_faults,9
+run,heap_faults,17
+run,text_cold_faults,2
+run,total_faults,26
+run,prefetched_pages,31
+run,instructions,795814
+run,probe_units,0
+run,time_ns,3131072.250000
+run,responded,true
+run,time_to_first_response_ns,1048576.500000
+run,trapped,false
+run,fuel_exhausted,false
+run,stored_objects_touched,222
+run,stored_objects_total,2894
+)";
+
+const char *const GoldenBuildJson =
+    R"({"schema":"nimg-startup-report","version":1,"target":"Richards",)"
+    R"("command":"build",)"
+    R"("variant":"code=cu members=3 split=hotcold huge-pages=2",)"
+    R"("image":{"num_cus":3,"snapshot_objects":5,"text_size":413696,)"
+    R"("heap_size":282624,"seed":7,"instrumented":false,)"
+    R"("build_failed":false},"split":{"mode":"hotcold","cus_split":2,)"
+    R"("cus_degraded":1,"hot_bytes":9000,"cold_bytes":4000,"stub_bytes":48,)"
+    R"("cold_tail_offset":401408,"cold_tail_size":12288},)"
+    R"("pages":{"page_size":4096,"huge_page_size":2097152,)"
+    R"("huge_pages_requested":2,"huge_pages":1,"huge_region_size":2097152},)"
+    R"("profile_diag":{"code_profile_provided":true,)"
+    R"("code_profile_applied":true,"heap_profile_provided":true,)"
+    R"("heap_profile_applied":false,"degraded":true,)"
+    R"("issues":[{"kind":"checksum_mismatch","row":0},)"
+    R"({"kind":"malformed_cell","row":4,"detail":"cell 2,)"
+    R"( \"x\" is not a count"}]},"merge":{"outcome":"merged","members":3,)"
+    R"("accepted":1,"salvaged":1,"quarantined":1,)"
+    R"("manifest":[{"name":"fleet/a/cu.csv","status":"accepted",)"
+    R"("coverage_permille":1000,"generation":101,"drift_score":0.125,)"
+    R"("weight":1,"rows":40},{"name":"fleet/b/cu.csv","status":"salvaged",)"
+    R"("reason":"checksum_mismatch","detail":"salvaged 30 of 40 rows",)"
+    R"("coverage_permille":750,"generation":100,)"
+    R"("drift_score":0.29999999999999999,"weight":0.70710678118654757,)"
+    R"("rows":30},{"name":"fleet/c/cu.csv","status":"quarantined",)"
+    R"("reason":"stale_generation","coverage_permille":0,"generation":60,)"
+    R"("drift_score":0,"weight":0,"rows":0}]}})";
+
+const char *const GoldenBuildCsv = R"(section,key,value
+report,schema,nimg-startup-report
+report,version,1
+report,target,Richards
+report,command,build
+report,variant,code=cu members=3 split=hotcold huge-pages=2
+image,num_cus,3
+image,snapshot_objects,5
+image,text_size,413696
+image,heap_size,282624
+image,seed,7
+image,instrumented,false
+image,build_failed,false
+split,mode,hotcold
+split,cus_split,2
+split,cus_degraded,1
+split,hot_bytes,9000
+split,cold_bytes,4000
+split,stub_bytes,48
+split,cold_tail_offset,401408
+split,cold_tail_size,12288
+pages,page_size,4096
+pages,huge_page_size,2097152
+pages,huge_pages_requested,2
+pages,huge_pages,1
+pages,huge_region_size,2097152
+profile_diag,code_profile_provided,true
+profile_diag,code_profile_applied,true
+profile_diag,heap_profile_provided,true
+profile_diag,heap_profile_applied,false
+profile_diag,degraded,true
+profile_diag,issues,2
+profile_diag.issue,checksum_mismatch,0
+profile_diag.issue,malformed_cell,"cell 2, ""x"" is not a count"
+merge,outcome,merged
+merge,members,3
+merge,accepted,1
+merge,salvaged,1
+merge,quarantined,1
+merge.member,fleet/a/cu.csv,accepted
+merge.member,fleet/b/cu.csv,salvaged:checksum_mismatch
+merge.member,fleet/c/cu.csv,quarantined:stale_generation
+)";
+
+const char *const GoldenFleetStormJson =
+    R"({"schema":"nimg-startup-report","version":1,"target":"Richards",)"
+    R"("command":"run","variant":"fleet=4 arrivals=storm",)"
+    R"("run":{"text_faults":9,"heap_faults":17,"text_cold_faults":2,)"
+    R"("total_faults":26,"prefetched_pages":31,"instructions":795814,)"
+    R"("probe_units":4000,"time_ns":3131072.25,"responded":false,)"
+    R"("trapped":true,"trap_message":"null dereference in Richards.run",)"
+    R"("fuel_exhausted":false,"stored_objects_touched":222,)"
+    R"("stored_objects_total":2894,"text_page_map":"##+.#",)"
+    R"("heap_page_map":"#+."},"capture":{"mode":"sampled",)"
+    R"("sample_period":2048,"samples_taken":388,"events_skipped":12,)"
+    R"("coverage_permille":968,"overhead_permille":1.2775176299429054},)"
+    R"("image":{"num_cus":3,"snapshot_objects":5,"text_size":413696,)"
+    R"("heap_size":282624,"seed":7,"instrumented":false,)"
+    R"("build_failed":false},"split":{"mode":"hotcold","cus_split":2,)"
+    R"("cus_degraded":1,"hot_bytes":9000,"cold_bytes":4000,"stub_bytes":48,)"
+    R"("cold_tail_offset":401408,"cold_tail_size":12288,)"
+    R"("text_cold_faults":2,"text_hot_faults":7},"pages":{"page_size":4096,)"
+    R"("huge_page_size":2097152,"huge_pages_requested":2,"huge_pages":1,)"
+    R"("huge_region_size":2097152,"text_huge_faults":3,)"
+    R"("text_small_faults":6},"fleet":{"instances":4,"arrivals":"storm",)"
+    R"("arrival_window_ns":20000000,"seed":11,"storm_bursts":2,)"
+    R"("cache_pages":64,"major_faults":30,"warm_hits":74,)"
+    R"("warm_hit_permille":711,"unique_pages":30,"evictions":0,)"
+    R"("cold_start_p50_ns":1565536.125,"cold_start_p90_ns":2000000.5,)"
+    R"("cold_start_p99_ns":3131072.25,"cold_start_mean_ns":600000,)"
+    R"("reference_faults":26,"reference_time_ns":3131072.25},)"
+    R"("profile_diag":{"code_profile_provided":true,)"
+    R"("code_profile_applied":true,"heap_profile_provided":true,)"
+    R"("heap_profile_applied":false,"degraded":true,)"
+    R"("issues":[{"kind":"checksum_mismatch","row":0},)"
+    R"({"kind":"malformed_cell","row":4,"detail":"cell 2,)"
+    R"( \"x\" is not a count"}]},"merge":{"outcome":"merged","members":3,)"
+    R"("accepted":1,"salvaged":1,"quarantined":1,)"
+    R"("manifest":[{"name":"fleet/a/cu.csv","status":"accepted",)"
+    R"("coverage_permille":1000,"generation":101,"drift_score":0.125,)"
+    R"("weight":1,"rows":40},{"name":"fleet/b/cu.csv","status":"salvaged",)"
+    R"("reason":"checksum_mismatch","detail":"salvaged 30 of 40 rows",)"
+    R"("coverage_permille":750,"generation":100,)"
+    R"("drift_score":0.29999999999999999,"weight":0.70710678118654757,)"
+    R"("rows":30},{"name":"fleet/c/cu.csv","status":"quarantined",)"
+    R"("reason":"stale_generation","coverage_permille":0,"generation":60,)"
+    R"("drift_score":0,"weight":0,"rows":0}]},"salvage":[{"phase":"cu",)"
+    R"("stats":{"words_scanned":4096,"words_kept":4096,"words_dropped":0,)"
+    R"("threads_truncated":0,"threads_dropped":0,)"
+    R"("incomplete_tail_records":0,"mode_mismatch":false,"clean":true}},)"
+    R"({"phase":"heap","stats":{"words_scanned":4096,"words_kept":4000,)"
+    R"("words_dropped":96,"threads_truncated":1,"threads_dropped":0,)"
+    R"("incomplete_tail_records":0,"mode_mismatch":false,"clean":false}}]})";
+
+const char *const GoldenFleetStormCsv = R"(section,key,value
+report,schema,nimg-startup-report
+report,version,1
+report,target,Richards
+report,command,run
+report,variant,fleet=4 arrivals=storm
+run,text_faults,9
+run,heap_faults,17
+run,text_cold_faults,2
+run,total_faults,26
+run,prefetched_pages,31
+run,instructions,795814
+run,probe_units,4000
+run,time_ns,3131072.250000
+run,responded,false
+run,trapped,true
+run,fuel_exhausted,false
+run,stored_objects_touched,222
+run,stored_objects_total,2894
+capture,mode,sampled
+capture,sample_period,2048
+capture,samples_taken,388
+capture,events_skipped,12
+capture,coverage_permille,968
+capture,overhead_permille,1.277518
+image,num_cus,3
+image,snapshot_objects,5
+image,text_size,413696
+image,heap_size,282624
+image,seed,7
+image,instrumented,false
+image,build_failed,false
+split,mode,hotcold
+split,cus_split,2
+split,cus_degraded,1
+split,hot_bytes,9000
+split,cold_bytes,4000
+split,stub_bytes,48
+split,cold_tail_offset,401408
+split,cold_tail_size,12288
+split,text_cold_faults,2
+split,text_hot_faults,7
+pages,page_size,4096
+pages,huge_page_size,2097152
+pages,huge_pages_requested,2
+pages,huge_pages,1
+pages,huge_region_size,2097152
+pages,text_huge_faults,3
+pages,text_small_faults,6
+fleet,instances,4
+fleet,arrivals,storm
+fleet,arrival_window_ns,20000000.000000
+fleet,seed,11
+fleet,storm_bursts,2
+fleet,cache_pages,64
+fleet,major_faults,30
+fleet,warm_hits,74
+fleet,warm_hit_permille,711
+fleet,unique_pages,30
+fleet,evictions,0
+fleet,cold_start_p50_ns,1565536.125000
+fleet,cold_start_p90_ns,2000000.500000
+fleet,cold_start_p99_ns,3131072.250000
+fleet,cold_start_mean_ns,600000.000000
+fleet,reference_faults,26
+fleet,reference_time_ns,3131072.250000
+profile_diag,code_profile_provided,true
+profile_diag,code_profile_applied,true
+profile_diag,heap_profile_provided,true
+profile_diag,heap_profile_applied,false
+profile_diag,degraded,true
+profile_diag,issues,2
+profile_diag.issue,checksum_mismatch,0
+profile_diag.issue,malformed_cell,"cell 2, ""x"" is not a count"
+merge,outcome,merged
+merge,members,3
+merge,accepted,1
+merge,salvaged,1
+merge,quarantined,1
+merge.member,fleet/a/cu.csv,accepted
+merge.member,fleet/b/cu.csv,salvaged:checksum_mismatch
+merge.member,fleet/c/cu.csv,quarantined:stale_generation
+salvage.cu,words_scanned,4096
+salvage.cu,words_kept,4096
+salvage.cu,words_dropped,0
+salvage.cu,threads_truncated,0
+salvage.cu,threads_dropped,0
+salvage.cu,incomplete_tail_records,0
+salvage.cu,mode_mismatch,false
+salvage.heap,words_scanned,4096
+salvage.heap,words_kept,4000
+salvage.heap,words_dropped,96
+salvage.heap,threads_truncated,1
+salvage.heap,threads_dropped,0
+salvage.heap,incomplete_tail_records,0
+salvage.heap,mode_mismatch,false
+)";
+
+} // namespace
+
+TEST(StartupReport, GoldenJsonAndCsv) {
+  using namespace fixtures;
+  EXPECT_EQ(bareRunReport().toJson(), GoldenBareRunJson);
+  EXPECT_EQ(bareRunReport().toCsv(), GoldenBareRunCsv);
+  EXPECT_EQ(buildReport().toJson(), GoldenBuildJson);
+  EXPECT_EQ(buildReport().toCsv(), GoldenBuildCsv);
+  EXPECT_EQ(fleetStormReport().toJson(), GoldenFleetStormJson);
+  EXPECT_EQ(fleetStormReport().toCsv(), GoldenFleetStormCsv);
+}
+
+TEST(StartupReport, CsvCellsWithSeparatorsStayOneRow) {
+  // Merge member names are user file paths and issue details carry raw
+  // input bytes: a comma, quote or carriage return in either must stay
+  // inside its cell.
+  const std::string Name = "a,b\r\"c";
+  const std::string Detail = "row 3\rcell \"x\", y";
+  NativeImage Img = fixtures::syntheticImage();
+  Img.ProfileDiag.Merge.Members[0].Name = Name;
+  Img.ProfileDiag.Issues[1].Detail = Detail;
+  StartupReport Report;
+  Report.Command = "build";
+  Report.setImage(Img);
+
+  CsvDocument Doc = parseCsv(Report.toCsv());
+  ASSERT_GT(Doc.Rows.size(), 1u);
+  bool SawName = false, SawDetail = false;
+  for (const std::vector<std::string> &Row : Doc.Rows) {
+    ASSERT_EQ(Row.size(), 3u) << Row[0];
+    SawName |= Row[0] == "merge.member" && Row[1] == Name;
+    SawDetail |= Row[0] == "profile_diag.issue" && Row[2] == Detail;
+  }
+  EXPECT_TRUE(SawName);
+  EXPECT_TRUE(SawDetail);
 }
