@@ -147,6 +147,46 @@ bool parseNonNegative(const char *Text, double &Out) {
   return true;
 }
 
+/// One value of a `--code`, `--heap` or `--split` flag: its name, what it
+/// selects, and the profile file (under the profile directory) it reads.
+template <typename T> struct Choice {
+  const char *Name;
+  T Value;
+  const char *File;
+};
+constexpr Choice<CodeStrategy> CodeChoices[] = {
+    {"cu", CodeStrategy::CuOrder, "/cu.csv"},
+    {"method", CodeStrategy::MethodOrder, "/method.csv"},
+    {"cluster", CodeStrategy::Cluster, "/cluster.csv"}};
+constexpr Choice<HeapStrategy> HeapChoices[] = {
+    {"inc", HeapStrategy::IncrementalId, "/heap_inc.csv"},
+    {"struct", HeapStrategy::StructuralHash, "/heap_struct.csv"},
+    {"path", HeapStrategy::HeapPath, "/heap_path.csv"}};
+constexpr Choice<SplitMode> SplitChoices[] = {
+    {"none", SplitMode::None, ""},
+    {"hotcold", SplitMode::HotCold, "/blocks.csv"}};
+
+/// Looks \p Flag's value up in \p Choices; \p Out stays null when the
+/// flag is absent. Any other value is a usage error naming the flag.
+template <typename T, size_t N>
+bool parseChoiceFlag(int Argc, char **Argv, const char *Flag,
+                     const Choice<T> (&Choices)[N], const Choice<T> *&Out) {
+  const char *V = flagValue(Argc, Argv, Flag);
+  if (!V)
+    return true;
+  std::string Names;
+  for (const Choice<T> &C : Choices) {
+    if (std::strcmp(V, C.Name) == 0) {
+      Out = &C;
+      return true;
+    }
+    Names += (Names.empty() ? "" : "|") + std::string(C.Name);
+  }
+  std::fprintf(stderr, "error: %s expects %s, got '%s'\n", Flag,
+               Names.c_str(), V);
+  return false;
+}
+
 /// One flag a command takes.
 struct FlagSpec {
   const char *Name;
@@ -391,6 +431,13 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
                         Huge))
     return 2;
   Cfg.Image.HugePages = uint32_t(Huge);
+  const Choice<CodeStrategy> *Code = nullptr;
+  const Choice<HeapStrategy> *Heap = nullptr;
+  const Choice<SplitMode> *Split = nullptr;
+  if (!parseChoiceFlag(Argc, Argv, "--code", CodeChoices, Code) ||
+      !parseChoiceFlag(Argc, Argv, "--heap", HeapChoices, Heap) ||
+      !parseChoiceFlag(Argc, Argv, "--split", SplitChoices, Split))
+    return 2;
 
   // --profiles keeps its classic meaning for a bare directory (read
   // {cu,method,...}.csv from it). A comma-separated list or a single
@@ -431,27 +478,18 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
 
   CodeProfile CodeProf;
   HeapProfile HeapProf;
-  const char *Code = flagValue(Argc, Argv, "--code");
   if (MemberMode) {
     // Member sets are cu-order captures; merge feeds the cu (or cluster)
     // code strategy. No --code defaults to cu.
-    if (Code && std::strcmp(Code, "method") == 0)
+    if (Code && Code->Value == CodeStrategy::MethodOrder)
       std::fprintf(stderr,
                    "warning: member profiles are cu-order captures; "
                    "--code method will degrade to the default layout\n");
-    Cfg.CodeOrder = !Code || std::strcmp(Code, "cu") == 0
-                        ? CodeStrategy::CuOrder
-                        : std::strcmp(Code, "cluster") == 0
-                              ? CodeStrategy::Cluster
-                              : CodeStrategy::MethodOrder;
+    Cfg.CodeOrder = Code ? Code->Value : CodeStrategy::CuOrder;
     Cfg.CodeMembers = &Members;
   } else if (Code) {
     std::string Csv;
-    std::string File = Dir + (std::strcmp(Code, "method") == 0
-                                  ? "/method.csv"
-                                  : std::strcmp(Code, "cluster") == 0
-                                        ? "/cluster.csv"
-                                        : "/cu.csv");
+    std::string File = Dir + Code->File;
     if (!readFile(File, Csv)) {
       std::fprintf(stderr, "error: missing profile %s (run 'profile' "
                            "first)\n",
@@ -468,25 +506,12 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
     else if (Report.RowsSkipped > 0)
       std::fprintf(stderr, "warning: %s: skipped %zu malformed row(s)\n",
                    File.c_str(), Report.RowsSkipped);
-    Cfg.CodeOrder = std::strcmp(Code, "method") == 0
-                        ? CodeStrategy::MethodOrder
-                        : std::strcmp(Code, "cluster") == 0
-                              ? CodeStrategy::Cluster
-                              : CodeStrategy::CuOrder;
+    Cfg.CodeOrder = Code->Value;
     Cfg.CodeProf = &CodeProf;
   }
-  if (const char *HeapFlag = flagValue(Argc, Argv, "--heap")) {
-    std::string File = Dir;
-    if (std::strcmp(HeapFlag, "inc") == 0) {
-      Cfg.HeapOrder = HeapStrategy::IncrementalId;
-      File += "/heap_inc.csv";
-    } else if (std::strcmp(HeapFlag, "struct") == 0) {
-      Cfg.HeapOrder = HeapStrategy::StructuralHash;
-      File += "/heap_struct.csv";
-    } else {
-      Cfg.HeapOrder = HeapStrategy::HeapPath;
-      File += "/heap_path.csv";
-    }
+  if (Heap) {
+    Cfg.HeapOrder = Heap->Value;
+    std::string File = Dir + Heap->File;
     std::string Csv;
     if (!readFile(File, Csv)) {
       std::fprintf(stderr, "error: missing profile %s (run 'profile' "
@@ -508,30 +533,25 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
     Cfg.HeapProf = &HeapProf;
   }
   BlockProfile BlockProf;
-  if (const char *Split = flagValue(Argc, Argv, "--split")) {
-    if (std::strcmp(Split, "hotcold") == 0) {
-      Cfg.Split = SplitMode::HotCold;
-      std::string File = Dir + "/blocks.csv";
-      std::string Csv;
-      if (readFile(File, Csv)) {
-        ProfileReadReport Report;
-        BlockProf = BlockProfile::fromCsv(Csv, &Report);
-        Cfg.BlockProf = &BlockProf;
-        if (Report.RowsSkipped > 0)
-          std::fprintf(stderr, "warning: %s: skipped %zu malformed row(s)\n",
-                       File.c_str(), Report.RowsSkipped);
-      } else {
-        // A missing block profile is not fatal: the split pass degrades
-        // every CU to unsplit and records insufficient_block_profile.
-        std::fprintf(stderr,
-                     "warning: missing profile %s; building unsplit "
-                     "(run 'profile' first)\n",
-                     File.c_str());
-      }
-    } else if (std::strcmp(Split, "none") != 0) {
-      std::fprintf(stderr, "error: --split expects none|hotcold, got '%s'\n",
-                   Split);
-      return 2;
+  if (Split)
+    Cfg.Split = Split->Value;
+  if (Cfg.Split == SplitMode::HotCold) {
+    std::string File = Dir + Split->File;
+    std::string Csv;
+    if (readFile(File, Csv)) {
+      ProfileReadReport Report;
+      BlockProf = BlockProfile::fromCsv(Csv, &Report);
+      Cfg.BlockProf = &BlockProf;
+      if (Report.RowsSkipped > 0)
+        std::fprintf(stderr, "warning: %s: skipped %zu malformed row(s)\n",
+                     File.c_str(), Report.RowsSkipped);
+    } else {
+      // A missing block profile is not fatal: the split pass degrades
+      // every CU to unsplit and records insufficient_block_profile.
+      std::fprintf(stderr,
+                   "warning: missing profile %s; building unsplit "
+                   "(run 'profile' first)\n",
+                   File.c_str());
     }
   }
 
@@ -540,16 +560,16 @@ int cmdBuild(const std::string &Target, int Argc, char **Argv) {
   obs::StartupReport Report;
   Report.Target = Target;
   Report.Command = "build";
-  if (const char *CodeFlag = flagValue(Argc, Argv, "--code"))
-    Report.Variant += std::string("code=") + CodeFlag;
+  if (Code)
+    Report.Variant += std::string("code=") + Code->Name;
   else if (MemberMode)
     Report.Variant += "code=cu";
   if (MemberMode)
     Report.Variant += (Report.Variant.empty() ? "" : " ") + std::string("members=") +
                       std::to_string(Members.size());
-  if (const char *HeapFlag = flagValue(Argc, Argv, "--heap"))
-    Report.Variant +=
-        (Report.Variant.empty() ? "" : " ") + std::string("heap=") + HeapFlag;
+  if (Heap)
+    Report.Variant += (Report.Variant.empty() ? "" : " ") +
+                      std::string("heap=") + Heap->Name;
   if (Cfg.Split == SplitMode::HotCold)
     Report.Variant += (Report.Variant.empty() ? "" : " ") +
                       std::string("split=hotcold");

@@ -2,6 +2,8 @@
 
 #include "src/core/Evaluation.h"
 
+#include "src/obs/Metrics.h"
+#include "src/obs/SpanTracer.h"
 #include "src/support/ThreadPool.h"
 
 #include <cassert>
@@ -180,8 +182,10 @@ nimg::evaluateSuite(const std::vector<BenchmarkSpec> &Specs,
   std::mutex Mu;
   std::vector<bool> Finished(Specs.size());
   size_t Reported = 0;
+  NIMG_COUNTER_ADD("nimg.parallel.evaluate.items", Specs.size());
   std::vector<std::vector<BenchmarkEval>> PerBenchmark =
-      parallelMap(Specs.size(), 1, "evaluate", [&](size_t I) {
+      parallelMap(Specs.size(), [&](size_t I) {
+        NIMG_SPAN("evaluate", Specs[I].Name);
         std::vector<BenchmarkEval> Evals =
             evaluateBenchmark(Specs[I], Series, Opts.Seeds);
         std::lock_guard<std::mutex> G(Mu);

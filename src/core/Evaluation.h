@@ -115,7 +115,7 @@ struct BenchmarkEval {
 /// Runs the full evaluation of every benchmark in \p Specs once per split
 /// mode in \p Series; every image of a series, baseline included, is built
 /// with that split. Each benchmark is compiled and profiled once for all
-/// of its series. Benchmarks fan out over the shared pool and merge in
+/// of its series. Benchmarks fan out through parallelMap and merge in
 /// index order, so the result is the same at any worker count; progress
 /// goes to stderr in index order. Returns Out[Series][Benchmark].
 std::vector<std::vector<BenchmarkEval>>

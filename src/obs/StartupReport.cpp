@@ -21,6 +21,22 @@ void StartupReport::setImage(const NativeImage &Img) {
       S.StubBytes, L.ColdTailOffset, L.ColdTailSize, Img.ProfileDiag};
 }
 
+void StartupReport::setRun(const RunStats &S) {
+  Run.emplace(RunStats{.TextFaults = S.TextFaults, .HeapFaults = S.HeapFaults,
+      .TextColdFaults = S.TextColdFaults, .TextHugeFaults = S.TextHugeFaults,
+      .Instructions = S.Instructions, .ProbeUnits = S.ProbeUnits,
+      .PrefetchedPages = S.PrefetchedPages, .TimeNs = S.TimeNs,
+      .TimeToFirstResponseNs = S.TimeToFirstResponseNs,
+      .Responded = S.Responded, .Trapped = S.Trapped,
+      .FuelExhausted = S.FuelExhausted, .TrapMessage = S.TrapMessage,
+      .Output = {}, .StoredObjectsTouched = S.StoredObjectsTouched,
+      .StoredObjectsTotal = S.StoredObjectsTotal, .TextPages = S.TextPages,
+      .HeapPages = S.HeapPages, .SamplesTaken = S.SamplesTaken,
+      .SampleEventsSkipped = S.SampleEventsSkipped,
+      .SampleCoveragePermille = S.SampleCoveragePermille,
+      .SamplePeriod = S.SamplePeriod, .Touches = {}});
+}
+
 void StartupReport::setFleet(const FleetResult &R, const FleetConfig &Cfg) {
   Fleet.emplace(Cfg, FleetResult{.Instances = {},
       .TotalMajors = R.TotalMajors, .TotalWarmHits = R.TotalWarmHits,

@@ -74,7 +74,9 @@ public:
   std::string Command; ///< Producing command ("run", "build", "profile").
   std::string Variant; ///< Strategy description, free-form.
 
-  void setRun(const RunStats &Stats) { Run = Stats; }
+  /// The run's counters, trap message and page maps; not its output or
+  /// touch trace, which rows() never reads.
+  void setRun(const RunStats &Stats);
   /// Image summary + its profile-ingestion diagnostics.
   void setImage(const NativeImage &Img);
   void addSalvage(std::string Phase, const SalvageStats &Stats) {

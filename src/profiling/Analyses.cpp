@@ -124,10 +124,13 @@ void addIssue(ProfileReadReport &R, ProfileError Kind, size_t Row,
     R.Issues.push_back({Kind, Row, std::move(Detail)});
 }
 
-std::string headerRowCsv(const ProfileHeader &H, uint32_t Crc) {
+/// A profile file: the header row, carrying the CRC-32 of the payload,
+/// then \p Payload's rows.
+std::string profileCsv(const ProfileHeader &H, const CsvDocument &Payload) {
+  std::string Body = writeCsv(Payload);
   char Fp[17], CrcBuf[9];
   std::snprintf(Fp, sizeof(Fp), "%016" PRIx64, H.Fingerprint);
-  std::snprintf(CrcBuf, sizeof(CrcBuf), "%08" PRIx32, Crc);
+  std::snprintf(CrcBuf, sizeof(CrcBuf), "%08" PRIx32, crc32(Body));
   CsvDocument Doc;
   // v2 appends generation and coverage after the CRC so v1 readers that
   // stop at cell 6 (and our own v1 test vectors) stay parseable.
@@ -142,7 +145,7 @@ std::string headerRowCsv(const ProfileHeader &H, uint32_t Crc) {
     Doc.Rows[0].push_back(captureKindName(H.Capture));
     Doc.Rows[0].push_back(std::to_string(H.SamplePeriod));
   }
-  return writeCsv(Doc);
+  return writeCsv(Doc) + Body;
 }
 
 /// Validates the header row (Doc.Rows[0]) if present. Returns the index of
@@ -340,8 +343,7 @@ std::string CodeProfile::toCsv() const {
     else
       Doc.Rows.push_back({Sigs[I]});
   }
-  std::string Body = writeCsv(Doc);
-  return headerRowCsv(Header, crc32(Body)) + Body;
+  return profileCsv(Header, Doc);
 }
 
 CodeProfile CodeProfile::fromCsv(const std::string &Text,
@@ -382,8 +384,7 @@ std::string HeapProfile::toCsv() const {
     std::snprintf(Buf, sizeof(Buf), "%016" PRIx64, Id);
     Doc.Rows.push_back({Buf});
   }
-  std::string Body = writeCsv(Doc);
-  return headerRowCsv(Header, crc32(Body)) + Body;
+  return profileCsv(Header, Doc);
 }
 
 HeapProfile HeapProfile::fromCsv(const std::string &Text,
@@ -409,8 +410,7 @@ std::string BlockProfile::toCsv() const {
   for (const Row &R : Rows)
     Doc.Rows.push_back(
         {R.Sig, std::to_string(R.Block), std::to_string(R.Count)});
-  std::string Body = writeCsv(Doc);
-  return headerRowCsv(Header, crc32(Body)) + Body;
+  return profileCsv(Header, Doc);
 }
 
 BlockProfile BlockProfile::fromCsv(const std::string &Text,

@@ -43,7 +43,7 @@ bool isNameChar(char C) {
 }
 
 /// All maximal `nimg.<name>` tokens in \p Text, trailing dots stripped
-/// (so "nimg.parallel.<stage>.chunks" and a sentence-ending "nimg.run."
+/// (so "nimg.profile.load.<kind>.ok" and a sentence-ending "nimg.run."
 /// both yield their family prefix).
 std::set<std::string> nimgTokens(const std::string &Text) {
   std::set<std::string> Out;
@@ -90,7 +90,6 @@ const std::vector<std::string> &dynamicFamilies() {
   static const std::vector<std::string> Families = {
       "nimg.profile.load",
       "nimg.build.profile_rejected",
-      "nimg.parallel",
       "nimg.merge.quarantined",
   };
   return Families;

@@ -1,12 +1,13 @@
-//===- ParallelTest.cpp - Thread pool and pipeline determinism --------------===//
+//===- ParallelTest.cpp - parallelMap and pipeline determinism --------------===//
 //
-// Unit tests for the deterministic thread pool (chunking, exception
-// propagation, nested-use rejection), its one stage — evaluateSuite's
-// fan-out over benchmarks, which must give the same evaluation at any
-// worker count — and the pipeline's determinism: profiles, identity
-// tables, and image bytes must not depend on the worker count, nor on
-// other threads building at the same time. This binary carries the "tsan"
-// ctest label so a -DNIMG_SANITIZE=thread build can run it alone.
+// Unit tests for parallelMap (index coverage and order, the inline path,
+// exception propagation, nested-use rejection), its one caller —
+// evaluateSuite's fan-out over benchmarks, which must give the same
+// evaluation at any worker count — and the pipeline's determinism:
+// profiles, identity tables, and image bytes must not depend on the worker
+// count, nor on other threads building at the same time. This binary
+// carries the "tsan" ctest label so a -DNIMG_SANITIZE=thread build can run
+// it alone.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,121 +31,91 @@ using namespace nimg;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Pool unit tests.
+// parallelMap unit tests.
 //===----------------------------------------------------------------------===//
 
+/// Runs Body(I) for every I in [0, N) through parallelMap at \p Jobs
+/// workers, then resets the worker count.
+template <typename Fn> void mapAtJobs(int Jobs, size_t N, Fn Body) {
+  struct ResetJobs {
+    ~ResetJobs() { setJobs(0); }
+  } Reset;
+  setJobs(Jobs);
+  parallelMap(N, [&](size_t I) {
+    Body(I);
+    return 0;
+  });
+}
+
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool Pool(4);
   std::vector<std::atomic<int>> Hits(103);
-  Pool.parallelFor(Hits.size(), 1, "cover",
-                   [&](size_t Begin, size_t End, size_t) {
-                     for (size_t I = Begin; I < End; ++I)
-                       Hits[I].fetch_add(1);
-                   });
+  mapAtJobs(4, Hits.size(), [&](size_t I) { Hits[I].fetch_add(1); });
   for (size_t I = 0; I < Hits.size(); ++I)
     EXPECT_EQ(Hits[I].load(), 1) << "index " << I;
 }
 
 TEST(ThreadPoolTest, EmptyRangeNeverInvokesBody) {
-  ThreadPool Pool(4);
   std::atomic<int> Calls{0};
-  Pool.parallelFor(0, 1, "empty",
-                   [&](size_t, size_t, size_t) { Calls.fetch_add(1); });
+  mapAtJobs(4, 0, [&](size_t) { Calls.fetch_add(1); });
   EXPECT_EQ(Calls.load(), 0);
 }
 
 TEST(ThreadPoolTest, SingleJobRunsInlineInsideParallelRegion) {
-  ThreadPool Pool(1);
-  EXPECT_EQ(Pool.jobs(), 1);
-  EXPECT_FALSE(ThreadPool::inParallelRegion());
-  bool SawRegion = false;
-  Pool.parallelFor(4, 1, "inline", [&](size_t, size_t, size_t) {
-    SawRegion = ThreadPool::inParallelRegion();
-  });
-  EXPECT_TRUE(SawRegion);
-  EXPECT_FALSE(ThreadPool::inParallelRegion());
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::vector<std::thread::id> Ran(8);
+  mapAtJobs(1, Ran.size(),
+            [&](size_t I) { Ran[I] = std::this_thread::get_id(); });
+  for (size_t I = 0; I < Ran.size(); ++I)
+    EXPECT_EQ(Ran[I], Caller) << "index " << I;
 }
 
 TEST(ThreadPoolTest, ExceptionPropagatesFromInlineExecution) {
-  ThreadPool Pool(1);
-  EXPECT_THROW(Pool.parallelFor(8, 1, "throwing",
-                                [](size_t, size_t, size_t) {
-                                  throw std::runtime_error("task failed");
-                                }),
+  EXPECT_THROW(mapAtJobs(1, 8,
+                         [](size_t) {
+                           throw std::runtime_error("task failed");
+                         }),
                std::runtime_error);
 }
 
 TEST(ThreadPoolTest, ExceptionPropagatesFromWorkers) {
-  ThreadPool Pool(4);
-  EXPECT_THROW(Pool.parallelFor(64, 1, "throwing",
-                                [](size_t, size_t, size_t Chunk) {
-                                  if (Chunk % 2 == 1)
-                                    throw std::runtime_error("task failed");
-                                }),
+  EXPECT_THROW(mapAtJobs(4, 64,
+                         [](size_t I) {
+                           if (I % 2 == 1)
+                             throw std::runtime_error("task failed");
+                         }),
                std::runtime_error);
 }
 
 TEST(ThreadPoolTest, LowestChunkIndexExceptionWins) {
-  // Several chunks throw; which worker ran which chunk is scheduling
-  // noise, but the rethrown error must always come from the lowest chunk.
-  ThreadPool Pool(4);
+  // Several indices throw; which thread ran which index is scheduling
+  // noise, but the rethrown error must always come from the lowest one.
   for (int Round = 0; Round < 8; ++Round) {
     try {
-      Pool.parallelFor(32, 1, "throwing",
-                       [](size_t, size_t, size_t Chunk) {
-                         if (Chunk >= 3)
-                           throw std::runtime_error("chunk " +
-                                                    std::to_string(Chunk));
-                       });
+      mapAtJobs(4, 32, [](size_t I) {
+        if (I >= 3)
+          throw std::runtime_error("index " + std::to_string(I));
+      });
       FAIL() << "expected an exception";
     } catch (const std::runtime_error &E) {
-      EXPECT_STREQ(E.what(), "chunk 3");
+      EXPECT_STREQ(E.what(), "index 3");
     }
   }
 }
 
 TEST(ThreadPoolTest, NestedUseIsRejected) {
-  ThreadPool Pool(2);
-  EXPECT_THROW(Pool.parallelFor(8, 1, "outer",
-                                [&](size_t, size_t, size_t) {
-                                  Pool.parallelFor(
-                                      2, 1, "inner",
-                                      [](size_t, size_t, size_t) {});
-                                }),
-               std::logic_error);
-  // And on the inline path too: a 1-job pool still flags the region.
-  ThreadPool Inline(1);
-  EXPECT_THROW(Inline.parallelFor(2, 1, "outer",
-                                  [&](size_t, size_t, size_t) {
-                                    Inline.parallelFor(
-                                        2, 1, "inner",
-                                        [](size_t, size_t, size_t) {});
-                                  }),
-               std::logic_error);
-}
-
-TEST(ThreadPoolTest, MinChunkBoundsChunkGranularity) {
-  ThreadPool Pool(4);
-  std::mutex Mu;
-  std::vector<std::pair<size_t, size_t>> Ranges;
-  Pool.parallelFor(100, 40, "coarse", [&](size_t Begin, size_t End, size_t) {
-    std::lock_guard<std::mutex> G(Mu);
-    Ranges.emplace_back(Begin, End);
-  });
-  // ceil(100/40) = 3 chunks; all but the last span exactly MinChunk.
-  EXPECT_EQ(Ranges.size(), 3u);
-  size_t Total = 0;
-  for (auto [Begin, End] : Ranges) {
-    EXPECT_LT(Begin, End);
-    Total += End - Begin;
-  }
-  EXPECT_EQ(Total, 100u);
+  // At 2 jobs on the workers and the caller, at 1 job on the inline path.
+  for (int Jobs : {2, 1})
+    EXPECT_THROW(mapAtJobs(Jobs, 8,
+                           [](size_t) {
+                             parallelMap(2, [](size_t I) { return I; });
+                           }),
+                 std::logic_error)
+        << "jobs " << Jobs;
 }
 
 TEST(ThreadPoolTest, ParallelMapPreservesIndexOrder) {
   setJobs(4);
-  std::vector<size_t> Out = parallelMap(
-      257, 8, "map", [](size_t I) { return I * I; });
+  std::vector<size_t> Out = parallelMap(257, [](size_t I) { return I * I; });
   ASSERT_EQ(Out.size(), 257u);
   for (size_t I = 0; I < Out.size(); ++I)
     EXPECT_EQ(Out[I], I * I);
@@ -154,6 +125,8 @@ TEST(ThreadPoolTest, ParallelMapPreservesIndexOrder) {
 TEST(ThreadPoolTest, JobsConfigurationResolvesOverrides) {
   setJobs(3);
   EXPECT_EQ(currentJobs(), 3);
+  setJobs(1000);
+  EXPECT_EQ(currentJobs(), 256);
   setJobs(0);
   EXPECT_GE(currentJobs(), 1);
   EXPECT_GE(hardwareJobs(), 1);
@@ -218,8 +191,8 @@ struct PipelineArtifacts {
   /// too.
   uint64_t SplitFingerprint = 0;
   std::vector<uint8_t> SplitImageBytes;
-  /// Fleet aggregation rides on the same pool: the merged profile and the
-  /// image it drives must be worker-count-invariant too.
+  /// Fleet aggregation at the same worker count: the merged profile and
+  /// the image it drives must be worker-count-invariant too.
   std::string MergedCsv;
   std::vector<uint8_t> MergedImageBytes;
   size_t TraceThreads = 0;
@@ -274,8 +247,8 @@ PipelineArtifacts runPipeline(int Jobs) {
   Art.SplitFingerprint = SplitImg.Split.DecisionFingerprint;
   Art.SplitImageBytes = serializeImage(P, SplitImg);
 
-  // Fleet path: capture a 3-member set (one instrumented run each under
-  // the same pool), merge, and build from the merged profile.
+  // Fleet path: capture a 3-member set (one instrumented run each at the
+  // same worker count), merge, and build from the merged profile.
   BuildConfig SetCfg = ProfCfg;
   SetCfg.ProfileGeneration = 100;
   std::vector<MemberProfile> Members =
@@ -603,7 +576,7 @@ TEST(ParallelPipelineTest, ConcurrentProfileCollectionsOwnTheirPathCaches) {
 }
 
 //===----------------------------------------------------------------------===//
-// The evaluation fan-out: one pool stage over benchmarks.
+// The evaluation fan-out: parallelMap's one call site, over benchmarks.
 //===----------------------------------------------------------------------===//
 
 /// Three small AWFY programs and one microservice.
@@ -672,13 +645,19 @@ TEST(EvaluationFanOut, SeriesEqualSeparateCalls) {
 
 #ifndef NIMG_OBS_DISABLED
 TEST(EvaluationFanOut, ProfilesEachBenchmarkOncePerCall) {
-  obs::Counter &Collects =
-      obs::MetricsRegistry::global().counter("nimg.profile.collect.count");
-  uint64_t Before = Collects.value();
+  obs::MetricsRegistry &R = obs::MetricsRegistry::global();
+  obs::Counter &Collects = R.counter("nimg.profile.collect.count");
+  obs::Counter &Maps = R.counter("nimg.parallel.for.count");
+  obs::Counter &Items = R.counter("nimg.parallel.evaluate.items");
+  uint64_t Before = Collects.value(), MapsBefore = Maps.value(),
+           ItemsBefore = Items.value();
   setJobs(4);
   evaluateSuite(evalSpecs(), BothSeries, oneSeed());
   setJobs(0);
   EXPECT_EQ(Collects.value() - Before, evalSpecs().size());
+  // One parallelMap over the benchmarks, whatever the series count.
+  EXPECT_EQ(Maps.value() - MapsBefore, 1u);
+  EXPECT_EQ(Items.value() - ItemsBefore, evalSpecs().size());
 }
 #endif
 
