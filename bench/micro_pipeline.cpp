@@ -6,8 +6,9 @@
 // Micro-benchmarks for the build-pipeline stages (what "approximate time
 // to reproduce" is made of): frontend compilation, reachability analysis,
 // CU formation, snapshotting, path-graph numbering, trace replay, the
-// paging simulator, the fleet simulator's evicting replay, and the deploy
-// side's image load and per-run heap copy.
+// paging simulator, the fleet simulator's evicting replay, the deploy
+// side's image load and per-run heap copy, and the interpreter with and
+// without the engine's hooks.
 //
 //===----------------------------------------------------------------------===//
 
@@ -269,6 +270,29 @@ static void BM_InterpreterThroughput(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_InterpreterThroughput);
+
+static void BM_InterpretLoadedImage(benchmark::State &State) {
+  // The deployed path: runImage of a Richards image read back from its
+  // file. A loaded image has no cached build base, so every run interprets
+  // through the engine's hooks (paging, code model), as every profile
+  // capture and cold start does. Items are IR instructions.
+  ProgFixture &F = ProgFixture::get();
+  BuildConfig Cfg;
+  Cfg.Seed = 9;
+  NativeImage Built = buildNativeImage(*F.P, Cfg);
+  NativeImage Loaded;
+  std::string Error;
+  bool Ok = deserializeImage(*F.P, serializeImage(*F.P, Built), Loaded, Error);
+  assert(Ok && "image failed to load");
+  (void)Ok;
+  for (auto _ : State) {
+    RunStats S = runImage(Loaded, RunConfig());
+    benchmark::DoNotOptimize(S);
+    State.SetItemsProcessed(State.items_processed() +
+                            int64_t(S.Instructions));
+  }
+}
+BENCHMARK(BM_InterpretLoadedImage)->Unit(benchmark::kMillisecond);
 
 // Custom main instead of BENCHMARK_MAIN(): the bench-smoke ctest label
 // invokes every driver with --smoke, which google-benchmark's parser

@@ -49,6 +49,7 @@ public:
     Chain.clear();
     Chain.push_back(Root);
     inlineInto(R, 0, 1);
+    R.CU.buildInlineMap();
     return R;
   }
 
@@ -129,7 +130,6 @@ private:
         CU.CodeSize += Size;
         int32_t NewIdx = int32_t(CU.Copies.size());
         CU.Copies.push_back(Copy);
-        CU.InlineMap.emplace(CompilationUnit::siteKey(CopyIdx, Site), NewIdx);
         noteDecision(R, CU.Root, CopyIdx, Site, Target);
         Chain.push_back(Target);
         inlineInto(R, NewIdx, Depth + 1);

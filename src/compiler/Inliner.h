@@ -26,8 +26,9 @@
 #include "src/compiler/Reachability.h"
 #include "src/ir/Program.h"
 
+#include <algorithm>
 #include <functional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace nimg {
@@ -46,11 +47,28 @@ struct CompilationUnit {
   MethodId Root = -1;
   std::vector<InlineCopy> Copies;
   uint32_t CodeSize = 0;
-  /// Maps (parentCopy, siteId) to the inlined copy for that call site.
-  std::unordered_map<uint64_t, int32_t> InlineMap;
+  /// (siteKey(ParentCopy, SiteId), copy) for every inlined copy, sorted by
+  /// key, with the lowest copy index kept for a repeated key. Derived from
+  /// Copies by buildInlineMap(); never serialized.
+  std::vector<std::pair<uint64_t, int32_t>> InlineMap;
 
   static uint64_t siteKey(int32_t Copy, uint32_t SiteId) {
     return (uint64_t(uint32_t(Copy)) << 32) | SiteId;
+  }
+
+  /// Rebuilds InlineMap from Copies.
+  void buildInlineMap() {
+    InlineMap.clear();
+    InlineMap.reserve(Copies.size());
+    for (size_t K = 1; K < Copies.size(); ++K)
+      InlineMap.emplace_back(siteKey(Copies[K].ParentCopy, Copies[K].SiteId),
+                             int32_t(K));
+    std::sort(InlineMap.begin(), InlineMap.end());
+    InlineMap.erase(std::unique(InlineMap.begin(), InlineMap.end(),
+                                [](const auto &A, const auto &B) {
+                                  return A.first == B.first;
+                                }),
+                    InlineMap.end());
   }
 
   /// Returns the inlined copy index for a call from \p Copy at \p SiteId
@@ -58,8 +76,13 @@ struct CompilationUnit {
   /// devirtualization guard fails).
   int32_t inlinedCopyFor(int32_t Copy, uint32_t SiteId,
                          MethodId Target) const {
-    auto It = InlineMap.find(siteKey(Copy, SiteId));
-    if (It == InlineMap.end())
+    uint64_t Key = siteKey(Copy, SiteId);
+    auto It = std::lower_bound(
+        InlineMap.begin(), InlineMap.end(), Key,
+        [](const std::pair<uint64_t, int32_t> &E, uint64_t K) {
+          return E.first < K;
+        });
+    if (It == InlineMap.end() || It->first != Key)
       return -1;
     return Copies[size_t(It->second)].Method == Target ? It->second : -1;
   }

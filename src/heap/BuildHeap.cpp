@@ -63,6 +63,10 @@ BuildHeapResult nimg::initializeBuildHeap(Program &P,
     }
   }
 
+  // Initializers run once per build base; their decoded code need not
+  // stay beside the code of the runs.
+  releaseDecodedCode(P);
+
   // Intern every string literal referenced from reachable code: the image
   // embeds constant pointers to them, so they must exist in the build heap
   // even when no initializer executed the referencing instruction.

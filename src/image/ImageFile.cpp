@@ -451,7 +451,6 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
     if (!Rec)
       break;
     CU.Copies.resize(NumCopies);
-    CU.InlineMap.reserve(NumCopies);
     for (uint32_t K = 0; K < NumCopies; ++K, Rec += kCopyBytes) {
       InlineCopy &Copy = CU.Copies[K];
       Copy.Method = MethodId(loadLE<uint32_t>(Rec));
@@ -459,11 +458,8 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
       Copy.SiteId = loadLE<uint32_t>(Rec + 8);
       Copy.CodeOffset = loadLE<uint32_t>(Rec + 12);
       Copy.CodeSize = loadLE<uint32_t>(Rec + 16);
-      if (K > 0)
-        CU.InlineMap.emplace(
-            CompilationUnit::siteKey(Copy.ParentCopy, Copy.SiteId),
-            int32_t(K));
     }
+    CU.buildInlineMap();
   }
 
   // Cells are built in place from the file: the serialized graph encodes

@@ -161,21 +161,22 @@ inline uint16_t traceSlotCount(Opcode Op, int32_t NativeAux) {
 }
 
 /// A fixed-size IR instruction. Field meaning depends on the opcode; see
-/// the per-opcode comments above.
+/// the per-opcode comments above. Fields are ordered to pack into 48 bytes.
 struct Instr {
   Opcode Op;
   uint16_t Dst = 0;
   uint16_t A = 0;
   uint16_t B = 0;
   uint16_t C = 0;
-  int64_t IImm = 0;
-  double FImm = 0;
+  uint16_t ArgsCount = 0;
   int32_t Aux = -1;
   int32_t Aux2 = -1;
   int32_t Target = -1;
   uint32_t ArgsBegin = 0;
-  uint16_t ArgsCount = 0;
+  int64_t IImm = 0;
+  double FImm = 0;
 };
+static_assert(sizeof(Instr) == 48, "keep IR instructions packed");
 
 } // namespace nimg
 

@@ -111,32 +111,37 @@ struct Method {
   SelectorId Selector = -1;       ///< Dispatch selector (instance methods).
 };
 
-/// One 64-bit digest of a program's content, kept for the content version
-/// (Program::version()) it was computed at. The digest is computed outside
+/// One value derived from a program's content, kept for the content version
+/// (Program::version()) it was computed at. The value is computed outside
 /// the memo and published with store(), so concurrent readers of one
-/// program may each compute it once; every store of a version carries the
-/// same digest.
-class ContentDigestMemo {
+/// program may each compute it once; every store of a version carries an
+/// equal value.
+template <typename T> class VersionMemo {
 public:
-  /// Sets \p Digest and returns true when the memo holds version \p V.
-  bool lookup(uint64_t V, uint64_t &Digest) const {
+  /// Sets \p Out and returns true when the memo holds version \p V.
+  bool lookup(uint64_t V, T &Out) const {
     std::lock_guard<std::mutex> G(Mu);
     if (Version != V)
       return false;
-    Digest = Value;
+    Out = Value;
     return true;
   }
-  void store(uint64_t V, uint64_t Digest) {
+  void store(uint64_t V, T NewValue) {
     std::lock_guard<std::mutex> G(Mu);
     Version = V;
-    Value = Digest;
+    Value = std::move(NewValue);
   }
+  /// Empties the memo: the next lookup of any version misses.
+  void clear() { store(0, T{}); }
 
 private:
   mutable std::mutex Mu;
   uint64_t Version = 0; ///< 0 = empty: program versions start at 1.
-  uint64_t Value = 0;
+  T Value{};
 };
+
+/// One 64-bit digest of a program's content.
+using ContentDigestMemo = VersionMemo<uint64_t>;
 
 /// A whole MiniJava program (the "classpath" in Native-Image terms).
 class Program {
@@ -286,6 +291,12 @@ public:
 
   /// The memo behind programFingerprint (src/image); ir/ never reads it.
   ContentDigestMemo &fingerprintMemo() const { return FingerprintMemo; }
+  /// The memo behind the interpreter's pre-decoded code (src/runtime), an
+  /// immutable object shared by every run of this version; ir/ never reads
+  /// it.
+  VersionMemo<std::shared_ptr<const void>> &decodedCodeMemo() const {
+    return DecodedCodeMemo;
+  }
 
   /// Opaque slot for state that later pipeline layers derive from this
   /// program (core/ memoizes its strategy-independent build stages here),
@@ -322,6 +333,7 @@ private:
   mutable std::shared_ptr<void> DerivedCache;
   uint64_t Version = 1;
   mutable ContentDigestMemo FingerprintMemo;
+  mutable VersionMemo<std::shared_ptr<const void>> DecodedCodeMemo;
 
   TypeId internType(TypeInfo Info);
   const std::unordered_map<SelectorId, MethodId> &

@@ -45,20 +45,37 @@ struct ProbeCosts {
   }
 };
 
+/// Index of each CU's first inline copy in a numbering of every copy of
+/// \p Code, plus the total at the end.
+std::vector<uint32_t> copyBases(const CompiledProgram &Code) {
+  std::vector<uint32_t> Base;
+  Base.reserve(Code.CUs.size() + 1);
+  Base.push_back(0);
+  for (const CompilationUnit &CU : Code.CUs)
+    Base.push_back(Base.back() + uint32_t(CU.Copies.size()));
+  return Base;
+}
+
 /// Maps the run's layout-independent items onto this image's byte ranges
 /// and touches them: a CU copy entered, a cold block reached, a build-heap
 /// cell accessed, a static slot, a native stub. Interpretation and replay
 /// both go through here, so a replayed item touches exactly the bytes the
-/// interpreter would have.
+/// interpreter would have. A run never evicts, so touching an item again
+/// changes nothing: copies and cells are touched on first use only.
 class ImageToucher {
 public:
   ImageToucher(const NativeImage &Img, PagingSim &Paging)
       : Img(Img), Paging(Paging),
         SplitActive(Img.Split.active() && !Img.Layout.CuColdOffsets.empty()),
-        Touched(Img.Snapshot.Entries.size(), false) {}
+        CopyBase(copyBases(Img.code())), CopyEntered(CopyBase.back(), 0),
+        Touched(Img.Snapshot.Entries.size(), 0) {}
 
   /// Entering inline copy \p Copy of CU \p Cu.
   void enterCopy(int32_t Cu, int32_t Copy) {
+    uint8_t &Entered = CopyEntered[CopyBase[size_t(Cu)] + uint32_t(Copy)];
+    if (Entered)
+      return;
+    Entered = 1;
     const CuSplit *S = SplitActive ? &Img.Split.PerCu[size_t(Cu)] : nullptr;
     if (S && S->Split) {
       // Split CU: entering a copy touches only its hot fragment; cold
@@ -102,12 +119,12 @@ public:
     if (Entry < 0 ||
         Img.Layout.ObjectOffsets[size_t(Entry)] == ImageLayout::NotStored)
       return -1;
+    if (Touched[size_t(Entry)])
+      return Entry;
+    Touched[size_t(Entry)] = 1;
+    ++NumTouched;
     Paging.touch(ImageSection::HeapSec, Img.Layout.ObjectOffsets[size_t(Entry)],
                  Img.Snapshot.Entries[size_t(Entry)].SizeBytes);
-    if (!Touched[size_t(Entry)]) {
-      Touched[size_t(Entry)] = true;
-      ++NumTouched;
-    }
     return Entry;
   }
 
@@ -133,7 +150,9 @@ private:
   const NativeImage &Img;
   PagingSim &Paging;
   bool SplitActive;
-  std::vector<bool> Touched; ///< Per snapshot entry.
+  std::vector<uint32_t> CopyBase;
+  std::vector<uint8_t> CopyEntered; ///< Per inline copy.
+  std::vector<uint8_t> Touched;     ///< Per snapshot entry.
   size_t NumTouched = 0;
 };
 
@@ -146,12 +165,8 @@ private:
 class AccessRecorder {
 public:
   AccessRecorder(const NativeImage &Img, const uint64_t &Clock)
-      : Clock(Clock), CellSeen(Img.Built.BuildHeap->numCells(), false) {
-    const std::vector<CompilationUnit> &CUs = Img.code().CUs;
-    CopyBase.reserve(CUs.size() + 1);
-    CopyBase.push_back(0);
-    for (const CompilationUnit &CU : CUs)
-      CopyBase.push_back(CopyBase.back() + uint32_t(CU.Copies.size()));
+      : Clock(Clock), CopyBase(copyBases(Img.code())),
+        CellSeen(Img.Built.BuildHeap->numCells(), false) {
     CopySeen.assign(CopyBase.back(), false);
     const Program &P = *Img.P;
     StaticBase.reserve(P.numClasses() + 1);

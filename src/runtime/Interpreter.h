@@ -28,6 +28,7 @@
 
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -142,12 +143,31 @@ struct InterpConfig {
 /// Per-class static-initializer state.
 enum class ClinitState : uint8_t { NotRun, Running, Done };
 
+struct DecodedInstr;
+struct DecodedMethod;
+class DecodedProgram;
+
+/// Drops the interpreter's memoized decoded code of \p P (see
+/// Interpreter); runs that hold it keep it, and the next run decodes the
+/// methods it calls afresh.
+void releaseDecodedCode(const Program &P);
+
 /// The interpreter. Owns thread states and the static-field table; the
 /// heap is shared with the caller so it can be snapshotted.
+///
+/// The loop (run) is one template instantiated with and without hooks. It
+/// executes each method's pre-decoded code: flat instructions with resolved
+/// branch targets and argument registers, decoded on the method's first
+/// call and memoized per Program::version(), shared read-only by
+/// concurrent runs of the program. Each thread keeps its frames and one
+/// register stack; a frame addresses its registers by base index, since
+/// the stack may reallocate when it grows.
 class Interpreter {
 public:
   Interpreter(const Program &P, Heap &H, InterpConfig Config = InterpConfig());
 
+  /// \p CM maps invocations to contexts; null (the default) is the
+  /// build-time model with no compilation units.
   void setCodeModel(CodeModel *CM) { Code = CM; }
   void setHooks(RuntimeHooks *H) { Hooks = H; }
 
@@ -203,6 +223,9 @@ public:
 
   /// Runs up to \p Quantum instructions on thread \p Tid; returns the
   /// number actually executed (0 when the thread is finished or trapped).
+  /// A program edited since the last step (a new Program::version()) is
+  /// decoded again first, and open frames continue at the same block and
+  /// instruction of the new body.
   uint64_t step(uint32_t Tid, uint64_t Quantum);
 
   /// Convenience: runs a single thread to completion; returns its result.
@@ -212,6 +235,8 @@ public:
   // --- Introspection ---------------------------------------------------------
 
   const std::string &output() const { return Output; }
+  /// Instructions executed so far: exact between steps, and while a hook,
+  /// OnSpawn or OnRespond runs.
   uint64_t instructionsExecuted() const { return InstrCount; }
   bool fuelExhausted() const { return InstrCount >= Config.MaxInstructions; }
   Heap &heap() { return H; }
@@ -225,18 +250,18 @@ public:
 
 private:
   struct Frame {
-    MethodId M = -1;
-    BlockId Block = 0;
-    uint32_t InstrIdx = 0;
+    const DecodedMethod *DM = nullptr;
+    uint32_t Pc = 0;   ///< Next instruction, an index into DM->Code.
+    uint32_t Base = 0; ///< First register in the thread's register stack.
     uint16_t RetReg = 0;       ///< Caller register receiving the result.
     bool WantsResult = false;  ///< Whether RetReg is meaningful.
     bool IsClinitTrigger = false; ///< Pushed by lazy class initialization.
     ExecContext Ctx;
-    std::vector<Value> Regs;
   };
 
   struct ThreadState {
-    std::vector<Frame> Stack;
+    std::vector<Frame> Frames;
+    std::vector<Value> Regs; ///< Register stack; its size only grows.
     bool Trapped = false;
     bool YieldRequested = false;
     std::string TrapMsg;
@@ -244,17 +269,35 @@ private:
     bool Finished = false;
   };
 
-  // Execution helpers. Each returns false when the thread trapped.
-  bool execInstr(uint32_t Tid, ThreadState &T, const Instr &In);
-  bool ensureInitialized(uint32_t Tid, ThreadState &T, ClassId C,
-                         bool &Pushed);
-  void pushFrame(uint32_t Tid, ThreadState &T, MethodId M,
-                 std::vector<Value> Args, uint16_t RetReg, bool WantsResult,
-                 const ExecContext &CallerCtx, uint32_t SiteId,
-                 bool IsClinitTrigger);
-  void popFrame(uint32_t Tid, ThreadState &T, Value Result, bool HasResult);
-  bool doNative(uint32_t Tid, ThreadState &T, Frame &F, const Instr &In);
+  /// A CallVirtual site's last receiver class and its resolved target.
+  struct VirtualCacheEntry {
+    ClassId Class = -1;
+    const DecodedMethod *Target = nullptr;
+  };
+
+  template <bool Hooked>
+  uint64_t run(uint32_t Tid, ThreadState &T, uint64_t Quantum);
+  /// Pushes a frame for \p DM; \p CopyArgs(Regs) fills its \p NumArgs
+  /// parameters.
+  template <typename ArgFn>
+  void pushFrame(uint32_t Tid, ThreadState &T, const DecodedMethod &DM,
+                 uint16_t RetReg, bool WantsResult, ExecContext CallerCtx,
+                 uint32_t SiteId, bool IsClinitTrigger, uint16_t NumArgs,
+                 ArgFn CopyArgs);
+  template <bool Hooked>
+  void popFrame(uint32_t Tid, ThreadState &T, Value Result, bool HasResult,
+                BlockId Block);
+  /// Starts the initializers \p C's chain still needs; returns true when it
+  /// pushed a frame (the instruction then executes again afterwards).
+  bool ensureInitialized(uint32_t Tid, ClassId C);
+  bool doNative(uint32_t Tid, ThreadState &T, const Frame &F, Value *R,
+                const DecodedInstr &In);
   void trap(ThreadState &T, const std::string &Msg);
+  /// After an edit of the program (a new version), switches to its current
+  /// decoded code, moving every open frame to the same block and
+  /// instruction of its method's new body.
+  void syncCode();
+  const DecodedMethod &method(MethodId M) const;
 
   /// Reports an executed access site to the hooks.
   void reportAccess(uint32_t Tid, const Frame &F, uint32_t SiteId,
@@ -267,18 +310,26 @@ private:
   const Program &P;
   Heap &H;
   InterpConfig Config;
+  std::shared_ptr<const DecodedProgram> Decoded;
   CodeModel *Code = nullptr;
-  CodeModel DefaultCode;
   RuntimeHooks *Hooks = nullptr;
 
   std::vector<std::vector<Value>> Statics;
   std::vector<ClinitState> Clinit;
+  /// Per class: its whole superclass chain has left NotRun, so lazy
+  /// initialization has nothing left to do for it (states only move
+  /// forward; an edit of the program clears it).
+  std::vector<uint8_t> ChainStarted;
   std::vector<ClassId> InitOrder;
+  /// Per string-table entry: its interned cell, or -1 before first use.
+  std::vector<CellIdx> StringCells;
+  std::vector<VirtualCacheEntry> VirtualCache;
   /// Deque: Sys.spawn appends a thread while another thread executes, so
   /// references to existing thread states must stay valid.
   std::deque<ThreadState> Threads;
   const std::unordered_map<std::string, CellIdx> *Resources = nullptr;
   std::string Output;
+  std::string ConcatBuf; ///< Concat's scratch buffer, reused.
   uint64_t InstrCount = 0;
 };
 

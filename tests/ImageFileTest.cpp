@@ -299,6 +299,45 @@ TEST(ImageFile, LoadedImageRunsIdentically) {
   EXPECT_EQ(A.Instructions, B.Instructions);
 }
 
+TEST(ImageFile, RepeatedInlineSiteKeepsTheFirstCopy) {
+  // The loader derives each CU's inline map from its copy records. In a
+  // crafted file where a later copy claims an earlier copy's (parent, call
+  // site), the site resolves to the earlier copy and the later copy is
+  // never entered.
+  std::unique_ptr<Program> P = compileSpec(awfyBenchmark("Richards"));
+  ASSERT_TRUE(P);
+  BuildConfig Cfg;
+  Cfg.Seed = 1;
+  NativeImage Img = buildNativeImage(*P, Cfg);
+  std::vector<uint8_t> Bytes = serializeImage(*P, Img);
+  const std::vector<CompilationUnit> &CUs = Img.code().CUs;
+  size_t At = ImageMap(Bytes).CuCount + 4;
+  for (size_t C = 0; C < CUs.size(); ++C) {
+    const std::vector<InlineCopy> &Copies = CUs[C].Copies;
+    size_t Record = At + 12;
+    At += 12 + 20 * Copies.size();
+    for (size_t K = 2; K < Copies.size(); ++K) {
+      if (Copies[K].Method == Copies[1].Method)
+        continue;
+      const InlineCopy &First = Copies[1];
+      writeU32(Bytes, Record + 20 * K + 4, uint32_t(First.ParentCopy));
+      writeU32(Bytes, Record + 20 * K + 8, First.SiteId);
+      NativeImage Loaded;
+      std::string Error;
+      ASSERT_TRUE(deserializeImage(*P, Bytes, Loaded, Error)) << Error;
+      const CompilationUnit &CU = Loaded.code().CUs[C];
+      EXPECT_EQ(CU.inlinedCopyFor(First.ParentCopy, First.SiteId,
+                                  First.Method),
+                1);
+      EXPECT_EQ(CU.inlinedCopyFor(First.ParentCopy, First.SiteId,
+                                  Copies[K].Method),
+                -1);
+      return;
+    }
+  }
+  FAIL() << "no CU inlines two different methods";
+}
+
 TEST(ImageFile, SplitGeometryRoundTripsAndRunsIdentically) {
   // ColdPath.classify's negative arm never executes, so the split build
   // has a real cold tail to serialize.

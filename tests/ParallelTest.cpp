@@ -5,9 +5,9 @@
 // evaluateSuite's fan-out over benchmarks, which must give the same
 // evaluation at any worker count — and the pipeline's determinism:
 // profiles, identity tables, and image bytes must not depend on the worker
-// count, nor on other threads building at the same time. This binary
-// carries the "tsan" ctest label so a -DNIMG_SANITIZE=thread build can run
-// it alone.
+// count, nor on other threads building or running at the same time. This
+// binary carries the "tsan" ctest label so a -DNIMG_SANITIZE=thread build
+// can run it alone.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +18,8 @@
 #include "src/lang/Compile.h"
 #include "src/obs/Metrics.h"
 #include "src/support/ThreadPool.h"
+#include "src/workloads/Workloads.h"
+#include "tests/ExpectSameRun.h"
 
 #include <gtest/gtest.h>
 
@@ -573,6 +575,47 @@ TEST(ParallelPipelineTest, ConcurrentProfileCollectionsOwnTheirPathCaches) {
     T.join();
   for (size_t I = 0; I < Got.size(); ++I)
     EXPECT_EQ(Got[I], Expected) << "thread " << I;
+}
+
+TEST(ParallelPipelineTest, ConcurrentRunsOfOneProgramShareItsDecodedCode) {
+  // Four images of one program, read back from their files (a loaded image
+  // always interprets), run twice each from parallelMap on four workers.
+  // The program is edited first, so the runs find the interpreter's
+  // decoded-code memo stale: several decode it, one publishes, and every
+  // run reads methods another run may have decoded (under
+  // -DNIMG_SANITIZE=thread an unguarded memo or a method read without
+  // synchronizing with its publication shows as a race). Each run must
+  // equal its serial run, field for field.
+  std::vector<std::string> Errors;
+  std::unique_ptr<Program> P =
+      compileBenchmark(awfyBenchmark("Richards"), Errors);
+  ASSERT_TRUE(P) << (Errors.empty() ? "" : Errors[0]);
+  std::vector<NativeImage> Loaded(4);
+  for (size_t I = 0; I < Loaded.size(); ++I) {
+    BuildConfig Cfg;
+    Cfg.Seed = 3 + I;
+    NativeImage Img = buildNativeImage(*P, Cfg);
+    ASSERT_FALSE(Img.Built.Failed) << Img.Built.FailureMessage;
+    std::string Error;
+    ASSERT_TRUE(deserializeImage(*P, serializeImage(*P, Img), Loaded[I], Error))
+        << Error;
+  }
+  RunConfig RC;
+  RC.RecordTouches = true;
+  std::vector<RunStats> Serial;
+  for (const NativeImage &Img : Loaded)
+    Serial.push_back(runImage(Img, RC));
+  ASSERT_FALSE(Serial[0].Trapped) << Serial[0].TrapMessage;
+  ASSERT_GT(Serial[0].Instructions, 0u);
+
+  (void)P->method(P->MainMethod); // An edit handle: bumps the version.
+  std::vector<RunStats> Concurrent(2 * Loaded.size());
+  mapAtJobs(4, Concurrent.size(), [&](size_t I) {
+    Concurrent[I] = runImage(Loaded[I % Loaded.size()], RC);
+  });
+  for (size_t I = 0; I < Concurrent.size(); ++I)
+    expectSameRun(Concurrent[I], Serial[I % Loaded.size()],
+                  "run " + std::to_string(I));
 }
 
 //===----------------------------------------------------------------------===//
