@@ -5,14 +5,15 @@
 //
 // Micro-benchmarks for the build-pipeline stages (what "approximate time
 // to reproduce" is made of): frontend compilation, reachability analysis,
-// CU formation, snapshotting, path-graph numbering, trace replay, the
-// paging simulator, the fleet simulator's evicting replay, the deploy
-// side's image load and per-run heap copy, and the interpreter with and
-// without the engine's hooks.
+// CU formation, the layout stage of a cached-base build, path-graph
+// numbering, trace replay, the paging simulator, the fleet simulator's
+// evicting replay, the deploy side's image load and per-run heap copy,
+// and the interpreter with and without the engine's hooks.
 //
 //===----------------------------------------------------------------------===//
 
 #include "src/core/Builder.h"
+#include "src/core/Evaluation.h"
 #include "src/fleet/FleetSim.h"
 #include "src/image/ImageFile.h"
 #include "src/lang/Compile.h"
@@ -84,6 +85,37 @@ static void BM_FullImageBuild(benchmark::State &State) {
     benchmark::DoNotOptimize(buildNativeImage(*F.P, Cfg));
 }
 BENCHMARK(BM_FullImageBuild);
+
+static void BM_LayoutBuild(benchmark::State &State) {
+  // The layout stage alone: the seven paper variants (baseline, cu,
+  // method, incremental id, structural hash, heap path, cu+heap path) at
+  // one seed, over a base every build finds in the cache. Arg 0 is
+  // Richards, 1 micronaut. Items are builds.
+  BenchmarkSpec Spec = State.range(0) ? microserviceBenchmark("micronaut")
+                                      : awfyBenchmark("Richards");
+  std::vector<std::string> Errors;
+  std::unique_ptr<Program> P = compileBenchmark(Spec, Errors);
+  assert(P && "layout-build subject failed to compile");
+  RunConfig Run;
+  Run.StopAtFirstResponse = Spec.Microservice;
+  BuildConfig ProfCfg;
+  ProfCfg.Seed = 1001;
+  CollectedProfiles Prof = collectProfiles(*P, ProfCfg, Run);
+  std::vector<BuildConfig> Cfgs;
+  for (const PaperVariant &V : PaperVariants)
+    if (V.Code != CodeStrategy::Cluster) {
+      BuildConfig Base;
+      Base.Seed = 1;
+      Cfgs.push_back(variantConfig(V, Base, Prof));
+    }
+  for (const BuildConfig &Cfg : Cfgs)
+    benchmark::DoNotOptimize(buildNativeImage(*P, Cfg));
+  for (auto _ : State)
+    for (const BuildConfig &Cfg : Cfgs)
+      benchmark::DoNotOptimize(buildNativeImage(*P, Cfg));
+  State.SetItemsProcessed(int64_t(State.iterations()) * int64_t(Cfgs.size()));
+}
+BENCHMARK(BM_LayoutBuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 static void BM_PathGraphBuild(benchmark::State &State) {
   ProgFixture &F = ProgFixture::get();

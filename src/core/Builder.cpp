@@ -227,6 +227,12 @@ std::shared_ptr<const ImageBase> obtainBase(Program &P, const BuildConfig &Cfg,
     NIMG_SPAN("build", "heap_init");
     Base->Built = initializeBuildHeap(P, Base->Reach, Cfg.Seed);
   }
+  // 3b. What every snapshot of the base walks: roots and PEA keys.
+  if (!Base->Built.Failed) {
+    NIMG_SPAN("build", "snapshot_plan");
+    Base->Plan = buildSnapshotPlan(P, *Base->Built.BuildHeap, Base->Built,
+                                   Base->Code, Base->Reach);
+  }
   Base->Cached = Cacheable && Base->Code.CompileFaults.empty();
   if (Base->Cached) {
     std::lock_guard<std::mutex> G(BaseCacheMu);
@@ -386,17 +392,18 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
   SnapCfg.CuOrder = CuOrder;
   {
     NIMG_SPAN("build", "snapshot");
-    Img.Snapshot = buildSnapshot(P, *Img.Built.BuildHeap, Img.Built, Code,
-                                 Img.reach(), SnapCfg);
+    Img.Snapshot = walkSnapshotPlan(Img.Base->Plan, *Img.Built.BuildHeap,
+                                    SnapCfg);
   }
 
   // 6. Identifier assignment (Sec. 5): the profiling build stores these in
   //    the image; the optimizing build uses them only for matching. Root
-  //    structural hashes are computed once per base.
+  //    structural hashes are computed once per base, heap-path hashes once
+  //    per base and code order.
   {
     NIMG_SPAN("build", "id_table");
     Img.Ids = computeIdTable(P, *Img.Built.BuildHeap, Img.Snapshot,
-                             Cfg.StructuralMaxDepth, &Img.Base->StructuralIds);
+                             Cfg.StructuralMaxDepth, &Img.Base->IdMemo);
   }
 
   // 7. Heap ordering (Sec. 5): match the profile's ids against this

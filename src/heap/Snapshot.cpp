@@ -2,28 +2,44 @@
 
 #include "src/heap/Snapshot.h"
 
-#include "src/support/ByteBuffer.h"
 #include "src/support/Murmur3.h"
 #include "src/support/SplitMix64.h"
 
-#include <deque>
-
 using namespace nimg;
 
-std::string InclusionReason::str() const {
+std::string_view InclusionReason::prefix() const {
   switch (Kind) {
   case InclusionReasonKind::StaticField:
-    return "StaticField:" + Detail;
+    return "StaticField:";
   case InclusionReasonKind::Method:
-    return "Method:" + Detail;
+    return "Method:";
   case InclusionReasonKind::InternedString:
     return "InternedString";
   case InclusionReasonKind::DataSection:
     return "DataSection";
   case InclusionReasonKind::Resource:
-    return "Resource:" + Detail;
+    return "Resource:";
   }
   return "?";
+}
+
+std::string_view InclusionReason::detail() const {
+  switch (Kind) {
+  case InclusionReasonKind::StaticField:
+  case InclusionReasonKind::Method:
+  case InclusionReasonKind::Resource:
+    return Detail;
+  case InclusionReasonKind::InternedString:
+  case InclusionReasonKind::DataSection:
+    break;
+  }
+  return {};
+}
+
+std::string InclusionReason::str() const {
+  std::string S(prefix());
+  S += detail();
+  return S;
 }
 
 size_t HeapSnapshot::numStored() const {
@@ -43,186 +59,243 @@ uint64_t HeapSnapshot::storedBytes() const {
 
 namespace {
 
-class SnapshotBuilder {
-public:
-  SnapshotBuilder(const Program &P, const Heap &H, const BuildHeapResult &Built,
-                  const CompiledProgram &CP, const ReachabilityResult &Reach,
-                  const SnapshotConfig &Config)
-      : P(P), H(H), Built(Built), CP(CP), Reach(Reach), Config(Config) {
-    MetaClass = P.findClass("Class");
+/// Whether PEA may elide \p Cell: a small non-metadata object whose
+/// references all point to strings.
+bool peaEligible(const Heap &H, CellIdx Cell, ClassId MetaClass) {
+  const HeapCell &C = H.cell(Cell);
+  if (C.Kind != CellKind::Object || C.Class == MetaClass)
+    return false;
+  std::span<const Value> Slots = H.slots(Cell);
+  if (Slots.size() > 4)
+    return false;
+  for (const Value &V : Slots)
+    if (V.isRef() && H.cell(V.asRef()).Kind != CellKind::String)
+      return false;
+  return true;
+}
+
+/// The content key of an eligible object: its class name, then each slot's
+/// kind and value (strings by contents), so equal objects of different
+/// builds share it.
+uint64_t peaKey(const Program &P, const Heap &H, CellIdx Cell) {
+  Murmur3Stream S;
+  S.appendSizedString(P.classDef(H.cell(Cell).Class).Name);
+  for (const Value &V : H.slots(Cell)) {
+    S.appendU8(uint8_t(V.Kind));
+    if (V.isRef())
+      S.appendSizedString(H.str(V.asRef()));
+    else
+      S.appendI64(V.I);
   }
+  return S.digest().Lo;
+}
 
-  HeapSnapshot run() {
-    Snap.EntryOfCell.assign(H.numCells(), -1);
-    enumerateCodeConstantRoots();
-    enumerateStaticFieldRoots();
-    enumerateClassMetadataRoots();
-    enumerateResourceRoots();
-    return std::move(Snap);
+/// Writes the reason detail \p R names into \p Out (one allocation at
+/// most).
+void renderDetail(const Program &P, const SnapshotPlan::Root &R,
+                  std::string &Out) {
+  switch (R.Kind) {
+  case InclusionReasonKind::Method:
+    Out = P.method(R.Owner).Sig;
+    return;
+  case InclusionReasonKind::StaticField: {
+    const ClassDef &Def = P.classDef(R.Owner);
+    const std::string &Field = Def.StaticFields[size_t(R.Field)].Name;
+    Out.reserve(Def.Name.size() + 1 + Field.size());
+    Out += Def.Name;
+    Out += '.';
+    Out += Field;
+    return;
   }
+  case InclusionReasonKind::Resource:
+    Out = P.Resources[size_t(R.Owner)].first;
+    return;
+  case InclusionReasonKind::InternedString:
+  case InclusionReasonKind::DataSection:
+    return;
+  }
+}
 
-private:
-  // --- Root enumeration ------------------------------------------------------
+} // namespace
 
-  void enumerateCodeConstantRoots() {
-    std::vector<int32_t> Order = Config.CuOrder;
-    if (Order.empty())
-      for (size_t I = 0; I < CP.CUs.size(); ++I)
-        Order.push_back(int32_t(I));
-    for (int32_t CuIdx : Order) {
-      const CompilationUnit &CU = CP.CUs[size_t(CuIdx)];
-      const std::string &RootSig = P.method(CU.Root).Sig;
-      for (const InlineCopy &Copy : CU.Copies) {
-        const Method &Meth = P.method(Copy.Method);
-        for (const BasicBlock &BB : Meth.Blocks) {
-          for (const Instr &In : BB.Instrs) {
-            if (In.Op == Opcode::ConstString) {
-              CellIdx Cell = H.internedCell(P.string(In.Aux));
-              assert(Cell != -1 && "string literal missing from the build heap");
-              if (Cell != -1)
-                addRoot(Cell, {InclusionReasonKind::InternedString, ""});
-            } else if (In.Op == Opcode::NewObject) {
-              // Allocation embeds a constant pointer to the class metadata.
-              CellIdx Meta = Built.ClassMetaCells[size_t(In.Aux)];
-              if (Meta != -1)
-                addRoot(Meta, {InclusionReasonKind::Method, RootSig});
-            }
+SnapshotPlan nimg::buildSnapshotPlan(const Program &P, const Heap &H,
+                                     const BuildHeapResult &Built,
+                                     const CompiledProgram &CP,
+                                     const ReachabilityResult &Reach) {
+  SnapshotPlan Plan;
+
+  // (1) Constants embedded in compiled code. Within a CU only a cell's
+  // first occurrence can become an entry, so the later ones are dropped.
+  std::vector<uint32_t> SeenInCu(H.numCells(), 0);
+  Plan.CuRootBegin.reserve(CP.CUs.size() + 1);
+  for (size_t Cu = 0; Cu < CP.CUs.size(); ++Cu) {
+    Plan.CuRootBegin.push_back(uint32_t(Plan.Roots.size()));
+    const CompilationUnit &CU = CP.CUs[Cu];
+    uint32_t Stamp = uint32_t(Cu) + 1;
+    auto Add = [&](CellIdx Cell, InclusionReasonKind Kind) {
+      if (SeenInCu[size_t(Cell)] == Stamp)
+        return;
+      SeenInCu[size_t(Cell)] = Stamp;
+      Plan.Roots.push_back(
+          {Cell, Kind, Kind == InclusionReasonKind::Method ? CU.Root : -1, -1});
+    };
+    for (const InlineCopy &Copy : CU.Copies) {
+      const Method &Meth = P.method(Copy.Method);
+      for (const BasicBlock &BB : Meth.Blocks) {
+        for (const Instr &In : BB.Instrs) {
+          if (In.Op == Opcode::ConstString) {
+            CellIdx Cell = H.internedCell(P.string(In.Aux));
+            assert(Cell != -1 && "string literal missing from the build heap");
+            if (Cell != -1)
+              Add(Cell, InclusionReasonKind::InternedString);
+          } else if (In.Op == Opcode::NewObject) {
+            // Allocation embeds a constant pointer to the class metadata.
+            CellIdx Meta = Built.ClassMetaCells[size_t(In.Aux)];
+            if (Meta != -1)
+              Add(Meta, InclusionReasonKind::Method);
           }
         }
       }
     }
   }
+  Plan.CuRootBegin.push_back(uint32_t(Plan.Roots.size()));
 
-  void enumerateStaticFieldRoots() {
-    for (size_t C = 0; C < P.numClasses(); ++C) {
-      if (C < Reach.ReachableClasses.size() && !Reach.ReachableClasses[C])
-        continue;
-      if (size_t(C) >= Built.Statics.size())
-        continue;
-      const ClassDef &Def = P.classDef(ClassId(C));
-      for (size_t F = 0; F < Def.StaticFields.size(); ++F) {
-        const Value &V = Built.Statics[C][F];
-        if (!V.isRef())
-          continue;
-        addRoot(V.asRef(), {InclusionReasonKind::StaticField,
-                            Def.Name + "." + Def.StaticFields[F].Name});
-      }
+  // (2) Static reference fields of reachable classes.
+  for (size_t C = 0; C < P.numClasses(); ++C) {
+    if (C < Reach.ReachableClasses.size() && !Reach.ReachableClasses[C])
+      continue;
+    if (size_t(C) >= Built.Statics.size())
+      continue;
+    const ClassDef &Def = P.classDef(ClassId(C));
+    for (size_t F = 0; F < Def.StaticFields.size(); ++F) {
+      const Value &V = Built.Statics[C][F];
+      if (V.isRef())
+        Plan.Roots.push_back({V.asRef(), InclusionReasonKind::StaticField,
+                              int32_t(C), int32_t(F)});
     }
   }
-
-  void enumerateClassMetadataRoots() {
-    for (size_t C = 0; C < Built.ClassMetaCells.size(); ++C)
-      if (Built.ClassMetaCells[C] != -1)
-        addRoot(Built.ClassMetaCells[C],
-                {InclusionReasonKind::DataSection, ""});
+  // (3) Class metadata.
+  for (CellIdx Meta : Built.ClassMetaCells)
+    if (Meta != -1)
+      Plan.Roots.push_back({Meta, InclusionReasonKind::DataSection, -1, -1});
+  // (4) Resources, as declared on the program.
+  for (size_t R = 0; R < P.Resources.size(); ++R) {
+    auto It = Built.ResourceCells.find(P.Resources[R].first);
+    if (It != Built.ResourceCells.end())
+      Plan.Roots.push_back(
+          {It->second, InclusionReasonKind::Resource, int32_t(R), -1});
   }
 
-  void enumerateResourceRoots() {
-    // Deterministic order: as declared on the program.
-    for (const auto &[Name, Contents] : P.Resources) {
-      (void)Contents;
-      auto It = Built.ResourceCells.find(Name);
-      if (It != Built.ResourceCells.end())
-        addRoot(It->second, {InclusionReasonKind::Resource, Name});
+  // The cells a walk reaches, marked depth-first (order does not matter
+  // here); only they are counted and keyed.
+  std::vector<uint8_t> Reached(H.numCells(), 0);
+  std::vector<CellIdx> Pending;
+  auto Mark = [&](CellIdx Cell) {
+    if (!Reached[size_t(Cell)]) {
+      Reached[size_t(Cell)] = 1;
+      ++Plan.NumEntries;
+      Pending.push_back(Cell);
+    }
+  };
+  for (const SnapshotPlan::Root &R : Plan.Roots) {
+    Mark(R.Cell);
+    while (!Pending.empty()) {
+      CellIdx Cell = Pending.back();
+      Pending.pop_back();
+      for (const Value &V : H.slots(Cell))
+        if (V.isRef())
+          Mark(V.asRef());
     }
   }
-
-  // --- Traversal ----------------------------------------------------------------
-
-  void addRoot(CellIdx Cell, InclusionReason Reason) {
-    if (Snap.EntryOfCell[size_t(Cell)] != -1)
-      return; // First inclusion reason wins.
-    int32_t Entry = addEntry(Cell, /*IsRoot=*/true, std::move(Reason), -1, -1);
-    traverseFrom(Entry);
+  ClassId MetaClass = P.findClass("Class");
+  size_t Words = (H.numCells() + 63) / 64;
+  Plan.PeaCells.assign(Words, 0);
+  Plan.PeaRank.assign(Words, 0);
+  for (size_t Cell = 0; Cell < H.numCells(); ++Cell) {
+    if (Cell % 64 == 0)
+      Plan.PeaRank[Cell / 64] = uint32_t(Plan.PeaKeys.size());
+    if (Reached[Cell] && peaEligible(H, CellIdx(Cell), MetaClass)) {
+      Plan.PeaCells[Cell / 64] |= uint64_t(1) << (Cell % 64);
+      Plan.PeaKeys.push_back(peaKey(P, H, CellIdx(Cell)));
+    }
   }
+  return Plan;
+}
 
-  int32_t addEntry(CellIdx Cell, bool IsRoot, InclusionReason Reason,
-                   int32_t ParentEntry, int32_t ParentSlot) {
-    SnapshotEntry E;
+HeapSnapshot nimg::walkSnapshotPlan(const SnapshotPlan &Plan, const Heap &H,
+                                    const SnapshotConfig &Config) {
+  HeapSnapshot Snap;
+  std::vector<SnapshotEntry> &Entries = Snap.Entries;
+  std::vector<int32_t> &EntryOfCell = Snap.EntryOfCell;
+  EntryOfCell.assign(H.numCells(), -1);
+  Entries.reserve(Plan.NumEntries);
+  Snap.CuOrder = Config.CuOrder;
+
+  auto AddEntry = [&](CellIdx Cell, int32_t ParentEntry, int32_t ParentSlot) {
+    SnapshotEntry &E = Entries.emplace_back();
     E.Cell = Cell;
     E.SizeBytes = H.cellSizeBytes(Cell);
-    E.IsRoot = IsRoot;
-    E.Reason = std::move(Reason);
     E.ParentEntry = ParentEntry;
     E.ParentSlot = ParentSlot;
-    E.Elided = shouldElide(Cell);
-    int32_t Idx = int32_t(Snap.Entries.size());
-    Snap.Entries.push_back(std::move(E));
-    Snap.EntryOfCell[size_t(Cell)] = Idx;
-    return Idx;
-  }
+    // Deterministic per-build decision keyed on the inline fingerprint and
+    // the object's content: one in four eligible objects goes.
+    const uint64_t *Key = Config.EnablePea ? Plan.peaKey(Cell) : nullptr;
+    E.Elided = Key && mix64(Config.PeaFingerprint, *Key) % 4 == 0;
+    EntryOfCell[size_t(Cell)] = int32_t(Entries.size() - 1);
+  };
 
-  void traverseFrom(int32_t RootEntry) {
-    std::deque<int32_t> Queue{RootEntry};
-    while (!Queue.empty()) {
-      int32_t EntryIdx = Queue.front();
-      Queue.pop_front();
-      CellIdx Cell = Snap.Entries[size_t(EntryIdx)].Cell;
-      std::span<const Value> Slots = H.slots(Cell);
+  // Breadth-first from each new root. A root's queue is exactly the
+  // entries appended since it (every child is appended as it is queued),
+  // and each traversal drains before the next root, so one cursor over
+  // the entries is the queue of all of them.
+  size_t Next = 0;
+  auto AddRoot = [&](const SnapshotPlan::Root &R) {
+    if (EntryOfCell[size_t(R.Cell)] != -1)
+      return; // First inclusion reason wins.
+    AddEntry(R.Cell, -1, -1);
+    SnapshotEntry &E = Entries.back();
+    E.IsRoot = true;
+    E.Reason.Kind = R.Kind;
+    renderDetail(H.program(), R, E.Reason.Detail);
+    for (; Next < Entries.size(); ++Next) {
+      std::span<const Value> Slots = H.slots(Entries[Next].Cell);
       for (size_t Slot = 0; Slot < Slots.size(); ++Slot) {
         const Value &V = Slots[Slot];
-        if (!V.isRef())
-          continue;
-        CellIdx Child = V.asRef();
-        if (Snap.EntryOfCell[size_t(Child)] != -1)
-          continue;
         // Elided objects are rematerialized at run time, but whatever they
         // reference must still live in the image (real PEA keeps the
         // referenced constants); traverse through them so elision changes
         // only the elided object's own type population, not — e.g. — the
         // String population (Alg. 1's per-type counters are the point).
-        int32_t ChildEntry = addEntry(Child, /*IsRoot=*/false, {}, EntryIdx,
-                                      int32_t(Slot));
-        Queue.push_back(ChildEntry);
+        if (V.isRef() && EntryOfCell[size_t(V.asRef())] == -1)
+          AddEntry(V.asRef(), int32_t(Next), int32_t(Slot));
       }
     }
-  }
+  };
 
-  // --- PEA-style elision ------------------------------------------------------
-
-  bool shouldElide(CellIdx Cell) {
-    if (!Config.EnablePea)
-      return false;
-    const HeapCell &C = H.cell(Cell);
-    if (C.Kind != CellKind::Object || C.Class == MetaClass)
-      return false;
-    std::span<const Value> Slots = H.slots(Cell);
-    if (Slots.size() > 4)
-      return false;
-    for (const Value &V : Slots)
-      if (V.isRef() && H.cell(V.asRef()).Kind != CellKind::String)
-        return false;
-    // Deterministic per-build decision keyed on the inline fingerprint and
-    // the object's content: one in four eligible objects goes.
-    ByteBuffer B;
-    B.appendSizedString(P.classDef(C.Class).Name);
-    for (const Value &V : Slots) {
-      B.appendU8(uint8_t(V.Kind));
-      if (V.isRef())
-        B.appendSizedString(H.str(V.asRef()));
-      else
-        B.appendI64(V.I);
-    }
-    uint64_t Key = mix64(Config.PeaFingerprint, murmurHash3(B.bytes()));
-    return Key % 4 == 0;
-  }
-
-  const Program &P;
-  const Heap &H;
-  const BuildHeapResult &Built;
-  const CompiledProgram &CP;
-  const ReachabilityResult &Reach;
-  const SnapshotConfig &Config;
-  ClassId MetaClass = -1;
-  HeapSnapshot Snap;
-};
-
-} // namespace
+  assert(!Plan.CuRootBegin.empty() && "not a built plan");
+  size_t NumCus = Plan.CuRootBegin.size() - 1;
+  auto AddCuRoots = [&](size_t Cu) {
+    for (uint32_t I = Plan.CuRootBegin[Cu]; I < Plan.CuRootBegin[Cu + 1]; ++I)
+      AddRoot(Plan.Roots[I]);
+  };
+  if (Config.CuOrder.empty())
+    for (size_t Cu = 0; Cu < NumCus; ++Cu)
+      AddCuRoots(Cu);
+  else
+    for (int32_t Cu : Config.CuOrder)
+      AddCuRoots(size_t(Cu));
+  Snap.CodeEntries = uint32_t(Entries.size());
+  for (size_t I = Plan.CuRootBegin.back(); I < Plan.Roots.size(); ++I)
+    AddRoot(Plan.Roots[I]);
+  assert(Entries.size() == Plan.NumEntries && "walk left the plan's cells");
+  return Snap;
+}
 
 HeapSnapshot nimg::buildSnapshot(const Program &P, const Heap &H,
                                  const BuildHeapResult &Built,
                                  const CompiledProgram &CP,
                                  const ReachabilityResult &Reach,
                                  const SnapshotConfig &Config) {
-  return SnapshotBuilder(P, H, Built, CP, Reach, Config).run();
+  return walkSnapshotPlan(buildSnapshotPlan(P, H, Built, CP, Reach), H,
+                          Config);
 }

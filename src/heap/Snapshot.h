@@ -29,7 +29,9 @@
 #include "src/heap/BuildHeap.h"
 #include "src/heap/Heap.h"
 
+#include <bit>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nimg {
@@ -48,8 +50,14 @@ struct InclusionReason {
   InclusionReasonKind Kind = InclusionReasonKind::DataSection;
   std::string Detail; ///< Field/method signature or resource name.
 
-  /// Renders the reason as the string Alg. 3 hashes.
+  /// Renders the reason as the string Alg. 3 hashes: prefix(), then
+  /// detail().
   std::string str() const;
+  /// The kind's name, with the ':' before the detail for kinds that have
+  /// one.
+  std::string_view prefix() const;
+  /// Detail for kinds that have one (field, method, resource), else empty.
+  std::string_view detail() const;
 };
 
 /// One object in the snapshot traversal.
@@ -75,6 +83,17 @@ struct HeapSnapshot {
   /// is not in the snapshot). Cells beyond the table (allocated at run
   /// time) are never in it.
   std::vector<int32_t> EntryOfCell;
+  /// The code order the snapshot was walked in (SnapshotConfig::CuOrder).
+  /// With the build base it determines the entries, first paths and
+  /// reasons, so it keys what a base keeps of them (BaseIdMemo).
+  std::vector<int32_t> CuOrder;
+  /// Entries [0, CodeEntries) were reached from constants in code. The
+  /// rest are the same, entry for entry, in every walk of one base: by the
+  /// time the walk leaves the code roots it has reached the same cells
+  /// whatever their order, and the other roots come in a fixed order.
+  /// CuOrder and CodeEntries are not stored in the image: a loaded
+  /// snapshot leaves them empty.
+  uint32_t CodeEntries = 0;
 
   int32_t entryOf(CellIdx Cell) const {
     return Cell >= 0 && size_t(Cell) < EntryOfCell.size()
@@ -98,11 +117,71 @@ struct SnapshotConfig {
   std::vector<int32_t> CuOrder;
 };
 
-/// Traverses the build heap and produces the snapshot. Root enumeration
-/// order: (1) constants embedded in compiled code, per CU in .text order,
-/// (2) static reference fields of reachable classes, (3) class metadata,
-/// (4) resources. Objects reachable from earlier CUs therefore precede
-/// objects of later CUs, matching the paper's default object order.
+/// Everything a snapshot walk reads besides the code order and the PEA
+/// fingerprint: the root candidates and the PEA content keys. All of
+/// it is a function of the build base (program, reachability, CUs, build
+/// heap), so ImageBase keeps one plan per base; it is immutable once built,
+/// and concurrent builds read it without a lock.
+struct SnapshotPlan {
+  /// A root candidate. Owner and Field name its reason's detail, which is
+  /// rendered only when the root becomes an entry: the CU root method
+  /// (Method), the class and its static field (StaticField), the index in
+  /// Program::Resources (Resource); -1 for kinds without a detail.
+  struct Root {
+    CellIdx Cell = -1;
+    InclusionReasonKind Kind = InclusionReasonKind::DataSection;
+    int32_t Owner = -1;
+    int32_t Field = -1;
+  };
+  /// The code-constant roots of CU I are Roots[CuRootBegin[I],
+  /// CuRootBegin[I + 1]), deduplicated within the CU in first-instruction
+  /// order. From CuRootBegin.back() on follow the static-field,
+  /// class-metadata and resource roots, in enumeration order.
+  std::vector<Root> Roots;
+  std::vector<uint32_t> CuRootBegin;
+  /// Cells every walk reaches: the roots are one set in any code order, so
+  /// the entries are too, and only their order moves.
+  uint32_t NumEntries = 0;
+  /// The PEA content keys of the reached cells PEA may elide, in cell
+  /// order. A key hashes the object's type and contents; the build's PEA
+  /// fingerprint is mixed with it. Bit Cell % 64 of PeaCells[Cell / 64]
+  /// marks the cells that have one, and PeaRank[W] counts the keys of the
+  /// cells before word W: a fraction of a byte per cell.
+  std::vector<uint64_t> PeaKeys;
+  std::vector<uint64_t> PeaCells;
+  std::vector<uint32_t> PeaRank;
+
+  /// \p Cell's PEA content key, or null when PEA may not elide it.
+  const uint64_t *peaKey(CellIdx Cell) const {
+    size_t Word = size_t(Cell) / 64;
+    uint64_t Bit = uint64_t(1) << (size_t(Cell) % 64);
+    if (!(PeaCells[Word] & Bit))
+      return nullptr;
+    return &PeaKeys[PeaRank[Word] + std::popcount(PeaCells[Word] & (Bit - 1))];
+  }
+};
+
+/// Builds the plan of one build base.
+SnapshotPlan buildSnapshotPlan(const Program &P, const Heap &H,
+                               const BuildHeapResult &Built,
+                               const CompiledProgram &CP,
+                               const ReachabilityResult &Reach);
+
+/// Traverses the build heap from \p Plan's roots and produces the snapshot.
+/// Root enumeration order: (1) constants embedded in compiled code, per CU
+/// in .text order, (2) static reference fields of reachable classes, (3)
+/// class metadata, (4) resources. Objects reachable from earlier CUs
+/// therefore precede objects of later CUs, matching the paper's default
+/// object order. \p H must be the heap the plan was built over.
+///
+/// The walk passes through elided objects, so the entries, first paths and
+/// reasons depend only on the plan and Config.CuOrder; the PEA fingerprint
+/// moves only the Elided flags.
+HeapSnapshot walkSnapshotPlan(const SnapshotPlan &Plan, const Heap &H,
+                              const SnapshotConfig &Config);
+
+/// buildSnapshotPlan, then walkSnapshotPlan: the snapshot of a build that
+/// has no plan at hand.
 ///
 /// The heap is only read: every string literal of the compiled code must
 /// already be interned (initializeBuildHeap interns those of all reachable

@@ -42,20 +42,25 @@ struct AccessLog;
 /// instrumentation) shares one immutable base. A base memoized in the
 /// program's build cache also keeps the layout-independent access logs of
 /// the runs made on its images, from which later runs of any image of the
-/// base are replayed instead of interpreted. Every base keeps the root
-/// structural hashes its builds computed, which no layout changes.
+/// base are replayed instead of interpreted. Every base keeps the
+/// snapshot plan its builds walk and the identity hashes they computed,
+/// which no layout changes (BaseIdMemo).
 struct ImageBase {
   ReachabilityResult Reach;
   CompiledProgram Code;
   BuildHeapResult Built;
+  /// Roots and PEA content keys of the build heap (empty when build-time
+  /// initialization failed, and for deserialized images).
+  SnapshotPlan Plan;
   /// True for bases served from and stored in the program's build cache.
   /// Deserialized images and builds made under an armed compile-fault hook
   /// (or with degraded compile tasks) get a private base with this false;
   /// their runs always interpret and never record.
   bool Cached = false;
-  /// Root structural hashes of the build heap's cells, filled by the
-  /// identity stage of the builds made on this base.
-  mutable StructuralHashMemo StructuralIds;
+  /// Root structural hashes of the build heap's cells and heap-path hashes
+  /// per code order, filled by the identity stage of the builds made on
+  /// this base.
+  mutable BaseIdMemo IdMemo;
 
   /// The recorded log for execution key \p Key, or null.
   std::shared_ptr<const AccessLog> findLog(uint64_t Key) const;

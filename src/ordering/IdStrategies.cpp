@@ -6,7 +6,9 @@
 #include "src/support/ByteBuffer.h"
 #include "src/support/Murmur3.h"
 
+#include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 using namespace nimg;
 
@@ -168,10 +170,11 @@ uint64_t nimg::heapPathHashOf(const Program &P, const Heap &H,
                               const HeapSnapshot &Snap, int32_t EntryIdx) {
   assert(EntryIdx >= 0 && size_t(EntryIdx) < Snap.Entries.size() &&
          "invalid snapshot entry");
+  // Alg. 3, streamed piece by piece as the path is walked (the digest
+  // equals hashing the concatenated pieces), with no allocation: reasons
+  // stream as prefix plus detail, field descriptors "owner.name:type" as
+  // their five pieces. Elision is not looked at.
   const SnapshotEntry &E = Snap.Entries[size_t(EntryIdx)];
-
-  // The path is hashed piece by piece as it is walked; the digest equals
-  // hashing the concatenated pieces.
   Murmur3Stream Bytes;
   // Interned-string roots hash their contents: the heap path would be the
   // same for all interned strings (Alg. 3, lines 4-5).
@@ -179,24 +182,21 @@ uint64_t nimg::heapPathHashOf(const Program &P, const Heap &H,
     Bytes.appendString(H.str(E.Cell));
     return Bytes.digest().Lo;
   }
-
-  int32_t Cur = EntryIdx;
-  while (true) {
+  for (int32_t Cur = EntryIdx;;) {
     const SnapshotEntry &CurE = Snap.Entries[size_t(Cur)];
     Bytes.appendString(H.cellTypeName(CurE.Cell));
     if (CurE.IsRoot) {
-      Bytes.appendString(CurE.Reason.str());
+      Bytes.appendString(CurE.Reason.prefix());
+      Bytes.appendString(CurE.Reason.detail());
       break;
     }
     assert(CurE.ParentEntry >= 0 && "non-root entry without parent");
-    const SnapshotEntry &ParentE = Snap.Entries[size_t(CurE.ParentEntry)];
-    const HeapCell &ParentCell = H.cell(ParentE.Cell);
-    if (ParentCell.Kind == CellKind::Array) {
+    const HeapCell &Parent =
+        H.cell(Snap.Entries[size_t(CurE.ParentEntry)].Cell);
+    if (Parent.Kind == CellKind::Array) {
       Bytes.appendU32(uint32_t(CurE.ParentSlot));
     } else {
-      // Field descriptor: owner.name:type.
-      const std::vector<Field> &Layout = P.layout(ParentCell.Class);
-      const Field &F = Layout[size_t(CurE.ParentSlot)];
+      const Field &F = P.layout(Parent.Class)[size_t(CurE.ParentSlot)];
       Bytes.appendString(P.classDef(F.Owner).Name);
       Bytes.appendString(".");
       Bytes.appendString(F.Name);
@@ -208,9 +208,67 @@ uint64_t nimg::heapPathHashOf(const Program &P, const Heap &H,
   return Bytes.digest().Lo;
 }
 
+namespace {
+
+using PathTable = std::shared_ptr<const std::vector<uint64_t>>;
+
+/// The unmasked heap-path hashes of \p Snap's entries [Begin, End).
+PathTable hashPaths(const Program &P, const Heap &H, const HeapSnapshot &Snap,
+                    size_t Begin, size_t End) {
+  auto Out = std::make_shared<std::vector<uint64_t>>(End - Begin);
+  for (size_t I = Begin; I < End; ++I)
+    (*Out)[I - Begin] = heapPathHashOf(P, H, Snap, int32_t(I));
+  return Out;
+}
+
+/// The unmasked heap-path hashes of \p Snap, from \p Memo, or computed and
+/// kept there: those of the entries reached from code under the snapshot's
+/// code order, those of the rest once per base.
+std::pair<PathTable, PathTable> memoizedHeapPaths(const Program &P,
+                                                  const Heap &H,
+                                                  BaseIdMemo &Memo,
+                                                  const HeapSnapshot &Snap) {
+  auto Find = [&] {
+    auto &Kept = Memo.HeapPaths;
+    for (auto It = Kept.begin(); It != Kept.end(); ++It)
+      if (It->CuOrder == Snap.CuOrder) {
+        std::rotate(Kept.begin(), It, It + 1);
+        return Kept.front().Hashes;
+      }
+    return PathTable();
+  };
+  PathTable Code, Shared;
+  {
+    std::lock_guard<std::mutex> G(Memo.Mu);
+    Code = Find();
+    Shared = Memo.SharedHeapPaths;
+  }
+  if (Code && Shared) {
+    NIMG_COUNTER_ADD("nimg.ids.heap_path_reused", 1);
+    return {Code, Shared};
+  }
+  size_t Split = Snap.CodeEntries, N = Snap.Entries.size();
+  PathTable FreshCode = Code ? nullptr : hashPaths(P, H, Snap, 0, Split);
+  PathTable FreshShared = Shared ? nullptr : hashPaths(P, H, Snap, Split, N);
+  NIMG_COUNTER_ADD("nimg.ids.heap_path_computed", 1);
+  std::lock_guard<std::mutex> G(Memo.Mu);
+  // A concurrent build of the base may have kept its (equal) hashes first.
+  if (!Code && !(Code = Find())) {
+    Code = FreshCode;
+    Memo.HeapPaths.insert(Memo.HeapPaths.begin(), {Snap.CuOrder, Code});
+    if (Memo.HeapPaths.size() > BaseIdMemo::MaxCodeOrders)
+      Memo.HeapPaths.pop_back();
+  }
+  if (!Memo.SharedHeapPaths)
+    Memo.SharedHeapPaths = FreshShared;
+  return {Code, Memo.SharedHeapPaths};
+}
+
+} // namespace
+
 IdTable nimg::computeIdTable(const Program &P, const Heap &H,
                              const HeapSnapshot &Snap, int MaxDepth,
-                             StructuralHashMemo *Memo) {
+                             BaseIdMemo *Memo) {
   IdTable T;
   size_t N = Snap.Entries.size();
   T.IncrementalIds.assign(N, 0);
@@ -233,37 +291,58 @@ IdTable nimg::computeIdTable(const Program &P, const Heap &H,
 
   // Alg. 2: a root hash depends only on (H, cell, MaxDepth), so builds
   // sharing H take it from the memo; only cells no earlier build of this
-  // depth stored are encoded. Alg. 3 depends on the snapshot's first paths,
-  // which move with the code order, so heap paths are hashed per build.
-  std::unique_lock<std::mutex> Lock;
-  if (Memo) {
-    Lock = std::unique_lock<std::mutex>(Memo->Mu);
-    if (Memo->MaxDepth != MaxDepth || Memo->Known.size() != H.numCells()) {
-      Memo->MaxDepth = MaxDepth;
-      Memo->Hashes.assign(H.numCells(), 0);
-      Memo->Known.assign(H.numCells(), 0);
-    }
-  }
+  // depth stored are encoded.
   uint64_t Computed = 0, Reused = 0;
-  for (size_t I = 0; I < N; ++I) {
-    const SnapshotEntry &E = Snap.Entries[I];
-    if (E.Elided)
-      continue;
-    size_t Cell = size_t(E.Cell);
-    if (Memo && Memo->Known[Cell]) {
-      T.StructuralHashes[I] = Memo->Hashes[Cell];
-      ++Reused;
-    } else {
-      T.StructuralHashes[I] = structuralHashOf(P, H, E.Cell, MaxDepth);
-      ++Computed;
-      if (Memo) {
-        Memo->Hashes[Cell] = T.StructuralHashes[I];
-        Memo->Known[Cell] = 1;
+  {
+    std::unique_lock<std::mutex> Lock;
+    if (Memo) {
+      Lock = std::unique_lock<std::mutex>(Memo->Mu);
+      if (Memo->MaxDepth != MaxDepth || Memo->Known.size() != H.numCells()) {
+        Memo->MaxDepth = MaxDepth;
+        Memo->StructuralHashes.assign(H.numCells(), 0);
+        Memo->Known.assign(H.numCells(), 0);
       }
     }
-    T.HeapPathHashes[I] = heapPathHashOf(P, H, Snap, int32_t(I));
+    for (size_t I = 0; I < N; ++I) {
+      const SnapshotEntry &E = Snap.Entries[I];
+      if (E.Elided)
+        continue;
+      size_t Cell = size_t(E.Cell);
+      if (Memo && Memo->Known[Cell]) {
+        T.StructuralHashes[I] = Memo->StructuralHashes[Cell];
+        ++Reused;
+      } else {
+        T.StructuralHashes[I] = structuralHashOf(P, H, E.Cell, MaxDepth);
+        ++Computed;
+        if (Memo) {
+          Memo->StructuralHashes[Cell] = T.StructuralHashes[I];
+          Memo->Known[Cell] = 1;
+        }
+      }
+    }
   }
   NIMG_COUNTER_ADD("nimg.ids.structural_computed", Computed);
   NIMG_COUNTER_ADD("nimg.ids.structural_reused", Reused);
+
+  // Alg. 3: builds of one base share the first paths of the entries after
+  // the code roots, and builds in one code order share all of them, so
+  // they take the unmasked hashes from the memo and mask their own elided
+  // entries.
+  std::pair<PathTable, PathTable> Kept;
+  if (Memo)
+    Kept = memoizedHeapPaths(P, H, *Memo, Snap);
+  const std::vector<uint64_t> *Code = Kept.first.get();
+  const std::vector<uint64_t> *Shared = Kept.second.get();
+  size_t Split = Snap.CodeEntries;
+  assert((!Memo || (Code->size() == Split && Split + Shared->size() == N)) &&
+         "memo kept for another snapshot");
+  for (size_t I = 0; I < N; ++I) {
+    if (Snap.Entries[I].Elided)
+      continue;
+    if (!Memo)
+      T.HeapPathHashes[I] = heapPathHashOf(P, H, Snap, int32_t(I));
+    else
+      T.HeapPathHashes[I] = I < Split ? (*Code)[I] : (*Shared)[I - Split];
+  }
   return T;
 }

@@ -29,6 +29,7 @@
 #include "src/heap/Snapshot.h"
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -70,27 +71,51 @@ uint64_t structuralHashOf(const Program &P, const Heap &H, CellIdx Cell,
 uint64_t heapPathHashOf(const Program &P, const Heap &H,
                         const HeapSnapshot &Snap, int32_t EntryIdx);
 
-/// Root structural hashes of one build heap's cells, kept across the builds
-/// that share the heap (ImageBase::StructuralIds). Alg. 2's hash is a pure
-/// function of (heap, cell, MaxDepth), so a kept hash equals a fresh one.
-/// computeIdTable fills it lazily and holds Mu for the whole fill; a fill
-/// at another MaxDepth starts it over.
-struct StructuralHashMemo {
+/// Identity work kept across the builds that share one build base
+/// (ImageBase::IdMemo). A kept hash equals a fresh one:
+///  - Alg. 2's root hash is a pure function of (heap, cell, MaxDepth). The
+///    hashes are filled lazily under Mu, which is held for the whole fill;
+///    a fill at another MaxDepth starts them over.
+///  - Alg. 3's unmasked hash of an entry (the hash it gets when it is
+///    stored) is a pure function of the base and the code order the
+///    snapshot was walked in: the walk passes through elided objects, so
+///    the PEA fingerprint moves only which entries are masked to 0. Only
+///    the entries reached from code depend on the order
+///    (HeapSnapshot::CodeEntries, a few percent of them); the rest are
+///    hashed once per base. The code part of the MaxCodeOrders most
+///    recently used orders is kept, keyed by the exact order. Hashes are
+///    computed outside Mu and published under it.
+struct BaseIdMemo {
+  /// Code orders kept: a sweep of one base walks the default, cu and method
+  /// orders, plus one for a cluster order. Fixed, not a setting.
+  static constexpr size_t MaxCodeOrders = 4;
+
+  struct PathHashes {
+    std::vector<int32_t> CuOrder;
+    /// Per entry reached from code.
+    std::shared_ptr<const std::vector<uint64_t>> Hashes;
+  };
+
   std::mutex Mu;
   int MaxDepth = 0;
-  std::vector<uint64_t> Hashes; ///< Indexed by cell.
-  std::vector<uint8_t> Known;   ///< Hashes[Cell] is filled.
+  std::vector<uint64_t> StructuralHashes; ///< Indexed by cell.
+  std::vector<uint8_t> Known;             ///< StructuralHashes[Cell] is filled.
+  std::vector<PathHashes> HeapPaths;      ///< Most recently used first.
+  /// Per entry from HeapSnapshot::CodeEntries on, the same in every order.
+  std::shared_ptr<const std::vector<uint64_t>> SharedHeapPaths;
 };
 
 /// Computes all three identity tables for a snapshot. Incremental ids are
 /// assigned in entry (traversal) order, matching Alg. 1's "object
 /// encounter order when traversing the heap object graph". Root structural
-/// hashes come from, and go to, \p Memo when given; it must only ever be
-/// used with \p H.
+/// hashes come from, and go to, \p Memo when given, and so do heap-path
+/// hashes, kept under the code order \p Snap records (HeapSnapshot::CuOrder).
+/// A memo must only ever be used with \p H and with snapshots walked from
+/// its base's plan.
 IdTable computeIdTable(const Program &P, const Heap &H,
                        const HeapSnapshot &Snap,
                        int MaxDepth = DefaultStructuralMaxDepth,
-                       StructuralHashMemo *Memo = nullptr);
+                       BaseIdMemo *Memo = nullptr);
 
 } // namespace nimg
 

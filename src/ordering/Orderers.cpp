@@ -4,8 +4,11 @@
 
 #include "src/obs/Metrics.h"
 #include "src/obs/SpanTracer.h"
+#include "src/support/SplitMix64.h"
 
 #include <algorithm>
+#include <limits>
+#include <string_view>
 #include <unordered_map>
 
 using namespace nimg;
@@ -34,7 +37,9 @@ std::vector<int32_t> nimg::orderCusWithProfile(const Program &P,
   NIMG_COUNTER_ADD("nimg.order.code.runs", 1);
   NIMG_COUNTER_ADD("nimg.order.code.profile_sigs", Profile.Sigs.size());
 
-  std::unordered_map<std::string, size_t> Rank;
+  // Keys view the profile's own strings: no copy per signature.
+  std::unordered_map<std::string_view, size_t> Rank;
+  Rank.reserve(Profile.Sigs.size());
   for (size_t I = 0; I < Profile.Sigs.size(); ++I)
     Rank.emplace(Profile.Sigs[I], I);
 
@@ -82,32 +87,46 @@ std::vector<int32_t> nimg::orderObjectsWithProfile(const HeapSnapshot &Snap,
   assert(Table.size() == Snap.Entries.size() &&
          "identity table does not match the snapshot");
 
-  // Id -> the earliest unmatched stored entry bearing it; Next[E] is the
-  // following stored entry with E's id (-1 after the last). Built in
-  // reverse so each chain runs in default order; a match pops its head.
-  std::unordered_map<uint64_t, int32_t> Head;
-  Head.reserve(Snap.Entries.size());
+  // Id -> the earliest unmatched stored entry bearing it, in an
+  // open-addressed table at most half full; Next[E] is the following
+  // stored entry with E's id (-1 after the last). Built in reverse so each
+  // chain runs in default order; a match pops its head.
+  constexpr int32_t Empty = std::numeric_limits<int32_t>::min();
+  struct Slot {
+    uint64_t Id = 0;
+    int32_t Head = Empty; ///< -1 once every entry with Id is matched.
+  };
+  size_t Mask = 1;
+  while (Mask + 1 < 2 * Snap.Entries.size())
+    Mask = 2 * Mask + 1;
+  std::vector<Slot> Slots(Mask + 1);
+  auto Find = [&](uint64_t Id) -> Slot & {
+    size_t I = size_t(mix64(Id, 0)) & Mask;
+    while (Slots[I].Head != Empty && Slots[I].Id != Id)
+      I = (I + 1) & Mask;
+    return Slots[I];
+  };
   std::vector<int32_t> Next(Snap.Entries.size(), -1);
   for (size_t I = Snap.Entries.size(); I > 0; --I) {
     size_t Idx = I - 1;
     if (Snap.Entries[Idx].Elided)
       continue;
-    auto [It, Inserted] = Head.try_emplace(Table[Idx], int32_t(Idx));
-    if (!Inserted) {
-      Next[Idx] = It->second;
-      It->second = int32_t(Idx);
-    }
+    Slot &S = Find(Table[Idx]);
+    if (S.Head != Empty)
+      Next[Idx] = S.Head;
+    S.Id = Table[Idx];
+    S.Head = int32_t(Idx);
   }
 
   std::vector<int32_t> Hot;
   std::vector<bool> Placed(Snap.Entries.size(), false);
   size_t Matched = 0;
   for (uint64_t Id : Profile.Ids) {
-    auto It = Head.find(Id);
-    if (It == Head.end() || It->second < 0)
+    Slot &S = Find(Id);
+    if (S.Head < 0)
       continue;
-    int32_t Entry = It->second;
-    It->second = Next[size_t(Entry)];
+    int32_t Entry = S.Head;
+    S.Head = Next[size_t(Entry)];
     Hot.push_back(Entry);
     Placed[size_t(Entry)] = true;
     ++Matched;

@@ -95,6 +95,9 @@ public:
                  Img.Layout.CuOffsets[size_t(Cu)] + C.CodeOffset, C.CodeSize);
   }
 
+  /// Whether the image has a cold tail that block edges can reach.
+  bool splitActive() const { return SplitActive; }
+
   /// Whether control entering \p Block of the copy lands in the cold tail.
   bool coldBlock(int32_t Cu, int32_t Copy, BlockId Block) const {
     if (!SplitActive || !Img.Split.PerCu[size_t(Cu)].Split)
@@ -242,6 +245,10 @@ public:
   double FirstResponseNs = 0;
 
   const TraceOptions &options() const { return Options; }
+  /// Whether block edges move this tracer's path values.
+  bool tracesPaths() const {
+    return Mode == TraceMode::MethodOrder || Mode == TraceMode::HeapOrder;
+  }
   uint64_t samplesTaken() const { return Samples; }
   uint64_t sampleEventsSkipped() const { return SkippedEvents; }
 
@@ -375,10 +382,6 @@ private:
     MethodId Root;
   };
 
-  bool tracesPaths() const {
-    return Mode == TraceMode::MethodOrder || Mode == TraceMode::HeapOrder;
-  }
-
   void ensureStack(uint32_t Tid) {
     if (Tid >= Stacks.size())
       Stacks.resize(Tid + 1);
@@ -472,6 +475,16 @@ public:
     }
     for (ModeTracer &T : Tracers)
       T.blockEdge(Tid, M, From, To);
+  }
+
+  /// Edges matter to a split image's cold tail and to path tracers only.
+  bool observesBlockEdges() const override {
+    if (Touch.splitActive())
+      return true;
+    for (const ModeTracer &T : Tracers)
+      if (T.tracesPaths())
+        return true;
+    return false;
   }
 
   void onAccessSite(uint32_t Tid, MethodId M, uint32_t SiteId,

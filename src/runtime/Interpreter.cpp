@@ -929,14 +929,16 @@ uint64_t Interpreter::run(uint32_t Tid, ThreadState &T, uint64_t Quantum) {
     case Opcode::Br: {
       bool Cond = R[In.A].asBool();
       if constexpr (Hooked)
-        Hooks->onBlockEdge(Tid, F->Ctx, F->DM->Id, siteBlock(In.Site),
-                           Cond ? In.B : In.C);
+        if (EdgeHooks)
+          Hooks->onBlockEdge(Tid, F->Ctx, F->DM->Id, siteBlock(In.Site),
+                             Cond ? In.B : In.C);
       Ip = Body + (Cond ? In.Br.Then : In.Br.Else);
       break;
     }
     case Opcode::Jmp:
       if constexpr (Hooked)
-        Hooks->onBlockEdge(Tid, F->Ctx, F->DM->Id, siteBlock(In.Site), In.B);
+        if (EdgeHooks)
+          Hooks->onBlockEdge(Tid, F->Ctx, F->DM->Id, siteBlock(In.Site), In.B);
       Ip = Body + In.Br.Then;
       break;
     }

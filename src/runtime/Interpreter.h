@@ -103,6 +103,9 @@ public:
     (void)From;
     (void)To;
   }
+  /// Whether onBlockEdge does anything. Asked once, by setHooks(); hooks
+  /// that answer false get no onBlockEdge call.
+  virtual bool observesBlockEdges() const { return true; }
   /// A heap-accessing instruction executed. \p Cells holds exactly
   /// traceSlotCount() entries; entries are -1 when the slot's runtime value
   /// was not a heap cell.
@@ -169,7 +172,10 @@ public:
   /// \p CM maps invocations to contexts; null (the default) is the
   /// build-time model with no compilation units.
   void setCodeModel(CodeModel *CM) { Code = CM; }
-  void setHooks(RuntimeHooks *H) { Hooks = H; }
+  void setHooks(RuntimeHooks *H) {
+    Hooks = H;
+    EdgeHooks = H && H->observesBlockEdges();
+  }
 
   // --- Statics and class initialization ------------------------------------
 
@@ -313,6 +319,7 @@ private:
   std::shared_ptr<const DecodedProgram> Decoded;
   CodeModel *Code = nullptr;
   RuntimeHooks *Hooks = nullptr;
+  bool EdgeHooks = false; ///< Hooks observe block edges.
 
   std::vector<std::vector<Value>> Statics;
   std::vector<ClinitState> Clinit;

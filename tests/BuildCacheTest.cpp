@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 using namespace nimg;
 
 namespace {
@@ -366,6 +368,255 @@ TEST(BuildCache, LoadedImagesAndTracedRunsNeverRecord) {
   runImage(Img, RC, &Cap);
   EXPECT_GT(Cap.totalWords(), 0u);
   EXPECT_EQ(Img.Base->numLogs(), 1u);
+}
+
+TEST(BuildCache, WarmLayoutsEqualFreshBuilds) {
+  // One base, layouts in an order that revisits a code order: cu, then
+  // cu+hotcold (same code order, another PEA fingerprint), then method,
+  // then cu again. Each must equal the same build on a fresh program.
+  BenchmarkSpec Spec = awfyBenchmark("Richards");
+  std::unique_ptr<Program> Warm = compile(Spec);
+  ASSERT_TRUE(Warm);
+  CollectedProfiles Prof = profilesOf(*Warm, Spec);
+  const PaperVariant &Cu = PaperVariants[1], &Method = PaperVariants[2];
+  struct Case {
+    const char *Name;
+    BuildConfig Cfg;
+  };
+  std::vector<Case> Cases = {
+      {"cu", configFor(Cu, 5, Prof)},
+      {"cu+hotcold", configFor(Cu, 5, Prof, &Prof.Blocks)},
+      {"method", configFor(Method, 5, Prof)},
+      {"cu again", configFor(Cu, 5, Prof)},
+  };
+  std::shared_ptr<const ImageBase> Base;
+  for (const Case &C : Cases) {
+    NativeImage W = buildNativeImage(*Warm, C.Cfg);
+    ASSERT_FALSE(W.Built.Failed) << C.Name;
+    if (Base) {
+      EXPECT_EQ(W.Base, Base) << C.Name;
+    }
+    Base = W.Base;
+    std::unique_ptr<Program> Fresh = compile(Spec);
+    ASSERT_TRUE(Fresh);
+    NativeImage F = buildNativeImage(*Fresh, C.Cfg);
+    EXPECT_EQ(W.Ids.HeapPathHashes, F.Ids.HeapPathHashes) << C.Name;
+    EXPECT_EQ(serializeImage(*Warm, W), serializeImage(*Fresh, F)) << C.Name;
+  }
+}
+
+TEST(BuildCache, WalksInAnyCodeOrderShareTheEntriesAfterTheCode) {
+  // The base's memo hashes the entries from HeapSnapshot::CodeEntries on
+  // once for every code order; that holds only if they are the same entry
+  // for entry in every walk.
+  BenchmarkSpec Spec = microserviceBenchmark("micronaut");
+  std::unique_ptr<Program> P = compile(Spec);
+  ASSERT_TRUE(P);
+  NativeImage Img = buildNativeImage(*P, BuildConfig());
+  ASSERT_FALSE(Img.Built.Failed);
+  const SnapshotPlan &Plan = Img.Base->Plan;
+  const Heap &H = *Img.Built.BuildHeap;
+  size_t NumCus = Img.Base->Code.CUs.size();
+  SnapshotConfig Forward, Reverse;
+  for (size_t Cu = NumCus; Cu-- > 0;)
+    Reverse.CuOrder.push_back(int32_t(Cu));
+  HeapSnapshot A = walkSnapshotPlan(Plan, H, Forward);
+  HeapSnapshot B = walkSnapshotPlan(Plan, H, Reverse);
+  ASSERT_EQ(A.Entries.size(), Plan.NumEntries);
+  ASSERT_EQ(B.Entries.size(), Plan.NumEntries);
+  ASSERT_EQ(A.CodeEntries, B.CodeEntries);
+  EXPECT_GT(A.CodeEntries, 0u);
+  EXPECT_EQ(B.CuOrder, Reverse.CuOrder);
+  size_t Moved = 0;
+  for (size_t I = 0; I < A.CodeEntries; ++I)
+    Moved += A.Entries[I].Cell != B.Entries[I].Cell;
+  EXPECT_GT(Moved, 0u) << "the reversed order walked like the default";
+  for (size_t I = A.CodeEntries; I < A.Entries.size(); ++I) {
+    const SnapshotEntry &X = A.Entries[I], &Y = B.Entries[I];
+    ASSERT_TRUE(X.Cell == Y.Cell && X.IsRoot == Y.IsRoot &&
+                X.ParentEntry == Y.ParentEntry &&
+                X.ParentSlot == Y.ParentSlot &&
+                X.Reason.Kind == Y.Reason.Kind &&
+                X.Reason.Detail == Y.Reason.Detail)
+        << "entry " << I;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Golden image digests: the serialized bytes of a matrix of builds, recorded
+// once. Any change to a build stage that moves one image byte fails here.
+//===----------------------------------------------------------------------===//
+
+/// 64-bit FNV-1a: independent of the hashes the library itself uses.
+uint64_t fnv1a64(const std::vector<uint8_t> &Bytes) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (uint8_t B : Bytes) {
+    H ^= B;
+    H *= 0x100000001b3ull;
+  }
+  return H;
+}
+
+struct GoldenDigest {
+  const char *Program;
+  uint64_t Seed;
+  const char *Build;
+  uint64_t Digest;
+};
+
+// clang-format off
+const std::vector<GoldenDigest> kGoldenDigests = {
+    {"Richards", 1, "baseline", 0xc66c674c2484c221ull},
+    {"Richards", 1, "cu", 0x49cad6943a35aefcull},
+    {"Richards", 1, "method", 0x2293de56befa7588ull},
+    {"Richards", 1, "cluster", 0x3412592fb1727f72ull},
+    {"Richards", 1, "incremental id", 0x449f05b7854a1e00ull},
+    {"Richards", 1, "structural hash", 0x8f126f5d96e7a565ull},
+    {"Richards", 1, "heap path", 0x8f126f5d96e7a565ull},
+    {"Richards", 1, "cu+heap path", 0xe9531f5177954704ull},
+    {"Richards", 1, "cu+hotcold", 0x0a1c6f0b669eed05ull},
+    {"Richards", 1, "instrumented", 0x27373280d3875cdcull},
+    {"Richards", 2, "baseline", 0x95af86a171ce515aull},
+    {"Richards", 2, "cu", 0xd164e13b00abc34bull},
+    {"Richards", 2, "method", 0xca094bf9d038d3efull},
+    {"Richards", 2, "cluster", 0x9be9d8ea73952d49ull},
+    {"Richards", 2, "incremental id", 0x30633865b4246739ull},
+    {"Richards", 2, "structural hash", 0x25441bb4da71378dull},
+    {"Richards", 2, "heap path", 0x25441bb4da71378dull},
+    {"Richards", 2, "cu+heap path", 0xb7b7c88c78be5cfcull},
+    {"Richards", 2, "cu+hotcold", 0xb8c66970831db3b5ull},
+    {"Richards", 2, "instrumented", 0xa3ab6bcc915599beull},
+    {"Havlak", 1, "baseline", 0xc8a4869c58a42815ull},
+    {"Havlak", 1, "cu", 0x98efc0c4db824cbdull},
+    {"Havlak", 1, "method", 0xace153057c629257ull},
+    {"Havlak", 1, "cluster", 0x1f5a5ec22020209bull},
+    {"Havlak", 1, "incremental id", 0x2709de6f4fccfe74ull},
+    {"Havlak", 1, "structural hash", 0x8808390df689235full},
+    {"Havlak", 1, "heap path", 0x8808390df689235full},
+    {"Havlak", 1, "cu+heap path", 0x09a46c55e62de25full},
+    {"Havlak", 1, "cu+hotcold", 0x5f7f1f0cb2256929ull},
+    {"Havlak", 1, "instrumented", 0xa683c42d29e7c6c4ull},
+    {"Havlak", 2, "baseline", 0x4ef7549c36747141ull},
+    {"Havlak", 2, "cu", 0x228d9900a475fec9ull},
+    {"Havlak", 2, "method", 0xcbfecb3f67f2ce9full},
+    {"Havlak", 2, "cluster", 0x9a00bd77d758721bull},
+    {"Havlak", 2, "incremental id", 0xa75106001fab5923ull},
+    {"Havlak", 2, "structural hash", 0xb45eae8445b0058dull},
+    {"Havlak", 2, "heap path", 0xb45eae8445b0058dull},
+    {"Havlak", 2, "cu+heap path", 0x7a1c244e1ac2ec00ull},
+    {"Havlak", 2, "cu+hotcold", 0xdf3bcab698b823b0ull},
+    {"Havlak", 2, "instrumented", 0x030b8e9a069fd02eull},
+    {"DeltaBlue", 1, "baseline", 0xdda624f1ef62adffull},
+    {"DeltaBlue", 1, "cu", 0x81e67c93ff5d06a0ull},
+    {"DeltaBlue", 1, "method", 0x9f4a705728df7873ull},
+    {"DeltaBlue", 1, "cluster", 0xadeda31d08c58849ull},
+    {"DeltaBlue", 1, "incremental id", 0x411c7fadbfc5e4d9ull},
+    {"DeltaBlue", 1, "structural hash", 0x3400b5f0d7dbdcb6ull},
+    {"DeltaBlue", 1, "heap path", 0x3400b5f0d7dbdcb6ull},
+    {"DeltaBlue", 1, "cu+heap path", 0x2ade7d1ce6d91f35ull},
+    {"DeltaBlue", 1, "cu+hotcold", 0xfd491487a3daa273ull},
+    {"DeltaBlue", 1, "instrumented", 0xad38378a33680a50ull},
+    {"DeltaBlue", 2, "baseline", 0xf857699bf93aa29full},
+    {"DeltaBlue", 2, "cu", 0xebe08364d1ca64b8ull},
+    {"DeltaBlue", 2, "method", 0x14c5f53a4a188f43ull},
+    {"DeltaBlue", 2, "cluster", 0x5d4524bf439cd191ull},
+    {"DeltaBlue", 2, "incremental id", 0xe872bafb3c4ca13bull},
+    {"DeltaBlue", 2, "structural hash", 0x3723d50cd8eac120ull},
+    {"DeltaBlue", 2, "heap path", 0x3723d50cd8eac120ull},
+    {"DeltaBlue", 2, "cu+heap path", 0xef998b8bd5961b53ull},
+    {"DeltaBlue", 2, "cu+hotcold", 0xf8c6f41adae32d8aull},
+    {"DeltaBlue", 2, "instrumented", 0xfa593d9ababdebd0ull},
+    {"micronaut", 1, "baseline", 0xe837c4efc023cbcbull},
+    {"micronaut", 1, "cu", 0xdf92b37a576c2bbfull},
+    {"micronaut", 1, "method", 0xc592ae281b2b265aull},
+    {"micronaut", 1, "cluster", 0x7df452493bcd473full},
+    {"micronaut", 1, "incremental id", 0x16669f0171543388ull},
+    {"micronaut", 1, "structural hash", 0x7d23d563e6f13fc9ull},
+    {"micronaut", 1, "heap path", 0xb841f03a49d8ffa8ull},
+    {"micronaut", 1, "cu+heap path", 0x0060c4f637a0de5aull},
+    {"micronaut", 1, "cu+hotcold", 0x9514642b2c718ee0ull},
+    {"micronaut", 1, "instrumented", 0x2538df9efeece62bull},
+    {"micronaut", 2, "baseline", 0x130e4bc0dd465b9bull},
+    {"micronaut", 2, "cu", 0x5f5237c421e2e173ull},
+    {"micronaut", 2, "method", 0x9d4bca60a5c0677eull},
+    {"micronaut", 2, "cluster", 0xff952fed72f16a93ull},
+    {"micronaut", 2, "incremental id", 0x7679c36c0dd2d67aull},
+    {"micronaut", 2, "structural hash", 0x384df273c83183acull},
+    {"micronaut", 2, "heap path", 0x25280a3f3101498eull},
+    {"micronaut", 2, "cu+heap path", 0xfd392660b5c4be9eull},
+    {"micronaut", 2, "cu+hotcold", 0x64983c6cb383f08aull},
+    {"micronaut", 2, "instrumented", 0xffb09e2b84f01fb1ull},
+    {"quarkus", 1, "baseline", 0x4267c0027254f466ull},
+    {"quarkus", 1, "cu", 0x2c34351f6249066full},
+    {"quarkus", 1, "method", 0x94413fd85030a33bull},
+    {"quarkus", 1, "cluster", 0x823db843767245a1ull},
+    {"quarkus", 1, "incremental id", 0x18dff7892873f0dcull},
+    {"quarkus", 1, "structural hash", 0xe10a3c23ce1a9ef4ull},
+    {"quarkus", 1, "heap path", 0x00a5146c2284b4faull},
+    {"quarkus", 1, "cu+heap path", 0xa0d11584e5392ba0ull},
+    {"quarkus", 1, "cu+hotcold", 0x4fe2587e777945c0ull},
+    {"quarkus", 1, "instrumented", 0x8d33cbafc2b99ed5ull},
+    {"quarkus", 2, "baseline", 0x3867810d58a6cddbull},
+    {"quarkus", 2, "cu", 0xf7356143ee158ee8ull},
+    {"quarkus", 2, "method", 0xa0a2f72eaf2eaca4ull},
+    {"quarkus", 2, "cluster", 0x0c9abf4cd4498882ull},
+    {"quarkus", 2, "incremental id", 0xe9db16adeb155084ull},
+    {"quarkus", 2, "structural hash", 0x46cda99d4e1ad01bull},
+    {"quarkus", 2, "heap path", 0xb922852912a9c159ull},
+    {"quarkus", 2, "cu+heap path", 0xbadfaf4cd3e4c2efull},
+    {"quarkus", 2, "cu+hotcold", 0x8407219cf4f0cb62ull},
+    {"quarkus", 2, "instrumented", 0xd97bda078171b00cull},
+};
+// clang-format on
+
+TEST(LayoutBuildGolden, ImagesMatchRecordedDigests) {
+  std::vector<std::string> Mismatches;
+  size_t Checked = 0;
+  for (const char *Name :
+       {"Richards", "Havlak", "DeltaBlue", "micronaut", "quarkus"}) {
+    BenchmarkSpec Spec = specNamed(Name);
+    std::unique_ptr<Program> P = compile(Spec);
+    ASSERT_TRUE(P);
+    CollectedProfiles Prof = profilesOf(*P, Spec);
+    for (uint64_t Seed : {uint64_t(1), uint64_t(2)}) {
+      std::vector<std::pair<std::string, BuildConfig>> Builds;
+      for (const PaperVariant &V : PaperVariants)
+        Builds.push_back({V.Name, configFor(V, Seed, Prof)});
+      Builds.push_back({"cu+hotcold",
+                        configFor(PaperVariants[1], Seed, Prof, &Prof.Blocks)});
+      BuildConfig Instr;
+      Instr.Seed = Seed;
+      Instr.Instrumented = true;
+      Builds.push_back({"instrumented", Instr});
+      for (const auto &[Build, Cfg] : Builds) {
+        NativeImage Img = buildNativeImage(*P, Cfg);
+        ASSERT_FALSE(Img.Built.Failed) << Name << " " << Build;
+        uint64_t Got = fnv1a64(serializeImage(*P, Img));
+        const GoldenDigest *Want = nullptr;
+        for (const GoldenDigest &G : kGoldenDigests)
+          if (Name == std::string(G.Program) && G.Seed == Seed &&
+              Build == G.Build)
+            Want = &G;
+        ++Checked;
+        if (!Want || Want->Digest != Got) {
+          char Row[160];
+          std::snprintf(Row, sizeof Row,
+                        "    {\"%s\", %llu, \"%s\", 0x%016llxull},", Name,
+                        (unsigned long long)Seed, Build.c_str(),
+                        (unsigned long long)Got);
+          Mismatches.push_back(Row);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(Checked, kGoldenDigests.size());
+  std::string Rows;
+  for (const std::string &R : Mismatches)
+    Rows += R + "\n";
+  EXPECT_TRUE(Mismatches.empty())
+      << Mismatches.size() << " image(s) differ from the recorded digests "
+      << "(actual rows):\n"
+      << Rows;
 }
 
 //===----------------------------------------------------------------------===//

@@ -446,10 +446,12 @@ TEST(ParallelPipelineTest, IntermediateJobCountsMatchToo) {
 }
 
 TEST(ParallelPipelineTest, ConcurrentBuildsOfOneBaseShareItsHashMemo) {
-  // Four threads build different layouts of one cached base at once; the
+  // Six threads build different layouts of one cached base at once; the
   // first to take the base's structural-hash memo refills it (it was left
-  // at another depth), the others read it. Every image must equal the
-  // same layout built alone on a fresh program.
+  // at another depth), the others read it. Two threads each share a code
+  // order (cu, method) that no build has walked yet, so they race on the
+  // first fill of its heap-path hashes. Every image must equal the same
+  // layout built alone on a fresh program.
   Program P;
   std::vector<std::string> Errors;
   ASSERT_TRUE(compileSources({kSpawnWorkload}, P, Errors));
@@ -457,7 +459,7 @@ TEST(ParallelPipelineTest, ConcurrentBuildsOfOneBaseShareItsHashMemo) {
   ProfCfg.Seed = 1001;
   CollectedProfiles Prof = collectProfiles(P, ProfCfg, RunConfig());
 
-  std::vector<BuildConfig> Cfgs(4);
+  std::vector<BuildConfig> Cfgs(6);
   for (BuildConfig &C : Cfgs)
     C.Seed = 7;
   Cfgs[1].CodeOrder = CodeStrategy::CuOrder;
@@ -469,6 +471,12 @@ TEST(ParallelPipelineTest, ConcurrentBuildsOfOneBaseShareItsHashMemo) {
   Cfgs[3].UseHeapOrder = true;
   Cfgs[3].HeapOrder = HeapStrategy::HeapPath;
   Cfgs[3].HeapProf = &Prof.HeapPath;
+  Cfgs[4].CodeOrder = CodeStrategy::MethodOrder;
+  Cfgs[4].CodeProf = &Prof.Method;
+  Cfgs[5] = Cfgs[4];
+  Cfgs[5].UseHeapOrder = true;
+  Cfgs[5].HeapOrder = HeapStrategy::HeapPath;
+  Cfgs[5].HeapProf = &Prof.HeapPath;
 
   std::vector<IdTable> RefIds;
   std::vector<std::vector<uint8_t>> RefBytes;
@@ -503,6 +511,54 @@ TEST(ParallelPipelineTest, ConcurrentBuildsOfOneBaseShareItsHashMemo) {
     EXPECT_EQ(Imgs[I].Ids.HeapPathHashes, RefIds[I].HeapPathHashes)
         << "variant " << I;
     EXPECT_EQ(serializeImage(P, Imgs[I]), RefBytes[I]) << "variant " << I;
+  }
+}
+
+TEST(ParallelPipelineTest, ConcurrentIdTablesFillOneEmptyMemo) {
+  // Six threads compute the identity tables of one base's snapshots,
+  // walked in three code orders, into one empty memo: pairs race on the
+  // first fill of an order's code part, and all six on the part every
+  // order shares. Each table must equal one computed without a memo.
+  Program P;
+  std::vector<std::string> Errors;
+  ASSERT_TRUE(compileSources({kSpawnWorkload}, P, Errors));
+  BuildConfig Cfg;
+  Cfg.Seed = 7;
+  NativeImage Img = buildNativeImage(P, Cfg);
+  ASSERT_FALSE(Img.Built.Failed) << Img.Built.FailureMessage;
+  const Heap &H = *Img.Built.BuildHeap;
+  int32_t NumCus = int32_t(Img.Base->Code.CUs.size());
+  std::vector<SnapshotConfig> Orders(3);
+  for (int32_t Cu = NumCus; Cu-- > 0;)
+    Orders[1].CuOrder.push_back(Cu);
+  for (int32_t Start : {1, 0})
+    for (int32_t Cu = Start; Cu < NumCus; Cu += 2)
+      Orders[2].CuOrder.push_back(Cu);
+  std::vector<HeapSnapshot> Snaps;
+  std::vector<IdTable> Refs;
+  for (size_t I = 0; I < Orders.size(); ++I) {
+    Orders[I].PeaFingerprint = I + 1;
+    Snaps.push_back(walkSnapshotPlan(Img.Base->Plan, H, Orders[I]));
+    Refs.push_back(computeIdTable(P, H, Snaps.back()));
+  }
+
+  BaseIdMemo Memo;
+  std::vector<IdTable> Got(6);
+  std::vector<std::thread> Threads;
+  for (size_t I = 0; I < Got.size(); ++I)
+    Threads.emplace_back([&, I] {
+      Got[I] = computeIdTable(P, H, Snaps[I % Snaps.size()],
+                              DefaultStructuralMaxDepth, &Memo);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  EXPECT_EQ(Memo.HeapPaths.size(), Orders.size());
+  for (size_t I = 0; I < Got.size(); ++I) {
+    const IdTable &Ref = Refs[I % Refs.size()];
+    EXPECT_EQ(Got[I].IncrementalIds, Ref.IncrementalIds) << "thread " << I;
+    EXPECT_EQ(Got[I].StructuralHashes, Ref.StructuralHashes) << "thread " << I;
+    EXPECT_EQ(Got[I].HeapPathHashes, Ref.HeapPathHashes) << "thread " << I;
   }
 }
 
