@@ -120,6 +120,8 @@ constexpr size_t MaxCachedBases = 4;
 struct BuildCache {
   std::list<std::pair<uint64_t, std::shared_ptr<const ImageBase>>> Bases;
   ContentDigestMemo ProgramWalk;
+  /// methodSigHashes of the program, which code ordering matches by.
+  VersionMemo<std::shared_ptr<const std::vector<uint64_t>>> SigHashes;
 };
 std::mutex BaseCacheMu;
 
@@ -150,6 +152,23 @@ uint64_t hashProgramWalk(const Program &P) {
     S.update(Meth.CallArgs.data(), Meth.CallArgs.size() * sizeof(uint16_t));
   }
   return S.digest().Lo;
+}
+
+/// \p P's method signature hashes, memoized per program version like the
+/// walk digest: every code-ordered build of the program matches by them.
+std::shared_ptr<const std::vector<uint64_t>> sigHashesOf(const Program &P) {
+  VersionMemo<std::shared_ptr<const std::vector<uint64_t>>> *Memo;
+  {
+    std::lock_guard<std::mutex> G(BaseCacheMu);
+    Memo = &buildCacheOf(P).SigHashes;
+  }
+  uint64_t Version = P.version();
+  std::shared_ptr<const std::vector<uint64_t>> Hashes;
+  if (!Memo->lookup(Version, Hashes)) {
+    Hashes = std::make_shared<const std::vector<uint64_t>>(methodSigHashes(P));
+    Memo->store(Version, Hashes);
+  }
+  return Hashes;
 }
 
 /// Content key of a build base: everything reachability, compilation and
@@ -374,7 +393,8 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
   std::vector<int32_t> CuOrder;
   if (Cfg.CodeOrder != CodeStrategy::None && CodeProf) {
     NIMG_SPAN("build", "code_order");
-    CuOrder = orderCusWithProfile(P, Code, *CodeProf, Cfg.CodeOrder);
+    CuOrder = orderCusWithProfile(P, Code, *CodeProf, Cfg.CodeOrder,
+                                  *sigHashesOf(P));
   }
 
   // 5. Heap snapshotting, over the base's (read-only) build heap.
@@ -390,20 +410,26 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
     InlineFp = mix64(InlineFp, Img.Split.DecisionFingerprint);
   SnapCfg.PeaFingerprint = mix64(InlineFp, Cfg.Seed);
   SnapCfg.CuOrder = CuOrder;
+  // A cached base serves every build after its first the entries after
+  // the code roots and their identity rows; a private base has no later
+  // build to keep them for.
+  BaseIdMemo *Memo = Img.Base->Cached ? &Img.Base->IdMemo : nullptr;
+  std::shared_ptr<const BaseIdMemo::KeptTail> Tail =
+      Memo ? Memo->tail() : nullptr;
   {
     NIMG_SPAN("build", "snapshot");
     Img.Snapshot = walkSnapshotPlan(Img.Base->Plan, *Img.Built.BuildHeap,
-                                    SnapCfg);
+                                    SnapCfg, Tail ? &Tail->Entries : nullptr);
   }
 
   // 6. Identifier assignment (Sec. 5): the profiling build stores these in
-  //    the image; the optimizing build uses them only for matching. Root
-  //    structural hashes are computed once per base, heap-path hashes once
-  //    per base and code order.
+  //    the image; the optimizing build uses them only for matching. The
+  //    hashes of the tail are computed once per base, those of the entries
+  //    reached from code once per base and code order.
   {
     NIMG_SPAN("build", "id_table");
     Img.Ids = computeIdTable(P, *Img.Built.BuildHeap, Img.Snapshot,
-                             Cfg.StructuralMaxDepth, &Img.Base->IdMemo);
+                             Cfg.StructuralMaxDepth, Memo);
   }
 
   // 7. Heap ordering (Sec. 5): match the profile's ids against this

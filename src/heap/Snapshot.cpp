@@ -2,12 +2,13 @@
 
 #include "src/heap/Snapshot.h"
 
+#include "src/obs/Metrics.h"
 #include "src/support/Murmur3.h"
 #include "src/support/SplitMix64.h"
 
 using namespace nimg;
 
-std::string_view InclusionReason::prefix() const {
+std::string_view nimg::reasonPrefix(InclusionReasonKind Kind) {
   switch (Kind) {
   case InclusionReasonKind::StaticField:
     return "StaticField:";
@@ -23,22 +24,23 @@ std::string_view InclusionReason::prefix() const {
   return "?";
 }
 
-std::string_view InclusionReason::detail() const {
-  switch (Kind) {
-  case InclusionReasonKind::StaticField:
-  case InclusionReasonKind::Method:
-  case InclusionReasonKind::Resource:
-    return Detail;
-  case InclusionReasonKind::InternedString:
-  case InclusionReasonKind::DataSection:
-    break;
-  }
-  return {};
+bool nimg::reasonHasDetail(InclusionReasonKind Kind) {
+  return Kind == InclusionReasonKind::StaticField ||
+         Kind == InclusionReasonKind::Method ||
+         Kind == InclusionReasonKind::Resource;
 }
 
-std::string InclusionReason::str() const {
-  std::string S(prefix());
-  S += detail();
+uint32_t ReasonTable::add(std::initializer_list<std::string_view> Pieces) {
+  assert(size() < MaxDetails && "reason table full");
+  for (std::string_view Piece : Pieces)
+    Chars += Piece;
+  Ends.push_back(Chars.size());
+  return uint32_t(size() - 1);
+}
+
+std::string HeapSnapshot::str(const SnapshotEntry &E) const {
+  std::string S(prefix(E));
+  S += detail(E);
   return S;
 }
 
@@ -90,32 +92,6 @@ uint64_t peaKey(const Program &P, const Heap &H, CellIdx Cell) {
   return S.digest().Lo;
 }
 
-/// Writes the reason detail \p R names into \p Out (one allocation at
-/// most).
-void renderDetail(const Program &P, const SnapshotPlan::Root &R,
-                  std::string &Out) {
-  switch (R.Kind) {
-  case InclusionReasonKind::Method:
-    Out = P.method(R.Owner).Sig;
-    return;
-  case InclusionReasonKind::StaticField: {
-    const ClassDef &Def = P.classDef(R.Owner);
-    const std::string &Field = Def.StaticFields[size_t(R.Field)].Name;
-    Out.reserve(Def.Name.size() + 1 + Field.size());
-    Out += Def.Name;
-    Out += '.';
-    Out += Field;
-    return;
-  }
-  case InclusionReasonKind::Resource:
-    Out = P.Resources[size_t(R.Owner)].first;
-    return;
-  case InclusionReasonKind::InternedString:
-  case InclusionReasonKind::DataSection:
-    return;
-  }
-}
-
 } // namespace
 
 SnapshotPlan nimg::buildSnapshotPlan(const Program &P, const Heap &H,
@@ -123,6 +99,29 @@ SnapshotPlan nimg::buildSnapshotPlan(const Program &P, const Heap &H,
                                      const CompiledProgram &CP,
                                      const ReachabilityResult &Reach) {
   SnapshotPlan Plan;
+  ReasonTable Reasons;
+
+  // The cells a walk reaches, marked depth-first from each root in turn
+  // (order does not matter here); only they are counted and keyed.
+  std::vector<uint8_t> Reached(H.numCells(), 0);
+  std::vector<CellIdx> Pending;
+  auto Mark = [&](CellIdx Cell) {
+    if (!Reached[size_t(Cell)]) {
+      Reached[size_t(Cell)] = 1;
+      ++Plan.NumEntries;
+      Pending.push_back(Cell);
+    }
+  };
+  auto MarkFrom = [&](CellIdx Root) {
+    Mark(Root);
+    while (!Pending.empty()) {
+      CellIdx Cell = Pending.back();
+      Pending.pop_back();
+      for (const Value &V : H.slots(Cell))
+        if (V.isRef())
+          Mark(V.asRef());
+    }
+  };
 
   // (1) Constants embedded in compiled code. Within a CU only a cell's
   // first occurrence can become an entry, so the later ones are dropped.
@@ -132,12 +131,19 @@ SnapshotPlan nimg::buildSnapshotPlan(const Program &P, const Heap &H,
     Plan.CuRootBegin.push_back(uint32_t(Plan.Roots.size()));
     const CompilationUnit &CU = CP.CUs[Cu];
     uint32_t Stamp = uint32_t(Cu) + 1;
+    uint32_t MethodDetail = 0; // The CU root's signature, once it is needed.
     auto Add = [&](CellIdx Cell, InclusionReasonKind Kind) {
       if (SeenInCu[size_t(Cell)] == Stamp)
         return;
       SeenInCu[size_t(Cell)] = Stamp;
-      Plan.Roots.push_back(
-          {Cell, Kind, Kind == InclusionReasonKind::Method ? CU.Root : -1, -1});
+      SnapshotPlan::Root &R = Plan.Roots.emplace_back();
+      R.Cell = Cell;
+      R.Reason.Kind = Kind;
+      if (Kind == InclusionReasonKind::Method) {
+        if (!MethodDetail)
+          MethodDetail = Reasons.add({P.method(CU.Root).Sig});
+        R.Reason.Detail = MethodDetail;
+      }
     };
     for (const InlineCopy &Copy : CU.Copies) {
       const Method &Meth = P.method(Copy.Method);
@@ -159,7 +165,23 @@ SnapshotPlan nimg::buildSnapshotPlan(const Program &P, const Heap &H,
     }
   }
   Plan.CuRootBegin.push_back(uint32_t(Plan.Roots.size()));
+  for (const SnapshotPlan::Root &R : Plan.Roots)
+    MarkFrom(R.Cell);
 
+  // The other roots, in enumeration order. One whose cell an earlier root
+  // reached is no entry in any walk and is not kept; the detail of one
+  // that is is rendered here, once per base.
+  auto AddRoot = [&](CellIdx Cell, InclusionReasonKind Kind,
+                     std::initializer_list<std::string_view> Detail) {
+    if (Reached[size_t(Cell)])
+      return;
+    SnapshotPlan::Root &R = Plan.Roots.emplace_back();
+    R.Cell = Cell;
+    R.Reason.Kind = Kind;
+    if (Detail.size())
+      R.Reason.Detail = Reasons.add(Detail);
+    MarkFrom(Cell);
+  };
   // (2) Static reference fields of reachable classes.
   for (size_t C = 0; C < P.numClasses(); ++C) {
     if (C < Reach.ReachableClasses.size() && !Reach.ReachableClasses[C])
@@ -170,43 +192,26 @@ SnapshotPlan nimg::buildSnapshotPlan(const Program &P, const Heap &H,
     for (size_t F = 0; F < Def.StaticFields.size(); ++F) {
       const Value &V = Built.Statics[C][F];
       if (V.isRef())
-        Plan.Roots.push_back({V.asRef(), InclusionReasonKind::StaticField,
-                              int32_t(C), int32_t(F)});
+        AddRoot(V.asRef(), InclusionReasonKind::StaticField,
+                {Def.Name, ".", Def.StaticFields[F].Name});
     }
   }
   // (3) Class metadata.
   for (CellIdx Meta : Built.ClassMetaCells)
     if (Meta != -1)
-      Plan.Roots.push_back({Meta, InclusionReasonKind::DataSection, -1, -1});
+      AddRoot(Meta, InclusionReasonKind::DataSection, {});
   // (4) Resources, as declared on the program.
   for (size_t R = 0; R < P.Resources.size(); ++R) {
     auto It = Built.ResourceCells.find(P.Resources[R].first);
     if (It != Built.ResourceCells.end())
-      Plan.Roots.push_back(
-          {It->second, InclusionReasonKind::Resource, int32_t(R), -1});
+      AddRoot(It->second, InclusionReasonKind::Resource,
+              {P.Resources[R].first});
   }
+  // The plan lives as long as its base: keep no growth slack (a copy
+  // allocates exactly what it holds).
+  Plan.Roots.shrink_to_fit();
+  Plan.Reasons = std::make_shared<const ReasonTable>(Reasons);
 
-  // The cells a walk reaches, marked depth-first (order does not matter
-  // here); only they are counted and keyed.
-  std::vector<uint8_t> Reached(H.numCells(), 0);
-  std::vector<CellIdx> Pending;
-  auto Mark = [&](CellIdx Cell) {
-    if (!Reached[size_t(Cell)]) {
-      Reached[size_t(Cell)] = 1;
-      ++Plan.NumEntries;
-      Pending.push_back(Cell);
-    }
-  };
-  for (const SnapshotPlan::Root &R : Plan.Roots) {
-    Mark(R.Cell);
-    while (!Pending.empty()) {
-      CellIdx Cell = Pending.back();
-      Pending.pop_back();
-      for (const Value &V : H.slots(Cell))
-        if (V.isRef())
-          Mark(V.asRef());
-    }
-  }
   ClassId MetaClass = P.findClass("Class");
   size_t Words = (H.numCells() + 63) / 64;
   Plan.PeaCells.assign(Words, 0);
@@ -222,13 +227,25 @@ SnapshotPlan nimg::buildSnapshotPlan(const Program &P, const Heap &H,
   return Plan;
 }
 
+namespace {
+
+/// Deterministic per-build PEA decision keyed on the inline fingerprint
+/// and the object's content: one in four eligible objects goes.
+bool elided(uint64_t PeaFingerprint, uint64_t Key) {
+  return mix64(PeaFingerprint, Key) % 4 == 0;
+}
+
+} // namespace
+
 HeapSnapshot nimg::walkSnapshotPlan(const SnapshotPlan &Plan, const Heap &H,
-                                    const SnapshotConfig &Config) {
+                                    const SnapshotConfig &Config,
+                                    const std::vector<SnapshotEntry> *Tail) {
   HeapSnapshot Snap;
   std::vector<SnapshotEntry> &Entries = Snap.Entries;
   std::vector<int32_t> &EntryOfCell = Snap.EntryOfCell;
   EntryOfCell.assign(H.numCells(), -1);
   Entries.reserve(Plan.NumEntries);
+  Snap.Reasons = Plan.Reasons;
   Snap.CuOrder = Config.CuOrder;
 
   auto AddEntry = [&](CellIdx Cell, int32_t ParentEntry, int32_t ParentSlot) {
@@ -237,10 +254,8 @@ HeapSnapshot nimg::walkSnapshotPlan(const SnapshotPlan &Plan, const Heap &H,
     E.SizeBytes = H.cellSizeBytes(Cell);
     E.ParentEntry = ParentEntry;
     E.ParentSlot = ParentSlot;
-    // Deterministic per-build decision keyed on the inline fingerprint and
-    // the object's content: one in four eligible objects goes.
     const uint64_t *Key = Config.EnablePea ? Plan.peaKey(Cell) : nullptr;
-    E.Elided = Key && mix64(Config.PeaFingerprint, *Key) % 4 == 0;
+    E.Elided = Key && elided(Config.PeaFingerprint, *Key);
     EntryOfCell[size_t(Cell)] = int32_t(Entries.size() - 1);
   };
 
@@ -255,8 +270,7 @@ HeapSnapshot nimg::walkSnapshotPlan(const SnapshotPlan &Plan, const Heap &H,
     AddEntry(R.Cell, -1, -1);
     SnapshotEntry &E = Entries.back();
     E.IsRoot = true;
-    E.Reason.Kind = R.Kind;
-    renderDetail(H.program(), R, E.Reason.Detail);
+    E.Reason = R.Reason;
     for (; Next < Entries.size(); ++Next) {
       std::span<const Value> Slots = H.slots(Entries[Next].Cell);
       for (size_t Slot = 0; Slot < Slots.size(); ++Slot) {
@@ -284,7 +298,26 @@ HeapSnapshot nimg::walkSnapshotPlan(const SnapshotPlan &Plan, const Heap &H,
   else
     for (int32_t Cu : Config.CuOrder)
       AddCuRoots(size_t(Cu));
-  Snap.CodeEntries = uint32_t(Entries.size());
+  size_t CodeEntries = Entries.size();
+  Snap.CodeEntries = uint32_t(CodeEntries);
+
+  if (Tail) {
+    // The code roots reached the same cells as in the walk the tail was
+    // taken from, so its entries follow them unchanged.
+    NIMG_COUNTER_ADD("nimg.snapshot.tail_copied", 1);
+    assert(CodeEntries + Tail->size() == Plan.NumEntries &&
+           "tail taken from a walk of another plan");
+    Entries.insert(Entries.end(), Tail->begin(), Tail->end());
+    for (size_t I = CodeEntries; I < Entries.size(); ++I) {
+      SnapshotEntry &E = Entries[I];
+      EntryOfCell[size_t(E.Cell)] = int32_t(I);
+      if (const uint64_t *Key =
+              Config.EnablePea ? Plan.peaKey(E.Cell) : nullptr)
+        E.Elided = elided(Config.PeaFingerprint, *Key);
+    }
+    return Snap;
+  }
+  NIMG_COUNTER_ADD("nimg.snapshot.tail_walked", 1);
   for (size_t I = Plan.CuRootBegin.back(); I < Plan.Roots.size(); ++I)
     AddRoot(Plan.Roots[I]);
   assert(Entries.size() == Plan.NumEntries && "walk left the plan's cells");

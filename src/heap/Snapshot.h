@@ -30,8 +30,11 @@
 #include "src/heap/Heap.h"
 
 #include <bit>
+#include <initializer_list>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace nimg {
@@ -46,35 +49,64 @@ enum class InclusionReasonKind : uint8_t {
   Resource,       ///< An embedded resource.
 };
 
-struct InclusionReason {
-  InclusionReasonKind Kind = InclusionReasonKind::DataSection;
-  std::string Detail; ///< Field/method signature or resource name.
+/// The kind's name as Alg. 3 hashes it, with the ':' before the detail for
+/// kinds that have one (field, method, resource).
+std::string_view reasonPrefix(InclusionReasonKind Kind);
+/// Whether roots of \p Kind name a field, method or resource as detail.
+bool reasonHasDetail(InclusionReasonKind Kind);
 
-  /// Renders the reason as the string Alg. 3 hashes: prefix(), then
-  /// detail().
-  std::string str() const;
-  /// The kind's name, with the ':' before the detail for kinds that have
-  /// one.
-  std::string_view prefix() const;
-  /// Detail for kinds that have one (field, method, resource), else empty.
-  std::string_view detail() const;
+/// Why an entry is in the snapshot: the kind of its root reason and, for a
+/// root of a kind with a detail, the index of that detail in the
+/// snapshot's ReasonTable (0: no detail). Four bytes, so that entries and
+/// plan roots are flat records.
+struct EntryReason {
+  InclusionReasonKind Kind : 8 = InclusionReasonKind::DataSection;
+  uint32_t Detail : 24 = 0;
+};
+static_assert(sizeof(EntryReason) == 4);
+
+/// The reason details of a snapshot's roots (a field's Class.field, a
+/// method signature, a resource name), indexed by EntryReason::Detail and
+/// stored back to back in one buffer. Index 0 is the empty detail.
+class ReasonTable {
+public:
+  /// Details a table can hold: EntryReason::Detail has 24 bits.
+  static constexpr size_t MaxDetails = size_t(1) << 24;
+
+  /// Appends the detail made of \p Pieces and returns its index. The
+  /// table must hold fewer than MaxDetails.
+  uint32_t add(std::initializer_list<std::string_view> Pieces);
+  std::string_view detail(uint32_t I) const {
+    return std::string_view(Chars).substr(Ends[I], Ends[I + 1] - Ends[I]);
+  }
+  /// Details held, the empty one included.
+  size_t size() const { return Ends.size() - 1; }
+
+private:
+  std::string Chars;
+  /// Detail I is Chars[Ends[I], Ends[I + 1]).
+  std::vector<size_t> Ends = {0, 0};
 };
 
-/// One object in the snapshot traversal.
+/// One object in the snapshot traversal: a trivially copyable record, so
+/// that a build copies the entries every walk of its base shares (its
+/// tail, see walkSnapshotPlan) with one memcpy.
 struct SnapshotEntry {
   CellIdx Cell = -1;
   uint32_t SizeBytes = 0;
-  bool IsRoot = false;
-  InclusionReason Reason; ///< Valid when IsRoot.
   /// First path that reached the object (BFS parent); -1 for roots.
   int32_t ParentEntry = -1;
   /// Slot in the parent through which this object was first reached:
   /// a field layout index (object parent) or element index (array parent).
   int32_t ParentSlot = -1;
+  EntryReason Reason; ///< Valid when IsRoot.
+  bool IsRoot = false;
   /// True when the PEA-style pass removed the object from the stored
   /// snapshot (it is materialized at run time instead and costs no I/O).
   bool Elided = false;
 };
+static_assert(sizeof(SnapshotEntry) == 24 &&
+              std::is_trivially_copyable_v<SnapshotEntry>);
 
 struct HeapSnapshot {
   /// Entries in traversal (default placement) order.
@@ -83,6 +115,11 @@ struct HeapSnapshot {
   /// is not in the snapshot). Cells beyond the table (allocated at run
   /// time) are never in it.
   std::vector<int32_t> EntryOfCell;
+  /// The details the entries' reasons index: a built snapshot shares its
+  /// base's (SnapshotPlan::Reasons), a loaded one owns what its loader
+  /// read. Null only in a snapshot assembled by hand, whose entries have
+  /// no detail.
+  std::shared_ptr<const ReasonTable> Reasons;
   /// The code order the snapshot was walked in (SnapshotConfig::CuOrder).
   /// With the build base it determines the entries, first paths and
   /// reasons, so it keys what a base keeps of them (BaseIdMemo).
@@ -102,6 +139,15 @@ struct HeapSnapshot {
   }
   size_t numStored() const;
   uint64_t storedBytes() const;
+
+  /// \p E's reason as Alg. 3 hashes it: prefix(), then detail().
+  static std::string_view prefix(const SnapshotEntry &E) {
+    return reasonPrefix(E.Reason.Kind);
+  }
+  std::string_view detail(const SnapshotEntry &E) const {
+    return Reasons ? Reasons->detail(E.Reason.Detail) : std::string_view();
+  }
+  std::string str(const SnapshotEntry &E) const;
 };
 
 struct SnapshotConfig {
@@ -123,22 +169,23 @@ struct SnapshotConfig {
 /// heap), so ImageBase keeps one plan per base; it is immutable once built,
 /// and concurrent builds read it without a lock.
 struct SnapshotPlan {
-  /// A root candidate. Owner and Field name its reason's detail, which is
-  /// rendered only when the root becomes an entry: the CU root method
-  /// (Method), the class and its static field (StaticField), the index in
-  /// Program::Resources (Resource); -1 for kinds without a detail.
+  /// A root candidate: its cell and the reason an entry it becomes
+  /// records. The details of the Method roots of one CU (its root method)
+  /// and of every static-field and resource root are rendered into
+  /// Reasons once per plan.
   struct Root {
     CellIdx Cell = -1;
-    InclusionReasonKind Kind = InclusionReasonKind::DataSection;
-    int32_t Owner = -1;
-    int32_t Field = -1;
+    EntryReason Reason;
   };
   /// The code-constant roots of CU I are Roots[CuRootBegin[I],
   /// CuRootBegin[I + 1]), deduplicated within the CU in first-instruction
   /// order. From CuRootBegin.back() on follow the static-field,
-  /// class-metadata and resource roots, in enumeration order.
+  /// class-metadata and resource roots that become entries, in
+  /// enumeration order (a root whose cell an earlier root reached never
+  /// does, in any code order).
   std::vector<Root> Roots;
   std::vector<uint32_t> CuRootBegin;
+  std::shared_ptr<const ReasonTable> Reasons;
   /// Cells every walk reaches: the roots are one set in any code order, so
   /// the entries are too, and only their order moves.
   uint32_t NumEntries = 0;
@@ -176,9 +223,15 @@ SnapshotPlan buildSnapshotPlan(const Program &P, const Heap &H,
 ///
 /// The walk passes through elided objects, so the entries, first paths and
 /// reasons depend only on the plan and Config.CuOrder; the PEA fingerprint
-/// moves only the Elided flags.
+/// moves only the Elided flags. Entries from HeapSnapshot::CodeEntries on
+/// are the same in every walk of one plan: with \p Tail, those entries of
+/// an earlier walk of \p Plan with no PEA applied (Elided false; their
+/// parents lie among them too, since the code roots' traversals drain
+/// before the first other root is added), the walk stops after the code
+/// roots, copies them and applies its own PEA fingerprint to them.
 HeapSnapshot walkSnapshotPlan(const SnapshotPlan &Plan, const Heap &H,
-                              const SnapshotConfig &Config);
+                              const SnapshotConfig &Config,
+                              const std::vector<SnapshotEntry> *Tail = nullptr);
 
 /// buildSnapshotPlan, then walkSnapshotPlan: the snapshot of a build that
 /// has no plan at hand.

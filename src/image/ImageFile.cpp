@@ -324,7 +324,7 @@ std::vector<uint8_t> nimg::serializeImage(const Program &P,
     B.appendU32(E.SizeBytes);
     B.appendU8(uint8_t((E.IsRoot ? 1 : 0) | (E.Elided ? 2 : 0)));
     B.appendU8(uint8_t(E.Reason.Kind));
-    B.appendSizedString(E.Reason.Detail);
+    B.appendSizedString(Img.Snapshot.detail(E));
     B.appendU32(uint32_t(E.ParentEntry));
     B.appendU32(uint32_t(E.ParentSlot));
   }
@@ -559,6 +559,7 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
   Out.Snapshot.Entries.clear();
   Out.Snapshot.Entries.resize(NumEntries);
   Out.Snapshot.EntryOfCell.assign(H.numCells(), -1);
+  auto Reasons = std::make_shared<ReasonTable>();
   for (uint32_t I = 0; I < NumEntries && C.ok(); ++I) {
     SnapshotEntry &E = Out.Snapshot.Entries[I];
     const uint8_t *Head = C.take(4 + 4 + 1 + 1);
@@ -570,18 +571,41 @@ bool nimg::deserializeImage(Program &P, const std::vector<uint8_t> &Bytes,
     E.SizeBytes = loadLE<uint32_t>(Head + 4);
     E.IsRoot = Head[8] & 1;
     E.Elided = Head[8] & 2;
-    E.Reason.Kind = InclusionReasonKind(Head[9]);
-    E.Reason.Detail = Detail;
     E.ParentEntry = int32_t(loadLE<uint32_t>(Parent));
     E.ParentSlot = int32_t(loadLE<uint32_t>(Parent + 4));
     if (E.Cell < 0 || size_t(E.Cell) >= H.numCells()) {
       C.fail("snapshot entry names a cell outside the heap");
       return false;
     }
+    if (Head[8] & ~3) {
+      C.fail("unknown snapshot entry flags");
+      return false;
+    }
+    if (Head[9] > uint8_t(InclusionReasonKind::Resource)) {
+      C.fail("corrupt inclusion reason kind");
+      return false;
+    }
+    E.Reason.Kind = InclusionReasonKind(Head[9]);
+    if (!Detail.empty()) {
+      if (!E.IsRoot || !reasonHasDetail(E.Reason.Kind)) {
+        C.fail("reason detail on an entry whose reason has none");
+        return false;
+      }
+      if (Reasons->size() == ReasonTable::MaxDetails) {
+        C.fail("too many reason details");
+        return false;
+      }
+      E.Reason.Detail = Reasons->add({Detail});
+    }
+    if (E.ParentEntry < -1 || E.ParentEntry >= int64_t(NumEntries)) {
+      C.fail("snapshot entry parent out of range");
+      return false;
+    }
     int32_t &Slot = Out.Snapshot.EntryOfCell[size_t(E.Cell)];
     if (Slot == -1)
       Slot = int32_t(I);
   }
+  Out.Snapshot.Reasons = std::move(Reasons);
 
   C.ints(Out.Ids.IncrementalIds);
   C.ints(Out.Ids.StructuralHashes);

@@ -43,8 +43,8 @@ struct AccessLog;
 /// program's build cache also keeps the layout-independent access logs of
 /// the runs made on its images, from which later runs of any image of the
 /// base are replayed instead of interpreted. Every base keeps the
-/// snapshot plan its builds walk and the identity hashes they computed,
-/// which no layout changes (BaseIdMemo).
+/// snapshot plan its builds walk; a cached one also keeps what its builds
+/// computed that no layout changes (BaseIdMemo).
 struct ImageBase {
   ReachabilityResult Reach;
   CompiledProgram Code;
@@ -57,9 +57,10 @@ struct ImageBase {
   /// (or with degraded compile tasks) get a private base with this false;
   /// their runs always interpret and never record.
   bool Cached = false;
-  /// Root structural hashes of the build heap's cells and heap-path hashes
-  /// per code order, filled by the identity stage of the builds made on
-  /// this base.
+  /// What the builds made on a cached base keep for the later ones: the
+  /// snapshot entries after the code roots and their identity rows, kept
+  /// by the first identity stage, and the rows of the entries reached from
+  /// code, by the first one per code order.
   mutable BaseIdMemo IdMemo;
 
   /// The recorded log for execution key \p Key, or null.

@@ -33,41 +33,54 @@ uint32_t typeId32(const std::string &Name) {
   return uint32_t(murmurHash3(Name, /*Seed=*/0x717e5));
 }
 
-/// Memoizes typeId32 per class / array type so a snapshot with a million
-/// instances of som.Vector hashes "som.Vector" once, not a million times.
-/// Used only by the sequential incremental-id pass.
-class TypeIdCache {
+/// The slot of \p Cell's type among those of a program with \p NumClasses
+/// classes: strings, then objects by class, then arrays by array type.
+size_t typeSlot(size_t NumClasses, const Heap &H, CellIdx Cell) {
+  const HeapCell &C = H.cell(Cell);
+  switch (C.Kind) {
+  case CellKind::Object:
+    return 1 + size_t(C.Class);
+  case CellKind::Array:
+    return 1 + NumClasses + size_t(C.ArrayType);
+  case CellKind::String:
+    break;
+  }
+  return 0;
+}
+
+/// Alg. 1's types as dense indices: each distinct typeId32 gets the next
+/// index the first time a cell of its type is seen, so per-type counters
+/// are a flat array. Each type name is hashed once.
+class TypeIndex {
 public:
-  TypeIdCache(const Program &P, const Heap &H)
-      : H(H), ClassIds(P.numClasses(), Unset), TypeIds(P.numTypes(), Unset) {}
+  static constexpr uint32_t Unset = ~0u;
+
+  TypeIndex(const Program &P, const Heap &H)
+      : NumClasses(P.numClasses()),
+        OfSlot(1 + P.numClasses() + P.numTypes(), Unset), H(H) {}
 
   uint32_t of(CellIdx Cell) {
-    const HeapCell &C = H.cell(Cell);
-    switch (C.Kind) {
-    case CellKind::Object:
-      return cached(ClassIds, size_t(C.Class), Cell);
-    case CellKind::Array:
-      return cached(TypeIds, size_t(C.ArrayType), Cell);
-    case CellKind::String:
-      if (StringId == Unset)
-        StringId = typeId32(H.cellTypeName(Cell));
-      return uint32_t(StringId);
+    uint32_t &Type = OfSlot[typeSlot(NumClasses, H, Cell)];
+    if (Type == Unset) {
+      auto [It, New] = Dense.try_emplace(typeId32(H.cellTypeName(Cell)),
+                                         uint32_t(TypeIds.size()));
+      if (New)
+        TypeIds.push_back(It->first);
+      Type = It->second;
     }
-    return typeId32(H.cellTypeName(Cell));
+    return Type;
   }
+
+  /// The program's classes when the index was made: the slot layout.
+  size_t NumClasses;
+  /// Dense type per type slot (Unset for types not seen).
+  std::vector<uint32_t> OfSlot;
+  /// typeId32 per dense type.
+  std::vector<uint32_t> TypeIds;
 
 private:
-  static constexpr uint64_t Unset = ~0ull;
-
-  uint32_t cached(std::vector<uint64_t> &Slots, size_t Key, CellIdx Cell) {
-    if (Slots[Key] == Unset)
-      Slots[Key] = typeId32(H.cellTypeName(Cell));
-    return uint32_t(Slots[Key]);
-  }
-
   const Heap &H;
-  std::vector<uint64_t> ClassIds, TypeIds;
-  uint64_t StringId = Unset;
+  std::unordered_map<uint32_t, uint32_t> Dense;
 };
 
 /// Implements Alg. 2's encodeToBytes over heap cells. A "field entity" is
@@ -186,8 +199,8 @@ uint64_t nimg::heapPathHashOf(const Program &P, const Heap &H,
     const SnapshotEntry &CurE = Snap.Entries[size_t(Cur)];
     Bytes.appendString(H.cellTypeName(CurE.Cell));
     if (CurE.IsRoot) {
-      Bytes.appendString(CurE.Reason.prefix());
-      Bytes.appendString(CurE.Reason.detail());
+      Bytes.appendString(Snap.prefix(CurE));
+      Bytes.appendString(Snap.detail(CurE));
       break;
     }
     assert(CurE.ParentEntry >= 0 && "non-root entry without parent");
@@ -210,58 +223,106 @@ uint64_t nimg::heapPathHashOf(const Program &P, const Heap &H,
 
 namespace {
 
-using PathTable = std::shared_ptr<const std::vector<uint64_t>>;
+using RowsPtr = std::shared_ptr<const BaseIdMemo::Rows>;
+using TailPtr = std::shared_ptr<const BaseIdMemo::KeptTail>;
 
-/// The unmasked heap-path hashes of \p Snap's entries [Begin, End).
-PathTable hashPaths(const Program &P, const Heap &H, const HeapSnapshot &Snap,
-                    size_t Begin, size_t End) {
-  auto Out = std::make_shared<std::vector<uint64_t>>(End - Begin);
-  for (size_t I = Begin; I < End; ++I)
-    (*Out)[I - Begin] = heapPathHashOf(P, H, Snap, int32_t(I));
-  return Out;
+/// The unmasked hashes of \p Snap's entries [Begin, End) into \p R.
+void hashRows(const Program &P, const Heap &H, const HeapSnapshot &Snap,
+              size_t Begin, size_t End, int MaxDepth, BaseIdMemo::Rows &R) {
+  NIMG_COUNTER_ADD("nimg.ids.structural_computed", End - Begin);
+  R.StructuralHashes.resize(End - Begin);
+  R.HeapPathHashes.resize(End - Begin);
+  for (size_t I = Begin; I < End; ++I) {
+    R.StructuralHashes[I - Begin] =
+        structuralHashOf(P, H, Snap.Entries[I].Cell, MaxDepth);
+    R.HeapPathHashes[I - Begin] = heapPathHashOf(P, H, Snap, int32_t(I));
+  }
 }
 
-/// The unmasked heap-path hashes of \p Snap, from \p Memo, or computed and
-/// kept there: those of the entries reached from code under the snapshot's
-/// code order, those of the rest once per base.
-std::pair<PathTable, PathTable> memoizedHeapPaths(const Program &P,
-                                                  const Heap &H,
-                                                  BaseIdMemo &Memo,
-                                                  const HeapSnapshot &Snap) {
+/// \p Snap's tail: its entries from CodeEntries on with no PEA applied,
+/// their rows and the types of all of its entries.
+TailPtr tailOf(const Program &P, const Heap &H, const HeapSnapshot &Snap,
+               int MaxDepth) {
+  auto Tail = std::make_shared<BaseIdMemo::KeptTail>();
+  size_t Split = Snap.CodeEntries, N = Snap.Entries.size();
+  Tail->Entries.assign(Snap.Entries.begin() + Split, Snap.Entries.end());
+  for (SnapshotEntry &E : Tail->Entries)
+    E.Elided = false;
+  hashRows(P, H, Snap, Split, N, MaxDepth, *Tail);
+  // Every entry's type, so that the index covers the code cells too.
+  TypeIndex Types(P, H);
+  Tail->Types.resize(N - Split);
+  for (size_t I = 0; I < N; ++I) {
+    uint32_t Type = Types.of(Snap.Entries[I].Cell);
+    if (I >= Split)
+      Tail->Types[I - Split] = Type;
+  }
+  Tail->NumClasses = Types.NumClasses;
+  Tail->TypeOfSlot = std::move(Types.OfSlot);
+  Tail->TypeIds = std::move(Types.TypeIds);
+  return Tail;
+}
+
+/// The rows of \p Snap from \p Memo, or computed and kept there: those of
+/// the entries reached from code under the snapshot's code order, the tail
+/// once per base. Sets \p Reused to which came from the memo.
+std::pair<RowsPtr, TailPtr> memoizedRows(const Program &P, const Heap &H,
+                                         BaseIdMemo &Memo,
+                                         const HeapSnapshot &Snap,
+                                         int MaxDepth,
+                                         std::pair<bool, bool> &Reused) {
   auto Find = [&] {
-    auto &Kept = Memo.HeapPaths;
+    auto &Kept = Memo.Orders;
     for (auto It = Kept.begin(); It != Kept.end(); ++It)
       if (It->CuOrder == Snap.CuOrder) {
         std::rotate(Kept.begin(), It, It + 1);
         return Kept.front().Hashes;
       }
-    return PathTable();
+    return RowsPtr();
   };
-  PathTable Code, Shared;
+  RowsPtr Code;
+  TailPtr Tail;
   {
     std::lock_guard<std::mutex> G(Memo.Mu);
+    if (Memo.MaxDepth != MaxDepth) {
+      Memo.MaxDepth = MaxDepth;
+      Memo.Orders.clear();
+      Memo.Tail.reset();
+    }
     Code = Find();
-    Shared = Memo.SharedHeapPaths;
+    Tail = Memo.Tail;
   }
-  if (Code && Shared) {
+  Reused = {bool(Code), bool(Tail)};
+  if (Code && Tail) {
     NIMG_COUNTER_ADD("nimg.ids.heap_path_reused", 1);
-    return {Code, Shared};
+    return {Code, Tail};
   }
-  size_t Split = Snap.CodeEntries, N = Snap.Entries.size();
-  PathTable FreshCode = Code ? nullptr : hashPaths(P, H, Snap, 0, Split);
-  PathTable FreshShared = Shared ? nullptr : hashPaths(P, H, Snap, Split, N);
+  if (!Code) {
+    auto Fresh = std::make_shared<BaseIdMemo::Rows>();
+    hashRows(P, H, Snap, 0, Snap.CodeEntries, MaxDepth, *Fresh);
+    Code = std::move(Fresh);
+  }
+  if (!Tail)
+    Tail = tailOf(P, H, Snap, MaxDepth);
   NIMG_COUNTER_ADD("nimg.ids.heap_path_computed", 1);
   std::lock_guard<std::mutex> G(Memo.Mu);
-  // A concurrent build of the base may have kept its (equal) hashes first.
-  if (!Code && !(Code = Find())) {
-    Code = FreshCode;
-    Memo.HeapPaths.insert(Memo.HeapPaths.begin(), {Snap.CuOrder, Code});
-    if (Memo.HeapPaths.size() > BaseIdMemo::MaxCodeOrders)
-      Memo.HeapPaths.pop_back();
+  // A build at another depth may have started the memo over meanwhile;
+  // then this build keeps its rows to itself.
+  if (Memo.MaxDepth != MaxDepth)
+    return {Code, Tail};
+  // A concurrent build of the base may have kept its (equal) rows first.
+  if (!Reused.first) {
+    if (RowsPtr Kept = Find()) {
+      Code = Kept;
+    } else {
+      Memo.Orders.insert(Memo.Orders.begin(), {Snap.CuOrder, Code});
+      if (Memo.Orders.size() > BaseIdMemo::MaxCodeOrders)
+        Memo.Orders.pop_back();
+    }
   }
-  if (!Memo.SharedHeapPaths)
-    Memo.SharedHeapPaths = FreshShared;
-  return {Code, Memo.SharedHeapPaths};
+  if (!Memo.Tail)
+    Memo.Tail = Tail;
+  return {Code, Memo.Tail};
 }
 
 } // namespace
@@ -276,73 +337,67 @@ IdTable nimg::computeIdTable(const Program &P, const Heap &H,
   T.HeapPathHashes.assign(N, 0);
 
   // Alg. 1: per-type counters in encounter order. Inherently sequential
-  // (each id depends on how many same-type entries precede it), but cheap
-  // once the per-type typeId32 is cached.
-  TypeIdCache TypeIds(P, H);
-  std::unordered_map<uint32_t, uint32_t> Counters;
-  for (size_t I = 0; I < N; ++I) {
-    const SnapshotEntry &E = Snap.Entries[I];
-    if (E.Elided)
-      continue;
-    uint32_t TypeId = TypeIds.of(E.Cell);
-    uint32_t Count = ++Counters[TypeId];
-    T.IncrementalIds[I] = (uint64_t(TypeId) << 32) | Count;
-  }
-
-  // Alg. 2: a root hash depends only on (H, cell, MaxDepth), so builds
-  // sharing H take it from the memo; only cells no earlier build of this
-  // depth stored are encoded.
-  uint64_t Computed = 0, Reused = 0;
-  {
-    std::unique_lock<std::mutex> Lock;
-    if (Memo) {
-      Lock = std::unique_lock<std::mutex>(Memo->Mu);
-      if (Memo->MaxDepth != MaxDepth || Memo->Known.size() != H.numCells()) {
-        Memo->MaxDepth = MaxDepth;
-        Memo->StructuralHashes.assign(H.numCells(), 0);
-        Memo->Known.assign(H.numCells(), 0);
-      }
-    }
+  // (each id depends on how many same-type entries precede it); elided
+  // entries are not counted.
+  if (!Memo) {
+    TypeIndex Types(P, H);
+    std::vector<uint32_t> Counters;
+    uint64_t Stored = 0;
     for (size_t I = 0; I < N; ++I) {
       const SnapshotEntry &E = Snap.Entries[I];
       if (E.Elided)
         continue;
-      size_t Cell = size_t(E.Cell);
-      if (Memo && Memo->Known[Cell]) {
-        T.StructuralHashes[I] = Memo->StructuralHashes[Cell];
-        ++Reused;
-      } else {
-        T.StructuralHashes[I] = structuralHashOf(P, H, E.Cell, MaxDepth);
-        ++Computed;
-        if (Memo) {
-          Memo->StructuralHashes[Cell] = T.StructuralHashes[I];
-          Memo->Known[Cell] = 1;
-        }
-      }
+      uint32_t Type = Types.of(E.Cell);
+      if (Type == Counters.size())
+        Counters.push_back(0);
+      T.IncrementalIds[I] =
+          (uint64_t(Types.TypeIds[Type]) << 32) | ++Counters[Type];
+      T.StructuralHashes[I] = structuralHashOf(P, H, E.Cell, MaxDepth);
+      T.HeapPathHashes[I] = heapPathHashOf(P, H, Snap, int32_t(I));
+      ++Stored;
     }
+    NIMG_COUNTER_ADD("nimg.ids.structural_computed", Stored);
+    return T;
   }
-  NIMG_COUNTER_ADD("nimg.ids.structural_computed", Computed);
-  NIMG_COUNTER_ADD("nimg.ids.structural_reused", Reused);
 
-  // Alg. 3: builds of one base share the first paths of the entries after
-  // the code roots, and builds in one code order share all of them, so
-  // they take the unmasked hashes from the memo and mask their own elided
-  // entries.
-  std::pair<PathTable, PathTable> Kept;
-  if (Memo)
-    Kept = memoizedHeapPaths(P, H, *Memo, Snap);
-  const std::vector<uint64_t> *Code = Kept.first.get();
-  const std::vector<uint64_t> *Shared = Kept.second.get();
+  // Builds of one base share the rows of the entries after the code roots,
+  // and builds in one code order share all of them: the unmasked Alg. 2
+  // and Alg. 3 hashes and the tail's types. Each build masks its own
+  // elided entries and counts its own ids, in one pass.
+  std::pair<bool, bool> Reused;
+  auto [Code, Tail] = memoizedRows(P, H, *Memo, Snap, MaxDepth, Reused);
   size_t Split = Snap.CodeEntries;
-  assert((!Memo || (Code->size() == Split && Split + Shared->size() == N)) &&
+  assert(Code->HeapPathHashes.size() == Split &&
+         Split + Tail->HeapPathHashes.size() == N &&
          "memo kept for another snapshot");
-  for (size_t I = 0; I < N; ++I) {
+  std::vector<uint32_t> Counters(Tail->TypeIds.size(), 0);
+  uint64_t Stored[2] = {0, 0};
+  auto Put = [&](size_t I, uint32_t Type, const BaseIdMemo::Rows &R,
+                 size_t Row) {
+    T.IncrementalIds[I] =
+        (uint64_t(Tail->TypeIds[Type]) << 32) | ++Counters[Type];
+    T.StructuralHashes[I] = R.StructuralHashes[Row];
+    T.HeapPathHashes[I] = R.HeapPathHashes[Row];
+  };
+  for (size_t I = 0; I < Split; ++I) {
+    const SnapshotEntry &E = Snap.Entries[I];
+    if (E.Elided)
+      continue;
+    size_t Slot = typeSlot(Tail->NumClasses, H, E.Cell);
+    assert(Slot < Tail->TypeOfSlot.size() &&
+           Tail->TypeOfSlot[Slot] != TypeIndex::Unset &&
+           "a cell the kept tail's walk did not reach");
+    Put(I, Tail->TypeOfSlot[Slot], *Code, I);
+    ++Stored[0];
+  }
+  for (size_t I = Split; I < N; ++I) {
     if (Snap.Entries[I].Elided)
       continue;
-    if (!Memo)
-      T.HeapPathHashes[I] = heapPathHashOf(P, H, Snap, int32_t(I));
-    else
-      T.HeapPathHashes[I] = I < Split ? (*Code)[I] : (*Shared)[I - Split];
+    Put(I, Tail->Types[I - Split], *Tail, I - Split);
+    ++Stored[1];
   }
+  NIMG_COUNTER_ADD("nimg.ids.structural_reused",
+                   (Reused.first ? Stored[0] : 0) +
+                       (Reused.second ? Stored[1] : 0));
   return T;
 }

@@ -71,47 +71,73 @@ uint64_t structuralHashOf(const Program &P, const Heap &H, CellIdx Cell,
 uint64_t heapPathHashOf(const Program &P, const Heap &H,
                         const HeapSnapshot &Snap, int32_t EntryIdx);
 
-/// Identity work kept across the builds that share one build base
-/// (ImageBase::IdMemo). A kept hash equals a fresh one:
-///  - Alg. 2's root hash is a pure function of (heap, cell, MaxDepth). The
-///    hashes are filled lazily under Mu, which is held for the whole fill;
-///    a fill at another MaxDepth starts them over.
+/// What the builds that share one build base keep for each other
+/// (ImageBase::IdMemo): the snapshot entries every walk of the base shares
+/// and the identity rows no layout changes. A kept row equals a fresh one:
+///  - Alg. 2's root hash is a pure function of (heap, cell, MaxDepth);
 ///  - Alg. 3's unmasked hash of an entry (the hash it gets when it is
 ///    stored) is a pure function of the base and the code order the
 ///    snapshot was walked in: the walk passes through elided objects, so
-///    the PEA fingerprint moves only which entries are masked to 0. Only
-///    the entries reached from code depend on the order
-///    (HeapSnapshot::CodeEntries, a few percent of them); the rest are
-///    hashed once per base. The code part of the MaxCodeOrders most
-///    recently used orders is kept, keyed by the exact order. Hashes are
-///    computed outside Mu and published under it.
+///    the PEA fingerprint moves only which entries are masked to 0.
+/// Only the entries reached from code depend on the order
+/// (HeapSnapshot::CodeEntries, a few percent of them). The rest, the
+/// tail, are kept once per base with their rows and Alg. 1 types; the
+/// code rows of the MaxCodeOrders most recently used orders are kept,
+/// keyed by the exact order. Everything is computed outside Mu and
+/// published under it, the tail in one step; the rows belong to one
+/// MaxDepth, and a build at another depth starts the memo over.
 struct BaseIdMemo {
   /// Code orders kept: a sweep of one base walks the default, cu and method
   /// orders, plus one for a cluster order. Fixed, not a setting.
   static constexpr size_t MaxCodeOrders = 4;
 
-  struct PathHashes {
-    std::vector<int32_t> CuOrder;
-    /// Per entry reached from code.
-    std::shared_ptr<const std::vector<uint64_t>> Hashes;
+  /// Unmasked Alg. 2 and Alg. 3 hashes of a run of entries.
+  struct Rows {
+    std::vector<uint64_t> StructuralHashes;
+    std::vector<uint64_t> HeapPathHashes;
   };
+  /// The entries from HeapSnapshot::CodeEntries on with no PEA applied
+  /// (Elided false), which walkSnapshotPlan copies, their rows and their
+  /// Alg. 1 types. A type is a dense index: each distinct 32-bit type id
+  /// (a hash of the type name) has one, so a build's per-type counters are
+  /// a flat array. TypeOfSlot maps the type of every cell a walk of the
+  /// base reaches to its dense type, by slot: strings, then objects by
+  /// class, then arrays by array type, among the NumClasses classes the
+  /// program had when the tail was kept (the build heap's cells all have
+  /// types that existed then; later types are never looked up).
+  struct KeptTail : Rows {
+    std::vector<SnapshotEntry> Entries;
+    std::vector<uint32_t> Types;
+    size_t NumClasses = 0;
+    std::vector<uint32_t> TypeOfSlot;
+    std::vector<uint32_t> TypeIds; ///< Per dense type.
+  };
+  struct CodeRows {
+    std::vector<int32_t> CuOrder;
+    std::shared_ptr<const Rows> Hashes;
+  };
+
+  /// The kept tail, or null before the base's first identity stage.
+  std::shared_ptr<const KeptTail> tail() {
+    std::lock_guard<std::mutex> G(Mu);
+    return Tail;
+  }
 
   std::mutex Mu;
   int MaxDepth = 0;
-  std::vector<uint64_t> StructuralHashes; ///< Indexed by cell.
-  std::vector<uint8_t> Known;             ///< StructuralHashes[Cell] is filled.
-  std::vector<PathHashes> HeapPaths;      ///< Most recently used first.
-  /// Per entry from HeapSnapshot::CodeEntries on, the same in every order.
-  std::shared_ptr<const std::vector<uint64_t>> SharedHeapPaths;
+  std::vector<CodeRows> Orders; ///< Most recently used first.
+  std::shared_ptr<const KeptTail> Tail;
 };
 
 /// Computes all three identity tables for a snapshot. Incremental ids are
 /// assigned in entry (traversal) order, matching Alg. 1's "object
-/// encounter order when traversing the heap object graph". Root structural
-/// hashes come from, and go to, \p Memo when given, and so do heap-path
-/// hashes, kept under the code order \p Snap records (HeapSnapshot::CuOrder).
-/// A memo must only ever be used with \p H and with snapshots walked from
-/// its base's plan.
+/// encounter order when traversing the heap object graph". With \p Memo,
+/// the structural and heap-path hashes and the tail's types come from it,
+/// or are computed and kept there under the code order \p Snap records
+/// (HeapSnapshot::CuOrder), and the first call keeps \p Snap's tail
+/// entries there too; each build masks its own elided entries and counts
+/// its own ids. A memo must only ever be used with \p H and with complete
+/// snapshots walked from its base's plan.
 IdTable computeIdTable(const Program &P, const Heap &H,
                        const HeapSnapshot &Snap,
                        int MaxDepth = DefaultStructuralMaxDepth,

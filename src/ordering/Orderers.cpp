@@ -7,9 +7,10 @@
 #include "src/support/SplitMix64.h"
 
 #include <algorithm>
+#include <cassert>
+#include <functional>
 #include <limits>
 #include <string_view>
-#include <unordered_map>
 
 using namespace nimg;
 
@@ -27,26 +28,68 @@ const char *nimg::codeStrategyName(CodeStrategy S) {
   return "?";
 }
 
+namespace {
+
+uint64_t sigHash(std::string_view Sig) {
+  return std::hash<std::string_view>()(Sig);
+}
+
+} // namespace
+
+std::vector<uint64_t> nimg::methodSigHashes(const Program &P) {
+  std::vector<uint64_t> Hashes(P.numMethods());
+  for (size_t M = 0; M < Hashes.size(); ++M)
+    Hashes[M] = sigHash(P.method(MethodId(M)).Sig);
+  return Hashes;
+}
+
 std::vector<int32_t> nimg::orderCusWithProfile(const Program &P,
                                                const CompiledProgram &CP,
                                                const CodeProfile &Profile,
                                                CodeStrategy Strategy) {
+  return orderCusWithProfile(P, CP, Profile, Strategy, methodSigHashes(P));
+}
+
+std::vector<int32_t>
+nimg::orderCusWithProfile(const Program &P, const CompiledProgram &CP,
+                          const CodeProfile &Profile, CodeStrategy Strategy,
+                          std::span<const uint64_t> SigHashes) {
   bool MethodBased = Strategy == CodeStrategy::MethodOrder;
   NIMG_SPAN_NAMED(OrderSpan, "order", "orderCusWithProfile");
   NIMG_SPAN_ARG(OrderSpan, "based_on", codeStrategyName(Strategy));
   NIMG_COUNTER_ADD("nimg.order.code.runs", 1);
   NIMG_COUNTER_ADD("nimg.order.code.profile_sigs", Profile.Sigs.size());
+  assert(SigHashes.size() == P.numMethods() && "hashes of another program");
 
-  // Keys view the profile's own strings: no copy per signature.
-  std::unordered_map<std::string_view, size_t> Rank;
-  Rank.reserve(Profile.Sigs.size());
-  for (size_t I = 0; I < Profile.Sigs.size(); ++I)
-    Rank.emplace(Profile.Sigs[I], I);
-
+  // Profile position by signature, in an open-addressed table of (hash,
+  // position) at most half full. A repeated signature keeps its first
+  // position; signatures whose hashes collide each keep their own slot.
   const size_t Unranked = ~size_t(0);
+  struct Slot {
+    uint64_t Hash = 0;
+    size_t Rank = Unranked; ///< Unranked: an empty slot.
+  };
+  size_t Mask = 1;
+  while (Mask + 1 < 2 * Profile.Sigs.size())
+    Mask = 2 * Mask + 1;
+  std::vector<Slot> Slots(Mask + 1);
+  // The slot holding \p Sig, or the empty one where it would go.
+  auto Find = [&](uint64_t Hash, std::string_view Sig) -> Slot & {
+    size_t I = size_t(mix64(Hash, 0)) & Mask;
+    while (Slots[I].Rank != Unranked &&
+           (Slots[I].Hash != Hash || Profile.Sigs[Slots[I].Rank] != Sig))
+      I = (I + 1) & Mask;
+    return Slots[I];
+  };
+  for (size_t I = 0; I < Profile.Sigs.size(); ++I) {
+    uint64_t Hash = sigHash(Profile.Sigs[I]);
+    Slot &S = Find(Hash, Profile.Sigs[I]);
+    if (S.Rank == Unranked)
+      S = {Hash, I};
+  }
+
   auto RankOf = [&](MethodId M) {
-    auto It = Rank.find(P.method(M).Sig);
-    return It == Rank.end() ? Unranked : It->second;
+    return Find(SigHashes[size_t(M)], P.method(M).Sig).Rank;
   };
 
   std::vector<size_t> Key(CP.CUs.size(), Unranked);

@@ -24,6 +24,7 @@
 #include "src/ordering/IdStrategies.h"
 #include "src/profiling/Analyses.h"
 
+#include <span>
 #include <vector>
 
 namespace nimg {
@@ -39,10 +40,24 @@ const char *codeStrategyName(CodeStrategy S);
 /// alone (a cluster profile is a permutation of the cu profile's CU set,
 /// already arranged by the call-graph solver — see
 /// src/ordering/ClusterLayout.h).
+///
+/// Signatures match by their 64-bit hashes, then by their strings, so a
+/// collision reorders nothing. \p SigHashes holds methodSigHashes(P),
+/// which a caller that orders many times keeps (the builder keeps it per
+/// program version); the overload without it hashes every signature.
+std::vector<int32_t> orderCusWithProfile(const Program &P,
+                                         const CompiledProgram &CP,
+                                         const CodeProfile &Profile,
+                                         CodeStrategy Strategy,
+                                         std::span<const uint64_t> SigHashes);
 std::vector<int32_t> orderCusWithProfile(const Program &P,
                                          const CompiledProgram &CP,
                                          const CodeProfile &Profile,
                                          CodeStrategy Strategy);
+
+/// The signature hash orderCusWithProfile matches by, of every method of
+/// \p P, indexed by method id.
+std::vector<uint64_t> methodSigHashes(const Program &P);
 
 /// Statistics of a heap-matching pass.
 struct HeapMatchStats {

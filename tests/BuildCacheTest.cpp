@@ -405,6 +405,112 @@ TEST(BuildCache, WarmLayoutsEqualFreshBuilds) {
   }
 }
 
+TEST(BuildCache, TailsServeEveryFingerprintAndOrder) {
+  // One base serves builds in four code orders and two PEA fingerprints
+  // (cu+hotcold folds the split decisions into its own) from the snapshot
+  // tail and identity rows its first build kept. Each build must equal the
+  // same build on a fresh program: entries, cell index, the three identity
+  // tables and the image bytes. A tail that kept the first build's
+  // elision, or rows it masked, would fail the second case.
+  BenchmarkSpec Spec = microserviceBenchmark("micronaut");
+  std::unique_ptr<Program> Warm = compile(Spec);
+  ASSERT_TRUE(Warm);
+  CollectedProfiles Prof = profilesOf(*Warm, Spec);
+  const PaperVariant &Baseline = PaperVariants[0], &Cu = PaperVariants[1],
+                     &Method = PaperVariants[2], &Cluster = PaperVariants[3];
+  struct Case {
+    const char *Name;
+    BuildConfig Cfg;
+  };
+  std::vector<Case> Cases = {
+      {"cu", configFor(Cu, 3, Prof)},
+      {"cu+hotcold", configFor(Cu, 3, Prof, &Prof.Blocks)},
+      {"method", configFor(Method, 3, Prof)},
+      {"default order", configFor(Baseline, 3, Prof)},
+      {"cluster", configFor(Cluster, 3, Prof)},
+      {"cu again", configFor(Cu, 3, Prof)},
+  };
+  auto Copied = [] {
+    return obs::MetricsRegistry::global()
+        .counter("nimg.snapshot.tail_copied")
+        .value();
+  };
+  std::shared_ptr<const ImageBase> Base;
+  for (const Case &C : Cases) {
+    uint64_t Copied0 = Copied();
+    NativeImage W = buildNativeImage(*Warm, C.Cfg);
+    ASSERT_FALSE(W.Built.Failed) << C.Name;
+    if (Base) {
+      EXPECT_EQ(W.Base, Base) << C.Name;
+#ifndef NIMG_OBS_DISABLED
+      EXPECT_EQ(Copied() - Copied0, 1u) << C.Name << ": tail not copied";
+#endif
+    }
+    (void)Copied0;
+    Base = W.Base;
+    std::unique_ptr<Program> Fresh = compile(Spec);
+    ASSERT_TRUE(Fresh);
+    NativeImage F = buildNativeImage(*Fresh, C.Cfg);
+    const HeapSnapshot &A = W.Snapshot, &B = F.Snapshot;
+    ASSERT_EQ(A.Entries.size(), B.Entries.size()) << C.Name;
+    EXPECT_EQ(A.CodeEntries, B.CodeEntries) << C.Name;
+    for (size_t I = 0; I < A.Entries.size(); ++I) {
+      const SnapshotEntry &X = A.Entries[I], &Y = B.Entries[I];
+      ASSERT_TRUE(X.Cell == Y.Cell && X.SizeBytes == Y.SizeBytes &&
+                  X.ParentEntry == Y.ParentEntry &&
+                  X.ParentSlot == Y.ParentSlot && X.IsRoot == Y.IsRoot &&
+                  X.Elided == Y.Elided && X.Reason.Kind == Y.Reason.Kind &&
+                  A.detail(X) == B.detail(Y))
+          << C.Name << ": entry " << I;
+    }
+    EXPECT_EQ(A.EntryOfCell, B.EntryOfCell) << C.Name;
+    EXPECT_EQ(W.Ids.IncrementalIds, F.Ids.IncrementalIds) << C.Name;
+    EXPECT_EQ(W.Ids.StructuralHashes, F.Ids.StructuralHashes) << C.Name;
+    EXPECT_EQ(W.Ids.HeapPathHashes, F.Ids.HeapPathHashes) << C.Name;
+    EXPECT_EQ(serializeImage(*Warm, W), serializeImage(*Fresh, F)) << C.Name;
+  }
+}
+
+TEST(BuildCache, TypesInternedBetweenBuildsLeaveTheIdsAlone) {
+  // Interning a type moves neither the program fingerprint nor the base
+  // key, so the builds after it still take what the base's first build
+  // kept, among it the dense Alg. 1 type of each type slot. Slots must not
+  // move with the program's type count: each build must give the ids of
+  // the same build on a fresh program, in the kept code order and in a new
+  // one, and index nothing past the kept map (run it under ASan too).
+  BenchmarkSpec Spec = awfyBenchmark("Richards");
+  std::unique_ptr<Program> Warm = compile(Spec);
+  ASSERT_TRUE(Warm);
+  CollectedProfiles Prof = profilesOf(*Warm, Spec);
+  const PaperVariant &Cu = PaperVariants[1], &Method = PaperVariants[2];
+  NativeImage First = buildNativeImage(*Warm, configFor(Cu, 3, Prof));
+  ASSERT_FALSE(First.Built.Failed);
+  size_t CodeStrings = 0;
+  for (size_t I = 0; I < First.Snapshot.CodeEntries; ++I)
+    CodeStrings += First.Snapshot.Entries[I].IsRoot &&
+                   First.Snapshot.Entries[I].Reason.Kind ==
+                       InclusionReasonKind::InternedString;
+  ASSERT_GT(CodeStrings, 0u) << "no string among the code entries";
+
+  size_t Types = Warm->numTypes();
+  TypeId Nested = Warm->doubleType();
+  for (int Depth = 0; Depth < 8; ++Depth)
+    Nested = Warm->arrayType(Nested);
+  ASSERT_GT(Warm->numTypes(), Types);
+  for (const PaperVariant *V : {&Cu, &Method}) {
+    BuildConfig Cfg = configFor(*V, 3, Prof);
+    NativeImage W = buildNativeImage(*Warm, Cfg);
+    ASSERT_FALSE(W.Built.Failed) << V->Name;
+    EXPECT_EQ(W.Base, First.Base) << V->Name;
+    std::unique_ptr<Program> Fresh = compile(Spec);
+    ASSERT_TRUE(Fresh);
+    NativeImage F = buildNativeImage(*Fresh, Cfg);
+    EXPECT_EQ(W.Ids.IncrementalIds, F.Ids.IncrementalIds) << V->Name;
+    EXPECT_EQ(W.Ids.StructuralHashes, F.Ids.StructuralHashes) << V->Name;
+    EXPECT_EQ(W.Ids.HeapPathHashes, F.Ids.HeapPathHashes) << V->Name;
+  }
+}
+
 TEST(BuildCache, WalksInAnyCodeOrderShareTheEntriesAfterTheCode) {
   // The base's memo hashes the entries from HeapSnapshot::CodeEntries on
   // once for every code order; that holds only if they are the same entry

@@ -66,7 +66,7 @@ uint64_t concatenatedHeapPathHash(const Program &P, const Heap &H,
     const SnapshotEntry &CurE = Snap.Entries[size_t(Cur)];
     Bytes.appendString(H.cellTypeName(CurE.Cell));
     if (CurE.IsRoot) {
-      Bytes.appendString(CurE.Reason.str());
+      Bytes.appendString(Snap.str(CurE));
       break;
     }
     const HeapCell &Parent = H.cell(Snap.Entries[size_t(CurE.ParentEntry)].Cell);

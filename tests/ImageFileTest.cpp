@@ -95,6 +95,7 @@ struct ImageMap {
   size_t MetaCells = 0;
   size_t Resources = 0;
   size_t EntryCount = 0;
+  std::vector<size_t> Entries; ///< Each snapshot entry's first byte.
   size_t IdTables[3] = {};
 
   explicit ImageMap(const std::vector<uint8_t> &B) {
@@ -133,8 +134,10 @@ struct ImageMap {
     EntryCount = At;
     uint32_t NumEntries = readU32(B, At);
     At += 4;
-    for (uint32_t E = 0; E < NumEntries; ++E)
+    for (uint32_t E = 0; E < NumEntries; ++E) {
+      Entries.push_back(At);
       At += 10 + 4 + readU32(B, At + 10) + 8;
+    }
     for (size_t &T : IdTables) {
       T = At;
       At += 4 + 8 * size_t(readU32(B, At));
@@ -680,15 +683,111 @@ TEST(ImageFile, RejectsEveryTruncationAndHugeCount) {
 
 namespace {
 
+/// Snapshot entry records (cell u32, size u32, flags u8, reason kind u8,
+/// sized detail, parent i32, slot i32) of the fixture's image, with a
+/// load that must fail with \p Expected.
+struct EntryRecords {
+  Fixture F;
+  std::vector<uint8_t> Good = serializeImage(F.P, F.Img);
+  ImageMap Map{Good};
+
+  /// The first entry whose root flag is \p Root and, for a root, whose
+  /// reason is \p Kind.
+  size_t find(bool Root, InclusionReasonKind Kind) const {
+    for (size_t At : Map.Entries)
+      if ((Good[At + 8] & 1) == Root &&
+          (!Root || Good[At + 9] == uint8_t(Kind)))
+        return At;
+    ADD_FAILURE() << "no such entry";
+    return Map.Entries.front();
+  }
+  void expectRejected(const std::vector<uint8_t> &Bytes,
+                      const std::string &Expected, const std::string &What) {
+    NativeImage Loaded;
+    std::string Error;
+    EXPECT_FALSE(deserializeImage(F.P, Bytes, Loaded, Error)) << What;
+    EXPECT_EQ(Error, Expected) << What;
+  }
+};
+
+} // namespace
+
+TEST(ImageFile, RejectsUnknownInclusionReasonKind) {
+  EntryRecords R;
+  ASSERT_GT(R.Map.Entries.size(), 1u);
+  for (uint8_t Kind : {uint8_t(InclusionReasonKind::Resource) + 1, 0xff}) {
+    std::vector<uint8_t> Bytes = R.Good;
+    Bytes[R.Map.Entries[1] + 9] = Kind;
+    R.expectRejected(Bytes, "corrupt inclusion reason kind",
+                     "kind " + std::to_string(Kind));
+  }
+}
+
+TEST(ImageFile, RejectsUnknownEntryFlags) {
+  EntryRecords R;
+  for (uint8_t Bit = 4; Bit; Bit = uint8_t(Bit << 1)) {
+    std::vector<uint8_t> Bytes = R.Good;
+    Bytes[R.Map.Entries.back() + 8] |= Bit;
+    R.expectRejected(Bytes, "unknown snapshot entry flags",
+                     "bit " + std::to_string(Bit));
+  }
+}
+
+TEST(ImageFile, RejectsReasonDetailsWhereTheReasonHasNone) {
+  // A detail belongs to a static-field, method or resource root only.
+  EntryRecords R;
+  auto WithDetail = [&](size_t At) {
+    EXPECT_EQ(readU32(R.Good, At + 10), 0u) << "entry already has a detail";
+    std::vector<uint8_t> Bytes = R.Good;
+    writeU32(Bytes, At + 10, 1);
+    Bytes.insert(Bytes.begin() + ptrdiff_t(At + 14), uint8_t('x'));
+    return Bytes;
+  };
+  const char *Expected = "reason detail on an entry whose reason has none";
+  R.expectRejected(WithDetail(R.find(false, {})), Expected, "non-root");
+  R.expectRejected(
+      WithDetail(R.find(true, InclusionReasonKind::InternedString)), Expected,
+      "interned-string root");
+  R.expectRejected(WithDetail(R.find(true, InclusionReasonKind::DataSection)),
+                   Expected, "class-metadata root");
+}
+
+TEST(ImageFile, RejectsParentsOutsideTheSnapshot) {
+  EntryRecords R;
+  uint32_t NumEntries = uint32_t(R.Map.Entries.size());
+  size_t At = R.find(false, {});
+  size_t Parent = At + 14 + readU32(R.Good, At + 10);
+  for (uint32_t Bad : {NumEntries, 0x7fffffffu, uint32_t(-2)}) {
+    std::vector<uint8_t> Bytes = R.Good;
+    writeU32(Bytes, Parent, Bad);
+    R.expectRejected(Bytes, "snapshot entry parent out of range",
+                     "parent " + std::to_string(int32_t(Bad)));
+  }
+}
+
+namespace {
+
 /// Loads \p Bytes and checks the loaded image re-serializes to exactly
-/// \p Bytes and holds the built heap \p Built cell for cell.
+/// \p Bytes, holds the built heap \p Built cell for cell and gives each
+/// root of \p Snap its reason.
 void expectExactReload(Program &P, const std::vector<uint8_t> &Bytes,
-                       const Heap &Built, const std::string &What) {
+                       const Heap &Built, const HeapSnapshot &Snap,
+                       const std::string &What) {
   NativeImage Loaded;
   std::string Error;
   ASSERT_TRUE(deserializeImage(P, Bytes, Loaded, Error)) << What << ": "
                                                           << Error;
   EXPECT_TRUE(serializeImage(P, Loaded) == Bytes) << What;
+  const HeapSnapshot &Back = Loaded.Snapshot;
+  ASSERT_EQ(Back.Entries.size(), Snap.Entries.size()) << What;
+  for (size_t I = 0; I < Snap.Entries.size(); ++I) {
+    const SnapshotEntry &A = Snap.Entries[I], &B = Back.Entries[I];
+    ASSERT_EQ(A.IsRoot, B.IsRoot) << What << ": entry " << I;
+    if (A.IsRoot) {
+      ASSERT_EQ(A.Reason.Kind, B.Reason.Kind) << What << ": entry " << I;
+      ASSERT_EQ(Snap.detail(A), Back.detail(B)) << What << ": entry " << I;
+    }
+  }
   const Heap &H = *Loaded.Built.BuildHeap;
   ASSERT_EQ(H.numCells(), Built.numCells()) << What;
   for (CellIdx C = 0; C < CellIdx(H.numCells()); ++C) {
@@ -739,7 +838,7 @@ TEST_P(ReloadIsExact, ForEveryVariant) {
     NativeImage Img = buildNativeImage(*P, variantConfig(K.V, Cfg, Prof));
     ASSERT_FALSE(Img.Built.Failed) << Img.Built.FailureMessage;
     expectExactReload(*P, serializeImage(*P, Img), *Img.Built.BuildHeap,
-                      Name + " " + K.Name);
+                      Img.Snapshot, Name + " " + K.Name);
   }
 }
 

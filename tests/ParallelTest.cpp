@@ -553,12 +553,84 @@ TEST(ParallelPipelineTest, ConcurrentIdTablesFillOneEmptyMemo) {
   for (std::thread &T : Threads)
     T.join();
 
-  EXPECT_EQ(Memo.HeapPaths.size(), Orders.size());
+  EXPECT_EQ(Memo.Orders.size(), Orders.size());
   for (size_t I = 0; I < Got.size(); ++I) {
     const IdTable &Ref = Refs[I % Refs.size()];
     EXPECT_EQ(Got[I].IncrementalIds, Ref.IncrementalIds) << "thread " << I;
     EXPECT_EQ(Got[I].StructuralHashes, Ref.StructuralHashes) << "thread " << I;
     EXPECT_EQ(Got[I].HeapPathHashes, Ref.HeapPathHashes) << "thread " << I;
+  }
+}
+
+TEST(ParallelPipelineTest, ConcurrentFirstBuildsOfOneBaseShareItsTails) {
+  // Six threads make the first snapshot walks and identity tables of one
+  // base, in three code orders and six PEA fingerprints, with one empty
+  // memo, as buildNativeImage does: all six race on the tail and its rows,
+  // pairs on an order's code rows. Each must equal the same stages run
+  // serially without a memo.
+  Program P;
+  std::vector<std::string> Errors;
+  ASSERT_TRUE(compileSources({kSpawnWorkload}, P, Errors));
+  BuildConfig Cfg;
+  Cfg.Seed = 7;
+  NativeImage Img = buildNativeImage(P, Cfg);
+  ASSERT_FALSE(Img.Built.Failed) << Img.Built.FailureMessage;
+  const Heap &H = *Img.Built.BuildHeap;
+  const SnapshotPlan &Plan = Img.Base->Plan;
+  int32_t NumCus = int32_t(Img.Base->Code.CUs.size());
+  std::vector<SnapshotConfig> Cfgs(6);
+  for (size_t I = 0; I < Cfgs.size(); ++I) {
+    Cfgs[I].PeaFingerprint = 0x51 * (I + 1);
+    if (I % 3 == 1)
+      for (int32_t Cu = NumCus; Cu-- > 0;)
+        Cfgs[I].CuOrder.push_back(Cu);
+    if (I % 3 == 2)
+      for (int32_t Start : {1, 0})
+        for (int32_t Cu = Start; Cu < NumCus; Cu += 2)
+          Cfgs[I].CuOrder.push_back(Cu);
+  }
+  std::vector<HeapSnapshot> Ref;
+  std::vector<IdTable> RefIds;
+  for (const SnapshotConfig &C : Cfgs) {
+    Ref.push_back(walkSnapshotPlan(Plan, H, C));
+    RefIds.push_back(computeIdTable(P, H, Ref.back()));
+  }
+
+  BaseIdMemo Memo;
+  std::vector<HeapSnapshot> Snaps(Cfgs.size());
+  std::vector<IdTable> Got(Cfgs.size());
+  std::vector<std::thread> Threads;
+  for (size_t I = 0; I < Cfgs.size(); ++I)
+    Threads.emplace_back([&, I] {
+      std::shared_ptr<const BaseIdMemo::KeptTail> Tail = Memo.tail();
+      Snaps[I] =
+          walkSnapshotPlan(Plan, H, Cfgs[I], Tail ? &Tail->Entries : nullptr);
+      Got[I] = computeIdTable(P, H, Snaps[I], DefaultStructuralMaxDepth, &Memo);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+
+  ASSERT_TRUE(Memo.tail());
+  EXPECT_EQ(Memo.Orders.size(), 3u);
+  for (size_t I = 0; I < Cfgs.size(); ++I) {
+    const std::vector<SnapshotEntry> &A = Snaps[I].Entries,
+                                     &B = Ref[I].Entries;
+    ASSERT_EQ(A.size(), B.size()) << "thread " << I;
+    for (size_t K = 0; K < A.size(); ++K)
+      ASSERT_TRUE(A[K].Cell == B[K].Cell && A[K].Elided == B[K].Elided &&
+                  A[K].ParentEntry == B[K].ParentEntry &&
+                  A[K].ParentSlot == B[K].ParentSlot &&
+                  A[K].IsRoot == B[K].IsRoot &&
+                  A[K].Reason.Kind == B[K].Reason.Kind &&
+                  A[K].Reason.Detail == B[K].Reason.Detail)
+          << "thread " << I << ", entry " << K;
+    EXPECT_EQ(Snaps[I].EntryOfCell, Ref[I].EntryOfCell) << "thread " << I;
+    EXPECT_EQ(Got[I].IncrementalIds, RefIds[I].IncrementalIds)
+        << "thread " << I;
+    EXPECT_EQ(Got[I].StructuralHashes, RefIds[I].StructuralHashes)
+        << "thread " << I;
+    EXPECT_EQ(Got[I].HeapPathHashes, RefIds[I].HeapPathHashes)
+        << "thread " << I;
   }
 }
 
