@@ -176,7 +176,8 @@ std::shared_ptr<const std::vector<uint64_t>> sigHashesOf(const Program &P) {
 /// classes, code and string table; the walk digest (memoized per program
 /// version, like the fingerprint) covers the flags, register counts and
 /// call-argument pools. The entry point and resources are not versioned,
-/// so they are hashed on every build.
+/// so they are hashed on every build. The structural-hash depth keys the
+/// base's identity rows.
 uint64_t baseKey(const Program &P, const BuildConfig &Cfg, uint64_t BuildFp) {
   ContentDigestMemo *Memo;
   {
@@ -200,6 +201,7 @@ uint64_t baseKey(const Program &P, const BuildConfig &Cfg, uint64_t BuildFp) {
   }
   S.appendU8(Cfg.Instrumented ? 1 : 0);
   S.appendU64(Cfg.Seed);
+  S.appendU32(uint32_t(Cfg.StructuralMaxDepth));
   return S.digest().Lo;
 }
 
@@ -214,17 +216,25 @@ std::shared_ptr<const ImageBase> obtainBase(Program &P, const BuildConfig &Cfg,
                                             uint64_t BuildFp) {
   bool Cacheable = !Cfg.Instrumented && !compileFaultHookArmed();
   uint64_t Key = 0;
-  if (Cacheable) {
-    NIMG_SPAN("build", "base_lookup");
-    Key = baseKey(P, Cfg, BuildFp);
-    std::lock_guard<std::mutex> G(BaseCacheMu);
+  // The base cached under Key, made most recently used. Call with
+  // BaseCacheMu held.
+  auto Lookup = [&]() -> std::shared_ptr<const ImageBase> {
     auto &Cache = buildCacheOf(P).Bases;
     for (auto It = Cache.begin(); It != Cache.end(); ++It)
       if (It->first == Key) {
         Cache.splice(Cache.begin(), Cache, It);
-        NIMG_COUNTER_ADD("nimg.build.base_hits", 1);
         return Cache.front().second;
       }
+    return nullptr;
+  };
+  if (Cacheable) {
+    NIMG_SPAN("build", "base_lookup");
+    Key = baseKey(P, Cfg, BuildFp);
+    std::lock_guard<std::mutex> G(BaseCacheMu);
+    if (std::shared_ptr<const ImageBase> Hit = Lookup()) {
+      NIMG_COUNTER_ADD("nimg.build.base_hits", 1);
+      return Hit;
+    }
   }
   NIMG_COUNTER_ADD("nimg.build.base_misses", 1);
 
@@ -246,15 +256,28 @@ std::shared_ptr<const ImageBase> obtainBase(Program &P, const BuildConfig &Cfg,
     NIMG_SPAN("build", "heap_init");
     Base->Built = initializeBuildHeap(P, Base->Reach, Cfg.Seed);
   }
-  // 3b. What every snapshot of the base walks: roots and PEA keys.
+  // 3b. What every layout's snapshot and identity stages share: the plan
+  //     (code roots, the tail after them, PEA keys) and the identity rows
+  //     no code order moves.
   if (!Base->Built.Failed) {
-    NIMG_SPAN("build", "snapshot_plan");
-    Base->Plan = buildSnapshotPlan(P, *Base->Built.BuildHeap, Base->Built,
-                                   Base->Code, Base->Reach);
+    const Heap &H = *Base->Built.BuildHeap;
+    {
+      NIMG_SPAN("build", "snapshot_plan");
+      Base->Plan =
+          buildSnapshotPlan(P, H, Base->Built, Base->Code, Base->Reach);
+    }
+    {
+      NIMG_SPAN("build", "base_ids");
+      Base->IdRows = computeBaseIds(P, H, Base->Plan, Cfg.StructuralMaxDepth);
+    }
   }
   Base->Cached = Cacheable && Base->Code.CompileFaults.empty();
   if (Base->Cached) {
     std::lock_guard<std::mutex> G(BaseCacheMu);
+    // A concurrent build of the same key may have cached its base first;
+    // then this one is dropped, so that every build of the key shares one.
+    if (std::shared_ptr<const ImageBase> First = Lookup())
+      return First;
     auto &Cache = buildCacheOf(P).Bases;
     Cache.emplace_front(Key, Base);
     if (Cache.size() > MaxCachedBases)
@@ -410,26 +433,21 @@ NativeImage nimg::buildNativeImage(Program &P, const BuildConfig &Cfg) {
     InlineFp = mix64(InlineFp, Img.Split.DecisionFingerprint);
   SnapCfg.PeaFingerprint = mix64(InlineFp, Cfg.Seed);
   SnapCfg.CuOrder = CuOrder;
-  // A cached base serves every build after its first the entries after
-  // the code roots and their identity rows; a private base has no later
-  // build to keep them for.
-  BaseIdMemo *Memo = Img.Base->Cached ? &Img.Base->IdMemo : nullptr;
-  std::shared_ptr<const BaseIdMemo::KeptTail> Tail =
-      Memo ? Memo->tail() : nullptr;
+  const ImageBase &Base = *Img.Base;
+  const Heap &H = *Img.Built.BuildHeap;
   {
     NIMG_SPAN("build", "snapshot");
-    Img.Snapshot = walkSnapshotPlan(Img.Base->Plan, *Img.Built.BuildHeap,
-                                    SnapCfg, Tail ? &Tail->Entries : nullptr);
+    Img.Snapshot = walkSnapshotPlan(Base.Plan, H, SnapCfg);
   }
 
   // 6. Identifier assignment (Sec. 5): the profiling build stores these in
-  //    the image; the optimizing build uses them only for matching. The
-  //    hashes of the tail are computed once per base, those of the entries
-  //    reached from code once per base and code order.
+  //    the image; the optimizing build uses them only for matching. Every
+  //    hash comes from the base's rows, those of the entries reached from
+  //    code from the rows of this build's code order.
   {
     NIMG_SPAN("build", "id_table");
-    Img.Ids = computeIdTable(P, *Img.Built.BuildHeap, Img.Snapshot,
-                             Cfg.StructuralMaxDepth, Memo);
+    Img.Ids = idTableFromBase(Img.Snapshot, Base.IdRows,
+                              *Base.CodePaths.rowsOf(P, H, Img.Snapshot));
   }
 
   // 7. Heap ordering (Sec. 5): match the profile's ids against this

@@ -2,7 +2,6 @@
 
 #include "src/heap/Snapshot.h"
 
-#include "src/obs/Metrics.h"
 #include "src/support/Murmur3.h"
 #include "src/support/SplitMix64.h"
 
@@ -92,6 +91,71 @@ uint64_t peaKey(const Program &P, const Heap &H, CellIdx Cell) {
   return S.digest().Lo;
 }
 
+/// Adds \p Cell as a root entry with \p Reason, unless an earlier root
+/// reached it (the first inclusion reason wins), and appends the entries
+/// its breadth-first traversal reaches first. A root's queue is exactly
+/// the entries appended since it (every child is appended as it is
+/// queued), so the traversal is one cursor over the entries, and it drains
+/// before the next root. Returns whether \p Cell became an entry.
+bool walkFrom(const Heap &H, HeapSnapshot &Snap, CellIdx Cell,
+              EntryReason Reason) {
+  std::vector<SnapshotEntry> &Entries = Snap.Entries;
+  std::vector<int32_t> &EntryOfCell = Snap.EntryOfCell;
+  if (EntryOfCell[size_t(Cell)] != -1)
+    return false;
+  size_t Next = Entries.size();
+  EntryOfCell[size_t(Cell)] = int32_t(Next);
+  SnapshotEntry &Root = Entries.emplace_back();
+  Root.Cell = Cell;
+  Root.SizeBytes = H.cellSizeBytes(Cell);
+  Root.Reason = Reason;
+  Root.IsRoot = true;
+  for (; Next < Entries.size(); ++Next) {
+    std::span<const Value> Slots = H.slots(Entries[Next].Cell);
+    for (size_t Slot = 0; Slot < Slots.size(); ++Slot) {
+      const Value &V = Slots[Slot];
+      // Elided objects are rematerialized at run time, but whatever they
+      // reference must still live in the image (real PEA keeps the
+      // referenced constants); traverse through them so elision changes
+      // only the elided object's own type population, not — e.g. — the
+      // String population (Alg. 1's per-type counters are the point).
+      if (!V.isRef() || EntryOfCell[size_t(V.asRef())] != -1)
+        continue;
+      EntryOfCell[size_t(V.asRef())] = int32_t(Entries.size());
+      SnapshotEntry &E = Entries.emplace_back();
+      E.Cell = V.asRef();
+      E.SizeBytes = H.cellSizeBytes(E.Cell);
+      E.ParentEntry = int32_t(Next);
+      E.ParentSlot = int32_t(Slot);
+    }
+  }
+  return true;
+}
+
+/// Walks \p Plan's code roots into \p Snap, CU by CU in \p CuOrder (empty:
+/// the default order).
+void walkCodeRoots(const SnapshotPlan &Plan, const Heap &H,
+                   const std::vector<int32_t> &CuOrder, HeapSnapshot &Snap) {
+  assert(!Plan.CuRootBegin.empty() && "not a built plan");
+  auto WalkCu = [&](size_t Cu) {
+    for (uint32_t I = Plan.CuRootBegin[Cu]; I < Plan.CuRootBegin[Cu + 1]; ++I)
+      walkFrom(H, Snap, Plan.Roots[I].Cell, Plan.Roots[I].Reason);
+  };
+  if (CuOrder.empty())
+    for (size_t Cu = 0; Cu + 1 < Plan.CuRootBegin.size(); ++Cu)
+      WalkCu(Cu);
+  else
+    for (int32_t Cu : CuOrder)
+      WalkCu(size_t(Cu));
+  Snap.CodeEntries = uint32_t(Snap.Entries.size());
+}
+
+/// Deterministic per-build PEA decision keyed on the inline fingerprint
+/// and the object's content: one in four eligible objects goes.
+bool elided(uint64_t PeaFingerprint, uint64_t Key) {
+  return mix64(PeaFingerprint, Key) % 4 == 0;
+}
+
 } // namespace
 
 SnapshotPlan nimg::buildSnapshotPlan(const Program &P, const Heap &H,
@@ -100,28 +164,6 @@ SnapshotPlan nimg::buildSnapshotPlan(const Program &P, const Heap &H,
                                      const ReachabilityResult &Reach) {
   SnapshotPlan Plan;
   ReasonTable Reasons;
-
-  // The cells a walk reaches, marked depth-first from each root in turn
-  // (order does not matter here); only they are counted and keyed.
-  std::vector<uint8_t> Reached(H.numCells(), 0);
-  std::vector<CellIdx> Pending;
-  auto Mark = [&](CellIdx Cell) {
-    if (!Reached[size_t(Cell)]) {
-      Reached[size_t(Cell)] = 1;
-      ++Plan.NumEntries;
-      Pending.push_back(Cell);
-    }
-  };
-  auto MarkFrom = [&](CellIdx Root) {
-    Mark(Root);
-    while (!Pending.empty()) {
-      CellIdx Cell = Pending.back();
-      Pending.pop_back();
-      for (const Value &V : H.slots(Cell))
-        if (V.isRef())
-          Mark(V.asRef());
-    }
-  };
 
   // (1) Constants embedded in compiled code. Within a CU only a cell's
   // first occurrence can become an entry, so the later ones are dropped.
@@ -165,22 +207,22 @@ SnapshotPlan nimg::buildSnapshotPlan(const Program &P, const Heap &H,
     }
   }
   Plan.CuRootBegin.push_back(uint32_t(Plan.Roots.size()));
-  for (const SnapshotPlan::Root &R : Plan.Roots)
-    MarkFrom(R.Cell);
+  // The plan lives as long as its base: keep no growth slack (a copy
+  // allocates exactly what it holds).
+  Plan.Roots.shrink_to_fit();
 
-  // The other roots, in enumeration order. One whose cell an earlier root
-  // reached is no entry in any walk and is not kept; the detail of one
-  // that is is rendered here, once per base.
+  // The default-order walk, with the other roots after the code roots. The
+  // detail of a root that becomes an entry is rendered here, once per base.
+  HeapSnapshot Walk;
+  Walk.EntryOfCell.assign(H.numCells(), -1);
+  walkCodeRoots(Plan, H, {}, Walk);
   auto AddRoot = [&](CellIdx Cell, InclusionReasonKind Kind,
                      std::initializer_list<std::string_view> Detail) {
-    if (Reached[size_t(Cell)])
-      return;
-    SnapshotPlan::Root &R = Plan.Roots.emplace_back();
-    R.Cell = Cell;
-    R.Reason.Kind = Kind;
-    if (Detail.size())
-      R.Reason.Detail = Reasons.add(Detail);
-    MarkFrom(Cell);
+    EntryReason Reason;
+    Reason.Kind = Kind;
+    size_t Root = Walk.Entries.size();
+    if (walkFrom(H, Walk, Cell, Reason) && Detail.size())
+      Walk.Entries[Root].Reason.Detail = Reasons.add(Detail);
   };
   // (2) Static reference fields of reachable classes.
   for (size_t C = 0; C < P.numClasses(); ++C) {
@@ -207,10 +249,11 @@ SnapshotPlan nimg::buildSnapshotPlan(const Program &P, const Heap &H,
       AddRoot(It->second, InclusionReasonKind::Resource,
               {P.Resources[R].first});
   }
-  // The plan lives as long as its base: keep no growth slack (a copy
-  // allocates exactly what it holds).
-  Plan.Roots.shrink_to_fit();
+  // Copies, like the tail below, allocate exactly what they hold.
   Plan.Reasons = std::make_shared<const ReasonTable>(Reasons);
+  Plan.CodeEntries = Walk.CodeEntries;
+  Plan.Tail.assign(Walk.Entries.begin() + Walk.CodeEntries,
+                   Walk.Entries.end());
 
   ClassId MetaClass = P.findClass("Class");
   size_t Words = (H.numCells() + 63) / 64;
@@ -219,7 +262,8 @@ SnapshotPlan nimg::buildSnapshotPlan(const Program &P, const Heap &H,
   for (size_t Cell = 0; Cell < H.numCells(); ++Cell) {
     if (Cell % 64 == 0)
       Plan.PeaRank[Cell / 64] = uint32_t(Plan.PeaKeys.size());
-    if (Reached[Cell] && peaEligible(H, CellIdx(Cell), MetaClass)) {
+    if (Walk.EntryOfCell[Cell] != -1 &&
+        peaEligible(H, CellIdx(Cell), MetaClass)) {
       Plan.PeaCells[Cell / 64] |= uint64_t(1) << (Cell % 64);
       Plan.PeaKeys.push_back(peaKey(P, H, CellIdx(Cell)));
     }
@@ -227,100 +271,24 @@ SnapshotPlan nimg::buildSnapshotPlan(const Program &P, const Heap &H,
   return Plan;
 }
 
-namespace {
-
-/// Deterministic per-build PEA decision keyed on the inline fingerprint
-/// and the object's content: one in four eligible objects goes.
-bool elided(uint64_t PeaFingerprint, uint64_t Key) {
-  return mix64(PeaFingerprint, Key) % 4 == 0;
-}
-
-} // namespace
-
 HeapSnapshot nimg::walkSnapshotPlan(const SnapshotPlan &Plan, const Heap &H,
-                                    const SnapshotConfig &Config,
-                                    const std::vector<SnapshotEntry> *Tail) {
+                                    const SnapshotConfig &Config) {
   HeapSnapshot Snap;
   std::vector<SnapshotEntry> &Entries = Snap.Entries;
-  std::vector<int32_t> &EntryOfCell = Snap.EntryOfCell;
-  EntryOfCell.assign(H.numCells(), -1);
-  Entries.reserve(Plan.NumEntries);
+  Snap.EntryOfCell.assign(H.numCells(), -1);
+  Entries.reserve(Plan.numEntries());
   Snap.Reasons = Plan.Reasons;
   Snap.CuOrder = Config.CuOrder;
-
-  auto AddEntry = [&](CellIdx Cell, int32_t ParentEntry, int32_t ParentSlot) {
-    SnapshotEntry &E = Entries.emplace_back();
-    E.Cell = Cell;
-    E.SizeBytes = H.cellSizeBytes(Cell);
-    E.ParentEntry = ParentEntry;
-    E.ParentSlot = ParentSlot;
-    const uint64_t *Key = Config.EnablePea ? Plan.peaKey(Cell) : nullptr;
-    E.Elided = Key && elided(Config.PeaFingerprint, *Key);
-    EntryOfCell[size_t(Cell)] = int32_t(Entries.size() - 1);
-  };
-
-  // Breadth-first from each new root. A root's queue is exactly the
-  // entries appended since it (every child is appended as it is queued),
-  // and each traversal drains before the next root, so one cursor over
-  // the entries is the queue of all of them.
-  size_t Next = 0;
-  auto AddRoot = [&](const SnapshotPlan::Root &R) {
-    if (EntryOfCell[size_t(R.Cell)] != -1)
-      return; // First inclusion reason wins.
-    AddEntry(R.Cell, -1, -1);
-    SnapshotEntry &E = Entries.back();
-    E.IsRoot = true;
-    E.Reason = R.Reason;
-    for (; Next < Entries.size(); ++Next) {
-      std::span<const Value> Slots = H.slots(Entries[Next].Cell);
-      for (size_t Slot = 0; Slot < Slots.size(); ++Slot) {
-        const Value &V = Slots[Slot];
-        // Elided objects are rematerialized at run time, but whatever they
-        // reference must still live in the image (real PEA keeps the
-        // referenced constants); traverse through them so elision changes
-        // only the elided object's own type population, not — e.g. — the
-        // String population (Alg. 1's per-type counters are the point).
-        if (V.isRef() && EntryOfCell[size_t(V.asRef())] == -1)
-          AddEntry(V.asRef(), int32_t(Next), int32_t(Slot));
-      }
-    }
-  };
-
-  assert(!Plan.CuRootBegin.empty() && "not a built plan");
-  size_t NumCus = Plan.CuRootBegin.size() - 1;
-  auto AddCuRoots = [&](size_t Cu) {
-    for (uint32_t I = Plan.CuRootBegin[Cu]; I < Plan.CuRootBegin[Cu + 1]; ++I)
-      AddRoot(Plan.Roots[I]);
-  };
-  if (Config.CuOrder.empty())
-    for (size_t Cu = 0; Cu < NumCus; ++Cu)
-      AddCuRoots(Cu);
-  else
-    for (int32_t Cu : Config.CuOrder)
-      AddCuRoots(size_t(Cu));
-  size_t CodeEntries = Entries.size();
-  Snap.CodeEntries = uint32_t(CodeEntries);
-
-  if (Tail) {
-    // The code roots reached the same cells as in the walk the tail was
-    // taken from, so its entries follow them unchanged.
-    NIMG_COUNTER_ADD("nimg.snapshot.tail_copied", 1);
-    assert(CodeEntries + Tail->size() == Plan.NumEntries &&
-           "tail taken from a walk of another plan");
-    Entries.insert(Entries.end(), Tail->begin(), Tail->end());
-    for (size_t I = CodeEntries; I < Entries.size(); ++I) {
-      SnapshotEntry &E = Entries[I];
-      EntryOfCell[size_t(E.Cell)] = int32_t(I);
-      if (const uint64_t *Key =
-              Config.EnablePea ? Plan.peaKey(E.Cell) : nullptr)
+  walkCodeRoots(Plan, H, Config.CuOrder, Snap);
+  assert(Snap.CodeEntries == Plan.CodeEntries &&
+         "the code roots reached other cells than in the plan's walk");
+  Entries.insert(Entries.end(), Plan.Tail.begin(), Plan.Tail.end());
+  for (size_t I = Snap.CodeEntries; I < Entries.size(); ++I)
+    Snap.EntryOfCell[size_t(Entries[I].Cell)] = int32_t(I);
+  if (Config.EnablePea)
+    for (SnapshotEntry &E : Entries)
+      if (const uint64_t *Key = Plan.peaKey(E.Cell))
         E.Elided = elided(Config.PeaFingerprint, *Key);
-    }
-    return Snap;
-  }
-  NIMG_COUNTER_ADD("nimg.snapshot.tail_walked", 1);
-  for (size_t I = Plan.CuRootBegin.back(); I < Plan.Roots.size(); ++I)
-    AddRoot(Plan.Roots[I]);
-  assert(Entries.size() == Plan.NumEntries && "walk left the plan's cells");
   return Snap;
 }
 

@@ -89,8 +89,8 @@ private:
 };
 
 /// One object in the snapshot traversal: a trivially copyable record, so
-/// that a build copies the entries every walk of its base shares (its
-/// tail, see walkSnapshotPlan) with one memcpy.
+/// that a build copies the entries every walk of its base shares (the
+/// plan's tail, see SnapshotPlan) with one memcpy.
 struct SnapshotEntry {
   CellIdx Cell = -1;
   uint32_t SizeBytes = 0;
@@ -122,14 +122,13 @@ struct HeapSnapshot {
   std::shared_ptr<const ReasonTable> Reasons;
   /// The code order the snapshot was walked in (SnapshotConfig::CuOrder).
   /// With the build base it determines the entries, first paths and
-  /// reasons, so it keys what a base keeps of them (BaseIdMemo).
+  /// reasons of the entries reached from code, so it keys the heap-path
+  /// rows a base keeps of them (CodePathMemo).
   std::vector<int32_t> CuOrder;
-  /// Entries [0, CodeEntries) were reached from constants in code. The
-  /// rest are the same, entry for entry, in every walk of one base: by the
-  /// time the walk leaves the code roots it has reached the same cells
-  /// whatever their order, and the other roots come in a fixed order.
-  /// CuOrder and CodeEntries are not stored in the image: a loaded
-  /// snapshot leaves them empty.
+  /// Entries [0, CodeEntries) were reached from constants in code; the
+  /// rest are the plan's tail (SnapshotPlan::Tail). CuOrder and
+  /// CodeEntries are not stored in the image: a loaded snapshot leaves
+  /// them empty.
   uint32_t CodeEntries = 0;
 
   int32_t entryOf(CellIdx Cell) const {
@@ -164,31 +163,36 @@ struct SnapshotConfig {
 };
 
 /// Everything a snapshot walk reads besides the code order and the PEA
-/// fingerprint: the root candidates and the PEA content keys. All of
-/// it is a function of the build base (program, reachability, CUs, build
-/// heap), so ImageBase keeps one plan per base; it is immutable once built,
-/// and concurrent builds read it without a lock.
+/// fingerprint: the code roots, the entries after them and the PEA content
+/// keys. All of it is a function of the build base (program, reachability,
+/// CUs, build heap), so ImageBase keeps one plan per base; it is immutable
+/// once built, and concurrent builds read it without a lock.
 struct SnapshotPlan {
-  /// A root candidate: its cell and the reason an entry it becomes
-  /// records. The details of the Method roots of one CU (its root method)
-  /// and of every static-field and resource root are rendered into
-  /// Reasons once per plan.
+  /// A code root: its cell and the reason an entry it becomes records. The
+  /// detail of the Method roots of one CU (its root method) is rendered
+  /// into Reasons once per plan.
   struct Root {
     CellIdx Cell = -1;
     EntryReason Reason;
   };
   /// The code-constant roots of CU I are Roots[CuRootBegin[I],
   /// CuRootBegin[I + 1]), deduplicated within the CU in first-instruction
-  /// order. From CuRootBegin.back() on follow the static-field,
-  /// class-metadata and resource roots that become entries, in
-  /// enumeration order (a root whose cell an earlier root reached never
-  /// does, in any code order).
+  /// order.
   std::vector<Root> Roots;
   std::vector<uint32_t> CuRootBegin;
   std::shared_ptr<const ReasonTable> Reasons;
-  /// Cells every walk reaches: the roots are one set in any code order, so
-  /// the entries are too, and only their order moves.
-  uint32_t NumEntries = 0;
+  /// Entries the code roots reach: the roots are one set in any code
+  /// order, so their entries are too, and only their order moves.
+  uint32_t CodeEntries = 0;
+  /// The entries after the code roots' in a walk in the default code
+  /// order, with no PEA applied (Elided false): the static-field,
+  /// class-metadata and resource roots in enumeration order and what they
+  /// reach. Every walk of the base has them, entry for entry, from
+  /// CodeEntries on: by the time a walk leaves the code roots it has
+  /// reached the same cells whatever their order, the other roots come in
+  /// a fixed order, and their parents lie among them (the code roots'
+  /// traversals drain before the first other root is added).
+  std::vector<SnapshotEntry> Tail;
   /// The PEA content keys of the reached cells PEA may elide, in cell
   /// order. A key hashes the object's type and contents; the build's PEA
   /// fingerprint is mixed with it. Bit Cell % 64 of PeaCells[Cell / 64]
@@ -197,6 +201,9 @@ struct SnapshotPlan {
   std::vector<uint64_t> PeaKeys;
   std::vector<uint64_t> PeaCells;
   std::vector<uint32_t> PeaRank;
+
+  /// Entries of every walk of the plan.
+  size_t numEntries() const { return CodeEntries + Tail.size(); }
 
   /// \p Cell's PEA content key, or null when PEA may not elide it.
   const uint64_t *peaKey(CellIdx Cell) const {
@@ -208,30 +215,25 @@ struct SnapshotPlan {
   }
 };
 
-/// Builds the plan of one build base.
+/// Builds the plan of one build base: one breadth-first walk in the default
+/// code order. Root enumeration order: (1) constants embedded in compiled
+/// code, per CU in .text order, (2) static reference fields of reachable
+/// classes, (3) class metadata, (4) resources. Objects reachable from
+/// earlier CUs therefore precede objects of later CUs, matching the
+/// paper's default object order.
 SnapshotPlan buildSnapshotPlan(const Program &P, const Heap &H,
                                const BuildHeapResult &Built,
                                const CompiledProgram &CP,
                                const ReachabilityResult &Reach);
 
-/// Traverses the build heap from \p Plan's roots and produces the snapshot.
-/// Root enumeration order: (1) constants embedded in compiled code, per CU
-/// in .text order, (2) static reference fields of reachable classes, (3)
-/// class metadata, (4) resources. Objects reachable from earlier CUs
-/// therefore precede objects of later CUs, matching the paper's default
-/// object order. \p H must be the heap the plan was built over.
-///
-/// The walk passes through elided objects, so the entries, first paths and
-/// reasons depend only on the plan and Config.CuOrder; the PEA fingerprint
-/// moves only the Elided flags. Entries from HeapSnapshot::CodeEntries on
-/// are the same in every walk of one plan: with \p Tail, those entries of
-/// an earlier walk of \p Plan with no PEA applied (Elided false; their
-/// parents lie among them too, since the code roots' traversals drain
-/// before the first other root is added), the walk stops after the code
-/// roots, copies them and applies its own PEA fingerprint to them.
+/// Produces the snapshot of one layout of \p Plan's base: walks the code
+/// roots in Config.CuOrder, appends the plan's tail and applies the PEA
+/// fingerprint to every entry. \p H must be the heap the plan was built
+/// over. The walk passes through elided objects, so the entries, first
+/// paths and reasons depend only on the plan and Config.CuOrder; the PEA
+/// fingerprint moves only the Elided flags.
 HeapSnapshot walkSnapshotPlan(const SnapshotPlan &Plan, const Heap &H,
-                              const SnapshotConfig &Config,
-                              const std::vector<SnapshotEntry> *Tail = nullptr);
+                              const SnapshotConfig &Config);
 
 /// buildSnapshotPlan, then walkSnapshotPlan: the snapshot of a build that
 /// has no plan at hand.

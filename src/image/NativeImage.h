@@ -39,29 +39,31 @@ struct AccessLog;
 /// CUs and the initialized build heap. None of them reads an ordering
 /// strategy, a profile or a layout knob, so every image of one base key
 /// (program content, seed, analysis and inliner configuration,
-/// instrumentation) shares one immutable base. A base memoized in the
-/// program's build cache also keeps the layout-independent access logs of
-/// the runs made on its images, from which later runs of any image of the
-/// base are replayed instead of interpreted. Every base keeps the
-/// snapshot plan its builds walk; a cached one also keeps what its builds
-/// computed that no layout changes (BaseIdMemo).
+/// instrumentation, structural-hash depth) shares one immutable base. A
+/// base memoized in the program's build cache also keeps the
+/// layout-independent access logs of the runs made on its images, from
+/// which later runs of any image of the base are replayed instead of
+/// interpreted. Every base also keeps, from when it is made, what its
+/// layouts share of the snapshot and identity stages: the snapshot plan and
+/// the identity rows no code order moves.
 struct ImageBase {
   ReachabilityResult Reach;
   CompiledProgram Code;
   BuildHeapResult Built;
-  /// Roots and PEA content keys of the build heap (empty when build-time
-  /// initialization failed, and for deserialized images).
+  /// Code roots, tail and PEA content keys of the build heap, and the
+  /// identity rows of its walk at the base key's MaxDepth (both empty when
+  /// build-time initialization failed, and for deserialized images).
   SnapshotPlan Plan;
+  BaseIdRows IdRows;
   /// True for bases served from and stored in the program's build cache.
   /// Deserialized images and builds made under an armed compile-fault hook
   /// (or with degraded compile tasks) get a private base with this false;
   /// their runs always interpret and never record.
   bool Cached = false;
-  /// What the builds made on a cached base keep for the later ones: the
-  /// snapshot entries after the code roots and their identity rows, kept
-  /// by the first identity stage, and the rows of the entries reached from
-  /// code, by the first one per code order.
-  mutable BaseIdMemo IdMemo;
+  /// The heap-path rows of the entries reached from code, per code order:
+  /// the one part of the identity rows a layout moves, kept by the first
+  /// build in each order.
+  mutable CodePathMemo CodePaths;
 
   /// The recorded log for execution key \p Key, or null.
   std::shared_ptr<const AccessLog> findLog(uint64_t Key) const;

@@ -33,34 +33,17 @@ uint32_t typeId32(const std::string &Name) {
   return uint32_t(murmurHash3(Name, /*Seed=*/0x717e5));
 }
 
-/// The slot of \p Cell's type among those of a program with \p NumClasses
-/// classes: strings, then objects by class, then arrays by array type.
-size_t typeSlot(size_t NumClasses, const Heap &H, CellIdx Cell) {
-  const HeapCell &C = H.cell(Cell);
-  switch (C.Kind) {
-  case CellKind::Object:
-    return 1 + size_t(C.Class);
-  case CellKind::Array:
-    return 1 + NumClasses + size_t(C.ArrayType);
-  case CellKind::String:
-    break;
-  }
-  return 0;
-}
-
 /// Alg. 1's types as dense indices: each distinct typeId32 gets the next
 /// index the first time a cell of its type is seen, so per-type counters
 /// are a flat array. Each type name is hashed once.
 class TypeIndex {
 public:
-  static constexpr uint32_t Unset = ~0u;
-
   TypeIndex(const Program &P, const Heap &H)
       : NumClasses(P.numClasses()),
         OfSlot(1 + P.numClasses() + P.numTypes(), Unset), H(H) {}
 
   uint32_t of(CellIdx Cell) {
-    uint32_t &Type = OfSlot[typeSlot(NumClasses, H, Cell)];
+    uint32_t &Type = OfSlot[slot(Cell)];
     if (Type == Unset) {
       auto [It, New] = Dense.try_emplace(typeId32(H.cellTypeName(Cell)),
                                          uint32_t(TypeIds.size()));
@@ -71,14 +54,30 @@ public:
     return Type;
   }
 
-  /// The program's classes when the index was made: the slot layout.
-  size_t NumClasses;
-  /// Dense type per type slot (Unset for types not seen).
-  std::vector<uint32_t> OfSlot;
   /// typeId32 per dense type.
   std::vector<uint32_t> TypeIds;
 
 private:
+  static constexpr uint32_t Unset = ~0u;
+
+  /// \p Cell's type among the program's: strings, then objects by class,
+  /// then arrays by array type.
+  size_t slot(CellIdx Cell) const {
+    const HeapCell &C = H.cell(Cell);
+    switch (C.Kind) {
+    case CellKind::Object:
+      return 1 + size_t(C.Class);
+    case CellKind::Array:
+      return 1 + NumClasses + size_t(C.ArrayType);
+    case CellKind::String:
+      break;
+    }
+    return 0;
+  }
+
+  size_t NumClasses;
+  /// Dense type per type slot (Unset for types not seen).
+  std::vector<uint32_t> OfSlot;
   const Heap &H;
   std::unordered_map<uint32_t, uint32_t> Dense;
 };
@@ -221,115 +220,90 @@ uint64_t nimg::heapPathHashOf(const Program &P, const Heap &H,
   return Bytes.digest().Lo;
 }
 
-namespace {
-
-using RowsPtr = std::shared_ptr<const BaseIdMemo::Rows>;
-using TailPtr = std::shared_ptr<const BaseIdMemo::KeptTail>;
-
-/// The unmasked hashes of \p Snap's entries [Begin, End) into \p R.
-void hashRows(const Program &P, const Heap &H, const HeapSnapshot &Snap,
-              size_t Begin, size_t End, int MaxDepth, BaseIdMemo::Rows &R) {
-  NIMG_COUNTER_ADD("nimg.ids.structural_computed", End - Begin);
-  R.StructuralHashes.resize(End - Begin);
-  R.HeapPathHashes.resize(End - Begin);
-  for (size_t I = Begin; I < End; ++I) {
-    R.StructuralHashes[I - Begin] =
-        structuralHashOf(P, H, Snap.Entries[I].Cell, MaxDepth);
-    R.HeapPathHashes[I - Begin] = heapPathHashOf(P, H, Snap, int32_t(I));
-  }
-}
-
-/// \p Snap's tail: its entries from CodeEntries on with no PEA applied,
-/// their rows and the types of all of its entries.
-TailPtr tailOf(const Program &P, const Heap &H, const HeapSnapshot &Snap,
-               int MaxDepth) {
-  auto Tail = std::make_shared<BaseIdMemo::KeptTail>();
-  size_t Split = Snap.CodeEntries, N = Snap.Entries.size();
-  Tail->Entries.assign(Snap.Entries.begin() + Split, Snap.Entries.end());
-  for (SnapshotEntry &E : Tail->Entries)
-    E.Elided = false;
-  hashRows(P, H, Snap, Split, N, MaxDepth, *Tail);
-  // Every entry's type, so that the index covers the code cells too.
+BaseIdRows nimg::computeBaseIds(const Program &P, const Heap &H,
+                                const SnapshotPlan &Plan, int MaxDepth) {
+  // The tail's heap paths are read from a walk (PEA off, though Alg. 3
+  // ignores elision).
+  SnapshotConfig Default;
+  Default.EnablePea = false;
+  HeapSnapshot Snap = walkSnapshotPlan(Plan, H, Default);
+  size_t N = Snap.Entries.size(), Code = Snap.CodeEntries;
+  NIMG_COUNTER_ADD("nimg.ids.structural_computed", N);
+  BaseIdRows Rows;
   TypeIndex Types(P, H);
-  Tail->Types.resize(N - Split);
+  Rows.StructuralHashes.assign(H.numCells(), 0);
+  Rows.Types.assign(H.numCells(), 0);
+  Rows.TailHeapPaths.resize(N - Code);
   for (size_t I = 0; I < N; ++I) {
-    uint32_t Type = Types.of(Snap.Entries[I].Cell);
-    if (I >= Split)
-      Tail->Types[I - Split] = Type;
+    CellIdx Cell = Snap.Entries[I].Cell;
+    Rows.StructuralHashes[size_t(Cell)] =
+        structuralHashOf(P, H, Cell, MaxDepth);
+    Rows.Types[size_t(Cell)] = Types.of(Cell);
+    if (I >= Code)
+      Rows.TailHeapPaths[I - Code] = heapPathHashOf(P, H, Snap, int32_t(I));
   }
-  Tail->NumClasses = Types.NumClasses;
-  Tail->TypeOfSlot = std::move(Types.OfSlot);
-  Tail->TypeIds = std::move(Types.TypeIds);
-  return Tail;
+  Rows.TypeIds = std::move(Types.TypeIds);
+  Rows.TypeIds.shrink_to_fit();
+  return Rows;
 }
 
-/// The rows of \p Snap from \p Memo, or computed and kept there: those of
-/// the entries reached from code under the snapshot's code order, the tail
-/// once per base. Sets \p Reused to which came from the memo.
-std::pair<RowsPtr, TailPtr> memoizedRows(const Program &P, const Heap &H,
-                                         BaseIdMemo &Memo,
-                                         const HeapSnapshot &Snap,
-                                         int MaxDepth,
-                                         std::pair<bool, bool> &Reused) {
+CodePathMemo::Rows CodePathMemo::rowsOf(const Program &P, const Heap &H,
+                                        const HeapSnapshot &Snap) {
   auto Find = [&] {
-    auto &Kept = Memo.Orders;
-    for (auto It = Kept.begin(); It != Kept.end(); ++It)
+    for (auto It = Orders.begin(); It != Orders.end(); ++It)
       if (It->CuOrder == Snap.CuOrder) {
-        std::rotate(Kept.begin(), It, It + 1);
-        return Kept.front().Hashes;
+        std::rotate(Orders.begin(), It, It + 1);
+        return Orders.front().Hashes;
       }
-    return RowsPtr();
+    return Rows();
   };
-  RowsPtr Code;
-  TailPtr Tail;
   {
-    std::lock_guard<std::mutex> G(Memo.Mu);
-    if (Memo.MaxDepth != MaxDepth) {
-      Memo.MaxDepth = MaxDepth;
-      Memo.Orders.clear();
-      Memo.Tail.reset();
+    std::lock_guard<std::mutex> G(Mu);
+    if (Rows Kept = Find()) {
+      NIMG_COUNTER_ADD("nimg.ids.heap_path_reused", 1);
+      return Kept;
     }
-    Code = Find();
-    Tail = Memo.Tail;
   }
-  Reused = {bool(Code), bool(Tail)};
-  if (Code && Tail) {
-    NIMG_COUNTER_ADD("nimg.ids.heap_path_reused", 1);
-    return {Code, Tail};
-  }
-  if (!Code) {
-    auto Fresh = std::make_shared<BaseIdMemo::Rows>();
-    hashRows(P, H, Snap, 0, Snap.CodeEntries, MaxDepth, *Fresh);
-    Code = std::move(Fresh);
-  }
-  if (!Tail)
-    Tail = tailOf(P, H, Snap, MaxDepth);
   NIMG_COUNTER_ADD("nimg.ids.heap_path_computed", 1);
-  std::lock_guard<std::mutex> G(Memo.Mu);
-  // A build at another depth may have started the memo over meanwhile;
-  // then this build keeps its rows to itself.
-  if (Memo.MaxDepth != MaxDepth)
-    return {Code, Tail};
-  // A concurrent build of the base may have kept its (equal) rows first.
-  if (!Reused.first) {
-    if (RowsPtr Kept = Find()) {
-      Code = Kept;
-    } else {
-      Memo.Orders.insert(Memo.Orders.begin(), {Snap.CuOrder, Code});
-      if (Memo.Orders.size() > BaseIdMemo::MaxCodeOrders)
-        Memo.Orders.pop_back();
-    }
-  }
-  if (!Memo.Tail)
-    Memo.Tail = Tail;
-  return {Code, Memo.Tail};
+  auto Fresh = std::make_shared<std::vector<uint64_t>>(Snap.CodeEntries);
+  for (size_t I = 0; I < Snap.CodeEntries; ++I)
+    (*Fresh)[I] = heapPathHashOf(P, H, Snap, int32_t(I));
+  std::lock_guard<std::mutex> G(Mu);
+  if (Rows Kept = Find())
+    return Kept; // A concurrent build of this order kept its rows first.
+  Orders.insert(Orders.begin(), {Snap.CuOrder, Fresh});
+  if (Orders.size() > MaxCodeOrders)
+    Orders.pop_back();
+  return Fresh;
 }
 
-} // namespace
+IdTable nimg::idTableFromBase(const HeapSnapshot &Snap, const BaseIdRows &Rows,
+                              const std::vector<uint64_t> &CodeHeapPaths) {
+  IdTable T;
+  size_t N = Snap.Entries.size(), Code = Snap.CodeEntries;
+  assert(CodeHeapPaths.size() == Code &&
+         Code + Rows.TailHeapPaths.size() == N &&
+         "rows of another base or code order");
+  T.IncrementalIds.assign(N, 0);
+  T.StructuralHashes.assign(N, 0);
+  T.HeapPathHashes.assign(N, 0);
+  std::vector<uint32_t> Counters(Rows.TypeIds.size(), 0);
+  for (size_t I = 0; I < N; ++I) {
+    const SnapshotEntry &E = Snap.Entries[I];
+    if (E.Elided)
+      continue;
+    uint32_t Type = Rows.Types[size_t(E.Cell)];
+    T.IncrementalIds[I] =
+        (uint64_t(Rows.TypeIds[Type]) << 32) | ++Counters[Type];
+    T.StructuralHashes[I] = Rows.StructuralHashes[size_t(E.Cell)];
+    T.HeapPathHashes[I] =
+        I < Code ? CodeHeapPaths[I] : Rows.TailHeapPaths[I - Code];
+  }
+  return T;
+}
 
 IdTable nimg::computeIdTable(const Program &P, const Heap &H,
-                             const HeapSnapshot &Snap, int MaxDepth,
-                             BaseIdMemo *Memo) {
+                             const HeapSnapshot &Snap, int MaxDepth) {
   IdTable T;
   size_t N = Snap.Entries.size();
   T.IncrementalIds.assign(N, 0);
@@ -339,65 +313,22 @@ IdTable nimg::computeIdTable(const Program &P, const Heap &H,
   // Alg. 1: per-type counters in encounter order. Inherently sequential
   // (each id depends on how many same-type entries precede it); elided
   // entries are not counted.
-  if (!Memo) {
-    TypeIndex Types(P, H);
-    std::vector<uint32_t> Counters;
-    uint64_t Stored = 0;
-    for (size_t I = 0; I < N; ++I) {
-      const SnapshotEntry &E = Snap.Entries[I];
-      if (E.Elided)
-        continue;
-      uint32_t Type = Types.of(E.Cell);
-      if (Type == Counters.size())
-        Counters.push_back(0);
-      T.IncrementalIds[I] =
-          (uint64_t(Types.TypeIds[Type]) << 32) | ++Counters[Type];
-      T.StructuralHashes[I] = structuralHashOf(P, H, E.Cell, MaxDepth);
-      T.HeapPathHashes[I] = heapPathHashOf(P, H, Snap, int32_t(I));
-      ++Stored;
-    }
-    NIMG_COUNTER_ADD("nimg.ids.structural_computed", Stored);
-    return T;
-  }
-
-  // Builds of one base share the rows of the entries after the code roots,
-  // and builds in one code order share all of them: the unmasked Alg. 2
-  // and Alg. 3 hashes and the tail's types. Each build masks its own
-  // elided entries and counts its own ids, in one pass.
-  std::pair<bool, bool> Reused;
-  auto [Code, Tail] = memoizedRows(P, H, *Memo, Snap, MaxDepth, Reused);
-  size_t Split = Snap.CodeEntries;
-  assert(Code->HeapPathHashes.size() == Split &&
-         Split + Tail->HeapPathHashes.size() == N &&
-         "memo kept for another snapshot");
-  std::vector<uint32_t> Counters(Tail->TypeIds.size(), 0);
-  uint64_t Stored[2] = {0, 0};
-  auto Put = [&](size_t I, uint32_t Type, const BaseIdMemo::Rows &R,
-                 size_t Row) {
-    T.IncrementalIds[I] =
-        (uint64_t(Tail->TypeIds[Type]) << 32) | ++Counters[Type];
-    T.StructuralHashes[I] = R.StructuralHashes[Row];
-    T.HeapPathHashes[I] = R.HeapPathHashes[Row];
-  };
-  for (size_t I = 0; I < Split; ++I) {
+  TypeIndex Types(P, H);
+  std::vector<uint32_t> Counters;
+  uint64_t Stored = 0;
+  for (size_t I = 0; I < N; ++I) {
     const SnapshotEntry &E = Snap.Entries[I];
     if (E.Elided)
       continue;
-    size_t Slot = typeSlot(Tail->NumClasses, H, E.Cell);
-    assert(Slot < Tail->TypeOfSlot.size() &&
-           Tail->TypeOfSlot[Slot] != TypeIndex::Unset &&
-           "a cell the kept tail's walk did not reach");
-    Put(I, Tail->TypeOfSlot[Slot], *Code, I);
-    ++Stored[0];
+    uint32_t Type = Types.of(E.Cell);
+    if (Type == Counters.size())
+      Counters.push_back(0);
+    T.IncrementalIds[I] =
+        (uint64_t(Types.TypeIds[Type]) << 32) | ++Counters[Type];
+    T.StructuralHashes[I] = structuralHashOf(P, H, E.Cell, MaxDepth);
+    T.HeapPathHashes[I] = heapPathHashOf(P, H, Snap, int32_t(I));
+    ++Stored;
   }
-  for (size_t I = Split; I < N; ++I) {
-    if (Snap.Entries[I].Elided)
-      continue;
-    Put(I, Tail->Types[I - Split], *Tail, I - Split);
-    ++Stored[1];
-  }
-  NIMG_COUNTER_ADD("nimg.ids.structural_reused",
-                   (Reused.first ? Stored[0] : 0) +
-                       (Reused.second ? Stored[1] : 0));
+  NIMG_COUNTER_ADD("nimg.ids.structural_computed", Stored);
   return T;
 }

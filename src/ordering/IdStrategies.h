@@ -71,77 +71,72 @@ uint64_t structuralHashOf(const Program &P, const Heap &H, CellIdx Cell,
 uint64_t heapPathHashOf(const Program &P, const Heap &H,
                         const HeapSnapshot &Snap, int32_t EntryIdx);
 
-/// What the builds that share one build base keep for each other
-/// (ImageBase::IdMemo): the snapshot entries every walk of the base shares
-/// and the identity rows no layout changes. A kept row equals a fresh one:
-///  - Alg. 2's root hash is a pure function of (heap, cell, MaxDepth);
-///  - Alg. 3's unmasked hash of an entry (the hash it gets when it is
-///    stored) is a pure function of the base and the code order the
-///    snapshot was walked in: the walk passes through elided objects, so
-///    the PEA fingerprint moves only which entries are masked to 0.
-/// Only the entries reached from code depend on the order
-/// (HeapSnapshot::CodeEntries, a few percent of them). The rest, the
-/// tail, are kept once per base with their rows and Alg. 1 types; the
-/// code rows of the MaxCodeOrders most recently used orders are kept,
-/// keyed by the exact order. Everything is computed outside Mu and
-/// published under it, the tail in one step; the rows belong to one
-/// MaxDepth, and a build at another depth starts the memo over.
-struct BaseIdMemo {
+/// The identity rows of one build base that no layout moves
+/// (ImageBase::IdRows), computed once when the base is made and immutable
+/// after. Each equals what a memo-free computeIdTable gives an entry when
+/// it is stored:
+///  - Alg. 2's root hash is a pure function of (heap, cell, MaxDepth), and
+///    the base key includes MaxDepth;
+///  - Alg. 1's type is one per cell;
+///  - Alg. 3's unmasked hash of a tail entry is the same in every walk: the
+///    walk passes through elided objects, so the PEA fingerprint moves only
+///    which entries are masked to 0.
+struct BaseIdRows {
+  /// Alg. 2 hash per cell of the build heap (0 for cells no walk reaches).
+  std::vector<uint64_t> StructuralHashes;
+  /// Alg. 1 type per cell, as a dense index: each distinct 32-bit type id
+  /// (a hash of the type name) has one, so a build's per-type counters are
+  /// a flat array.
+  std::vector<uint32_t> Types;
+  std::vector<uint32_t> TypeIds; ///< 32-bit type id per dense type.
+  /// Unmasked Alg. 3 hash per tail entry (SnapshotPlan::Tail).
+  std::vector<uint64_t> TailHeapPaths;
+};
+
+/// Computes the identity rows of \p Plan's base at \p MaxDepth.
+BaseIdRows computeBaseIds(const Program &P, const Heap &H,
+                          const SnapshotPlan &Plan, int MaxDepth);
+
+/// The unmasked Alg. 3 hashes of the entries reached from code: the one
+/// part of a base's identity rows its code order moves, kept per exact
+/// order (ImageBase::CodePaths). Alg. 3 does not read MaxDepth.
+struct CodePathMemo {
   /// Code orders kept: a sweep of one base walks the default, cu and method
   /// orders, plus one for a cluster order. Fixed, not a setting.
   static constexpr size_t MaxCodeOrders = 4;
 
-  /// Unmasked Alg. 2 and Alg. 3 hashes of a run of entries.
-  struct Rows {
-    std::vector<uint64_t> StructuralHashes;
-    std::vector<uint64_t> HeapPathHashes;
-  };
-  /// The entries from HeapSnapshot::CodeEntries on with no PEA applied
-  /// (Elided false), which walkSnapshotPlan copies, their rows and their
-  /// Alg. 1 types. A type is a dense index: each distinct 32-bit type id
-  /// (a hash of the type name) has one, so a build's per-type counters are
-  /// a flat array. TypeOfSlot maps the type of every cell a walk of the
-  /// base reaches to its dense type, by slot: strings, then objects by
-  /// class, then arrays by array type, among the NumClasses classes the
-  /// program had when the tail was kept (the build heap's cells all have
-  /// types that existed then; later types are never looked up).
-  struct KeptTail : Rows {
-    std::vector<SnapshotEntry> Entries;
-    std::vector<uint32_t> Types;
-    size_t NumClasses = 0;
-    std::vector<uint32_t> TypeOfSlot;
-    std::vector<uint32_t> TypeIds; ///< Per dense type.
-  };
-  struct CodeRows {
+  using Rows = std::shared_ptr<const std::vector<uint64_t>>;
+  struct Kept {
     std::vector<int32_t> CuOrder;
-    std::shared_ptr<const Rows> Hashes;
+    Rows Hashes;
   };
 
-  /// The kept tail, or null before the base's first identity stage.
-  std::shared_ptr<const KeptTail> tail() {
-    std::lock_guard<std::mutex> G(Mu);
-    return Tail;
-  }
+  /// The rows of \p Snap's entries [0, CodeEntries), kept under the code
+  /// order the snapshot records (HeapSnapshot::CuOrder), or computed
+  /// outside Mu and kept under it: threads racing on one order compute
+  /// equal rows, and the first to publish wins. \p Snap must be a walk of
+  /// the memo's base over \p H.
+  Rows rowsOf(const Program &P, const Heap &H, const HeapSnapshot &Snap);
 
   std::mutex Mu;
-  int MaxDepth = 0;
-  std::vector<CodeRows> Orders; ///< Most recently used first.
-  std::shared_ptr<const KeptTail> Tail;
+  std::vector<Kept> Orders; ///< Most recently used first.
 };
 
-/// Computes all three identity tables for a snapshot. Incremental ids are
-/// assigned in entry (traversal) order, matching Alg. 1's "object
-/// encounter order when traversing the heap object graph". With \p Memo,
-/// the structural and heap-path hashes and the tail's types come from it,
-/// or are computed and kept there under the code order \p Snap records
-/// (HeapSnapshot::CuOrder), and the first call keeps \p Snap's tail
-/// entries there too; each build masks its own elided entries and counts
-/// its own ids. A memo must only ever be used with \p H and with complete
-/// snapshots walked from its base's plan.
+/// The identity tables of \p Snap, a walk of its base's plan, from the
+/// base's rows and the code rows of its order (CodePathMemo::rowsOf): one
+/// pass that skips elided entries (id 0), counts Alg. 1 ids in entry order
+/// with flat per-type counters and takes every hash from the rows. Equals
+/// computeIdTable at the depth \p Rows were computed at.
+IdTable idTableFromBase(const HeapSnapshot &Snap, const BaseIdRows &Rows,
+                        const std::vector<uint64_t> &CodeHeapPaths);
+
+/// Computes all three identity tables for a snapshot from scratch.
+/// Incremental ids are assigned in entry (traversal) order, matching
+/// Alg. 1's "object encounter order when traversing the heap object
+/// graph". The reference for idTableFromBase.
 IdTable computeIdTable(const Program &P, const Heap &H,
                        const HeapSnapshot &Snap,
-                       int MaxDepth = DefaultStructuralMaxDepth,
-                       BaseIdMemo *Memo = nullptr);
+                       int MaxDepth = DefaultStructuralMaxDepth);
 
 } // namespace nimg
 

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace nimg;
@@ -408,10 +409,12 @@ TEST(BuildCache, WarmLayoutsEqualFreshBuilds) {
 TEST(BuildCache, TailsServeEveryFingerprintAndOrder) {
   // One base serves builds in four code orders and two PEA fingerprints
   // (cu+hotcold folds the split decisions into its own) from the snapshot
-  // tail and identity rows its first build kept. Each build must equal the
-  // same build on a fresh program: entries, cell index, the three identity
-  // tables and the image bytes. A tail that kept the first build's
-  // elision, or rows it masked, would fail the second case.
+  // tail and identity rows made with it. Each build must equal the same
+  // build on a fresh program: entries, cell index, the three identity
+  // tables and the image bytes. A tail that kept an elision, or rows
+  // masked by one, would fail the second case. No build after the first
+  // hashes a structural row, and each computes or reuses the heap-path
+  // rows of its code order once.
   BenchmarkSpec Spec = microserviceBenchmark("micronaut");
   std::unique_ptr<Program> Warm = compile(Spec);
   ASSERT_TRUE(Warm);
@@ -421,32 +424,40 @@ TEST(BuildCache, TailsServeEveryFingerprintAndOrder) {
   struct Case {
     const char *Name;
     BuildConfig Cfg;
+    bool OrderKept; ///< An earlier case built in the same code order.
   };
   std::vector<Case> Cases = {
-      {"cu", configFor(Cu, 3, Prof)},
-      {"cu+hotcold", configFor(Cu, 3, Prof, &Prof.Blocks)},
-      {"method", configFor(Method, 3, Prof)},
-      {"default order", configFor(Baseline, 3, Prof)},
-      {"cluster", configFor(Cluster, 3, Prof)},
-      {"cu again", configFor(Cu, 3, Prof)},
+      {"cu", configFor(Cu, 3, Prof), false},
+      {"cu+hotcold", configFor(Cu, 3, Prof, &Prof.Blocks), true},
+      {"method", configFor(Method, 3, Prof), false},
+      {"default order", configFor(Baseline, 3, Prof), false},
+      {"cluster", configFor(Cluster, 3, Prof), false},
+      {"cu again", configFor(Cu, 3, Prof), true},
   };
-  auto Copied = [] {
-    return obs::MetricsRegistry::global()
-        .counter("nimg.snapshot.tail_copied")
-        .value();
+  auto Count = [](const char *Name) {
+    return obs::MetricsRegistry::global().counter(Name).value();
   };
   std::shared_ptr<const ImageBase> Base;
   for (const Case &C : Cases) {
-    uint64_t Copied0 = Copied();
+    uint64_t Structural0 = Count("nimg.ids.structural_computed");
+    uint64_t Computed0 = Count("nimg.ids.heap_path_computed");
+    uint64_t Reused0 = Count("nimg.ids.heap_path_reused");
     NativeImage W = buildNativeImage(*Warm, C.Cfg);
     ASSERT_FALSE(W.Built.Failed) << C.Name;
     if (Base) {
       EXPECT_EQ(W.Base, Base) << C.Name;
 #ifndef NIMG_OBS_DISABLED
-      EXPECT_EQ(Copied() - Copied0, 1u) << C.Name << ": tail not copied";
+      EXPECT_EQ(Count("nimg.ids.structural_computed"), Structural0)
+          << C.Name << ": base rows hashed again";
+      EXPECT_EQ(Count("nimg.ids.heap_path_reused") - Reused0,
+                C.OrderKept ? 1u : 0u)
+          << C.Name;
+      EXPECT_EQ(Count("nimg.ids.heap_path_computed") - Computed0,
+                C.OrderKept ? 0u : 1u)
+          << C.Name;
 #endif
     }
-    (void)Copied0;
+    (void)Structural0, (void)Computed0, (void)Reused0;
     Base = W.Base;
     std::unique_ptr<Program> Fresh = compile(Spec);
     ASSERT_TRUE(Fresh);
@@ -512,9 +523,9 @@ TEST(BuildCache, TypesInternedBetweenBuildsLeaveTheIdsAlone) {
 }
 
 TEST(BuildCache, WalksInAnyCodeOrderShareTheEntriesAfterTheCode) {
-  // The base's memo hashes the entries from HeapSnapshot::CodeEntries on
-  // once for every code order; that holds only if they are the same entry
-  // for entry in every walk.
+  // The plan's tail and the base's identity rows stand for the entries
+  // from HeapSnapshot::CodeEntries on in every code order; that holds only
+  // if they are the same entry for entry in every walk.
   BenchmarkSpec Spec = microserviceBenchmark("micronaut");
   std::unique_ptr<Program> P = compile(Spec);
   ASSERT_TRUE(P);
@@ -528,8 +539,8 @@ TEST(BuildCache, WalksInAnyCodeOrderShareTheEntriesAfterTheCode) {
     Reverse.CuOrder.push_back(int32_t(Cu));
   HeapSnapshot A = walkSnapshotPlan(Plan, H, Forward);
   HeapSnapshot B = walkSnapshotPlan(Plan, H, Reverse);
-  ASSERT_EQ(A.Entries.size(), Plan.NumEntries);
-  ASSERT_EQ(B.Entries.size(), Plan.NumEntries);
+  ASSERT_EQ(A.Entries.size(), Plan.numEntries());
+  ASSERT_EQ(B.Entries.size(), Plan.numEntries());
   ASSERT_EQ(A.CodeEntries, B.CodeEntries);
   EXPECT_GT(A.CodeEntries, 0u);
   EXPECT_EQ(B.CuOrder, Reverse.CuOrder);
@@ -546,6 +557,21 @@ TEST(BuildCache, WalksInAnyCodeOrderShareTheEntriesAfterTheCode) {
                 X.Reason.Detail == Y.Reason.Detail)
         << "entry " << I;
   }
+  // What makes the tail the same after any code walk: the code roots reach
+  // one set of cells in every order, and no tail entry's first path runs
+  // through a code entry.
+  auto CodeCells = [](const HeapSnapshot &S) {
+    std::vector<CellIdx> Cells;
+    for (size_t I = 0; I < S.CodeEntries; ++I)
+      Cells.push_back(S.Entries[I].Cell);
+    std::sort(Cells.begin(), Cells.end());
+    return Cells;
+  };
+  EXPECT_EQ(CodeCells(A), CodeCells(B));
+  for (size_t I = A.CodeEntries; I < A.Entries.size(); ++I)
+    ASSERT_TRUE(A.Entries[I].ParentEntry == -1 ||
+                size_t(A.Entries[I].ParentEntry) >= A.CodeEntries)
+        << "entry " << I;
 }
 
 //===----------------------------------------------------------------------===//

@@ -446,12 +446,12 @@ TEST(ParallelPipelineTest, IntermediateJobCountsMatchToo) {
 }
 
 TEST(ParallelPipelineTest, ConcurrentBuildsOfOneBaseShareItsHashMemo) {
-  // Six threads build different layouts of one cached base at once; the
-  // first to take the base's structural-hash memo refills it (it was left
-  // at another depth), the others read it. Two threads each share a code
-  // order (cu, method) that no build has walked yet, so they race on the
-  // first fill of its heap-path hashes. Every image must equal the same
-  // layout built alone on a fresh program.
+  // Six threads build different layouts of one base at once. Two threads
+  // each share a code order (cu, method) that no build has walked yet, so
+  // they race on the first fill of its heap-path rows. Warm, the base was
+  // made by an earlier build; cold, on a fresh program, all six race to
+  // make it, and must still end up sharing one. Every image must equal the
+  // same layout built alone on a fresh program.
   Program P;
   std::vector<std::string> Errors;
   ASSERT_TRUE(compileSources({kSpawnWorkload}, P, Errors));
@@ -489,36 +489,50 @@ TEST(ParallelPipelineTest, ConcurrentBuildsOfOneBaseShareItsHashMemo) {
     RefBytes.push_back(serializeImage(Fresh, Img));
   }
 
-  BuildConfig Warm = Cfgs[0];
-  Warm.StructuralMaxDepth = 3;
-  std::shared_ptr<const ImageBase> Base = buildNativeImage(P, Warm).Base;
-  ASSERT_TRUE(Base->Cached);
+  auto BuildAll = [&](Program &Q) {
+    std::vector<NativeImage> Imgs(Cfgs.size());
+    std::vector<std::thread> Threads;
+    for (size_t I = 0; I < Cfgs.size(); ++I)
+      Threads.emplace_back(
+          [&, I] { Imgs[I] = buildNativeImage(Q, Cfgs[I]); });
+    for (std::thread &T : Threads)
+      T.join();
+    return Imgs;
+  };
+  auto ExpectShared = [&](Program &Q, const std::vector<NativeImage> &Imgs,
+                          const std::shared_ptr<const ImageBase> &Base,
+                          const char *Ctx) {
+    ASSERT_TRUE(Base && Base->Cached) << Ctx;
+    for (size_t I = 0; I < Cfgs.size(); ++I) {
+      EXPECT_EQ(Imgs[I].Base, Base) << Ctx << ", variant " << I;
+      EXPECT_EQ(Imgs[I].Ids.IncrementalIds, RefIds[I].IncrementalIds)
+          << Ctx << ", variant " << I;
+      EXPECT_EQ(Imgs[I].Ids.StructuralHashes, RefIds[I].StructuralHashes)
+          << Ctx << ", variant " << I;
+      EXPECT_EQ(Imgs[I].Ids.HeapPathHashes, RefIds[I].HeapPathHashes)
+          << Ctx << ", variant " << I;
+      EXPECT_EQ(serializeImage(Q, Imgs[I]), RefBytes[I])
+          << Ctx << ", variant " << I;
+    }
+  };
 
-  std::vector<NativeImage> Imgs(Cfgs.size());
-  std::vector<std::thread> Threads;
-  for (size_t I = 0; I < Cfgs.size(); ++I)
-    Threads.emplace_back(
-        [&, I] { Imgs[I] = buildNativeImage(P, Cfgs[I]); });
-  for (std::thread &T : Threads)
-    T.join();
+  std::shared_ptr<const ImageBase> Base = buildNativeImage(P, Cfgs[0]).Base;
+  ExpectShared(P, BuildAll(P), Base, "warm");
 
-  for (size_t I = 0; I < Cfgs.size(); ++I) {
-    EXPECT_EQ(Imgs[I].Base, Base) << "variant " << I;
-    EXPECT_EQ(Imgs[I].Ids.IncrementalIds, RefIds[I].IncrementalIds)
-        << "variant " << I;
-    EXPECT_EQ(Imgs[I].Ids.StructuralHashes, RefIds[I].StructuralHashes)
-        << "variant " << I;
-    EXPECT_EQ(Imgs[I].Ids.HeapPathHashes, RefIds[I].HeapPathHashes)
-        << "variant " << I;
-    EXPECT_EQ(serializeImage(P, Imgs[I]), RefBytes[I]) << "variant " << I;
-  }
+  Program Cold;
+  ASSERT_TRUE(compileSources({kSpawnWorkload}, Cold, Errors));
+  // The metadata class is the one edit a first build makes to the program;
+  // make it here, on one thread, so the builds below only read it.
+  ensureClassMetaClass(Cold);
+  std::vector<NativeImage> Imgs = BuildAll(Cold);
+  ExpectShared(Cold, Imgs, Imgs[0].Base, "cold");
 }
 
 TEST(ParallelPipelineTest, ConcurrentIdTablesFillOneEmptyMemo) {
-  // Six threads compute the identity tables of one base's snapshots,
-  // walked in three code orders, into one empty memo: pairs race on the
-  // first fill of an order's code part, and all six on the part every
-  // order shares. Each table must equal one computed without a memo.
+  // Six threads take the code heap-path rows of one base's snapshots,
+  // walked in three code orders and PEA fingerprints, from one empty memo:
+  // pairs race on the first fill of an order's rows. Each identity table
+  // must equal one computed without the base's rows.
   Program P;
   std::vector<std::string> Errors;
   ASSERT_TRUE(compileSources({kSpawnWorkload}, P, Errors));
@@ -526,8 +540,9 @@ TEST(ParallelPipelineTest, ConcurrentIdTablesFillOneEmptyMemo) {
   Cfg.Seed = 7;
   NativeImage Img = buildNativeImage(P, Cfg);
   ASSERT_FALSE(Img.Built.Failed) << Img.Built.FailureMessage;
+  const ImageBase &Base = *Img.Base;
   const Heap &H = *Img.Built.BuildHeap;
-  int32_t NumCus = int32_t(Img.Base->Code.CUs.size());
+  int32_t NumCus = int32_t(Base.Code.CUs.size());
   std::vector<SnapshotConfig> Orders(3);
   for (int32_t Cu = NumCus; Cu-- > 0;)
     Orders[1].CuOrder.push_back(Cu);
@@ -538,17 +553,17 @@ TEST(ParallelPipelineTest, ConcurrentIdTablesFillOneEmptyMemo) {
   std::vector<IdTable> Refs;
   for (size_t I = 0; I < Orders.size(); ++I) {
     Orders[I].PeaFingerprint = I + 1;
-    Snaps.push_back(walkSnapshotPlan(Img.Base->Plan, H, Orders[I]));
+    Snaps.push_back(walkSnapshotPlan(Base.Plan, H, Orders[I]));
     Refs.push_back(computeIdTable(P, H, Snaps.back()));
   }
 
-  BaseIdMemo Memo;
+  CodePathMemo Memo;
   std::vector<IdTable> Got(6);
   std::vector<std::thread> Threads;
   for (size_t I = 0; I < Got.size(); ++I)
     Threads.emplace_back([&, I] {
-      Got[I] = computeIdTable(P, H, Snaps[I % Snaps.size()],
-                              DefaultStructuralMaxDepth, &Memo);
+      const HeapSnapshot &Snap = Snaps[I % Snaps.size()];
+      Got[I] = idTableFromBase(Snap, Base.IdRows, *Memo.rowsOf(P, H, Snap));
     });
   for (std::thread &T : Threads)
     T.join();
@@ -559,78 +574,6 @@ TEST(ParallelPipelineTest, ConcurrentIdTablesFillOneEmptyMemo) {
     EXPECT_EQ(Got[I].IncrementalIds, Ref.IncrementalIds) << "thread " << I;
     EXPECT_EQ(Got[I].StructuralHashes, Ref.StructuralHashes) << "thread " << I;
     EXPECT_EQ(Got[I].HeapPathHashes, Ref.HeapPathHashes) << "thread " << I;
-  }
-}
-
-TEST(ParallelPipelineTest, ConcurrentFirstBuildsOfOneBaseShareItsTails) {
-  // Six threads make the first snapshot walks and identity tables of one
-  // base, in three code orders and six PEA fingerprints, with one empty
-  // memo, as buildNativeImage does: all six race on the tail and its rows,
-  // pairs on an order's code rows. Each must equal the same stages run
-  // serially without a memo.
-  Program P;
-  std::vector<std::string> Errors;
-  ASSERT_TRUE(compileSources({kSpawnWorkload}, P, Errors));
-  BuildConfig Cfg;
-  Cfg.Seed = 7;
-  NativeImage Img = buildNativeImage(P, Cfg);
-  ASSERT_FALSE(Img.Built.Failed) << Img.Built.FailureMessage;
-  const Heap &H = *Img.Built.BuildHeap;
-  const SnapshotPlan &Plan = Img.Base->Plan;
-  int32_t NumCus = int32_t(Img.Base->Code.CUs.size());
-  std::vector<SnapshotConfig> Cfgs(6);
-  for (size_t I = 0; I < Cfgs.size(); ++I) {
-    Cfgs[I].PeaFingerprint = 0x51 * (I + 1);
-    if (I % 3 == 1)
-      for (int32_t Cu = NumCus; Cu-- > 0;)
-        Cfgs[I].CuOrder.push_back(Cu);
-    if (I % 3 == 2)
-      for (int32_t Start : {1, 0})
-        for (int32_t Cu = Start; Cu < NumCus; Cu += 2)
-          Cfgs[I].CuOrder.push_back(Cu);
-  }
-  std::vector<HeapSnapshot> Ref;
-  std::vector<IdTable> RefIds;
-  for (const SnapshotConfig &C : Cfgs) {
-    Ref.push_back(walkSnapshotPlan(Plan, H, C));
-    RefIds.push_back(computeIdTable(P, H, Ref.back()));
-  }
-
-  BaseIdMemo Memo;
-  std::vector<HeapSnapshot> Snaps(Cfgs.size());
-  std::vector<IdTable> Got(Cfgs.size());
-  std::vector<std::thread> Threads;
-  for (size_t I = 0; I < Cfgs.size(); ++I)
-    Threads.emplace_back([&, I] {
-      std::shared_ptr<const BaseIdMemo::KeptTail> Tail = Memo.tail();
-      Snaps[I] =
-          walkSnapshotPlan(Plan, H, Cfgs[I], Tail ? &Tail->Entries : nullptr);
-      Got[I] = computeIdTable(P, H, Snaps[I], DefaultStructuralMaxDepth, &Memo);
-    });
-  for (std::thread &T : Threads)
-    T.join();
-
-  ASSERT_TRUE(Memo.tail());
-  EXPECT_EQ(Memo.Orders.size(), 3u);
-  for (size_t I = 0; I < Cfgs.size(); ++I) {
-    const std::vector<SnapshotEntry> &A = Snaps[I].Entries,
-                                     &B = Ref[I].Entries;
-    ASSERT_EQ(A.size(), B.size()) << "thread " << I;
-    for (size_t K = 0; K < A.size(); ++K)
-      ASSERT_TRUE(A[K].Cell == B[K].Cell && A[K].Elided == B[K].Elided &&
-                  A[K].ParentEntry == B[K].ParentEntry &&
-                  A[K].ParentSlot == B[K].ParentSlot &&
-                  A[K].IsRoot == B[K].IsRoot &&
-                  A[K].Reason.Kind == B[K].Reason.Kind &&
-                  A[K].Reason.Detail == B[K].Reason.Detail)
-          << "thread " << I << ", entry " << K;
-    EXPECT_EQ(Snaps[I].EntryOfCell, Ref[I].EntryOfCell) << "thread " << I;
-    EXPECT_EQ(Got[I].IncrementalIds, RefIds[I].IncrementalIds)
-        << "thread " << I;
-    EXPECT_EQ(Got[I].StructuralHashes, RefIds[I].StructuralHashes)
-        << "thread " << I;
-    EXPECT_EQ(Got[I].HeapPathHashes, RefIds[I].HeapPathHashes)
-        << "thread " << I;
   }
 }
 
